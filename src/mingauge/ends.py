@@ -107,11 +107,14 @@ def ends_estimate(mesh: SimplicialSurface, center, radii=None,
     center = np.asarray(center, dtype=float)
     if radii is None:
         dist = np.linalg.norm(mesh.vertices - center, axis=1)
-        lo = 1.3 * dist.min() + 1e-9
         if mesh.truncation_radius is not None:
             hi = 0.8 * (mesh.truncation_radius - np.linalg.norm(center))
         else:
             hi = 0.9 * dist.max()
+        # from a base on the surface 1.3 x dmin is ~0 and would crowd the
+        # geometric sweep near the base; start where level_grid does
+        dmin = dist.min()
+        lo = 1.3 * dmin + 1e-9 if dmin > 1e-9 else 0.02 * hi
         lo = min(lo, 0.5 * hi)
         radii = np.geomspace(lo, hi, num_radii)
     radii = np.asarray(radii, dtype=float)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .types import triangle_areas
+
 # 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
 _A1, _W1 = 0.445948490915965, 0.223381589678011
 _A2, _W2 = 0.091576213509771, 0.109951743655322
@@ -41,18 +43,11 @@ def split4(corners: np.ndarray, owners: np.ndarray):
     return kids, np.concatenate([owners] * 4)
 
 
-def _areas(corners: np.ndarray) -> np.ndarray:
-    u = corners[:, 1] - corners[:, 0]
-    v = corners[:, 2] - corners[:, 0]
-    g = (u * u).sum(-1) * (v * v).sum(-1) - ((u * v).sum(-1)) ** 2
-    return 0.5 * np.sqrt(np.maximum(g, 0.0))
-
-
 def _rule_sum(corners, owners, integrand):
     """Apply the 6-node rule to a batch of flat triangles."""
     if len(corners) == 0:
         return 0.0
-    areas = _areas(corners)
+    areas = triangle_areas(corners)
     if integrand is None:
         return float(areas.sum())
     # nodes: (m, 6, n)

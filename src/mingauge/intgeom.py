@@ -19,9 +19,9 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 
-from .errors import InvalidFrameError
+from .errors import IdentityNotApplicableError, InvalidFrameError
 from .geometry import integrate_with_error
-from .invariants import max_safe_radius, radial_defect, sphere_area
+from .invariants import max_safe_radius, on_surface_multiplicity, sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
@@ -239,9 +239,8 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
                 f"counting radius {radii.max():.6g} exceeds the region "
                 f"covered by the truncated mesh ({room:.6g})"
             )
-    dmin = float(np.linalg.norm(mesh.vertices - base, axis=1).min())
-    if dmin <= 1e-9 * (1.0 + float(np.linalg.norm(base))):
-        raise ValueError(
+    if on_surface_multiplicity(mesh, base):
+        raise IdentityNotApplicableError(
             "base point lies on the surface mesh: every section through it "
             "is pinned to that vertex, so the count is ill-posed; offset "
             "the base point"
@@ -337,22 +336,6 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
         "samples": int(samples),
         "jittered": int(jittered),
         "seed": int(seed),
-    }
-
-
-def counting_average(mesh, base, radius, samples: int = 20000,
-                     seed: int | None = None) -> dict:
-    """Mean section count at one cut radius, with a 95% interval."""
-    out = counting_sweep(mesh, base, [float(radius)], samples, seed)
-    return {
-        "method": out["method"],
-        "radius": float(radius),
-        "mean": float(out["means"][0]),
-        "ci95": float(out["ci95"][0]),
-        "max_observed": out["max_observed"],
-        "samples": out["samples"],
-        "jittered": out["jittered"],
-        "seed": out["seed"],
     }
 
 
@@ -509,33 +492,36 @@ def crofton_verify(region, samples: int = 100000, seed: int | None = None,
 # counting-based bounds
 
 
-def check_defect_counting_bound(mesh, base, radius=None, samples: int = 20000,
-                                seed: int = 0, p: int = 2) -> dict:
+def check_defect_counting_bound(defect: dict, counting: dict,
+                                p: int = 2) -> dict:
     """Defect <= (omega_(p+1)/2) x mean section count, inside one ball.
 
     Pointwise the defect integrand |x_n|^2/|x|^(p+2) never exceeds the
     projection Jacobian |x_n|/|x|^(p+1), and integrating the Jacobian counts
     radial lines with multiplicity; the Monte-Carlo mean stands in for that
-    count, so the bound must hold up to its confidence interval.
+    count, so the bound must hold up to its confidence interval.  Pure
+    arithmetic on a ``radial_defect`` estimate and a ``counting_sweep``
+    result, compared at the sweep's outermost radius, which must be the
+    defect's radius.
     """
-    base = np.asarray(base, dtype=float)
-    if radius is None:
-        radius = max_safe_radius(mesh, base)
-    q = radial_defect(mesh, base, radius, p)
-    avg = counting_average(mesh, base, radius, samples, seed)
+    radius = float(counting["radii"][-1])
+    if abs(radius - defect["radius"]) > 1e-12 * max(1.0, defect["radius"]):
+        raise ValueError(
+            f"defect radius {defect['radius']:.6g} differs from the outermost "
+            f"counting radius {radius:.6g}"
+        )
     half_omega = 0.5 * sphere_area(p + 1)
-    bound = half_omega * avg["mean"]
-    bound_err = half_omega * avg["ci95"]
-    margin = bound - q["value"]
-    slack = bound_err + q["error"] + 1e-9 * max(1.0, abs(bound))
+    bound = half_omega * float(counting["means"][-1])
+    bound_err = half_omega * float(counting["ci95"][-1])
+    margin = bound - defect["value"]
+    slack = bound_err + defect["error"] + 1e-9 * max(1.0, abs(bound))
     return {
         "passed": bool(margin >= -slack),
         "margin": float(margin),
         "bound": float(bound),
         "bound_error": float(bound_err),
-        "defect": q,
-        "counting": avg,
-        "radius": float(radius),
+        "defect": float(defect["value"]),
+        "radius": radius,
     }
 
 

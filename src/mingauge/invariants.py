@@ -12,10 +12,12 @@ surface point, split into its components tangent and normal to the surface:
 * boundary constant  -- conormal flux of the same field through a genuine
   (non-truncation) boundary.
 
-The divergence theorem ties these together; the check_* functions verify the
-resulting identities and inequalities on a concrete mesh, each by two
-independent discretization routes (curve integrals vs region quadrature), so
-agreement is evidence of correctness rather than of a shared bug.
+The divergence theorem ties these together.  Each estimate is computed once;
+the identity check takes the estimates themselves and does only arithmetic
+on them, so a report never re-runs an estimator to check it.  The remaining
+check_* functions compare two independent discretization routes on a concrete
+mesh (curve integrals vs region quadrature), so agreement is evidence of
+correctness rather than of a shared bug.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .errors import IdentityNotApplicableError
 from .geometry import (
     SimplicialSurface,
     ball_region,
+    decompose_radial,
     integrate_mesh,
     integrate_with_error,
     level_polyline,
@@ -36,9 +39,8 @@ from .geometry import (
     surface_measure,
 )
 from .geometry.types import _rows_lookup
-from .ends import triangle_components
+from .ends import rim_vertex_mask, triangle_components
 
-RIM_FRACTION = 0.999
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss nodes on a segment
 
 
@@ -49,21 +51,14 @@ def sphere_area(p: int) -> float:
     return 2.0 * pi ** (p / 2.0) / gamma(p / 2.0)
 
 
-def _split_radial(mesh: SimplicialSurface, points, owners, center):
-    """(x, tangential, normal) parts of x = point - center, per owner facet."""
-    frames = mesh.frames()[owners]  # (k, 2, n)
-    x = points - center
-    coef = np.einsum("kn,kjn->kj", x, frames)
-    tang = np.einsum("kj,kjn->kn", coef, frames)
-    return x, tang, x - tang
-
-
 def defect_integrand(mesh: SimplicialSurface, center, p: int = 2):
     """|normal part|^2 / |x - center|^(p + 2), vectorized over points."""
     c = np.asarray(center, dtype=float)
 
     def f(points, owners):
-        x, _, nor = _split_radial(mesh, points, owners, c)
+        _, nor = decompose_radial(points, c, mesh.frames()[owners],
+                                  check=False)
+        x = points - c
         r2 = np.sum(x * x, axis=1)
         return np.sum(nor * nor, axis=1) / r2 ** ((p + 2) / 2.0)
 
@@ -125,7 +120,8 @@ def _curve_flux(mesh, curve, center):
     length = 0.0
 
     def tang_norm(points, owners):
-        _, tang, _ = _split_radial(mesh, points, owners, c)
+        tang, _ = decompose_radial(points, c, mesh.frames()[owners],
+                                   check=False)
         return np.linalg.norm(tang, axis=1)
 
     for pts, closed, owners in zip(curve.polylines, curve.closed,
@@ -286,9 +282,8 @@ def boundary_constant(mesh: SimplicialSurface, center, p: int = 2,
     if len(edges) == 0:
         return {"value": 0.0, "error": 0.0, "num_edges": 0}
     keep = np.ones(len(edges), dtype=bool)
-    if exclude_rim and mesh.truncation_radius is not None:
-        r = np.linalg.norm(mesh.vertices[edges], axis=2)
-        keep &= ~np.all(r >= RIM_FRACTION * mesh.truncation_radius, axis=1)
+    if exclude_rim:
+        keep &= ~rim_vertex_mask(mesh)[edges].all(axis=1)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     if within_radius is not None:
         keep &= np.linalg.norm(mids - center, axis=1) <= within_radius
@@ -374,35 +369,39 @@ def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
             "t_hi": float(t_hi)}
 
 
-def check_defect_volume_identity(mesh: SimplicialSurface, center,
-                                 radius: float | None = None, p: int = 2,
-                                 tol: float = 2e-2, cut_depth: int = 6) -> dict:
+def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
+    """Number of mesh vertices that coincide with ``center``.
+
+    Zero for a base point off the surface; otherwise one per sheet through
+    it in the catalog meshes.
+    """
+    center = np.asarray(center, dtype=float)
+    dist = np.linalg.norm(mesh.vertices - center, axis=1)
+    return int(np.count_nonzero(
+        dist <= 1e-9 * (1.0 + float(np.linalg.norm(center)))))
+
+
+def check_defect_volume_identity(defect: dict, flux_normalized: float,
+                                 boundary: dict, sheets: int, p: int = 2,
+                                 tol: float = 2e-2) -> dict:
     """p * defect = normalized flux + boundary constant, at the cut radius.
 
+    Pure arithmetic on estimates taken at one radius: ``defect`` from
+    ``radial_defect``, the normalized flux from ``flux_profile``, ``boundary``
+    from ``boundary_constant`` and ``sheets`` from ``on_surface_multiplicity``.
     With the radius sent to infinity the flux term becomes the projective
     volume; at finite truncation the identity is exact, so any gap measures
     pure discretization error.
 
-    A center that coincides with mesh vertices counts as lying on the
-    surface; each sheet through it contributes one unit-sphere area to the
-    normalized flux at vanishing radius, and the identity subtracts that.
-    The multiplicity is the number of coincident vertices (one per sheet in
-    the catalog meshes).  Meshes that excise a small hole around the center
+    A center on the surface contributes one unit-sphere area per sheet to the
+    normalized flux at vanishing radius, and the identity subtracts that; with
+    no boundary this is the preimage-count relation flux = p * defect +
+    sheets * sphere area.  Meshes that excise a small hole around the center
     instead carry the same term through the boundary constant, so the two
     routes never double-count.
     """
-    center = np.asarray(center, dtype=float)
-    if radius is None:
-        radius = max_safe_radius(mesh, center)
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
-    sheets = int(np.count_nonzero(
-        dist <= 1e-9 * (1.0 + float(np.linalg.norm(center)))))
-    q = radial_defect(mesh, center, radius, p, cut_depth)
-    prof = flux_profile(mesh, center, [radius], p)
-    c = boundary_constant(mesh, center, p, exclude_rim=True,
-                          within_radius=radius)
-    lhs = p * q["value"]
-    rhs = float(prof.normalized[0]) + c["value"] - sheets * sphere_area(p)
+    lhs = p * defect["value"]
+    rhs = float(flux_normalized) + boundary["value"] - sheets * sphere_area(p)
     gap = _gap(lhs, rhs)
     return {
         "passed": bool(gap <= tol),
@@ -410,48 +409,11 @@ def check_defect_volume_identity(mesh: SimplicialSurface, center,
         "rhs": rhs,
         "rel_gap": gap,
         "tol": tol,
-        "radius": float(radius),
-        "defect": q,
-        "flux_normalized": float(prof.normalized[0]),
-        "boundary_constant": c,
-        "on_surface_multiplicity": sheets,
-    }
-
-
-def check_preimage_count_identity(mesh: SimplicialSurface, center,
-                                  preimages: int = 1,
-                                  radius: float | None = None, p: int = 2,
-                                  tol: float = 2e-2,
-                                  cut_depth: int = 6) -> dict:
-    """For a base point on the surface: flux = p * defect + k * sphere area.
-
-    ``preimages`` is the number k of surface points mapping to the base
-    point (1 for an embedded point).  Each preimage contributes one full
-    unit-sphere measure to the flux as the inner radius shrinks.
-    """
-    center = np.asarray(center, dtype=float)
-    dmin = float(np.linalg.norm(mesh.vertices - center, axis=1).min())
-    scale = max(1.0, float(np.abs(mesh.vertices).max()))
-    if dmin > 1e-6 * scale:
-        raise IdentityNotApplicableError(
-            f"base point is {dmin:.3g} away from the surface; this identity "
-            "needs an on-surface base point"
-        )
-    if radius is None:
-        radius = max_safe_radius(mesh, center)
-    prof = flux_profile(mesh, center, [radius], p)
-    q = radial_defect(mesh, center, radius, p, cut_depth)
-    lhs = float(prof.normalized[0])
-    rhs = p * q["value"] + preimages * sphere_area(p)
-    gap = _gap(lhs, rhs)
-    return {
-        "passed": bool(gap <= tol),
-        "lhs": lhs,
-        "rhs": rhs,
-        "rel_gap": gap,
-        "tol": tol,
-        "preimages": int(preimages),
-        "radius": float(radius),
+        "radius": defect["radius"],
+        "defect": defect,
+        "flux_normalized": float(flux_normalized),
+        "boundary_constant": boundary,
+        "on_surface_multiplicity": int(sheets),
     }
 
 

@@ -38,6 +38,7 @@ from .catalog import build_surface, catalog_names, verify_minimality
 from .ends import check_ends_bound, ends_estimate
 from .errors import ConfigError, IdentityNotApplicableError
 from .intgeom import (
+    check_defect_counting_bound,
     check_ends_counting_bound,
     counting_bound_constant,
     counting_sweep,
@@ -49,12 +50,11 @@ from .invariants import (
     check_density_identity,
     check_flux_shell_identity,
     check_monotonicity,
-    flux_profile,
     level_grid,
     max_safe_radius,
+    on_surface_multiplicity,
     projective_volume,
     radial_defect,
-    sphere_area,
 )
 
 SCHEMA_VERSION = "1"
@@ -327,7 +327,8 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # -- flux sweep and monotonicity ---------------------------------------
     r_hi = max_safe_radius(mesh, base)
     levels = level_grid(mesh, base, config.num_levels)
-    profile = flux_profile(mesh, base, levels)
+    vol = projective_volume(mesh, base, levels=levels)
+    profile = vol["profile"]
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
         sweeps.append(("flux_normalized", float(t),
                        float(raw / t**profile.p),
@@ -345,7 +346,6 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     ))
 
     # -- projective volume (both routes) -----------------------------------
-    vol = projective_volume(mesh, base, levels=levels)
     estimates.append({
         "quantity": "projective_volume",
         "value": vol["value"],
@@ -400,7 +400,9 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     })
 
     # -- identities ---------------------------------------------------------
-    ident = check_defect_volume_identity(mesh, base, r_hi)
+    # levels[-1] is r_hi, so the sweep's last flux is the one at the cut
+    ident = check_defect_volume_identity(q, profile.normalized[-1], bnd,
+                                         on_surface_multiplicity(mesh, base))
     checks.append(_check(
         "defect_volume_identity",
         applicable=not control,
@@ -587,13 +589,13 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             counting = counting_sweep(mesh, base, count_radii,
                                       samples=config.mc_samples,
                                       seed=config.mc_seed)
-        except ValueError as exc:
+        except IdentityNotApplicableError as exc:
             # a base point on the surface pins every section through it, so
             # the count is ill-posed there; that invalidates only the
             # counting checks, not the rest of the report
-            if "base point" not in str(exc):
-                raise ConfigError("mc.radii", str(exc)) from exc
             counting_note = skip_note(str(exc))
+        except ValueError as exc:
+            raise ConfigError("mc.radii", str(exc)) from exc
     if counting is not None:
         for r, m, c in zip(counting["radii"], counting["means"],
                            counting["ci95"]):
@@ -614,18 +616,14 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         r_count = float(counting["radii"][-1])
         q_at = (q if abs(r_count - r_hi) <= 1e-12 * max(1.0, r_hi)
                 else radial_defect(mesh, base, r_count))
-        bound = 0.5 * sphere_area(3) * float(counting["means"][-1])
-        bound_err = 0.5 * sphere_area(3) * float(counting["ci95"][-1])
-        margin = bound - q_at["value"]
-        slack = bound_err + q_at["error"] + 1e-9 * max(1.0, bound)
+        dcb = check_defect_counting_bound(q_at, counting)
         checks.append(_check(
             "defect_counting_bound",
             applicable=True,
-            passed=margin >= -slack,
+            passed=dcb["passed"],
             note="defect <= half the 2-sphere area x mean section count",
-            margin=margin,
-            detail={"defect": q_at["value"], "bound": bound,
-                    "bound_error": bound_err, "radius": r_count},
+            margin=dcb["margin"],
+            detail=_small(dcb, ("defect", "bound", "bound_error", "radius")),
         ))
 
         if control:

@@ -25,6 +25,7 @@ from mingauge.geometry import orthonormal_frame
 from mingauge.intgeom import (
     check_defect_counting_bound,
     counting_bound_constant,
+    counting_sweep,
     crofton_verify,
     radial_jacobian,
 )
@@ -281,16 +282,22 @@ def test_criterion_08_crofton_identities():
 
 
 def test_criterion_09_defect_counting_bound(default):
+    def bound_at_cut(spec, seed):
+        # defect and section counts estimated once each at the cut radius
+        R = max_safe_radius(spec.mesh, spec.base_point)
+        sweep = counting_sweep(spec.mesh, spec.base_point, [R],
+                               samples=20000, seed=seed)
+        q = radial_defect(spec.mesh, spec.base_point, R)
+        return check_defect_counting_bound(q, sweep), sweep
+
     cat = default("catenoid")
-    out = check_defect_counting_bound(cat.mesh, cat.base_point,
-                                      samples=20000, seed=11)
-    mean = out["counting"]["mean"]
-    ci = out["counting"]["ci95"]
+    out, sweep = bound_at_cut(cat, 11)
+    mean = sweep["means"][0]
+    ci = sweep["ci95"][0]
     cat_ok = out["margin"] >= 0.0 and mean >= 1.0 - ci
 
     plane = default("plane")
-    pout = check_defect_counting_bound(plane.mesh, plane.base_point,
-                                       samples=20000, seed=6)
+    pout, _ = bound_at_cut(plane, 6)
     plane_ok = abs(pout["margin"] - np.pi) <= 0.02 * np.pi
     ok = cat_ok and plane_ok
     assert verdict(9, ok,

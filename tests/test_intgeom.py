@@ -15,7 +15,7 @@ import pytest
 from mingauge import intgeom as ig
 from mingauge import invariants as inv
 from mingauge.catalog import build_surface, spherical_region
-from mingauge.errors import InvalidFrameError
+from mingauge.errors import IdentityNotApplicableError, InvalidFrameError
 from mingauge.geometry import ball_region, integrate_with_error, orthonormal_frame
 
 
@@ -125,7 +125,7 @@ def test_parabola_plane_sections_exact(parabola_coarse):
 def test_on_surface_base_rejected(parabola_coarse):
     pl = ig.PlaneThrough.through(np.zeros(4),
                                  np.array([[0.0, 0, 1.0, 0], [0.0, 0, 0, 1.0]]))
-    with pytest.raises(ValueError, match="ill-posed"):
+    with pytest.raises(IdentityNotApplicableError, match="ill-posed"):
         ig.section_count(parabola_coarse.mesh, pl, 10.0)
 
 
@@ -255,9 +255,9 @@ def test_jacobian_counting_chain(catenoid_coarse):
     R = 20.0
     lhs, qerr = integrate_with_error(
         m, ig.jacobian_integrand(m, a), ball_region(a, R))
-    avg = ig.counting_average(m, a, R, samples=30000, seed=4)
-    rhs = 2 * np.pi * avg["mean"]
-    ci = 2 * np.pi * avg["ci95"]
+    avg = ig.counting_sweep(m, a, [R], samples=30000, seed=4)
+    rhs = 2 * np.pi * avg["means"][0]
+    ci = 2 * np.pi * avg["ci95"][0]
     assert abs(lhs - rhs) <= ci + qerr + 0.02 * lhs
 
 
@@ -332,31 +332,47 @@ def test_crofton_deterministic():
 # counting-based bounds
 
 
-def test_defect_counting_bound_catenoid(catenoid_coarse):
+def defect_counting_bound(mesh, base, radius, samples, seed):
+    """Estimate the defect and the section counts at one radius, then check."""
+    sweep = ig.counting_sweep(mesh, base, [radius], samples=samples, seed=seed)
     chk = ig.check_defect_counting_bound(
+        inv.radial_defect(mesh, base, radius), sweep)
+    return chk, sweep
+
+
+def test_defect_counting_bound_catenoid(catenoid_coarse):
+    chk, sweep = defect_counting_bound(
         catenoid_coarse.mesh, catenoid_coarse.base_point,
         radius=20.0, samples=20000, seed=11)
     assert chk["passed"]
     assert chk["margin"] > 1.0  # comfortably positive, not a borderline pass
-    assert chk["counting"]["mean"] >= 1.0
+    assert sweep["means"][0] >= 1.0
 
 
 def test_defect_counting_bound_plane_margin(plane_coarse):
     # mean count -> 1 - 1/R and defect -> pi, so the margin approaches
     # 2*pi*(1 - 1/R) - pi = pi*(1 - 2/R)
-    chk = ig.check_defect_counting_bound(
-        plane_coarse.mesh, plane_coarse.base_point, samples=20000, seed=6)
+    m, a = plane_coarse.mesh, plane_coarse.base_point
+    chk, _ = defect_counting_bound(m, a, inv.max_safe_radius(m, a),
+                                   samples=20000, seed=6)
     assert chk["passed"]
     R = chk["radius"]
     assert chk["margin"] == pytest.approx(np.pi * (1 - 2 / R), abs=0.03)
 
 
 def test_defect_counting_bound_parabola(parabola_coarse):
-    chk = ig.check_defect_counting_bound(
+    chk, sweep = defect_counting_bound(
         parabola_coarse.mesh, parabola_coarse.base_point,
         radius=30.0, samples=5000, seed=2)
     assert chk["passed"]
-    assert chk["counting"]["mean"] == pytest.approx(2.0, abs=0.1)
+    assert sweep["means"][0] == pytest.approx(2.0, abs=0.1)
+
+
+def test_defect_counting_bound_needs_one_radius(catenoid_coarse):
+    m, a = catenoid_coarse.mesh, catenoid_coarse.base_point
+    sweep = ig.counting_sweep(m, a, [10.0, 20.0], samples=200, seed=1)
+    with pytest.raises(ValueError, match="radius"):
+        ig.check_defect_counting_bound(inv.radial_defect(m, a, 10.0), sweep)
 
 
 def test_ends_counting_bound():

@@ -106,27 +106,48 @@ def test_flux_shell_identity_dual_route(catenoid_coarse):
         assert out["rel_gap"] <= 2e-2
 
 
+def defect_volume_identity(mesh, center):
+    """Estimate each term once at the cut radius, then check the identity."""
+    r = inv.max_safe_radius(mesh, center)
+    return inv.check_defect_volume_identity(
+        inv.radial_defect(mesh, center, r),
+        inv.flux_profile(mesh, center, [r]).normalized[0],
+        inv.boundary_constant(mesh, center, within_radius=r),
+        inv.on_surface_multiplicity(mesh, center),
+    )
+
+
 @pytest.mark.parametrize(
     "name", ["plane", "catenoid", "enneper", "complex_parabola_r4"]
 )
 def test_defect_volume_identity_boundaryless(coarse, name):
     spec = coarse(name)
-    out = inv.check_defect_volume_identity(spec.mesh, spec.base_point)
+    out = defect_volume_identity(spec.mesh, spec.base_point)
     assert out["passed"], out
     assert out["boundary_constant"]["num_edges"] == 0
     assert out["on_surface_multiplicity"] == 0
 
 
-@pytest.mark.parametrize("name", ["enneper", "complex_parabola_r4"])
+# one mesh vertex on each surface, away from the suggested base point
+ON_SURFACE = {
+    "enneper": [0.0, 0.0, 0.0],
+    "complex_parabola_r4": [0.0, 0.0, 0.0, 0.0],
+    "catenoid": [1.0, 0.0, 0.0],  # on the neck circle
+}
+
+
+@pytest.mark.parametrize("name", sorted(ON_SURFACE))
 def test_defect_volume_identity_base_on_surface(coarse, name):
     # with the center at a mesh vertex the small-radius flux limit carries
-    # one unit-sphere area per sheet, which the identity must subtract
+    # one unit-sphere area per sheet, which the identity must subtract; with
+    # no boundary this is the preimage-count relation
+    # flux = p * defect + preimages * sphere area
     spec = coarse(name)
-    origin = np.zeros(spec.mesh.vertices.shape[1])
-    out = inv.check_defect_volume_identity(spec.mesh, origin)
+    out = defect_volume_identity(spec.mesh, np.array(ON_SURFACE[name]))
     assert out["on_surface_multiplicity"] == 1
+    assert out["boundary_constant"]["num_edges"] == 0
     assert out["passed"], out
-    off = inv.check_defect_volume_identity(spec.mesh, spec.base_point)
+    off = defect_volume_identity(spec.mesh, spec.base_point)
     # the two defects differ by one unit-sphere area over p, per the
     # flux limits at the shared cut radius agreeing to discretization error
     shift = (off["lhs"] - out["lhs"]) / inv.sphere_area(2)
@@ -151,7 +172,7 @@ def test_boundary_constant_oracle_and_identity():
         errs.append(abs(c["value"] - oracle) / oracle)
     assert errs[1] < 2.5e-3
     assert 1.7 < errs[0] / errs[1] < 2.4
-    out = inv.check_defect_volume_identity(spec.mesh, spec.base_point)
+    out = defect_volume_identity(spec.mesh, spec.base_point)
     assert out["passed"], out
 
 
@@ -177,7 +198,7 @@ def test_boundary_constant_flat_annulus_sign():
     a = np.array([0.0, 0.0, 1.0])
     c = inv.boundary_constant(mesh, a)
     assert c["value"] == pytest.approx(-np.pi, rel=1e-3)
-    out = inv.check_defect_volume_identity(mesh, a)
+    out = defect_volume_identity(mesh, a)
     assert out["passed"], out
     assert out["boundary_constant"]["value"] < 0
 
@@ -189,19 +210,6 @@ def test_preimage_relation_closed_forms():
     assert inv.preimage_count_residual(4 * np.pi, 0.0, 2) <= 1e-10
     # plane not through it: volume 2*pi, defect pi, zero preimages
     assert inv.preimage_count_residual(2 * np.pi, np.pi, 0) <= 1e-10
-
-
-def test_preimage_identity_on_surface(enneper_coarse, catenoid_coarse):
-    out = inv.check_preimage_count_identity(enneper_coarse.mesh, np.zeros(3),
-                                            preimages=1)
-    assert out["passed"], out
-    neck = np.array([1.0, 0.0, 0.0])
-    out2 = inv.check_preimage_count_identity(catenoid_coarse.mesh, neck,
-                                             preimages=1)
-    assert out2["passed"], out2
-    with pytest.raises(IdentityNotApplicableError):
-        inv.check_preimage_count_identity(catenoid_coarse.mesh,
-                                          np.array([0.0, 0.0, 0.1]))
 
 
 def test_density_identity_grid(catenoid_coarse, plane_coarse):

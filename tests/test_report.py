@@ -235,19 +235,64 @@ def test_enneper_matches_three_sheet_targets(tmp_path):
     assert abs(vol["measured"] - vol["target"]) <= vol["tolerance"]
 
 
-def test_targets_not_compared_at_another_base(tmp_path):
-    # the catalog's 2 pi defect holds for the catenoid's suggested base at the
-    # origin; from a point on the waist the defect is pi, which is right
+@pytest.fixture(scope="module")
+def neck_report(tmp_path_factory):
+    """Catenoid report from a base point on its neck circle."""
     config = parse_config({
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": [1.0, 0.0, 0.0],
         "levels": {"count": 12},
     })
-    report = run_report(config, tmp_path)
-    check = {c["name"]: c for c in report["checks"]}["invariants_match_expected"]
+    return run_report(config, tmp_path_factory.mktemp("neck"))
+
+
+def test_targets_not_compared_at_another_base(neck_report):
+    # the catalog's 2 pi defect holds for the catenoid's suggested base at the
+    # origin; from a point on the waist the defect is pi, which is right
+    check = {c["name"]: c
+             for c in neck_report["checks"]}["invariants_match_expected"]
     assert not check["applicable"]
     assert check["passed"] is None
     assert "[0, 0, 0]" in check["note"] and "[1, 0, 0]" in check["note"]
+
+
+def test_on_surface_base_ends_sweep_clears_the_neck(neck_report):
+    # from a base on the surface the ends sweep starts at 2% of its range,
+    # as the flux levels do, so the outer radii all see both ends
+    assert neck_report["exit_code"] == 0
+    assert neck_report["ends"]["counts"] == [2] * 12
+    ends = {c["name"]: c for c in neck_report["checks"]}["ends_stabilized"]
+    assert ends["applicable"] and ends["passed"]
+
+
+def test_report_estimates_each_quantity_once(monkeypatch):
+    # the identity and bound checks are arithmetic on the report's own
+    # estimates, so no estimator runs again to check them
+    from mingauge import intgeom, invariants, report as report_module
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("radial_defect", "flux_profile", "boundary_constant"):
+        original = getattr(invariants, name)
+        for module in (invariants, intgeom, report_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, original))
+    report = compute_report(parse_config({
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+    }))
+    assert calls["radial_defect"] == 1
+    assert calls["flux_profile"] == 4
+    assert calls["boundary_constant"] <= 2
+    defect = next(e for e in report["estimates"]
+                  if e["quantity"] == "radial_defect")
+    ident = {c["name"]: c for c in report["checks"]}["defect_volume_identity"]
+    assert ident["detail"]["lhs"] == 2 * defect["value"]
 
 
 def test_explicit_counting_radii_beyond_mesh(tmp_path):
