@@ -11,7 +11,7 @@ _EXPORTS = {
     "decompose_radial": ".geometry",
     "level_polyline": ".geometry",
     "mesh_from_chart": ".geometry",
-    "surface_measure": ".geometry",
+    "radial_integrals": ".geometry",
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

@@ -5,7 +5,6 @@ from .types import (
     check_frame,
     decompose_radial,
     orthonormal_frame,
-    submesh,
     triangle_areas,
 )
 from .meshing import (
@@ -15,33 +14,23 @@ from .meshing import (
     polar_disk_mesh,
     spherical_cap_mesh,
 )
-from .quadrature import (
-    ball_region,
-    integrate_mesh,
-    integrate_with_error,
-    shell_region,
-    surface_measure,
-)
+from .quadrature import integrate_with_error, radial_integrals
 from .levels import level_polyline
 
 __all__ = [
     "ImmersionChart",
     "LevelCurve",
     "SimplicialSurface",
-    "ball_region",
     "check_frame",
     "decompose_radial",
     "geometric_radii",
     "icosphere",
-    "integrate_mesh",
     "integrate_with_error",
     "level_polyline",
     "mesh_from_chart",
     "orthonormal_frame",
     "polar_disk_mesh",
-    "shell_region",
+    "radial_integrals",
     "spherical_cap_mesh",
-    "submesh",
-    "surface_measure",
     "triangle_areas",
 ]

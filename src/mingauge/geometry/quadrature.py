@@ -1,9 +1,11 @@
-"""Surface integration on triangle meshes.
+"""Surface integration over radial shells on triangle meshes.
 
 A fixed symmetric 6-node rule (exact through degree 4 on flat triangles)
-handles smooth integrands; triangles straddling a region boundary are split
-recursively until the indicator is resolved, and leaves are classified by
-their centroid.  Error bars come from comparing against one global uniform
+handles smooth integrands.  Every integral is taken over the shells
+``radii[k-1] <= |x - center| < radii[k]`` around one center: triangles
+straddling a sphere are split recursively until their corners and centroid
+agree on a shell, and leaves left at the cut depth go to their centroid's
+shell.  Error bars come from comparing against one global uniform
 refinement.
 """
 from __future__ import annotations
@@ -24,6 +26,9 @@ TRI6_BARY = np.array(
 TRI6_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 DEFAULT_CUT_DEPTH = 6
+# top-level triangles refined together: bounds the live subdivision and
+# integrand arrays when many spheres cut the mesh at once
+_BLOCK_TRIANGLES = 8_192
 
 
 def split4(corners: np.ndarray, owners: np.ndarray):
@@ -43,111 +48,93 @@ def split4(corners: np.ndarray, owners: np.ndarray):
     return kids, np.concatenate([owners] * 4)
 
 
-def _rule_sum(corners, owners, integrand):
-    """Apply the 6-node rule to a batch of flat triangles."""
-    if len(corners) == 0:
-        return 0.0
+def _rule_values(corners, owners, integrand):
+    """The 6-node rule applied to each flat triangle of a batch."""
     areas = triangle_areas(corners)
     if integrand is None:
-        return float(areas.sum())
+        return areas
     # nodes: (m, 6, n)
     nodes = np.einsum("qb,mbn->mqn", TRI6_BARY, corners)
     m, q, n = nodes.shape
     vals = integrand(nodes.reshape(m * q, n), np.repeat(owners, q))
-    vals = np.asarray(vals, dtype=float).reshape(m, q)
-    return float(np.einsum("mq,q,m->", vals, TRI6_W, areas))
+    return np.asarray(vals, dtype=float).reshape(m, q) @ TRI6_W * areas
 
 
-def _classify(corners, region):
-    """Return boolean masks (full, cut) for a batch of triangles."""
-    m = len(corners)
-    pts = np.concatenate([corners.reshape(3 * m, -1), corners.mean(axis=1)])
-    flags = np.asarray(region(pts), dtype=bool)
-    at_corners = flags[: 3 * m].reshape(m, 3)
-    at_centroid = flags[3 * m:]
-    inside_all = at_corners.all(axis=1) & at_centroid
-    outside_all = (~at_corners).all(axis=1) & ~at_centroid
-    return inside_all, ~inside_all & ~outside_all
-
-
-def integrate_mesh(
+def radial_integrals(
     mesh,
+    center,
+    radii,
     integrand=None,
-    region=None,
     cut_depth: int = DEFAULT_CUT_DEPTH,
     refine: int = 0,
-) -> float:
-    """Integrate ``integrand(points, owner_triangles)`` over mesh (cap) region.
+) -> np.ndarray:
+    """Each triangle's integral over each shell between consecutive radii.
 
-    integrand=None computes plain area.  ``region`` is a vectorized indicator
-    on ambient points; None integrates everywhere.  ``refine`` uniformly
-    splits every triangle that many times first (used for error estimates).
+    Returns a (K, T) array for K radii and T mesh triangles: row k holds the
+    integral of ``integrand(points, owner_triangles)`` (plain area when None)
+    over ``radii[k-1] <= |x - center| < radii[k]``, with ``radii[-1] = 0``,
+    so cumulative row sums are ball integrals.  ``radii`` must be strictly
+    increasing; a last radius of ``np.inf`` takes in the whole mesh.
+    ``refine`` uniformly splits every triangle that many times first (used
+    for error estimates).
     """
-    corners = mesh.corners()
-    owners = np.arange(len(corners))
-    for _ in range(refine):
-        corners, owners = split4(corners, owners)
-    if region is None:
-        return _rule_sum(corners, owners, integrand)
+    c = np.asarray(center, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if (radii.ndim != 1 or len(radii) == 0 or not radii[0] >= 0
+            or not np.all(np.diff(radii) > 0)):
+        raise ValueError("radii must be a nonempty, strictly increasing "
+                         "sequence of nonnegative radii")
+    r2 = radii**2
+    K = len(radii)
 
-    total = 0.0
-    for level in range(cut_depth + 1):
-        if len(corners) == 0:
-            break
-        full, cut = _classify(corners, region)
-        total += _rule_sum(corners[full], owners[full], integrand)
-        if level == cut_depth:
-            # resolve remaining leaves by centroid membership
-            leaf = corners[cut]
-            leaf_owners = owners[cut]
-            if len(leaf):
-                keep = np.asarray(region(leaf.mean(axis=1)), dtype=bool)
-                total += _rule_sum(leaf[keep], leaf_owners[keep], integrand)
-        else:
-            corners, owners = split4(corners[cut], owners[cut])
-    return total
+    def shell_of(points):
+        # d^2 < r^2 is inside the ball of radius r; K means outside them all
+        return np.searchsorted(r2, ((points - c) ** 2).sum(axis=-1),
+                               side="right")
+
+    mesh_corners = mesh.corners()
+    T = len(mesh_corners)
+    out = np.zeros((K, T))
+    for lo in range(0, T, _BLOCK_TRIANGLES):
+        hi = min(lo + _BLOCK_TRIANGLES, T)
+        corners, owners = mesh_corners[lo:hi], np.arange(lo, hi)
+        for _ in range(refine):
+            corners, owners = split4(corners, owners)
+        for level in range(cut_depth + 1):
+            shell = shell_of(corners.mean(axis=1))
+            if level == cut_depth:
+                done = np.ones(len(corners), dtype=bool)
+            else:
+                done = (shell_of(corners) == shell[:, None]).all(axis=1)
+            take = done & (shell < K)
+            if take.any():
+                vals = _rule_values(corners[take], owners[take], integrand)
+                out[:, lo:hi] += np.bincount(
+                    shell[take] * (hi - lo) + owners[take] - lo, weights=vals,
+                    minlength=K * (hi - lo),
+                ).reshape(K, hi - lo)
+            corners, owners = split4(corners[~done], owners[~done])
+            if len(corners) == 0:
+                break
+    return out
 
 
 def integrate_with_error(
     mesh,
+    center,
+    radius: float,
     integrand=None,
-    region=None,
     cut_depth: int = DEFAULT_CUT_DEPTH,
 ):
-    """(value, error) where value uses one refinement beyond the base pass."""
-    coarse = integrate_mesh(mesh, integrand, region, cut_depth)
-    fine = integrate_mesh(mesh, integrand, region, cut_depth, refine=1)
+    """(value, error) over the ball |x - center| < radius.
+
+    The value uses one uniform refinement beyond the base pass and the error
+    is a third of what that refinement changed.  ``radius = np.inf``
+    integrates over the whole mesh.
+    """
+    coarse = float(radial_integrals(mesh, center, [radius], integrand,
+                                    cut_depth).sum())
+    fine = float(radial_integrals(mesh, center, [radius], integrand,
+                                  cut_depth, refine=1).sum())
     err = abs(fine - coarse) / 3.0 + 1e-15 * abs(fine)
     return fine, err
-
-
-def surface_measure(mesh, region=None, cut_depth: int = DEFAULT_CUT_DEPTH) -> float:
-    """Area of {x in mesh : region(x)} with boundary-resolving subdivision."""
-    return integrate_mesh(mesh, None, region, cut_depth)
-
-
-def ball_region(center, radius: float, complement: bool = False):
-    """Vectorized indicator of |x - center| < radius (or its complement)."""
-    c = np.asarray(center, dtype=float)
-    r2 = float(radius) ** 2
-
-    def region(points):
-        d2 = ((points - c) ** 2).sum(axis=1)
-        return d2 > r2 if complement else d2 < r2
-
-    return region
-
-
-def shell_region(center, r_lo: float, r_hi: float, extra=None):
-    """Indicator of r_lo < |x - center| < r_hi, optionally AND ``extra``."""
-    c = np.asarray(center, dtype=float)
-    lo2, hi2 = float(r_lo) ** 2, float(r_hi) ** 2
-
-    def region(points):
-        d2 = ((points - c) ** 2).sum(axis=1)
-        out = (d2 > lo2) & (d2 < hi2)
-        if extra is not None:
-            out &= np.asarray(extra(points), dtype=bool)
-        return out
-
-    return region

@@ -6,7 +6,6 @@ ambient dimension (3 or 4 in practice).  Tangent frames are arrays of shape
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,12 +31,17 @@ def orthonormal_frame(xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
 
 
 def check_frame(frame: np.ndarray, tol: float = FRAME_TOL) -> None:
-    """Raise InvalidFrameError unless the rows of ``frame`` are orthonormal."""
+    """Raise InvalidFrameError unless every frame has orthonormal rows.
+
+    ``frame`` is one (k, n) frame or a batch of them shaped (..., k, n).
+    """
     frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 2:
-        raise InvalidFrameError(f"frame must be 2-d, got shape {frame.shape}")
-    gram = frame @ frame.T
-    dev = np.max(np.abs(gram - np.eye(frame.shape[0])))
+    if frame.ndim < 2:
+        raise InvalidFrameError(
+            f"frame must be shaped (..., k, n), got shape {frame.shape}")
+    f2 = frame.reshape(-1, frame.shape[-2], frame.shape[-1])
+    gram = np.einsum("kin,kjn->kij", f2, f2)
+    dev = np.max(np.abs(gram - np.eye(frame.shape[-2])))
     if not np.isfinite(dev) or dev > tol:
         raise InvalidFrameError(f"frame rows not orthonormal (deviation {dev:.3e})")
 
@@ -53,11 +57,7 @@ def decompose_radial(point, a, frame, check: bool = True):
     frame = np.asarray(frame, dtype=float)
     a = np.asarray(a, dtype=float)
     if check:
-        f2 = frame.reshape(-1, frame.shape[-2], frame.shape[-1])
-        gram = np.einsum("kin,kjn->kij", f2, f2)
-        dev = np.max(np.abs(gram - np.eye(frame.shape[-2])))
-        if not np.isfinite(dev) or dev > FRAME_TOL:
-            raise InvalidFrameError(f"frame rows not orthonormal (deviation {dev:.3e})")
+        check_frame(frame)
     x = point - a
     coef = np.einsum("...n,...kn->...k", x, frame)
     tangential = np.einsum("...k,...kn->...n", coef, frame)
@@ -180,31 +180,6 @@ class SimplicialSurface:
     def total_area(self) -> float:
         return float(self.areas().sum())
 
-    # -- JSON exchange ------------------------------------------------------
-    def to_json(self) -> str:
-        payload = {
-            "ambient_dim": self.ambient_dim,
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-            "boundary_edges": self.boundary_edges.tolist(),
-            "truncation_radius": self.truncation_radius,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str, name: str = "") -> "SimplicialSurface":
-        d = json.loads(text)
-        verts = np.asarray(d["vertices"], dtype=float)
-        if verts.shape[1] != d["ambient_dim"]:
-            raise MeshTopologyError("ambient_dim does not match vertex width")
-        return cls(
-            vertices=verts,
-            triangles=np.asarray(d["triangles"], dtype=np.int64),
-            boundary_edges=np.asarray(d["boundary_edges"], dtype=np.int64).reshape(-1, 2),
-            truncation_radius=d["truncation_radius"],
-            name=name,
-        )
-
 
 def triangle_areas(corners: np.ndarray) -> np.ndarray:
     """Areas of triangles given as (..., 3, n) corner arrays (any n via Gram)."""
@@ -293,29 +268,3 @@ def _rows_lookup(sorted_rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     ok = code_rows[pos] == code_q
     return np.where(ok, pos, -1)
 
-
-def submesh(surface: SimplicialSurface, tri_mask: np.ndarray,
-            name: str = "") -> SimplicialSurface:
-    """Extract the sub-surface made of the masked triangles.
-
-    New boundary edges are computed from scratch; the truncation radius is
-    inherited.
-    """
-    tri_idx = np.flatnonzero(tri_mask)
-    tris = surface.triangles[tri_idx]
-    used = np.unique(tris)
-    remap = -np.ones(len(surface.vertices), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    new_tris = remap[tris]
-    verts = surface.vertices[used]
-    edges = np.concatenate([new_tris[:, [0, 1]], new_tris[:, [1, 2]], new_tris[:, [2, 0]]])
-    edges.sort(axis=1)
-    keys, counts = np.unique(edges, axis=0, return_counts=True)
-    boundary = keys[counts == 1]
-    return SimplicialSurface(
-        vertices=verts,
-        triangles=new_tris,
-        boundary_edges=boundary,
-        truncation_radius=surface.truncation_radius,
-        name=name or (surface.name + ":sub"),
-    )

@@ -72,14 +72,21 @@ def sample_grassmann(n: int, p: int, count: int, rng):
     """
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
-    g = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(g)
+    return _signed_qr_frames(rng.standard_normal((count, n, n)), n - p)
+
+
+def _signed_qr_frames(columns, k):
+    """QR of (m, n, n) matrices with the R-diagonal sign fix, as row frames.
+
+    Returns the first ``k`` columns of each Q as (m, k, n) rows and the
+    remaining ones as (m, n - k, n) rows.
+    """
+    q, r = np.linalg.qr(columns)
     sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
     sign[sign == 0] = 1.0
     q = q * sign[:, None, :]
-    sections = np.swapaxes(q[:, :, : n - p], 1, 2).copy()
-    complements = np.swapaxes(q[:, :, n - p:], 1, 2).copy()
-    return sections, complements
+    return (np.swapaxes(q[:, :, :k], 1, 2).copy(),
+            np.swapaxes(q[:, :, k:], 1, 2).copy())
 
 
 def _complete_frames(directions):
@@ -216,11 +223,7 @@ def _jitter_frames(sections, complements, rng, scale=JITTER_SCALE):
     k = sections.shape[1]
     basis = np.concatenate([sections, complements], axis=1)
     basis = basis + scale * rng.standard_normal(basis.shape)
-    q, r = np.linalg.qr(np.swapaxes(basis, 1, 2))
-    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    sign[sign == 0] = 1.0
-    q = q * sign[:, None, :]
-    return np.swapaxes(q[:, :, :k], 1, 2), np.swapaxes(q[:, :, k:], 1, 2)
+    return _signed_qr_frames(np.swapaxes(basis, 1, 2), k)
 
 
 def _count_sections(mesh, base, sections, complements, radii, rng,
@@ -463,11 +466,12 @@ def crofton_verify(region, samples: int = 100000, seed: int | None = None,
         values = cp * np.asarray(f(U), dtype=float)
         values = values + cm * np.asarray(f(-U), dtype=float)
         lhs, lhs_err = integrate_with_error(
-            region, lambda pts, owners: np.asarray(f(pts), dtype=float)
+            region, np.zeros(3), np.inf,
+            lambda pts, owners: np.asarray(f(pts), dtype=float),
         )
         # flat-triangle quadrature differs from the geodesic set by the
         # polyhedral area deficit; widen the error bar accordingly
-        flat_gap = abs(geodesic_area(region) - integrate_with_error(region)[0])
+        flat_gap = abs(geodesic_area(region) - region.total_area())
         lhs_err += flat_gap * (np.max(np.abs(values)) + 1.0)
 
     factor = 0.5 * sphere_area(3)

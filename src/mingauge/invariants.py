@@ -29,14 +29,10 @@ import numpy as np
 from .errors import IdentityNotApplicableError
 from .geometry import (
     SimplicialSurface,
-    ball_region,
     decompose_radial,
-    integrate_mesh,
     integrate_with_error,
     level_polyline,
-    shell_region,
-    submesh,
-    surface_measure,
+    radial_integrals,
 )
 from .geometry.types import _rows_lookup
 from .ends import rim_vertex_mask, triangle_components
@@ -216,11 +212,9 @@ def projective_volume(mesh: SimplicialSurface, center, p: int = 2,
     fit_rms = float(np.sqrt(np.mean((basis @ coef - ys) ** 2)))
 
     fit_levels = ts[np.unique(np.linspace(0, len(ts) - 1, num_fit).astype(int))]
-    integrand = inverse_power_integrand(center, p)
-    log_integrals = np.array([
-        integrate_mesh(mesh, integrand, ball_region(center, R), cut_depth)
-        for R in fit_levels
-    ])
+    log_integrals = np.cumsum(radial_integrals(
+        mesh, center, fit_levels, inverse_power_integrand(center, p),
+        cut_depth).sum(axis=1))
     slope = float(np.polyfit(np.log(fit_levels), log_integrals, 1)[0])
 
     disagreement = abs(value - slope)
@@ -253,9 +247,7 @@ def radial_defect(mesh: SimplicialSurface, center, radius: float | None = None,
     if radius is None:
         radius = max_safe_radius(mesh, center)
     value, err = integrate_with_error(
-        mesh, defect_integrand(mesh, center, p), ball_region(center, radius),
-        cut_depth,
-    )
+        mesh, center, radius, defect_integrand(mesh, center, p), cut_depth)
     prof = flux_profile(mesh, center, [radius / 2.0, radius], p)
     tail = abs(prof.normalized[1] - prof.normalized[0]) / p
     return {
@@ -359,10 +351,10 @@ def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
     center = np.asarray(center, dtype=float)
     prof = flux_profile(mesh, center, [t_lo, t_hi], p)
     lhs = float(prof.normalized[1] - prof.normalized[0])
-    rhs = p * integrate_mesh(
-        mesh, defect_integrand(mesh, center, p),
-        shell_region(center, t_lo, t_hi), cut_depth,
-    )
+    rhs = p * radial_integrals(
+        mesh, center, [t_lo, t_hi], defect_integrand(mesh, center, p),
+        cut_depth,
+    )[1].sum()
     gap = _gap(lhs, rhs)
     return {"passed": bool(gap <= tol), "lhs": lhs, "rhs": float(rhs),
             "rel_gap": gap, "tol": tol, "t_lo": float(t_lo),
@@ -444,18 +436,20 @@ def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
     tri_mask = (tri_d.min(axis=1) < r_hi) & (tri_d.max(axis=1) > r_lo)
     labels, count = triangle_components(mesh, tri_mask)
     bound = sphere_area(p) / p * ((r_hi - r_lo) / 2.0) ** p
-    areas = []
-    region = shell_region(center, r_lo, r_hi)
+    crossing = []
     for comp in range(count):
         comp_tris = labels == comp
-        if not (tri_d[comp_tris].min() <= r_lo and tri_d[comp_tris].max() >= r_hi):
-            continue
-        sub = submesh(mesh, comp_tris)
-        areas.append(float(surface_measure(sub, region, cut_depth)))
-    if not areas:
+        if tri_d[comp_tris].min() <= r_lo and tri_d[comp_tris].max() >= r_hi:
+            crossing.append(comp)
+    if not crossing:
         return {"applicable": False, "passed": True, "bound": float(bound),
                 "areas": [], "num_crossing": 0}
-    areas = sorted(areas)
+    shell_area = radial_integrals(mesh, center, [r_lo, r_hi], None,
+                                  cut_depth)[1]
+    sel = labels >= 0
+    comp_area = np.bincount(labels[sel], weights=shell_area[sel],
+                            minlength=count)
+    areas = sorted(float(comp_area[comp]) for comp in crossing)
     return {
         "applicable": True,
         "passed": bool(areas[0] >= bound * (1.0 - slack)),
@@ -467,29 +461,27 @@ def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
 
 
 def check_density_identity(mesh: SimplicialSurface, center, levels,
-                           p: int = 2, tol: float = 1e-2,
+                           boundary: dict, p: int = 2, tol: float = 1e-2,
                            cut_depth: int = 6) -> dict:
     """p * area inside each sphere equals the raw flux through it.
 
     Holds for any base point provided the surface has no genuine boundary
-    inside the largest ball; if it does, the check refuses to run.  Reports
-    the worst relative residual over the level sweep.
+    inside the largest ball; ``boundary`` is the ``boundary_constant``
+    estimate within that ball, and if it counts any edge the check refuses
+    to run.  Reports the worst relative residual over the level sweep.
     """
     center = np.asarray(center, dtype=float)
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    c = boundary_constant(mesh, center, p, exclude_rim=True,
-                          within_radius=float(levels.max()))
-    if c["num_edges"] > 0:
+    if boundary["num_edges"] > 0:
         raise IdentityNotApplicableError(
             "surface has genuine boundary inside the ball; the area-flux "
             "identity does not apply"
         )
     prof = flux_profile(mesh, center, levels, p)
-    residuals = np.empty(len(levels))
-    areas = np.empty(len(levels))
-    for k, t in enumerate(levels):
-        areas[k] = surface_measure(mesh, ball_region(center, t), cut_depth)
-        residuals[k] = _gap(p * areas[k], float(prof.raw[k]))
+    areas = np.cumsum(radial_integrals(mesh, center, levels, None,
+                                       cut_depth).sum(axis=1))
+    residuals = np.array([_gap(p * area, float(raw))
+                          for area, raw in zip(areas, prof.raw)])
     worst = int(np.argmax(residuals))
     return {
         "passed": bool(residuals[worst] <= tol),

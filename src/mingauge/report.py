@@ -443,7 +443,7 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # swamps the (tiny) area and flux values being compared
     density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
     try:
-        dens = check_density_identity(mesh, base, density_levels)
+        dens = check_density_identity(mesh, base, density_levels, bnd)
         checks.append(_check(
             "density_identity",
             applicable=not control,

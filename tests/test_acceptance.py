@@ -30,6 +30,7 @@ from mingauge.intgeom import (
     radial_jacobian,
 )
 from mingauge.invariants import (
+    boundary_constant,
     check_band_area_bound,
     check_density_identity,
     check_monotonicity,
@@ -164,8 +165,9 @@ def test_criterion_05_density_identity(default):
     for name in ("catenoid", "plane"):
         spec = default(name)
         r_hi = max_safe_radius(spec.mesh, spec.base_point)
+        bnd = boundary_constant(spec.mesh, spec.base_point, within_radius=r_hi)
         out = check_density_identity(spec.mesh, spec.base_point,
-                                     np.geomspace(0.3 * r_hi, r_hi, 6))
+                                     np.geomspace(0.3 * r_hi, r_hi, 6), bnd)
         worst[name] = out["max_residual"]
     ok = all(value <= 1e-2 for value in worst.values())
     assert verdict(5, ok,

@@ -1,6 +1,4 @@
 """Core geometry: radial splitting, chart meshing, measure, level curves."""
-import json
-
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,15 +7,13 @@ from mingauge.errors import DegenerateChartError, InvalidFrameError, MeshTopolog
 from mingauge.geometry import (
     ImmersionChart,
     SimplicialSurface,
-    ball_region,
     decompose_radial,
     icosphere,
     level_polyline,
     mesh_from_chart,
     orthonormal_frame,
     polar_disk_mesh,
-    submesh,
-    surface_measure,
+    radial_integrals,
 )
 
 
@@ -183,26 +179,33 @@ def test_icosphere_area_and_closedness():
 
 def test_surface_measure_disk_region():
     mesh = flat_disk(radius=1.5, rings=72, sectors=128)
-    t = 1.0
-    area = surface_measure(mesh, ball_region(np.zeros(3), t))
-    assert area == pytest.approx(np.pi * t * t, rel=1e-3)
-
-
-def test_surface_measure_half_plane_region():
-    mesh = mesh_from_chart(flat_square_chart(1.0), (24, 24))
-
-    def right_half(points):
-        return points[:, 0] > 0.1234
-
-    # exact: (1 - 0.1234) * 2
-    assert surface_measure(mesh, right_half) == pytest.approx(
-        (1 - 0.1234) * 2.0, rel=1e-3
-    )
+    t1, t2 = 0.6, 1.0
+    disk, ring = radial_integrals(mesh, np.zeros(3), [t1, t2]).sum(axis=1)
+    assert disk == pytest.approx(np.pi * t1 * t1, rel=1e-3)
+    assert ring == pytest.approx(np.pi * (t2 * t2 - t1 * t1), rel=1e-3)
 
 
 def test_surface_measure_without_region_is_total_area():
     mesh = flat_disk(radius=1.0, rings=24, sectors=48)
-    assert surface_measure(mesh) == pytest.approx(mesh.total_area(), rel=1e-12)
+    shells = radial_integrals(mesh, np.array([0.1, 0.2, 0.0]), [0.5, np.inf])
+    assert shells.sum() == pytest.approx(mesh.total_area(), rel=1e-12)
+
+
+def test_radial_integrals_one_pass_matches_one_ball_each():
+    mesh = mesh_from_chart(catenoid_chart(c=1.0, u_max=1.5), (32, 48))
+    a = np.array([0.2, -0.1, 0.3])
+    radii = [1.2, 1.6, 2.0, 2.4]
+    balls = np.cumsum(radial_integrals(mesh, a, radii).sum(axis=1))
+    for R, ball in zip(radii, balls):
+        alone = radial_integrals(mesh, a, [R]).sum()
+        assert ball == pytest.approx(alone, rel=1e-12)
+
+
+@pytest.mark.parametrize("radii", [[1.0, 1.0], [2.0, 1.0], []])
+def test_radial_integrals_rejects_radii_not_increasing(radii):
+    mesh = flat_disk(radius=1.0, rings=6, sectors=12)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        radial_integrals(mesh, np.zeros(3), radii)
 
 
 # ---------------------------------------------------------------- levels
@@ -280,7 +283,7 @@ def test_rigid_motion_invariance_of_measure_and_levels():
     mesh = mesh_from_chart(catenoid_chart(c=1.0, u_max=1.5), (32, 48))
     a = np.array([0.2, -0.1, 0.3])
     t = 2.0
-    area0 = surface_measure(mesh, ball_region(a, t))
+    area0 = radial_integrals(mesh, a, [t]).sum()
     len0 = level_polyline(mesh, a, t).total_length()
     for _ in range(3):
         q, shift = random_rigid_motion(rng)
@@ -291,35 +294,7 @@ def test_rigid_motion_invariance_of_measure_and_levels():
             mesh.truncation_radius,
         )
         a2 = q @ a + shift
-        area1 = surface_measure(moved, ball_region(a2, t))
+        area1 = radial_integrals(moved, a2, [t]).sum()
         len1 = level_polyline(moved, a2, t).total_length()
         assert abs(area1 - area0) <= 1e-10 * max(1.0, area0)
         assert abs(len1 - len0) <= 1e-10 * max(1.0, len0)
-
-
-# ---------------------------------------------------------------- exchange
-
-
-def test_mesh_json_round_trip_and_field_order():
-    mesh = flat_disk(radius=1.0, rings=6, sectors=12)
-    text = mesh.to_json()
-    keys = list(json.loads(text).keys())
-    assert keys == ["ambient_dim", "vertices", "triangles",
-                    "boundary_edges", "truncation_radius"]
-    back = SimplicialSurface.from_json(text)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert back.truncation_radius == mesh.truncation_radius
-    assert back.to_json() == text
-
-
-def test_submesh_keeps_geometry_and_recomputes_boundary():
-    mesh = flat_disk(radius=1.0, rings=12, sectors=24)
-    c = mesh.centroids()
-    sub = submesh(mesh, c[:, 0] > 0)
-    assert sub.total_area() < mesh.total_area()
-    assert len(sub.boundary_edges) > 0
-    # all sub vertices present in original
-    for v in sub.vertices[:10]:
-        assert np.min(np.linalg.norm(mesh.vertices - v, axis=1)) < 1e-12

@@ -16,7 +16,7 @@ from mingauge import intgeom as ig
 from mingauge import invariants as inv
 from mingauge.catalog import build_surface, spherical_region
 from mingauge.errors import IdentityNotApplicableError, InvalidFrameError
-from mingauge.geometry import ball_region, integrate_with_error, orthonormal_frame
+from mingauge.geometry import integrate_with_error, orthonormal_frame
 
 
 def _rotz(angle):
@@ -253,8 +253,7 @@ def test_jacobian_counting_chain(catenoid_coarse):
     # (omega_3 / 2) x the mean line count at the same radius
     m, a = catenoid_coarse.mesh, catenoid_coarse.base_point
     R = 20.0
-    lhs, qerr = integrate_with_error(
-        m, ig.jacobian_integrand(m, a), ball_region(a, R))
+    lhs, qerr = integrate_with_error(m, a, R, ig.jacobian_integrand(m, a))
     avg = ig.counting_sweep(m, a, [R], samples=30000, seed=4)
     rhs = 2 * np.pi * avg["means"][0]
     ci = 2 * np.pi * avg["ci95"][0]

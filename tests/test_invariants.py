@@ -215,12 +215,16 @@ def test_preimage_relation_closed_forms():
 def test_density_identity_grid(catenoid_coarse, plane_coarse):
     for spec in (catenoid_coarse, plane_coarse):
         ts = np.geomspace(1.6, 150.0, 6)
-        out = inv.check_density_identity(spec.mesh, spec.base_point, ts)
+        bnd = inv.boundary_constant(spec.mesh, spec.base_point,
+                                    within_radius=ts.max())
+        out = inv.check_density_identity(spec.mesh, spec.base_point, ts, bnd)
         assert out["passed"], f"{spec.name}: {out}"
         assert out["max_residual"] <= 1e-2
     cut = build_surface("catenoid", params={"u_min": -1.0}, resolution="coarse")
     with pytest.raises(IdentityNotApplicableError):
-        inv.check_density_identity(cut.mesh, cut.base_point, [20.0])
+        inv.check_density_identity(
+            cut.mesh, cut.base_point, [20.0],
+            inv.boundary_constant(cut.mesh, cut.base_point, within_radius=20.0))
 
 
 def test_band_area_bound_catenoid_randomized(catenoid_coarse, rng):

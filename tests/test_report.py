@@ -288,7 +288,7 @@ def test_report_estimates_each_quantity_once(monkeypatch):
     }))
     assert calls["radial_defect"] == 1
     assert calls["flux_profile"] == 4
-    assert calls["boundary_constant"] <= 2
+    assert calls["boundary_constant"] == 1
     defect = next(e for e in report["estimates"]
                   if e["quantity"] == "radial_defect")
     ident = {c["name"]: c for c in report["checks"]}["defect_volume_identity"]
