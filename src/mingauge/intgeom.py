@@ -10,12 +10,18 @@ projection x -> x/|x|: the projection compresses area by a factor
 so section-count averages, projected sphere measure, and the defect integral
 can all be compared against one another.
 
-Tangencies, edge hits, and near-parallel sections land in a small gray zone;
-affected sections are jittered by ~1e-9 and recounted, which leaves generic
-samples untouched and keeps seeded runs reproducible.
+Counting culls before it tests: a (triangle, section) pair gets the exact
+barycentric hit test only when the triangle's centroid lies within its corner
+spread of the section, which few pairs do.  Tangencies, edge hits and
+near-parallel triangles among the tested pairs land in a small gray zone; a
+section with such a pair is jittered by ~1e-9 and recounted, which leaves
+generic samples untouched and keeps seeded runs reproducible.  A
+near-parallel triangle the section cannot reach does not jitter it: it
+cannot change the count.
 """
 from dataclasses import dataclass
 from math import gamma, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +33,14 @@ EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
 _MAX_JITTER_ROUNDS = 12
 _BLOCK_CELLS = 1_500_000  # ~ triangle x sample cells handled per block
+# The cull keeps a pair when the centroid lies within reach of the section.
+# The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
+# its centroid, so any point the exact test can call a hit lies within that
+# factor of the corner spread; _REACH_SLACK widens the spread far beyond it.
+# _CULL_ROUNDOFF (times |d|^2) covers the cancellation in |d|^2 - |F d|^2 for
+# a far centroid close to the section.
+_REACH_SLACK = 1e-6
+_CULL_ROUNDOFF = 1e-10
 _SPHERE_BLOCK_CELLS = 12_000_000  # membership tests keep fewer live arrays
 
 
@@ -131,69 +145,52 @@ class PlaneThrough:
 
 
 def _pruned_triangles(mesh, base, r_max):
-    """Corner data of triangles that can meet the ball |x - base| <= r_max."""
+    """Triangles that can meet the ball |x - base| <= r_max.
+
+    Returns their first corners ``A``, edges ``e1``, ``e2``, centroid offsets
+    ``d = c - base`` and cull floors ``|d|^2 (1 - _CULL_ROUNDOFF) - reach^2``.
+    """
     cen = mesh.centroids()
     corners = mesh.corners()
     spread = np.linalg.norm(corners - cen[:, None, :], axis=2).max(axis=1)
     keep = np.linalg.norm(cen - base, axis=1) - spread <= r_max
     tri = corners[keep]
-    return tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    offset = cen[keep] - base
+    d2 = np.einsum("tn,tn->t", offset, offset)
+    reach = spread[keep] * (1.0 + _REACH_SLACK)
+    floor = d2 * (1.0 - _CULL_ROUNDOFF) - reach * reach
+    A = tri[:, 0]
+    return A, tri[:, 1] - A, tri[:, 2] - A, offset, floor
 
 
-def _line_block(A, e1, e2, base, sections, radii, eps):
-    """Counts for line sections in R^3 via three (T,3) x (3,S) products."""
-    dirs = sections[:, 0, :]
-    tvec = base - A
-    w_det = np.cross(e2, e1)
-    w_alpha = np.cross(e2, tvec)
-    w_beta = np.cross(tvec, e1)
-    s_num = np.einsum("tn,tn->t", e2, w_beta)
-    det_scale = np.linalg.norm(w_det, axis=1) + 1e-300
+def _cull_pairs(offset, floor, sections):
+    """(triangle, section) index pairs whose centroid is within reach.
 
-    det = w_det @ dirs.T
-    a_num = w_alpha @ dirs.T
-    b_num = w_beta @ dirs.T
-
-    safe = np.abs(det) > 1e-13 * det_scale[:, None]
-    inv = np.where(safe, det, 1.0)
-    alpha = a_num / inv
-    beta = b_num / inv
-    inside = safe & (alpha > eps) & (beta > eps) & (alpha + beta < 1.0 - eps)
-    potential = safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps)
-    near_edge = (
-        (np.abs(alpha) <= eps) | (np.abs(beta) <= eps)
-        | (np.abs(alpha + beta - 1.0) <= eps)
-    )
-    gray = (~safe) | (potential & near_edge)
-
-    abs_s = np.abs(s_num)[:, None]
-    abs_det = np.abs(det)
-    counts = np.empty((len(radii), sections.shape[0]), dtype=np.int64)
-    for k, r in enumerate(radii):
-        counts[k] = (inside & (abs_s <= r * abs_det)).sum(axis=0)
-        gray |= potential & (np.abs(abs_s - r * abs_det) <= eps * r * abs_det)
-    return counts, gray.any(axis=0)
+    The squared distance from centroid offset ``d`` to a section through
+    ``base`` with orthonormal rows ``F_j`` is ``|d|^2 - sum_j (F_j . d)^2``,
+    so a pair survives when ``sum_j (F_j . d)^2 >= floor``.  Each row is one
+    contiguous (S, T) product; pairs come out ordered by section.
+    """
+    near = None
+    for j in range(sections.shape[1]):
+        proj = sections[:, j, :] @ offset.T
+        np.square(proj, out=proj)
+        if near is None:
+            near = proj
+        else:
+            near += proj
+    si, ti = np.divmod(np.flatnonzero(near >= floor), len(floor))
+    return ti, si
 
 
-def _plane_block(A, e1, e2, base, sections, complements, radii, eps):
-    """Counts for (n-2)-plane sections via Cramer solves on projections."""
-    T, n = A.shape
-    S = sections.shape[0]
-    k = sections.shape[1]
-    CT = complements.reshape(S * 2, n).T
-    FT = sections.reshape(S * k, n).T
-    t0 = base - A
+def _barycentric_zones(det, det_scale, a_num, b_num, eps):
+    """Cramer solve of a batch of pairs and its tangency gray zone.
 
-    m1 = (e1 @ CT).reshape(T, S, 2)
-    m2 = (e2 @ CT).reshape(T, S, 2)
-    tt = (t0 @ CT).reshape(T, S, 2)
-    det = m1[..., 0] * m2[..., 1] - m2[..., 0] * m1[..., 1]
-    det_scale = (
-        (np.abs(m1) + np.abs(m2)).sum(axis=2) ** 2 / 4.0 + 1e-300
-    )
-    a_num = tt[..., 0] * m2[..., 1] - m2[..., 0] * tt[..., 1]
-    b_num = m1[..., 0] * tt[..., 1] - tt[..., 0] * m1[..., 1]
-
+    Returns (alpha, beta, inside, potential, gray): ``inside`` hits lie clear
+    of the triangle's edges, ``potential`` ones lie on the ``eps``-widened
+    triangle, and ``gray`` marks near-parallel pairs and potential hits near
+    an edge, whose count cannot be trusted.
+    """
     safe = np.abs(det) > 1e-13 * det_scale
     inv = np.where(safe, det, 1.0)
     alpha = a_num / inv
@@ -205,18 +202,73 @@ def _plane_block(A, e1, e2, base, sections, complements, radii, eps):
         | (np.abs(alpha + beta - 1.0) <= eps)
     )
     gray = (~safe) | (potential & near_edge)
+    return alpha, beta, inside, potential, gray
 
-    b0 = ((A - base) @ FT).reshape(T, S, k)
-    f1 = (e1 @ FT).reshape(T, S, k)
-    f2 = (e2 @ FT).reshape(T, S, k)
-    w = b0 + alpha[..., None] * f1 + beta[..., None] * f2
-    rho2 = np.sum(w * w, axis=2)
 
-    counts = np.empty((len(radii), S), dtype=np.int64)
-    for j, r in enumerate(radii):
-        counts[j] = (inside & (rho2 <= r * r)).sum(axis=0)
-        gray |= potential & (np.abs(rho2 - r * r) <= 3.0 * eps * r * r)
-    return counts, gray.any(axis=0)
+def _line_hit_test(A, e1, e2, base):
+    """Pair test for line sections in R^3 via cross-product Cramer solves."""
+    tvec = base - A
+    w_det = np.cross(e2, e1)
+    w_alpha = np.cross(e2, tvec)
+    w_beta = np.cross(tvec, e1)
+    abs_s = np.abs(np.einsum("tn,tn->t", e2, w_beta))
+    det_scale = np.linalg.norm(w_det, axis=1) + 1e-300
+
+    def test(sections, complements, ti, si, radii, eps):
+        dirs = sections[si, 0, :]
+        det = np.einsum("pn,pn->p", w_det[ti], dirs)
+        a_num = np.einsum("pn,pn->p", w_alpha[ti], dirs)
+        b_num = np.einsum("pn,pn->p", w_beta[ti], dirs)
+        _, _, inside, potential, gray = _barycentric_zones(
+            det, det_scale[ti], a_num, b_num, eps)
+        s = abs_s[ti]
+        abs_det = np.abs(det)
+        hits = np.empty((len(radii), len(ti)), dtype=bool)
+        for k, r in enumerate(radii):
+            hits[k] = inside & (s <= r * abs_det)
+            gray |= potential & (np.abs(s - r * abs_det) <= eps * r * abs_det)
+        return hits, gray
+
+    return test
+
+
+def _plane_hit_test(A, e1, e2, base):
+    """Pair test for (n-2)-plane sections via Cramer solves on projections."""
+    t0 = base - A
+
+    def test(sections, complements, ti, si, radii, eps):
+        comp = complements[si]
+        m1 = np.einsum("pn,pin->pi", e1[ti], comp)
+        m2 = np.einsum("pn,pin->pi", e2[ti], comp)
+        tt = np.einsum("pn,pin->pi", t0[ti], comp)
+        det = m1[:, 0] * m2[:, 1] - m2[:, 0] * m1[:, 1]
+        det_scale = (np.abs(m1) + np.abs(m2)).sum(axis=1) ** 2 / 4.0 + 1e-300
+        a_num = tt[:, 0] * m2[:, 1] - m2[:, 0] * tt[:, 1]
+        b_num = m1[:, 0] * tt[:, 1] - tt[:, 0] * m1[:, 1]
+        alpha, beta, inside, potential, gray = _barycentric_zones(
+            det, det_scale, a_num, b_num, eps)
+
+        sec = sections[si]
+        b0 = np.einsum("pn,pkn->pk", A[ti] - base, sec)
+        f1 = np.einsum("pn,pkn->pk", e1[ti], sec)
+        f2 = np.einsum("pn,pkn->pk", e2[ti], sec)
+        w = b0 + alpha[:, None] * f1 + beta[:, None] * f2
+        rho2 = np.sum(w * w, axis=1)
+        hits = np.empty((len(radii), len(ti)), dtype=bool)
+        for k, r in enumerate(radii):
+            hits[k] = inside & (rho2 <= r * r)
+            gray |= potential & (np.abs(rho2 - r * r) <= 3.0 * eps * r * r)
+        return hits, gray
+
+    return test
+
+
+def _per_section(si, hits, gray, S):
+    """Pair hits summed into (num_radii, S) counts, gray flags into (S,)."""
+    counts = np.empty((len(hits), S), dtype=np.int64)
+    for k, h in enumerate(hits):
+        counts[k] = np.bincount(si[h], minlength=S)
+    return counts, np.bincount(si[gray], minlength=S) > 0
 
 
 def _jitter_frames(sections, complements, rng, scale=JITTER_SCALE):
@@ -226,8 +278,17 @@ def _jitter_frames(sections, complements, rng, scale=JITTER_SCALE):
     return _signed_qr_frames(np.swapaxes(basis, 1, 2), k)
 
 
+class _SectionCounts(NamedTuple):
+    """Section counts and the work that produced them."""
+
+    counts: np.ndarray    # (num_radii, S) intersections inside each radius
+    jittered: int         # section recounts forced by the gray zone
+    cells: int            # pruned triangles x sections
+    pairs_tested: int     # culled pairs given the exact test, all rounds
+
+
 def _count_sections(mesh, base, sections, complements, radii, rng,
-                    eps=EDGE_EPS):
+                    eps=EDGE_EPS) -> _SectionCounts:
     """(num_radii, S) intersection counts inside |x - base| <= r, jittered."""
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -251,23 +312,24 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
     n = mesh.vertices.shape[1]
     if sections.shape[1:] != (n - 2, n) or complements.shape[1:] != (2, n):
         raise InvalidFrameError("section frame shapes do not match the mesh")
-    A, e1, e2 = _pruned_triangles(mesh, base, radii.max())
+    A, e1, e2, offset, floor = _pruned_triangles(mesh, base, radii.max())
     S = sections.shape[0]
     counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = 0
+    pairs_tested = 0
     if len(A) == 0:
-        return counts, jittered
+        return _SectionCounts(counts, jittered, 0, pairs_tested)
+    hit_test = (_line_hit_test if n == 3 else _plane_hit_test)(A, e1, e2, base)
     block = max(32, _BLOCK_CELLS // len(A))
     for lo in range(0, S, block):
         sl = slice(lo, min(lo + block, S))
         sec = sections[sl].copy()
         comp = complements[sl].copy()
         for _ in range(_MAX_JITTER_ROUNDS):
-            if n == 3:
-                c_blk, gray = _line_block(A, e1, e2, base, sec, radii, eps)
-            else:
-                c_blk, gray = _plane_block(A, e1, e2, base, sec, comp,
-                                           radii, eps)
+            ti, si = _cull_pairs(offset, floor, sec)
+            pairs_tested += len(ti)
+            hits, pair_gray = hit_test(sec, comp, ti, si, radii, eps)
+            c_blk, gray = _per_section(si, hits, pair_gray, len(sec))
             if not gray.any():
                 break
             idx = np.flatnonzero(gray)
@@ -276,7 +338,7 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
         else:
             raise RuntimeError("section jitter failed to clear tangencies")
         counts[:, sl] = c_blk
-    return counts, jittered
+    return _SectionCounts(counts, jittered, len(A) * S, pairs_tested)
 
 
 def plane_mesh_intersections(mesh, base, sections, complements=None,
@@ -295,9 +357,9 @@ def plane_mesh_intersections(mesh, base, sections, complements=None,
     if radius is None:
         radius = max_safe_radius(mesh, base, margin=1.0)
     rng = np.random.default_rng(seed)
-    counts, jittered = _count_sections(mesh, base, sections, complements,
-                                       [float(radius)], rng)
-    return counts[0], jittered
+    out = _count_sections(mesh, base, sections, complements,
+                          [float(radius)], rng)
+    return out.counts[0], out.jittered
 
 
 def section_count(mesh, plane: PlaneThrough, radius, seed: int = 0) -> int:
@@ -314,7 +376,9 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
     """Monte-Carlo section-count averages over a shared sample of sections.
 
     Because every radius is evaluated on the same sections, the means are
-    exactly nondecreasing in the cut radius.
+    exactly nondecreasing in the cut radius.  ``cells`` (pruned triangles x
+    samples) and ``pairs_tested`` (pairs left by the cull, summed over jitter
+    rounds) say how much of the counting work the cull saved.
     """
     if seed is None:
         raise ValueError("seed is required: counting is Monte-Carlo based")
@@ -325,8 +389,8 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
     rng = np.random.default_rng(seed)
     n = mesh.vertices.shape[1]
     sections, complements = sample_grassmann(n, 2, samples, rng)
-    counts, jittered = _count_sections(mesh, base, sections, complements,
-                                       radii, rng)
+    out = _count_sections(mesh, base, sections, complements, radii, rng)
+    counts = out.counts
     means = counts.mean(axis=1)
     sd = counts.std(axis=1, ddof=1)
     ci = 1.96 * sd / sqrt(samples)
@@ -337,8 +401,10 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
         "ci95": ci,
         "max_observed": int(counts.max()),
         "samples": int(samples),
-        "jittered": int(jittered),
+        "jittered": int(out.jittered),
         "seed": int(seed),
+        "cells": int(out.cells),
+        "pairs_tested": int(out.pairs_tested),
     }
 
 

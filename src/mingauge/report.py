@@ -9,8 +9,10 @@ into the output directory:
   byte-identical across runs with the same config (and seed).
 * ``sweeps.csv``   -- the radius sweeps behind the headline numbers
   (normalized flux, log-growth ratio, end counts, section-count means).
-* ``run.log``      -- library versions, seed, wall time.  Timing makes this
-  the one file that is allowed to differ between identical runs.
+* ``run.log``      -- library versions, seed, wall time and, when counting
+  ran, its work counters (``counting_cells``: pruned triangles x samples;
+  ``counting_pairs_tested``: pairs left by the cull).  Timing makes this the
+  one file that is allowed to differ between identical runs.
 
 Checks that need a hypothesis the surface does not satisfy (the non-minimal
 control, a flagged volume estimate, a missing Monte-Carlo block, catalog
@@ -24,6 +26,7 @@ import csv
 import importlib.metadata
 import importlib.resources
 import json
+import math
 import platform
 import sys
 import time
@@ -106,7 +109,14 @@ def _require_int(value, where: str, minimum: int | None = None) -> int:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, "must be a number")
-    return float(value)
+    # json reads NaN, Infinity and integers beyond the float range
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(where, "must be a finite number")
+    return number
 
 
 def _reject_unknown(obj: dict, allowed: set, prefix: str) -> None:
@@ -720,6 +730,10 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         "passed": bool(passed),
     }
     report["_sweeps"] = sweeps
+    report["_log_lines"] = [] if counting is None else [
+        f"counting_cells {counting['cells']}",
+        f"counting_pairs_tested {counting['pairs_tested']}",
+    ]
     return report
 
 
@@ -745,6 +759,7 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
 
     report = compute_report(config, strict=strict)
     sweeps = report.pop("_sweeps")
+    work_lines = report.pop("_log_lines")
     validate_report(report)
 
     with open(out_dir / "report.json", "w") as fh:
@@ -765,6 +780,7 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
         f"seed {config.mc_seed if config.counting_enabled else 'none'}",
         f"strict {strict}",
         f"wall_time_s {wall:.3f}",
+        *work_lines,
     ]
     (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")
 

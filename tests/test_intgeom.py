@@ -8,13 +8,15 @@ Deterministic oracles:
   z-directed section at w = c != 0 sees both square roots
 * random lines from the origin hit the plane {z = h} inside |x| < R with
   probability 1 - h/R
+* the centroid-reach cull drops no pair that counts: the exact pair test on
+  all (triangle, section) pairs gives the same counts and gray flags
 """
 import numpy as np
 import pytest
 
 from mingauge import intgeom as ig
 from mingauge import invariants as inv
-from mingauge.catalog import build_surface, spherical_region
+from mingauge.catalog import build_surface, catalog_names, spherical_region
 from mingauge.errors import IdentityNotApplicableError, InvalidFrameError
 from mingauge.geometry import integrate_with_error, orthonormal_frame
 
@@ -111,6 +113,20 @@ def test_vertex_hit_resolved_by_jitter(catenoid_coarse):
     assert counts[0] == 2
 
 
+def test_unreachable_parallel_triangles_do_not_jitter(plane_coarse):
+    # the line lies in z = 0, parallel to every triangle of the plane z = 1;
+    # inside radius 5 no triangle is within reach, so none is tested and
+    # nothing is jittered, while at radius 196 the large outer triangles
+    # reach the line and their near-parallel test jitters it once
+    line = np.array([[[np.cos(0.23), np.sin(0.23), 0.0]]])
+    counts, jittered = ig.plane_mesh_intersections(
+        plane_coarse.mesh, np.zeros(3), line, radius=5.0)
+    assert counts[0] == 0 and jittered == 0
+    counts, jittered = ig.plane_mesh_intersections(
+        plane_coarse.mesh, np.zeros(3), line, radius=196.0)
+    assert counts[0] == 0 and jittered == 1
+
+
 def test_parabola_plane_sections_exact(parabola_coarse):
     m = parabola_coarse.mesh
     w_dirs = np.array([[0.0, 0, 1.0, 0], [0.0, 0, 0, 1.0]])
@@ -139,6 +155,49 @@ def test_counting_guards(catenoid_coarse):
         ig.counting_sweep(m, a, [10.0], samples=200)
     with pytest.raises(ValueError, match="samples"):
         ig.counting_sweep(m, a, [10.0], samples=50, seed=1)
+
+
+# --------------------------------------------------------------------------
+# the cull against all pairs
+
+
+def _all_pairs_counts(hit_test, T, sections, complements, radii):
+    """Dense oracle: the exact pair test on every (triangle, section) pair."""
+    S = len(sections)
+    counts = np.empty((len(radii), S), dtype=np.int64)
+    gray = np.empty(S, dtype=bool)
+    step = max(1, 100_000 // T)
+    for lo in range(0, S, step):
+        sl = slice(lo, min(lo + step, S))
+        sec, comp = sections[sl], complements[sl]
+        ti, si = np.divmod(np.arange(T * len(sec)), len(sec))
+        hits, g = hit_test(sec, comp, ti, si, radii, ig.EDGE_EPS)
+        counts[:, sl], gray[sl] = ig._per_section(si, hits, g, len(sec))
+    return counts, gray
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_cull_keeps_every_pair_that_counts(coarse, name):
+    spec = coarse(name)
+    mesh, base = spec.mesh, spec.base_point
+    assert inv.on_surface_multiplicity(mesh, base) == 0
+    r_hi = inv.max_safe_radius(mesh, base)
+    radii = np.geomspace(0.3 * r_hi, r_hi, 5)
+    n = mesh.vertices.shape[1]
+    sec, comp = ig.sample_grassmann(n, 2, 256, np.random.default_rng(11))
+    A, e1, e2, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
+    hit_test = (ig._line_hit_test if n == 3 else ig._plane_hit_test)(
+        A, e1, e2, base)
+
+    ti, si = ig._cull_pairs(offset, floor, sec)
+    hits, gray = hit_test(sec, comp, ti, si, radii, ig.EDGE_EPS)
+    counts, gray = ig._per_section(si, hits, gray, len(sec))
+    dense_counts, dense_gray = _all_pairs_counts(hit_test, len(A), sec, comp,
+                                                 radii)
+    assert np.array_equal(counts, dense_counts)
+    assert np.array_equal(gray, dense_gray)
+    assert counts[-1].sum() > 0
+    assert len(ti) < 0.05 * len(A) * len(sec)  # the cull does drop pairs
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,11 @@ def test_reports_are_byte_identical(plane_runs):
     assert (a / "sweeps.csv").read_bytes() == (b / "sweeps.csv").read_bytes()
     # run.log carries wall time and is allowed to differ; it must still exist
     assert (a / "run.log").exists() and (b / "run.log").exists()
+    # with counting on it says how many pairs the cull left for the exact test
+    log = dict(line.split(" ", 1)
+               for line in (a / "run.log").read_text().splitlines())
+    cells = int(log["counting_cells"])
+    assert 0 < int(log["counting_pairs_tested"]) < cells
 
 
 def test_report_validates_against_shipped_schema(plane_runs):
@@ -371,6 +376,23 @@ def test_cli_reports_field_path_for_missing_seed(tmp_path):
     proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert "mc.seed" in proc.stderr
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"surface": {"name": "catenoid", "params": {"r_max": float("nan")}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "plane", "params": {"r_max": float("inf")}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "catenoid"},
+      "mc": {"seed": 1, "radii": [1, float("nan")]}}, "mc.radii[1]"),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, config, field):
+    cfg = tmp_path / "non_finite.json"
+    cfg.write_text(json.dumps(config))  # written as NaN / Infinity
+    proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert field in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_cli_catalog_lists_every_surface():
