@@ -448,13 +448,15 @@ def build_surface(name: str, params: dict | None = None,
         p.update(params)
     if isinstance(resolution, str):
         if resolution not in _RESOLUTIONS[name]:
-            raise ConfigError("resolution", f"unknown preset '{resolution}'")
+            raise ConfigError("surface.resolution",
+                              f"unknown preset '{resolution}'")
         res = dict(_RESOLUTIONS[name][resolution])
     else:
         res = dict(_RESOLUTIONS[name]["default"])
         unknown = set(resolution) - set(res)
         if unknown:
-            raise ConfigError(f"resolution.{sorted(unknown)[0]}", "unknown field")
+            raise ConfigError(f"surface.resolution.{sorted(unknown)[0]}",
+                              "unknown field")
         res.update(resolution)
     spec = _BUILDERS[name](p, res)
     spec.targets = dict(spec.targets)

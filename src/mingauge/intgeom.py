@@ -11,15 +11,16 @@ so section-count averages, projected sphere measure, and the defect integral
 can all be compared against one another.
 
 Counting culls before it tests: a (triangle, section) pair gets the exact
-barycentric hit test only when the triangle's centroid lies within its corner
-spread of the section, which few pairs do.  Tangencies, edge hits and
-near-parallel triangles among the tested pairs land in a small gray zone; a
-section with such a pair is jittered by ~1e-9 and recounted, which leaves
-generic samples untouched and keeps seeded runs reproducible.  A
-near-parallel triangle the section cannot reach does not jitter it: it
-cannot change the count.
+barycentric hit test only when the section passes within the triangle's
+corner spread of its centroid.  For lines in R^3 the passing directions form
+a cap, and the caps are indexed on a lat-long grid of S^2, so a line tests
+only the triangles listed under its own and its opposite direction's cells;
+crofton_verify is the same line count with base 0.  Tangencies, edge hits and
+near-parallel triangles among tested pairs land in a small gray zone; such a
+section is jittered by ~1e-9 and recounted, which keeps seeded runs
+reproducible.  A triangle out of reach never jitters: it cannot change counts.
 """
-from dataclasses import dataclass
+from functools import partial
 from math import gamma, pi, sqrt
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
 _MAX_JITTER_ROUNDS = 12
 _BLOCK_CELLS = 1_500_000  # ~ triangle x sample cells handled per block
+_BLOCK_CANDIDATES = 100_000  # ~ indexed line candidates handled per block
 # The cull keeps a pair when the centroid lies within reach of the section.
 # The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
 # its centroid, so any point the exact test can call a hit lies within that
@@ -41,7 +43,11 @@ _BLOCK_CELLS = 1_500_000  # ~ triangle x sample cells handled per block
 # a far centroid close to the section.
 _REACH_SLACK = 1e-6
 _CULL_ROUNDOFF = 1e-10
-_SPHERE_BLOCK_CELLS = 12_000_000  # membership tests keep fewer live arrays
+# _cap_cull's lat-long grid on S^2; caps wider than _CAP_MAX_ANGLE would fill
+# many cells, and _CAP_MARGIN (radians) covers the roundoff in the angles.
+_CAP_ROWS, _CAP_COLS = 64, 128
+_CAP_MAX_ANGLE = 0.25
+_CAP_MARGIN = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -60,16 +66,6 @@ def radial_jacobian(points, frames, center, p: int = 2):
     r2 = np.sum(x * x, axis=-1)
     n2 = np.maximum(r2 - np.sum(coef * coef, axis=-1), 0.0)
     return np.sqrt(n2) / r2 ** ((p + 1) / 2.0)
-
-
-def jacobian_integrand(mesh, center, p: int = 2):
-    """Mesh integrand form of ``radial_jacobian`` (points, owners) -> values."""
-    c = np.asarray(center, dtype=float)
-
-    def f(points, owners):
-        return radial_jacobian(points, mesh.frames()[owners], c, p)
-
-    return f
 
 
 # --------------------------------------------------------------------------
@@ -116,30 +112,6 @@ def _complete_frames(directions):
     return sections, complements
 
 
-@dataclass
-class PlaneThrough:
-    """A single affine section plane through ``base``.
-
-    ``directions`` (n-p, n) and ``complement`` (p, n) carry orthonormal rows;
-    build via :meth:`through` to have both derived from raw spanning vectors.
-    """
-
-    base: np.ndarray
-    directions: np.ndarray
-    complement: np.ndarray
-
-    @classmethod
-    def through(cls, base, directions):
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        sec, comp = _complete_frames(d[None])
-        return cls(np.asarray(base, dtype=float), sec[0], comp[0])
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        x = np.asarray(point, dtype=float) - self.base
-        off = np.abs(self.complement @ x).max()
-        return bool(off <= tol * max(1.0, float(np.linalg.norm(x))))
-
-
 # --------------------------------------------------------------------------
 # section / mesh intersection counting
 
@@ -169,18 +141,102 @@ def _cull_pairs(offset, floor, sections):
     The squared distance from centroid offset ``d`` to a section through
     ``base`` with orthonormal rows ``F_j`` is ``|d|^2 - sum_j (F_j . d)^2``,
     so a pair survives when ``sum_j (F_j . d)^2 >= floor``.  Each row is one
-    contiguous (S, T) product; pairs come out ordered by section.
+    contiguous (S, T) product.  Returns (ti, si, candidates = S x T).
     """
-    near = None
-    for j in range(sections.shape[1]):
+    near = sections[:, 0, :] @ offset.T
+    np.square(near, out=near)
+    for j in range(1, sections.shape[1]):
         proj = sections[:, j, :] @ offset.T
-        np.square(proj, out=proj)
-        if near is None:
-            near = proj
-        else:
-            near += proj
+        near += np.square(proj, out=proj)
     si, ti = np.divmod(np.flatnonzero(near >= floor), len(floor))
-    return ti, si
+    return ti, si, near.size
+
+
+def _sphere_cells(u):
+    """Lat-long grid cell of each unit direction in ``u`` (m, 3)."""
+    theta = np.arctan2(np.hypot(u[:, 0], u[:, 1]), u[:, 2])
+    phi = np.arctan2(u[:, 1], u[:, 0])
+    row = np.minimum((theta * (_CAP_ROWS / pi)).astype(np.intp), _CAP_ROWS - 1)
+    col = ((phi + pi) * (_CAP_COLS / (2 * pi))).astype(np.intp) % _CAP_COLS
+    return row * _CAP_COLS + col
+
+
+def _ranges(starts, lengths):
+    """Concatenated ``arange(s, s + n)`` per (s, n), and each one's row."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(owner.size) + np.repeat(starts - np.cumsum(lengths)
+                                            + lengths, lengths)
+    return pos, owner
+
+
+def _cap_cull(offset, floor):
+    """The ``_cull_pairs`` pairs for lines in R^3, through an angular index.
+
+    A line along the unit vector ``u`` passes within reach of centroid offset
+    ``d`` when ``(u . d)^2 >= floor``: when ``u`` or ``-u`` lies in the cap of
+    half-angle ``atan2(sqrt(|d|^2 - floor), sqrt(floor))`` about ``d/|d|``.
+    Each cap is listed under the grid cells of its rows and of the columns
+    within ``asin(sin(half) / sin(polar angle))`` of its azimuth, wrapped
+    across phi = +-pi; a cap over a pole takes whole rings.  Caps with
+    ``floor <= 0`` or wider than ``_CAP_MAX_ANGLE`` are tested against every
+    line.  The floor test on a line's candidates (the lists of the cells of
+    ``u`` and ``-u``, and the always-test caps) keeps ``_cull_pairs``' pairs.
+
+    Returns ``cull(sections) -> (ti, si, candidates)`` and an estimate of
+    the candidates per line, which sizes the section blocks.
+    """
+    d2 = np.einsum("tn,tn->t", offset, offset)
+    half = np.arctan2(np.sqrt(np.maximum(d2 - floor, 0.0)),
+                      np.sqrt(np.maximum(floor, 0.0))) + _CAP_MARGIN
+    wide = half > _CAP_MAX_ANGLE  # as is every cap with floor <= 0
+    always = np.flatnonzero(wide).astype(np.int32)
+    caps = np.flatnonzero(~wide)
+    half = half[caps]
+    d = offset[caps]
+    theta = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
+    phi = np.arctan2(d[:, 1], d[:, 0])
+
+    row_h, col_w = pi / _CAP_ROWS, 2 * pi / _CAP_COLS
+    row0 = np.maximum(np.floor((theta - half) / row_h), 0).astype(np.intp)
+    row1 = np.minimum(np.floor((theta + half) / row_h),
+                      _CAP_ROWS - 1).astype(np.intp)
+    polar = (theta <= half) | (theta + half >= pi)
+    spread = np.where(polar, pi, _CAP_MARGIN + np.arcsin(
+        np.sin(half) / np.maximum(np.sin(theta), np.sin(half))))
+    col0 = np.floor((phi - spread + pi) / col_w).astype(np.intp)
+    ncol = np.floor((phi + spread + pi) / col_w).astype(np.intp) - col0 + 1
+    ring = ncol >= _CAP_COLS
+    col0[ring], ncol[ring] = 0, _CAP_COLS
+
+    size = (row1 - row0 + 1) * ncol
+    k, cap = _ranges(np.zeros_like(size), size)
+    cells = ((row0[cap] + k // ncol[cap]) * _CAP_COLS
+             + (col0[cap] + k % ncol[cap]) % _CAP_COLS)
+    order = np.argsort(cells, kind="stable")
+    listed = caps[cap[order]].astype(np.int32)
+    start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cells, minlength=_CAP_ROWS * _CAP_COLS),
+              out=start[1:])
+
+    def cull(sections):
+        u = sections[:, 0, :]
+        m = len(u)
+        both = np.concatenate([u, -u])
+        cells = _sphere_cells(both)
+        lengths = start[cells + 1] - start[cells]
+        pos, owner = _ranges(start[cells], lengths)
+        ti = listed[pos]
+        dots = np.einsum("pn,pn->p", np.repeat(both, lengths, axis=0),
+                         np.take(offset, ti, axis=0))
+        keep = np.flatnonzero(dots * dots >= np.take(floor, ti))
+        near = u @ offset[always].T
+        si_w, k_w = np.nonzero(near * near >= floor[always])
+        ti = np.concatenate([ti[keep], always[k_w]])
+        si = np.concatenate([owner[keep] % m, si_w])
+        return ti, si, len(pos) + near.size
+
+    per_line = 2 * len(listed) // (_CAP_ROWS * _CAP_COLS) + len(always) + 1
+    return cull, per_line
 
 
 def _barycentric_zones(det, det_scale, a_num, b_num, eps):
@@ -205,28 +261,35 @@ def _barycentric_zones(det, det_scale, a_num, b_num, eps):
     return alpha, beta, inside, potential, gray
 
 
-def _line_hit_test(A, e1, e2, base):
-    """Pair test for line sections in R^3 via cross-product Cramer solves."""
+def _line_hit_test(A, e1, e2, base, split=False):
+    """Pair test for line sections in R^3 via cross-product Cramer solves.
+
+    The hit lies at ``base + (s / det) u``.  With ``split`` a last row of
+    hits keeps those of the outermost radius ahead of the base (s / det > 0).
+    """
     tvec = base - A
     w_det = np.cross(e2, e1)
     w_alpha = np.cross(e2, tvec)
     w_beta = np.cross(tvec, e1)
-    abs_s = np.abs(np.einsum("tn,tn->t", e2, w_beta))
+    s_num = np.einsum("tn,tn->t", e2, w_beta)
+    abs_s = np.abs(s_num)
     det_scale = np.linalg.norm(w_det, axis=1) + 1e-300
 
     def test(sections, complements, ti, si, radii, eps):
-        dirs = sections[si, 0, :]
-        det = np.einsum("pn,pn->p", w_det[ti], dirs)
-        a_num = np.einsum("pn,pn->p", w_alpha[ti], dirs)
-        b_num = np.einsum("pn,pn->p", w_beta[ti], dirs)
+        dirs = np.take(sections[:, 0, :], si, axis=0)
+        det = np.einsum("pn,pn->p", np.take(w_det, ti, axis=0), dirs)
+        a_num = np.einsum("pn,pn->p", np.take(w_alpha, ti, axis=0), dirs)
+        b_num = np.einsum("pn,pn->p", np.take(w_beta, ti, axis=0), dirs)
         _, _, inside, potential, gray = _barycentric_zones(
-            det, det_scale[ti], a_num, b_num, eps)
-        s = abs_s[ti]
+            det, np.take(det_scale, ti), a_num, b_num, eps)
+        s = np.take(abs_s, ti)
         abs_det = np.abs(det)
-        hits = np.empty((len(radii), len(ti)), dtype=bool)
+        hits = np.empty((len(radii) + split, len(ti)), dtype=bool)
         for k, r in enumerate(radii):
             hits[k] = inside & (s <= r * abs_det)
             gray |= potential & (np.abs(s - r * abs_det) <= eps * r * abs_det)
+        if split:
+            hits[-1] = hits[-2] & (np.take(s_num, ti) * det > 0)
         return hits, gray
 
     return test
@@ -281,15 +344,20 @@ def _jitter_frames(sections, complements, rng, scale=JITTER_SCALE):
 class _SectionCounts(NamedTuple):
     """Section counts and the work that produced them."""
 
-    counts: np.ndarray    # (num_radii, S) intersections inside each radius
+    counts: np.ndarray    # (num_radii [+ 1 ahead], S) intersection counts
     jittered: int         # section recounts forced by the gray zone
     cells: int            # pruned triangles x sections
+    candidates: int       # pairs the cull proposed to its floor test
     pairs_tested: int     # culled pairs given the exact test, all rounds
 
 
 def _count_sections(mesh, base, sections, complements, radii, rng,
-                    eps=EDGE_EPS) -> _SectionCounts:
-    """(num_radii, S) intersection counts inside |x - base| <= r, jittered."""
+                    eps=EDGE_EPS, split=False) -> _SectionCounts:
+    """(num_radii, S) intersection counts inside |x - base| <= r, jittered.
+
+    With ``split`` (lines only) a last row counts the hits inside the
+    outermost radius that lie ahead of the base along the line.
+    """
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0):
@@ -314,19 +382,25 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
         raise InvalidFrameError("section frame shapes do not match the mesh")
     A, e1, e2, offset, floor = _pruned_triangles(mesh, base, radii.max())
     S = sections.shape[0]
-    counts = np.zeros((len(radii), S), dtype=np.int64)
-    jittered = 0
-    pairs_tested = 0
+    counts = np.zeros((len(radii) + split, S), dtype=np.int64)
+    jittered = candidates = pairs_tested = 0
     if len(A) == 0:
-        return _SectionCounts(counts, jittered, 0, pairs_tested)
-    hit_test = (_line_hit_test if n == 3 else _plane_hit_test)(A, e1, e2, base)
-    block = max(32, _BLOCK_CELLS // len(A))
+        return _SectionCounts(counts, jittered, 0, candidates, pairs_tested)
+    if n == 3:
+        hit_test = _line_hit_test(A, e1, e2, base, split)
+        cull, per_line = _cap_cull(offset, floor)
+        block = max(32, _BLOCK_CANDIDATES // per_line)
+    else:
+        hit_test = _plane_hit_test(A, e1, e2, base)
+        cull = partial(_cull_pairs, offset, floor)
+        block = max(32, _BLOCK_CELLS // len(A))
     for lo in range(0, S, block):
         sl = slice(lo, min(lo + block, S))
         sec = sections[sl].copy()
         comp = complements[sl].copy()
         for _ in range(_MAX_JITTER_ROUNDS):
-            ti, si = _cull_pairs(offset, floor, sec)
+            ti, si, proposed = cull(sec)
+            candidates += proposed
             pairs_tested += len(ti)
             hits, pair_gray = hit_test(sec, comp, ti, si, radii, eps)
             c_blk, gray = _per_section(si, hits, pair_gray, len(sec))
@@ -338,22 +412,24 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
         else:
             raise RuntimeError("section jitter failed to clear tangencies")
         counts[:, sl] = c_blk
-    return _SectionCounts(counts, jittered, len(A) * S, pairs_tested)
+    return _SectionCounts(counts, jittered, len(A) * S, candidates,
+                          pairs_tested)
 
 
 def plane_mesh_intersections(mesh, base, sections, complements=None,
                              radius=None, seed: int = 0):
     """Intersection counts of explicit section frames against the mesh.
 
-    ``sections`` is (S, n-2, n); complements are completed via QR when not
-    given.  Returns (counts (S,), jitter_events).
+    ``sections`` is (S, n-2, n) direction rows through ``base``; they are
+    orthonormalized and completed via QR when ``complements`` is not given,
+    and linearly dependent rows raise ``InvalidFrameError``.  Returns
+    (counts (S,), jitter_events).
     """
     sections = np.asarray(sections, dtype=float)
     if complements is None:
         sections, complements = _complete_frames(sections)
     else:
         complements = np.asarray(complements, dtype=float)
-    base = np.asarray(base, dtype=float)
     if radius is None:
         radius = max_safe_radius(mesh, base, margin=1.0)
     rng = np.random.default_rng(seed)
@@ -362,29 +438,20 @@ def plane_mesh_intersections(mesh, base, sections, complements=None,
     return out.counts[0], out.jittered
 
 
-def section_count(mesh, plane: PlaneThrough, radius, seed: int = 0) -> int:
-    """Intersection count for one section plane."""
-    counts, _ = plane_mesh_intersections(
-        mesh, plane.base, plane.directions[None], plane.complement[None],
-        radius, seed,
-    )
-    return int(counts[0])
-
-
 def counting_sweep(mesh, base, radii, samples: int = 20000,
                    seed: int | None = None) -> dict:
     """Monte-Carlo section-count averages over a shared sample of sections.
 
     Because every radius is evaluated on the same sections, the means are
     exactly nondecreasing in the cut radius.  ``cells`` (pruned triangles x
-    samples) and ``pairs_tested`` (pairs left by the cull, summed over jitter
-    rounds) say how much of the counting work the cull saved.
+    samples), ``candidates`` (pairs the cull proposed to its floor test) and
+    ``pairs_tested`` (pairs left by the cull), the last two summed over jitter
+    rounds, say how much of the counting work the cull saved.
     """
     if seed is None:
         raise ValueError("seed is required: counting is Monte-Carlo based")
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful average")
-    base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
     n = mesh.vertices.shape[1]
@@ -404,25 +471,13 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
         "jittered": int(out.jittered),
         "seed": int(seed),
         "cells": int(out.cells),
+        "candidates": int(out.candidates),
         "pairs_tested": int(out.pairs_tested),
     }
 
 
 # --------------------------------------------------------------------------
-# spherical regions: membership counting and exact geodesic area
-
-
-def _unit_triangles(mesh):
-    """Triangle corners pushed onto the unit sphere, consistently oriented."""
-    v = mesh.vertices
-    u = v / np.linalg.norm(v, axis=1, keepdims=True)
-    tri = u[mesh.triangles]
-    trip = np.einsum(
-        "tn,tn->t", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])
-    )
-    flip = trip < 0
-    tri[flip] = tri[flip][:, [0, 2, 1]]
-    return tri, np.abs(trip)
+# spherical regions: line counting and exact geodesic area
 
 
 def geodesic_area(mesh) -> float:
@@ -432,8 +487,9 @@ def geodesic_area(mesh) -> float:
     closed triangulations give 4*pi and geodesic hemispheres 2*pi to float
     accuracy regardless of the flat-triangle discretization error.
     """
-    tri, trip = _unit_triangles(mesh)
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    u = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+    a, b, c = np.moveaxis(u[mesh.triangles], 1, 0)
+    trip = np.abs(np.einsum("tn,tn->t", a, np.cross(b, c)))
     den = (
         1.0 + np.einsum("tn,tn->t", a, b) + np.einsum("tn,tn->t", b, c)
         + np.einsum("tn,tn->t", c, a)
@@ -441,96 +497,36 @@ def geodesic_area(mesh) -> float:
     return float(np.sum(2.0 * np.arctan2(trip, den)))
 
 
-def _edge_normal_rows(mesh):
-    """(3T, 3) oriented edge-plane normals of the geodesic triangles."""
-    tri, _ = _unit_triangles(mesh)
-    normals = np.stack(
-        [
-            np.cross(tri[:, 0], tri[:, 1]),
-            np.cross(tri[:, 1], tri[:, 2]),
-            np.cross(tri[:, 2], tri[:, 0]),
-        ],
-        axis=1,
-    ).reshape(-1, 3)
-    scale = np.linalg.norm(normals, axis=1) + 1e-300
-    return normals, scale, len(tri)
-
-
-def _membership_counts(normals, scale, T, U, eps, antipodal: bool):
-    """Blocked membership multiplicities; the antipodal counts reuse the
-    same dot products with flipped sign, saving a full second pass."""
-    S = len(U)
-    counts = np.empty(S, dtype=np.int64)
-    counts_m = np.empty(S, dtype=np.int64) if antipodal else None
-    gray = np.empty(S, dtype=bool)
-    block = max(64, _SPHERE_BLOCK_CELLS // max(3 * T, 1))
-    for lo in range(0, S, block):
-        sl = slice(lo, min(lo + block, S))
-        dots = normals @ U[sl].T
-        counts[sl] = (dots > 0).reshape(T, 3, -1).all(axis=1).sum(axis=0)
-        if antipodal:
-            counts_m[sl] = (dots < 0).reshape(T, 3, -1).all(axis=1).sum(axis=0)
-        gray[sl] = (np.abs(dots) <= eps * scale[:, None]).any(axis=0)
-    return counts, counts_m, gray
-
-
-def spherical_counts(mesh, points, eps: float = EDGE_EPS):
-    """Per-point membership multiplicity in the geodesic triangles of a mesh.
-
-    ``points`` are unit vectors (S, 3).  A point belongs to a spherical
-    triangle when it lies on the positive side of all three edge planes.
-    Returns (counts (S,), gray (S,)) where gray flags points within ``eps``
-    of an edge plane (relative to the edge normal's length).
-    """
-    normals, scale, T = _edge_normal_rows(mesh)
-    U = np.asarray(points, dtype=float)
-    counts, _, gray = _membership_counts(normals, scale, T, U, eps, False)
-    return counts, gray
-
-
 def crofton_verify(region, samples: int = 100000, seed: int | None = None,
                    f=None) -> dict:
     """Check: integral over a spherical region = (omega/2) x mean over random
     lines through the origin of the weighted hit count on that region.
 
-    With f = None (indicator weight) the left side is the exact geodesic
-    area, so closed regions and geodesic hemispheres must agree to roundoff;
-    a general weight f(points)->values falls back to flat-triangle quadrature
-    on the left.  Antipodal pairs share one sample, which makes the
-    hemisphere estimator exactly variance-free.
+    A line along ``u`` meets a flat triangle with corners on the unit sphere
+    exactly when ``u`` or ``-u`` lies in its geodesic triangle, so the hits
+    are section counts with base 0 inside radius 2, split by the sign of the
+    hit parameter.  With f = None (indicator weight) the left side is the
+    exact geodesic area, so closed regions and geodesic hemispheres must agree
+    to roundoff; a general weight f(points)->values falls back to
+    flat-triangle quadrature on the left.  Antipodal pairs share one sample,
+    which makes the hemisphere estimator exactly variance-free.
     """
     if seed is None:
         raise ValueError("seed is required: the check is Monte-Carlo based")
     rng = np.random.default_rng(seed)
-    U = rng.standard_normal((samples, 3))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    normals, scale, T = _edge_normal_rows(region)
-    jittered = 0
-    cp = cm = None
-    todo = np.arange(samples)
-    for _ in range(_MAX_JITTER_ROUNDS):
-        p, m, gray = _membership_counts(normals, scale, T, U[todo],
-                                        EDGE_EPS, True)
-        if cp is None:
-            cp, cm = p, m
-        else:
-            cp[todo], cm[todo] = p, m
-        if not gray.any():
-            break
-        todo = todo[gray]
-        jittered += len(todo)
-        U[todo] += JITTER_SCALE * rng.standard_normal((len(todo), 3))
-        U[todo] /= np.linalg.norm(U[todo], axis=1, keepdims=True)
-    else:
-        raise RuntimeError("sample jitter failed to clear region edges")
+    sections, complements = sample_grassmann(3, 2, samples, rng)
+    out = _count_sections(region, np.zeros(3), sections, complements, [2.0],
+                          rng, split=True)
+    total, ahead = out.counts
+    U = sections[:, 0, :]
 
     if f is None:
-        values = (cp + cm).astype(float)
+        values = total.astype(float)
         lhs = geodesic_area(region)
         lhs_err = 0.0
     else:
-        values = cp * np.asarray(f(U), dtype=float)
-        values = values + cm * np.asarray(f(-U), dtype=float)
+        values = ahead * np.asarray(f(U), dtype=float)
+        values = values + (total - ahead) * np.asarray(f(-U), dtype=float)
         lhs, lhs_err = integrate_with_error(
             region, np.zeros(3), np.inf,
             lambda pts, owners: np.asarray(f(pts), dtype=float),
@@ -553,7 +549,7 @@ def crofton_verify(region, samples: int = 100000, seed: int | None = None,
         "gap": float(abs(lhs - rhs)),
         "passed": bool(abs(lhs - rhs) <= ci + lhs_err + floor),
         "samples": int(samples),
-        "jittered": int(jittered),
+        "jittered": int(out.jittered),
         "seed": int(seed),
     }
 

@@ -11,6 +11,7 @@ into the output directory:
   (normalized flux, log-growth ratio, end counts, section-count means).
 * ``run.log``      -- library versions, seed, wall time and, when counting
   ran, its work counters (``counting_cells``: pruned triangles x samples;
+  ``counting_candidates``: pairs the cull proposed to its floor test;
   ``counting_pairs_tested``: pairs left by the cull).  Timing makes this the
   one file that is allowed to differ between identical runs.
 
@@ -732,6 +733,7 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     report["_sweeps"] = sweeps
     report["_log_lines"] = [] if counting is None else [
         f"counting_cells {counting['cells']}",
+        f"counting_candidates {counting['candidates']}",
         f"counting_pairs_tested {counting['pairs_tested']}",
     ]
     return report

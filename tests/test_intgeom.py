@@ -9,7 +9,10 @@ Deterministic oracles:
 * random lines from the origin hit the plane {z = h} inside |x| < R with
   probability 1 - h/R
 * the centroid-reach cull drops no pair that counts: the exact pair test on
-  all (triangle, section) pairs gives the same counts and gray flags
+  all (triangle, section) pairs gives the same counts and gray flags, and for
+  lines the angular cap index proposes every pair the flat cull keeps
+* a line through the origin meets a spherical region's flat triangle exactly
+  when its direction lies on the positive side of all three edge planes
 """
 import numpy as np
 import pytest
@@ -19,6 +22,20 @@ from mingauge import invariants as inv
 from mingauge.catalog import build_surface, catalog_names, spherical_region
 from mingauge.errors import IdentityNotApplicableError, InvalidFrameError
 from mingauge.geometry import integrate_with_error, orthonormal_frame
+
+
+def _count_one(mesh, base, directions, radius):
+    """Intersection count of the one section through ``base`` along the
+    ``directions`` rows, completed to an orthonormal frame."""
+    counts, _ = ig.plane_mesh_intersections(
+        mesh, base, np.asarray(directions, dtype=float)[None], radius=radius)
+    return int(counts[0])
+
+
+def _jacobian_integrand(mesh, center):
+    """``radial_jacobian`` as a mesh integrand (points, owners) -> values."""
+    return lambda points, owners: ig.radial_jacobian(
+        points, mesh.frames()[owners], center)
 
 
 def _rotz(angle):
@@ -68,14 +85,17 @@ def test_grassmann_moments(rng):
     assert abs(m2 - 0.5) < 4 * np.sqrt(1 / 12 / 100000)
 
 
-def test_plane_through_builder():
-    pl = ig.PlaneThrough.through([1.0, 0, 0], [[3.0, 4.0, 0.0]])
-    assert pl.directions.shape == (1, 3) and pl.complement.shape == (2, 3)
-    assert pl.contains([1.0, 0, 0])
-    assert pl.contains([1 + 0.6, 0.8, 0.0])
-    assert not pl.contains([1.0, 0, 1.0])
+def test_explicit_frames_are_completed(plane_coarse):
+    # a direction row is normalized (up to sign) and completed by an
+    # orthonormal complement; linearly dependent rows are rejected
+    sec, comp = ig._complete_frames(np.array([[[3.0, 4.0, 0.0]]]))
+    assert sec.shape == (1, 1, 3) and comp.shape == (1, 2, 3)
+    frame = np.concatenate([sec[0], comp[0]])
+    np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+    assert abs(sec[0, 0] @ [0.6, 0.8, 0.0]) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(InvalidFrameError):
-        ig.PlaneThrough.through([0, 0, 0], [[1.0, 0, 0], [2.0, 0, 0]])
+        _count_one(plane_coarse.mesh, np.zeros(3),
+                   [[1.0, 0, 0], [2.0, 0, 0]], 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -85,21 +105,19 @@ def test_plane_through_builder():
 def test_line_through_sphere_center_counts_two(sphere_coarse):
     center = np.array([0.0, 0.0, 2.0])
     for d in [(0, 0, 1.0), (0.3, 0.4, 0.5), (1.0, 0, 0)]:
-        pl = ig.PlaneThrough.through(center, np.array([d]))
-        assert ig.section_count(sphere_coarse.mesh, pl, 1.5) == 2
+        assert _count_one(sphere_coarse.mesh, center, [d], 1.5) == 2
 
 
 def test_catenoid_axis_and_neck_lines(catenoid_coarse):
     m = catenoid_coarse.mesh
-    axis = ig.PlaneThrough.through(np.zeros(3), [[0.0, 0, 1.0]])
-    assert ig.section_count(m, axis, 50.0) == 0
-    horiz = ig.PlaneThrough.through(np.zeros(3), [[np.cos(0.23), np.sin(0.23), 0]])
-    assert ig.section_count(m, horiz, 50.0) == 2
+    assert _count_one(m, np.zeros(3), [[0.0, 0, 1.0]], 50.0) == 0
+    horiz = [[np.cos(0.23), np.sin(0.23), 0]]
+    assert _count_one(m, np.zeros(3), horiz, 50.0) == 2
 
 
 def test_generic_line_hits_plane_once(plane_coarse):
-    pl = ig.PlaneThrough.through(np.zeros(3), [[0.1, -0.2, 1.0]])
-    assert ig.section_count(plane_coarse.mesh, pl, 10.0) == 1
+    assert _count_one(plane_coarse.mesh, np.zeros(3), [[0.1, -0.2, 1.0]],
+                      10.0) == 1
 
 
 def test_vertex_hit_resolved_by_jitter(catenoid_coarse):
@@ -130,19 +148,16 @@ def test_unreachable_parallel_triangles_do_not_jitter(plane_coarse):
 def test_parabola_plane_sections_exact(parabola_coarse):
     m = parabola_coarse.mesh
     w_dirs = np.array([[0.0, 0, 1.0, 0], [0.0, 0, 0, 1.0]])
-    pl1 = ig.PlaneThrough.through([0.3, 0.17, 0.0, 0.0], w_dirs)
-    assert ig.section_count(m, pl1, 10.0) == 1
+    assert _count_one(m, [0.3, 0.17, 0.0, 0.0], w_dirs, 10.0) == 1
     c = 0.25 * np.exp(0.6j)
     z_dirs = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    pl2 = ig.PlaneThrough.through([0.0, 0.0, c.real, c.imag], z_dirs)
-    assert ig.section_count(m, pl2, 5.0) == 2
+    assert _count_one(m, [0.0, 0.0, c.real, c.imag], z_dirs, 5.0) == 2
 
 
 def test_on_surface_base_rejected(parabola_coarse):
-    pl = ig.PlaneThrough.through(np.zeros(4),
-                                 np.array([[0.0, 0, 1.0, 0], [0.0, 0, 0, 1.0]]))
+    w_dirs = [[0.0, 0, 1.0, 0], [0.0, 0, 0, 1.0]]
     with pytest.raises(IdentityNotApplicableError, match="ill-posed"):
-        ig.section_count(parabola_coarse.mesh, pl, 10.0)
+        _count_one(parabola_coarse.mesh, np.zeros(4), w_dirs, 10.0)
 
 
 def test_counting_guards(catenoid_coarse):
@@ -176,10 +191,27 @@ def _all_pairs_counts(hit_test, T, sections, complements, radii):
     return counts, gray
 
 
-@pytest.mark.parametrize("name", catalog_names())
-def test_cull_keeps_every_pair_that_counts(coarse, name):
+def _planted_lines():
+    """Line directions on the phi = +-pi seam and within 1e-3 of both poles."""
+    seam = [[-np.cos(a), y, np.sin(a)]
+            for a in (-1.2, -0.3, 0.0, 0.7) for y in (0.0, -0.0, 1e-12, -1e-12)]
+    poles = [[np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), z * np.cos(t)]
+             for t in (1e-9, 3e-4, 1e-3) for p in (0.1, 2.0, -2.9)
+             for z in (1.0, -1.0)]
+    return ig._complete_frames(np.array(seam + poles)[:, None, :])
+
+
+# a base just inside the catenoid's neck, nearer to its triangles than their
+# reach, so the cap index has caps it must test against every line
+_NEAR_SURFACE = {"catenoid_near_surface": ("catenoid", [0.98, 0.0, 0.0])}
+
+
+@pytest.mark.parametrize("case", [*catalog_names(), *_NEAR_SURFACE])
+def test_cull_keeps_every_pair_that_counts(coarse, case):
+    name, base = _NEAR_SURFACE.get(case, (case, None))
     spec = coarse(name)
-    mesh, base = spec.mesh, spec.base_point
+    mesh = spec.mesh
+    base = spec.base_point if base is None else np.asarray(base)
     assert inv.on_surface_multiplicity(mesh, base) == 0
     r_hi = inv.max_safe_radius(mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
@@ -188,8 +220,22 @@ def test_cull_keeps_every_pair_that_counts(coarse, name):
     A, e1, e2, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
     hit_test = (ig._line_hit_test if n == 3 else ig._plane_hit_test)(
         A, e1, e2, base)
+    if n == 3:
+        # the index proposes a superset of the flat cull's pairs; its floor
+        # test keeps the same pairs, each once
+        lines = np.concatenate([sec, _planted_lines()[0]])
+        cull, _ = ig._cap_cull(offset, floor)
+        ci, cs, proposed = cull(lines)
+        flat_ti, flat_si, cells = ig._cull_pairs(offset, floor, lines)
+        keys = ci.astype(np.int64) * len(lines) + cs
+        assert len(np.unique(keys)) == len(keys)
+        assert np.array_equal(np.sort(keys),
+                              np.sort(flat_ti.astype(np.int64) * len(lines)
+                                      + flat_si))
+        assert len(ci) <= proposed < 0.05 * cells
+        assert case not in _NEAR_SURFACE or np.any(floor <= 0)
 
-    ti, si = ig._cull_pairs(offset, floor, sec)
+    ti, si, _ = ig._cull_pairs(offset, floor, sec)
     hits, gray = hit_test(sec, comp, ti, si, radii, ig.EDGE_EPS)
     counts, gray = ig._per_section(si, hits, gray, len(sec))
     dense_counts, dense_gray = _all_pairs_counts(hit_test, len(A), sec, comp,
@@ -303,7 +349,7 @@ def test_defect_integrand_dominated_by_jacobian(catenoid_coarse):
         np.repeat(np.arange(len(m.triangles)), 3),
     ])
     d = inv.defect_integrand(m, a)(pts, owners)
-    j = ig.jacobian_integrand(m, a)(pts, owners)
+    j = _jacobian_integrand(m, a)(pts, owners)
     assert np.all(d <= j * (1 + 1e-12))
 
 
@@ -312,7 +358,7 @@ def test_jacobian_counting_chain(catenoid_coarse):
     # (omega_3 / 2) x the mean line count at the same radius
     m, a = catenoid_coarse.mesh, catenoid_coarse.base_point
     R = 20.0
-    lhs, qerr = integrate_with_error(m, a, R, ig.jacobian_integrand(m, a))
+    lhs, qerr = integrate_with_error(m, a, R, _jacobian_integrand(m, a))
     avg = ig.counting_sweep(m, a, [R], samples=30000, seed=4)
     rhs = 2 * np.pi * avg["means"][0]
     ci = 2 * np.pi * avg["ci95"][0]
@@ -335,13 +381,57 @@ def test_geodesic_area_exact_cases():
     assert area == pytest.approx(exact, rel=2e-3)
 
 
-def test_spherical_membership(rng):
-    hemi = spherical_region("hemisphere", refinement=2, sectors=64)
-    u = rng.standard_normal((500, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    counts, gray = ig.spherical_counts(hemi, u)
-    clear = ~gray & (np.abs(u[:, 2]) > 1e-3)
-    assert np.array_equal(counts[clear], (u[clear, 2] > 0).astype(int))
+def _edge_plane_counts(region, U, eps=ig.EDGE_EPS):
+    """Dense oracle: geodesic triangles holding ``U`` and ``-U``, gray flags.
+
+    A direction lies in a consistently oriented geodesic triangle when it is
+    on the positive side of all three edge planes; it is gray within ``eps``
+    (relative to the edge normal) of any edge plane.
+    """
+    v = region.vertices / np.linalg.norm(region.vertices, axis=1)[:, None]
+    tri = v[region.triangles]
+    flip = np.einsum("tn,tn->t", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])) < 0
+    tri[flip] = tri[flip][:, ::-1]
+    normals = np.cross(tri, np.roll(tri, -1, axis=1))  # (T, 3 edges, 3)
+    scale = np.linalg.norm(normals, axis=2)
+    ahead = np.empty(len(U), dtype=np.int64)
+    behind = np.empty(len(U), dtype=np.int64)
+    gray = np.empty(len(U), dtype=bool)
+    for lo in range(0, len(U), 100):
+        dots = np.einsum("tkn,sn->stk", normals, U[lo:lo + 100])
+        ahead[lo:lo + 100] = (dots > 0).all(axis=2).sum(axis=1)
+        behind[lo:lo + 100] = (dots < 0).all(axis=2).sum(axis=1)
+        gray[lo:lo + 100] = (np.abs(dots) <= eps * scale).any(axis=(1, 2))
+    return ahead, behind, gray
+
+
+_REGIONS = {"full": {"refinement": 2},
+            "hemisphere": {"refinement": 2, "sectors": 64},
+            "cap": {"angle": 1.2, "refinement": 2, "sectors": 64}}
+
+
+@pytest.mark.parametrize("kind", _REGIONS)
+def test_crofton_counts_match_edge_plane_oracle(kind):
+    region = spherical_region(kind, **_REGIONS[kind])
+    rng = np.random.default_rng(17)
+    sec, comp = ig.sample_grassmann(3, 2, 1000, rng)
+    planted = _planted_lines()
+    sec = np.concatenate([sec, planted[0]])
+    comp = np.concatenate([comp, planted[1]])
+    out = ig._count_sections(region, np.zeros(3), sec, comp, [2.0], rng,
+                             split=True)
+    total, ahead = out.counts
+    u = sec[:, 0, :]
+    want_ahead, want_behind, gray = _edge_plane_counts(region, u)
+    clear = ~gray
+    assert clear.sum() >= 1000
+    assert np.array_equal(ahead[clear], want_ahead[clear])
+    assert np.array_equal((total - ahead)[clear], want_behind[clear])
+    if kind == "hemisphere":
+        clear &= np.abs(u[:, 2]) > 1e-12
+        assert np.array_equal(ahead[clear], (u[clear, 2] > 0).astype(int))
+        assert np.array_equal((total - ahead)[clear],
+                              (u[clear, 2] < 0).astype(int))
 
 
 def test_crofton_full_and_hemisphere_exact():
@@ -371,6 +461,13 @@ def test_crofton_weighted():
                             f=lambda pts: pts[:, 2] ** 2)
     assert out["passed"], out
     assert out["rhs"] == pytest.approx(4 * np.pi / 3, rel=0.02)
+    # the odd weight f = z tells a hit at u from one at -u: on the upper
+    # hemisphere it integrates to pi, and swapping them would give -pi
+    hemi = spherical_region("hemisphere", refinement=2, sectors=64)
+    out = ig.crofton_verify(hemi, samples=30000, seed=12,
+                            f=lambda pts: pts[:, 2])
+    assert out["passed"], out
+    assert out["rhs"] == pytest.approx(np.pi, rel=0.02)
 
 
 def test_crofton_requires_seed():

@@ -20,6 +20,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from mingauge.catalog import build_surface
 from mingauge.errors import ConfigError
 from mingauge.report import (
     compute_report,
@@ -99,10 +100,17 @@ def test_parse_config_minimal():
      "mc.radii"),
     ({"surface": {"name": "plane"}, "mc": {"seed": 1, "extra": 2}},
      "mc.extra"),
+    ({"surface": {"name": "plane", "resolution": "huge"}},
+     "surface.resolution"),
+    ({"surface": {"name": "plane", "resolution": {"spokes": 8}}},
+     "surface.resolution.spokes"),
 ])
 def test_parse_config_rejects(raw, field):
+    # preset names and grid keys are known only to the surface builder
     with pytest.raises(ConfigError) as err:
-        parse_config(raw)
+        config = parse_config(raw)
+        build_surface(config.surface_name, config.surface_params,
+                      config.resolution)
     assert err.value.field == field
 
 
@@ -134,11 +142,13 @@ def test_reports_are_byte_identical(plane_runs):
     assert (a / "sweeps.csv").read_bytes() == (b / "sweeps.csv").read_bytes()
     # run.log carries wall time and is allowed to differ; it must still exist
     assert (a / "run.log").exists() and (b / "run.log").exists()
-    # with counting on it says how many pairs the cull left for the exact test
+    # with counting on it says how many pairs the cull proposed and how many
+    # it left for the exact test
     log = dict(line.split(" ", 1)
                for line in (a / "run.log").read_text().splitlines())
     cells = int(log["counting_cells"])
-    assert 0 < int(log["counting_pairs_tested"]) < cells
+    candidates = int(log["counting_candidates"])
+    assert 0 < int(log["counting_pairs_tested"]) <= candidates < cells
 
 
 def test_report_validates_against_shipped_schema(plane_runs):
