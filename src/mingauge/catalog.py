@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .geometry import (
@@ -265,6 +264,8 @@ def _build_plane(params, res):
 
 def catenoid_u_max(c: float, r_max: float) -> float:
     """u with |x(u, .)| = r_max on the catenoid of neck radius c."""
+    from scipy.optimize import brentq  # slow to import: loaded on use only
+
     return brentq(
         lambda u: (c * np.cosh(u / c)) ** 2 + u**2 - r_max**2,
         0.0,
@@ -306,6 +307,8 @@ def _build_catenoid(params, res):
 
 def enneper_domain_radius(r_max: float) -> float:
     """Domain radius rho with min over angles of |x(rho, .)| = r_max."""
+    from scipy.optimize import brentq
+
     def worst(rho):
         return rho**6 / 9 + rho**4 / 3 + rho**2 - r_max**2
 

@@ -14,7 +14,7 @@ from .meshing import (
     polar_disk_mesh,
     spherical_cap_mesh,
 )
-from .quadrature import integrate_with_error, radial_integrals
+from .quadrature import integrate_with_error, radial_integrals, triangle_rule
 from .levels import level_polyline
 
 __all__ = [
@@ -33,4 +33,5 @@ __all__ = [
     "radial_integrals",
     "spherical_cap_mesh",
     "triangle_areas",
+    "triangle_rule",
 ]

@@ -1,18 +1,32 @@
-"""Surface integration over radial shells on triangle meshes.
+"""Exact integrals over radial shells on flat-triangle meshes.
 
-A fixed symmetric 6-node rule (exact through degree 4 on flat triangles)
-handles smooth integrands.  Every integral is taken over the shells
-``radii[k-1] <= |x - center| < radii[k]`` around one center: triangles
-straddling a sphere are split recursively until their corners and centroid
-agree on a shell, and leaves left at the cut depth go to their centroid's
-shell.  Error bars come from comparing against one global uniform
-refinement.
+On a flat triangle the base point ``a`` has a constant height ``h`` above the
+triangle's plane, so ``|x - a|^2 = h^2 + rho^2``, rho the in-plane distance
+from the foot of ``a``, and each integrand a report needs (p = 2) depends on
+rho alone: ``"area"`` 1, ``"inverse_power"`` 1 / (h^2 + rho^2) and
+``"defect"`` |normal part|^2 / |x - a|^4 = h^2 / (h^2 + rho^2)^2.  Over the
+signed fan pieces (foot, P_i, P_i+1) of a triangle, the part inside the disk
+rho < sigma = sqrt(R^2 - h^2) integrates to the angular integral of
+G(min(rho_edge, sigma)), G the radial antiderivative: G(sigma) times the
+angle at the foot (an atan2) where the outer edge leaves the disk, an edge
+integral where it stays inside (closed form for area and defect, 12-point
+Gauss-Legendre for the inverse power).  Only triangles straddling a sphere
+are clipped.  Roundoff heights (a base on the surface) read as h = 0: the
+defect vanishes there and the inverse power's first ball diverges (``inf``).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .types import triangle_areas
+
+KINDS = ("area", "inverse_power", "defect")
+# heights below this fraction of the corners' distance are roundoff
+_FLAT = 1e-12
+# relative roundoff allowance on an exact integral
+_ROUNDOFF = 1e-14
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 # 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
 _A1, _W1 = 0.445948490915965, 0.223381589678011
@@ -25,116 +39,152 @@ TRI6_BARY = np.array(
 )
 TRI6_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
-DEFAULT_CUT_DEPTH = 6
-# top-level triangles refined together: bounds the live subdivision and
-# integrand arrays when many spheres cut the mesh at once
-_BLOCK_TRIANGLES = 8_192
 
-
-def split4(corners: np.ndarray, owners: np.ndarray):
-    """One midpoint subdivision: (m,3,n) -> (4m,3,n), owners repeated."""
-    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    m01 = 0.5 * (v0 + v1)
-    m12 = 0.5 * (v1 + v2)
-    m20 = 0.5 * (v2 + v0)
-    kids = np.concatenate(
-        [
-            np.stack([v0, m01, m20], axis=1),
-            np.stack([v1, m12, m01], axis=1),
-            np.stack([v2, m20, m12], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ]
-    )
-    return kids, np.concatenate([owners] * 4)
-
-
-def _rule_values(corners, owners, integrand):
-    """The 6-node rule applied to each flat triangle of a batch."""
-    areas = triangle_areas(corners)
-    if integrand is None:
-        return areas
-    # nodes: (m, 6, n)
+def triangle_rule(mesh, f) -> float:
+    """Integral of ``f(points) -> values`` over the whole mesh, 6-node rule."""
+    corners = mesh.corners()
     nodes = np.einsum("qb,mbn->mqn", TRI6_BARY, corners)
     m, q, n = nodes.shape
-    vals = integrand(nodes.reshape(m * q, n), np.repeat(owners, q))
-    return np.asarray(vals, dtype=float).reshape(m, q) @ TRI6_W * areas
+    vals = np.asarray(f(nodes.reshape(m * q, n)), dtype=float)
+    return float(vals.reshape(m, q) @ TRI6_W @ triangle_areas(corners))
 
 
-def radial_integrals(
-    mesh,
-    center,
-    radii,
-    integrand=None,
-    cut_depth: int = DEFAULT_CUT_DEPTH,
-    refine: int = 0,
-) -> np.ndarray:
+def _cross(x, y):
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+
+def _dot(x, y):
+    return np.einsum("...n,...n->...", x, y)
+
+
+def _log_ratio(s2, h2):
+    """log(1 + s^2 / h^2), or log(s^2) at h = 0 (where only shells count)."""
+    flat = h2 == 0.0
+    return np.where(flat, np.log(np.where(flat, s2, 1.0)),
+                    np.log1p(s2 / np.where(flat, 1.0, h2)))
+
+
+def _antiderivative(kind, s2, h2):
+    """G(sigma), the integral of the integrand times rho over rho < sigma."""
+    if kind == "area":
+        return 0.5 * s2
+    if kind == "defect":
+        return np.where(h2 > 0.0, 0.5 * s2 / (h2 + s2), 0.0)
+    return 0.5 * _log_ratio(s2, h2)
+
+
+def _edge(kind, cross, A, b, xx, h2, lo, hi):
+    """Integral of G(rho) d(theta) along the edge points X + u D, u in
+    [lo, hi]; d(theta) = cross(X, Y) du / |X + u D|^2."""
+    if kind == "area":
+        return 0.5 * cross * (hi - lo)
+    if kind == "defect":
+        # integral of du / (A u^2 + 2 b u + h^2 + |X|^2) is an arctan
+        k = np.sqrt(A * h2 + cross * cross)
+        p, q = A * hi + b, A * lo + b
+        ok = (h2 > 0.0) & (k > 0.0)
+        k = np.where(ok, k, 1.0)
+        return np.where(ok, 0.5 * cross
+                        * np.arctan2(k * (p - q), k * k + p * q) / k, 0.0)
+    total = 0.0
+    for t, w in zip(_GL_U, _GL_W):
+        u = lo + (hi - lo) * t
+        s2 = xx + u * (2.0 * b + A * u)
+        total = total + w * _log_ratio(s2, h2) / s2
+    return 0.5 * cross * (hi - lo) * total
+
+
+def _fan_integrals(kind, P, h2, sigma2=None):
+    """Each triangle's integral over the disk rho^2 < sigma2 (all of it when
+    ``sigma2`` is None), from in-plane corners P (m, 3, 2) about the foot."""
+    X, Y = P, np.roll(P, -1, axis=1)
+    D = Y - X
+    cross, A, b, xx = _cross(X, Y), _dot(D, D), _dot(X, D), _dot(X, X)
+    h2 = np.broadcast_to(h2[:, None], cross.shape)
+    if sigma2 is None:
+        lo, hi = np.zeros_like(A), np.ones_like(A)
+        outside = 0.0
+    else:
+        s2 = sigma2[:, None]
+        disc = b * b - A * (xx - s2)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.where(disc > 0.0, np.clip((-b - root) / A, 0.0, 1.0), 0.0)
+        hi = np.where(disc > 0.0, np.clip((-b + root) / A, 0.0, 1.0), 0.0)
+        Xa, Xb = X + lo[..., None] * D, X + hi[..., None] * D
+        angle = (np.arctan2(_cross(X, Xa), _dot(X, Xa))
+                 + np.arctan2(_cross(Xb, Y), _dot(Xb, Y)))
+        outside = _antiderivative(kind, s2, h2) * angle
+    return (_edge(kind, cross, A, b, xx, h2, lo, hi) + outside).sum(axis=1)
+
+
+def _in_plane(mesh, center):
+    """In-plane corners about the foot of ``center`` (T, 3, 2; positively
+    oriented, as frames follow corner order), squared heights and squared
+    nearest / farthest distances; kept on the mesh for the last center."""
+    cached = mesh._cache.get("in_plane")
+    if cached is not None and np.array_equal(cached[0], center):
+        return cached[1]
+    x = mesh.corners() - center
+    frames = mesh.frames()
+    P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))
+    X, Y = P, np.roll(P, -1, axis=1)
+    foot = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
+    normal = (mesh.centroids() - center - foot[:, :1] * frames[:, 0]
+              - foot[:, 1:] * frames[:, 1])
+    h2 = _dot(normal, normal)
+    d2 = _dot(x, x)
+    far2 = np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2])
+    flat2 = _FLAT * _FLAT * far2
+    h2[h2 <= flat2] = 0.0
+    # in-plane distance from the foot to the closed triangle
+    D = Y - X
+    near = X + np.clip(-_dot(X, D) / _dot(D, D), 0.0, 1.0)[..., None] * D
+    e2 = _dot(near, near)
+    foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
+    inside = _cross(X, Y) >= 0.0
+    foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
+    out = P, h2, h2 + foot2, far2
+    mesh._cache["in_plane"] = (center.copy(), out)
+    return out
+
+
+def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
     """Each triangle's integral over each shell between consecutive radii.
 
     Returns a (K, T) array for K radii and T mesh triangles: row k holds the
-    integral of ``integrand(points, owner_triangles)`` (plain area when None)
-    over ``radii[k-1] <= |x - center| < radii[k]``, with ``radii[-1] = 0``,
-    so cumulative row sums are ball integrals.  ``radii`` must be strictly
-    increasing; a last radius of ``np.inf`` takes in the whole mesh.
-    ``refine`` uniformly splits every triangle that many times first (used
-    for error estimates).
+    integral of ``kind`` (see ``KINDS``) over ``radii[k-1] <= |x - center| <
+    radii[k]``, with ``radii[-1] = 0``, so cumulative row sums are ball
+    integrals.  ``radii`` must be strictly increasing; a last radius of
+    ``np.inf`` takes in the whole mesh.  The inverse power's first row is
+    ``inf`` on triangles that contain ``center``.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown integrand kind {kind!r}; expected one of "
+                         f"{', '.join(KINDS)}")
     c = np.asarray(center, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if (radii.ndim != 1 or len(radii) == 0 or not radii[0] >= 0
             or not np.all(np.diff(radii) > 0)):
         raise ValueError("radii must be a nonempty, strictly increasing "
                          "sequence of nonnegative radii")
-    r2 = radii**2
-    K = len(radii)
-
-    def shell_of(points):
-        # d^2 < r^2 is inside the ball of radius r; K means outside them all
-        return np.searchsorted(r2, ((points - c) ** 2).sum(axis=-1),
-                               side="right")
-
-    mesh_corners = mesh.corners()
-    T = len(mesh_corners)
-    out = np.zeros((K, T))
-    for lo in range(0, T, _BLOCK_TRIANGLES):
-        hi = min(lo + _BLOCK_TRIANGLES, T)
-        corners, owners = mesh_corners[lo:hi], np.arange(lo, hi)
-        for _ in range(refine):
-            corners, owners = split4(corners, owners)
-        for level in range(cut_depth + 1):
-            shell = shell_of(corners.mean(axis=1))
-            if level == cut_depth:
-                done = np.ones(len(corners), dtype=bool)
-            else:
-                done = (shell_of(corners) == shell[:, None]).all(axis=1)
-            take = done & (shell < K)
-            if take.any():
-                vals = _rule_values(corners[take], owners[take], integrand)
-                out[:, lo:hi] += np.bincount(
-                    shell[take] * (hi - lo) + owners[take] - lo, weights=vals,
-                    minlength=K * (hi - lo),
-                ).reshape(K, hi - lo)
-            corners, owners = split4(corners[~done], owners[~done])
-            if len(corners) == 0:
-                break
-    return out
+    P, h2, near2, far2 = _in_plane(mesh, c)
+    whole = _fan_integrals(kind, P, h2)
+    balls = np.zeros((len(radii), len(P)))
+    for k, r2 in enumerate(radii**2):
+        inside = far2 <= r2
+        balls[k, inside] = whole[inside]
+        cut = (near2 < r2) & ~inside
+        balls[k, cut] = _fan_integrals(kind, P[cut], h2[cut], r2 - h2[cut])
+    # balls are finite, so a triangle inside two of them adds exactly 0 to
+    # the shell between; the inverse power diverges only in the first ball
+    shells = np.diff(balls, axis=0, prepend=0.0)
+    if kind == "inverse_power":
+        shells[0, near2 == 0.0] = np.inf
+    return shells
 
 
-def integrate_with_error(
-    mesh,
-    center,
-    radius: float,
-    integrand=None,
-    cut_depth: int = DEFAULT_CUT_DEPTH,
-):
-    """(value, error) over the ball |x - center| < radius.
-
-    The value uses one uniform refinement beyond the base pass and the error
-    is a third of what that refinement changed.  ``radius = np.inf``
-    integrates over the whole mesh.
-    """
-    coarse = float(radial_integrals(mesh, center, [radius], integrand,
-                                    cut_depth).sum())
-    fine = float(radial_integrals(mesh, center, [radius], integrand,
-                                  cut_depth, refine=1).sum())
-    err = abs(fine - coarse) / 3.0 + 1e-15 * abs(fine)
-    return fine, err
+def integrate_with_error(mesh, center, radius: float, kind: str):
+    """(value, roundoff error) of ``kind`` over the ball |x - center| <
+    radius; ``radius = np.inf`` integrates over the whole mesh."""
+    value = float(radial_integrals(mesh, center, [radius], kind).sum())
+    return value, _ROUNDOFF * abs(value)

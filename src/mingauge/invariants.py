@@ -47,31 +47,6 @@ def sphere_area(p: int) -> float:
     return 2.0 * pi ** (p / 2.0) / gamma(p / 2.0)
 
 
-def defect_integrand(mesh: SimplicialSurface, center, p: int = 2):
-    """|normal part|^2 / |x - center|^(p + 2), vectorized over points."""
-    c = np.asarray(center, dtype=float)
-
-    def f(points, owners):
-        _, nor = decompose_radial(points, c, mesh.frames()[owners],
-                                  check=False)
-        x = points - c
-        r2 = np.sum(x * x, axis=1)
-        return np.sum(nor * nor, axis=1) / r2 ** ((p + 2) / 2.0)
-
-    return f
-
-
-def inverse_power_integrand(center, p: int = 2):
-    """|x - center|^(-p), vectorized over points."""
-    c = np.asarray(center, dtype=float)
-
-    def f(points, owners):
-        r2 = np.sum((points - c) ** 2, axis=1)
-        return r2 ** (-p / 2.0)
-
-    return f
-
-
 # --------------------------------------------------------------------------
 # sphere flux
 
@@ -106,6 +81,16 @@ class FluxProfile:
     def empty_levels(self) -> np.ndarray:
         """Levels where the sphere missed the mesh (flux recorded as 0)."""
         return self.curve_lengths == 0.0
+
+    def at(self, levels) -> "FluxProfile":
+        """The profile restricted to ``levels``, each one traced here."""
+        levels = np.atleast_1d(np.asarray(levels, dtype=float))
+        idx = np.minimum(np.searchsorted(self.levels, levels),
+                         len(self.levels) - 1)
+        if not np.array_equal(self.levels[idx], levels):
+            raise ValueError("flux profile lacks a requested level")
+        return FluxProfile(levels, self.raw[idx], self.errors[idx],
+                           self.curve_lengths[idx], self.p, self.center)
 
 
 def _curve_flux(mesh, curve, center):
@@ -158,6 +143,14 @@ def flux_profile(mesh: SimplicialSurface, center, levels, p: int = 2) -> FluxPro
     return FluxProfile(levels, raw, errors, lengths, p, center)
 
 
+def _flux_at(mesh, center, levels, profile: FluxProfile | None, p: int = 2):
+    """The flux at ``levels``: looked up in ``profile`` when one is given,
+    so a report traces each level once, else traced here."""
+    if profile is None:
+        return flux_profile(mesh, center, levels, p)
+    return profile.at(levels)
+
+
 def max_safe_radius(mesh: SimplicialSurface, center, margin: float = 0.98) -> float:
     """Largest |x - center| radius guaranteed covered by the truncated mesh."""
     center = np.asarray(center, dtype=float)
@@ -183,26 +176,30 @@ def level_grid(mesh: SimplicialSurface, center, count: int = 24,
 # headline invariants
 
 
-def projective_volume(mesh: SimplicialSurface, center, p: int = 2,
-                      levels=None, num_levels: int = 24,
-                      cut_depth: int = 5, num_fit: int = 6) -> dict:
+def projective_volume(mesh: SimplicialSurface, center, levels=None,
+                      num_levels: int = 24, num_fit: int = 6,
+                      profile: FluxProfile | None = None) -> dict:
     """Projective volume via two routes: flux limit and log-growth slope.
 
     Route one extrapolates the normalized flux to infinite radius with the
     tail model V - b/t - c/t^2 fitted over the outer half of the sweep
     (plane-like ends decay as 1/t^2, curved graphs as 1/t).  Route two fits
-    integral(|x - a|^(-p)) against log(radius) and reads off the slope.
+    integral(|x - a|^(-2)) against log(radius) and reads off the slope; from
+    a base on the surface that integral diverges, so it is anchored at the
+    first fit level instead (the slope ignores the constant).  ``profile``, a
+    flux sweep already traced, replaces ``levels``.
     Disagreement between the routes, or a bad tail fit, folds into the error;
     past 10% the estimate is flagged as truncation-limited (the surface may
     have unbounded density, or the mesh may simply be cut too soon).
     """
     center = np.asarray(center, dtype=float)
-    if levels is None:
-        levels = level_grid(mesh, center, num_levels)
-    levels = np.asarray(levels, dtype=float)
-    profile = flux_profile(mesh, center, levels, p)
+    if profile is None:
+        if levels is None:
+            levels = level_grid(mesh, center, num_levels)
+        profile = flux_profile(mesh, center, np.asarray(levels, dtype=float))
+    levels = profile.levels
     flux_at_rim = float(profile.normalized[-1])
-    quad_err = float(profile.errors[-1] / levels[-1] ** p)
+    quad_err = float(profile.errors[-1] / levels[-1] ** 2)
 
     tail = levels >= np.sqrt(levels[0] * levels[-1])
     ts, ys = levels[tail], profile.normalized[tail]
@@ -212,9 +209,11 @@ def projective_volume(mesh: SimplicialSurface, center, p: int = 2,
     fit_rms = float(np.sqrt(np.mean((basis @ coef - ys) ** 2)))
 
     fit_levels = ts[np.unique(np.linspace(0, len(ts) - 1, num_fit).astype(int))]
-    log_integrals = np.cumsum(radial_integrals(
-        mesh, center, fit_levels, inverse_power_integrand(center, p),
-        cut_depth).sum(axis=1))
+    shells = radial_integrals(mesh, center, fit_levels,
+                              "inverse_power").sum(axis=1)
+    if not np.isfinite(shells[0]):
+        shells[0] = 0.0
+    log_integrals = np.cumsum(shells)
     slope = float(np.polyfit(np.log(fit_levels), log_integrals, 1)[0])
 
     disagreement = abs(value - slope)
@@ -236,20 +235,20 @@ def projective_volume(mesh: SimplicialSurface, center, p: int = 2,
 
 
 def radial_defect(mesh: SimplicialSurface, center, radius: float | None = None,
-                  p: int = 2, cut_depth: int = 6) -> dict:
+                  profile: FluxProfile | None = None) -> dict:
     """Defect integral over the ball |x - center| < radius, with error bar.
 
-    The error combines a mesh-refinement estimate with a tail proxy: the
-    measured drop of the normalized flux over the outer half of the range,
-    which scales like the part of the integral lost to truncation.
+    The integral is exact on the flat mesh, so the error is a tail proxy plus
+    roundoff: the measured drop of the normalized flux over the outer half of
+    the range, which scales like the part of the integral lost to
+    truncation.  ``profile`` supplies that flux when it is already traced.
     """
     center = np.asarray(center, dtype=float)
     if radius is None:
         radius = max_safe_radius(mesh, center)
-    value, err = integrate_with_error(
-        mesh, center, radius, defect_integrand(mesh, center, p), cut_depth)
-    prof = flux_profile(mesh, center, [radius / 2.0, radius], p)
-    tail = abs(prof.normalized[1] - prof.normalized[0]) / p
+    value, err = integrate_with_error(mesh, center, radius, "defect")
+    prof = _flux_at(mesh, center, [radius / 2.0, radius], profile)
+    tail = abs(prof.normalized[1] - prof.normalized[0]) / 2
     return {
         "value": float(value),
         "method": "direct_quadrature",
@@ -340,21 +339,18 @@ def check_monotonicity(profile: FluxProfile, tol: float = 1e-3) -> dict:
 
 
 def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
-                              t_hi: float, p: int = 2, tol: float = 2e-2,
-                              cut_depth: int = 6) -> dict:
-    """Flux increment across a shell equals p times the defect inside it.
+                              t_hi: float, tol: float = 2e-2,
+                              profile: FluxProfile | None = None) -> dict:
+    """Flux increment across a shell equals twice the defect inside it.
 
-    Left side: curve integrals on the two spheres.  Right side: region
-    quadrature of the defect integrand over the shell.  These share no
-    discretization machinery beyond the mesh itself.
+    Left side: curve integrals on the two spheres (looked up in ``profile``
+    when given).  Right side: the defect integral over the shell.  These
+    share no discretization machinery beyond the mesh itself.
     """
     center = np.asarray(center, dtype=float)
-    prof = flux_profile(mesh, center, [t_lo, t_hi], p)
+    prof = _flux_at(mesh, center, [t_lo, t_hi], profile)
     lhs = float(prof.normalized[1] - prof.normalized[0])
-    rhs = p * radial_integrals(
-        mesh, center, [t_lo, t_hi], defect_integrand(mesh, center, p),
-        cut_depth,
-    )[1].sum()
+    rhs = 2 * radial_integrals(mesh, center, [t_lo, t_hi], "defect")[1].sum()
     gap = _gap(lhs, rhs)
     return {"passed": bool(gap <= tol), "lhs": lhs, "rhs": float(rhs),
             "rel_gap": gap, "tol": tol, "t_lo": float(t_lo),
@@ -421,8 +417,7 @@ def preimage_count_residual(volume: float, defect: float, preimages: int,
 
 
 def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
-                          r_hi: float, p: int = 2, slack: float = 5e-3,
-                          cut_depth: int = 6) -> dict:
+                          r_hi: float, p: int = 2, slack: float = 5e-3) -> dict:
     """Any component crossing the whole shell has area >= the width bound.
 
     The bound is sphere_area(p)/p * ((r_hi - r_lo)/2)^p.  Components are
@@ -444,8 +439,7 @@ def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
     if not crossing:
         return {"applicable": False, "passed": True, "bound": float(bound),
                 "areas": [], "num_crossing": 0}
-    shell_area = radial_integrals(mesh, center, [r_lo, r_hi], None,
-                                  cut_depth)[1]
+    shell_area = radial_integrals(mesh, center, [r_lo, r_hi])[1]
     sel = labels >= 0
     comp_area = np.bincount(labels[sel], weights=shell_area[sel],
                             minlength=count)
@@ -462,13 +456,14 @@ def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
 
 def check_density_identity(mesh: SimplicialSurface, center, levels,
                            boundary: dict, p: int = 2, tol: float = 1e-2,
-                           cut_depth: int = 6) -> dict:
+                           profile: FluxProfile | None = None) -> dict:
     """p * area inside each sphere equals the raw flux through it.
 
     Holds for any base point provided the surface has no genuine boundary
     inside the largest ball; ``boundary`` is the ``boundary_constant``
     estimate within that ball, and if it counts any edge the check refuses
-    to run.  Reports the worst relative residual over the level sweep.
+    to run.  Reports the worst relative residual over the level sweep;
+    ``profile`` supplies the flux when it is already traced.
     """
     center = np.asarray(center, dtype=float)
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
@@ -477,9 +472,8 @@ def check_density_identity(mesh: SimplicialSurface, center, levels,
             "surface has genuine boundary inside the ball; the area-flux "
             "identity does not apply"
         )
-    prof = flux_profile(mesh, center, levels, p)
-    areas = np.cumsum(radial_integrals(mesh, center, levels, None,
-                                       cut_depth).sum(axis=1))
+    prof = _flux_at(mesh, center, levels, profile, p)
+    areas = np.cumsum(radial_integrals(mesh, center, levels).sum(axis=1))
     residuals = np.array([_gap(p * area, float(raw))
                           for area, raw in zip(areas, prof.raw)])
     worst = int(np.argmax(residuals))

@@ -54,6 +54,7 @@ from .invariants import (
     check_density_identity,
     check_flux_shell_identity,
     check_monotonicity,
+    flux_profile,
     level_grid,
     max_safe_radius,
     on_surface_multiplicity,
@@ -336,9 +337,16 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     ))
 
     # -- flux sweep and monotonicity ---------------------------------------
+    # every level any estimate or check reads the flux at is traced once:
+    # the sweep, the defect's tail level r_hi / 2, the density levels and
+    # the shell's outer level
     r_hi = max_safe_radius(mesh, base)
     levels = level_grid(mesh, base, config.num_levels)
-    vol = projective_volume(mesh, base, levels=levels)
+    density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
+    shell_hi = 0.7 * r_hi
+    flux = flux_profile(mesh, base, np.union1d(
+        levels, [*density_levels, shell_hi]))
+    vol = projective_volume(mesh, base, profile=flux.at(levels))
     profile = vol["profile"]
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
         sweeps.append(("flux_normalized", float(t),
@@ -393,7 +401,7 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     ))
 
     # -- radial defect and boundary term ------------------------------------
-    q = radial_defect(mesh, base, r_hi)
+    q = radial_defect(mesh, base, r_hi, profile=flux)
     estimates.append({
         "quantity": "radial_defect",
         "value": q["value"],
@@ -433,13 +441,13 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # near-critical for the restricted distance function (level curves run
     # almost tangent to the spheres there), so skip past them.
     d_min = float(np.linalg.norm(mesh.vertices - base, axis=1).min())
-    shell_hi = 0.7 * r_hi
     shell_lo = float(levels[0])
     if d_min > 1e-9:
         cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
         if cleared.size:
             shell_lo = float(cleared[0])
-    shell = check_flux_shell_identity(mesh, base, shell_lo, shell_hi)
+    shell = check_flux_shell_identity(mesh, base, shell_lo, shell_hi,
+                                      profile=flux)
     checks.append(_check(
         "flux_shell_identity",
         applicable=not control,
@@ -450,11 +458,11 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
                               "t_hi")),
     ))
 
-    # outer-band levels: small spheres cut slivers whose quadrature error
-    # swamps the (tiny) area and flux values being compared
-    density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
+    # outer-band levels (density_levels above): at small spheres the (tiny)
+    # area and flux values being compared are swamped by discretization error
     try:
-        dens = check_density_identity(mesh, base, density_levels, bnd)
+        dens = check_density_identity(mesh, base, density_levels, bnd,
+                                      profile=flux)
         checks.append(_check(
             "density_identity",
             applicable=not control,

@@ -188,8 +188,7 @@ def test_criterion_06_band_area_bound(default):
     for _ in range(10):
         lo = rng.uniform(0.15, 0.55) * r_hi
         hi = min(lo + rng.uniform(0.15, 0.4) * r_hi, 0.95 * r_hi)
-        out = check_band_area_bound(spec.mesh, spec.base_point, lo, hi,
-                                    cut_depth=5)
+        out = check_band_area_bound(spec.mesh, spec.base_point, lo, hi)
         assert out["applicable"], "band drew no crossing component"
         ratios.append(out["min_ratio"])
     bands_ok = min(ratios) >= 1.0

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mingauge.catalog import catalog_names
 from mingauge.errors import DegenerateChartError, InvalidFrameError, MeshTopologyError
 from mingauge.geometry import (
     ImmersionChart,
@@ -15,6 +16,9 @@ from mingauge.geometry import (
     polar_disk_mesh,
     radial_integrals,
 )
+from mingauge.geometry.quadrature import KINDS
+from mingauge.invariants import max_safe_radius
+from quadrature_oracle import cut_cell_integrals, cut_cell_shells, integrand_of
 
 
 def catenoid_chart(c=1.0, u_max=2.0):
@@ -206,6 +210,82 @@ def test_radial_integrals_rejects_radii_not_increasing(radii):
     mesh = flat_disk(radius=1.0, rings=6, sectors=12)
     with pytest.raises(ValueError, match="strictly increasing"):
         radial_integrals(mesh, np.zeros(3), radii)
+
+
+# offset plane z = 0 seen from (0, 0, 1): the ball |x - a| < R cuts the disk
+# rho < sqrt(R^2 - 1), over which area, |x - a|^-2 and the defect integrate
+# to these closed forms; a ball with R <= 1 misses the plane
+OFFSET_PLANE = {
+    "area": lambda R: np.pi * (R * R - 1.0),
+    "inverse_power": lambda R: np.pi * np.log(R * R),
+    "defect": lambda R: np.pi * (1.0 - 1.0 / (R * R)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFFSET_PLANE))
+def test_radial_integrals_offset_plane_closed_forms(kind):
+    mesh = flat_disk(radius=60.0, rings=24, sectors=48)
+    radii = [0.5, 1.0, 1.7, 5.0, 40.0]
+    balls = np.cumsum(radial_integrals(mesh, np.array([0.0, 0.0, 1.0]), radii,
+                                       kind).sum(axis=1))
+    exact = [max(OFFSET_PLANE[kind](R), 0.0) for R in radii]
+    np.testing.assert_allclose(balls, exact, rtol=1e-12, atol=1e-12)
+    assert balls[0] == 0.0 and balls[1] == 0.0
+
+
+def test_radial_integrals_base_in_the_plane():
+    # from a base on the plane the heights are 0: area pi R^2, no defect,
+    # and 1/|x|^2 has shells 2 pi log(R_k / R_k-1) but a divergent first ball
+    mesh = flat_disk(radius=60.0, rings=24, sectors=48)
+    radii = np.array([1.7, 5.0, 40.0])
+    center = np.array([0.3, -0.2, 0.0])
+    area, inverse, defect = (radial_integrals(mesh, center, radii, kind)
+                             for kind in ("area", "inverse_power", "defect"))
+    np.testing.assert_allclose(np.cumsum(area.sum(axis=1)), np.pi * radii**2,
+                               rtol=1e-12)
+    assert np.all(defect == 0.0)
+    assert np.isinf(inverse[0].sum())
+    np.testing.assert_allclose(inverse[1:].sum(axis=1),
+                               2 * np.pi * np.log(radii[1:] / radii[:-1]),
+                               rtol=1e-12)
+
+
+def test_radial_integrals_one_triangle_against_fine_subdivision():
+    # the first sphere pokes into the triangle without reaching a corner or
+    # the centroid, the second cuts two edges, the third holds it all;
+    # 65,536 subtriangles assigned by centroid agree to about 1e-4
+    tri = SimplicialSurface(
+        np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 0.1], [0.4, 1.7, -0.2]]),
+        np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]))
+    a = np.array([0.5, 0.2, 0.6])
+    radii = [0.7, 1.2, 3.0]
+    for kind in KINDS:
+        exact = radial_integrals(tri, a, radii, kind)[:, 0]
+        fine = cut_cell_integrals(tri, a, radii, integrand_of(kind, tri, a),
+                                  cut_depth=0, refine=8)[:, 0]
+        np.testing.assert_allclose(exact, fine, rtol=1e-3, err_msg=kind)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_radial_integrals_match_cut_cell_oracle(coarse, name):
+    # the oracle's centroid assignment converges unevenly: on the sphere its
+    # refined value is off by 2.7 times what the refinement changed, so the
+    # exact integrals must lie within 3 times that change
+    spec = coarse(name)
+    m, a = spec.mesh, spec.base_point
+    r = max_safe_radius(m, a)
+    radii = [0.3 * r, 0.6 * r, r]
+    for kind in KINDS:
+        exact = radial_integrals(m, a, radii, kind).sum(axis=1)
+        fine, change = cut_cell_shells(m, a, radii, integrand_of(kind, m, a))
+        assert np.all(np.abs(exact - fine)
+                      <= 3.0 * change + 1e-12 * np.abs(fine)), kind
+
+
+def test_radial_integrals_rejects_unknown_kind():
+    mesh = flat_disk(radius=1.0, rings=6, sectors=12)
+    with pytest.raises(ValueError, match="kind"):
+        radial_integrals(mesh, np.zeros(3), [1.0], "jacobian")
 
 
 # ---------------------------------------------------------------- levels

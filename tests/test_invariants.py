@@ -15,7 +15,12 @@ from scipy.optimize import brentq
 from mingauge import invariants as inv
 from mingauge.catalog import build_surface
 from mingauge.errors import IdentityNotApplicableError
-from mingauge.geometry import ImmersionChart, SimplicialSurface, mesh_from_chart
+from mingauge.geometry import (
+    ImmersionChart,
+    SimplicialSurface,
+    mesh_from_chart,
+    radial_integrals,
+)
 
 
 def test_sphere_area_values():
@@ -152,6 +157,41 @@ def test_defect_volume_identity_base_on_surface(coarse, name):
     # flux limits at the shared cut radius agreeing to discretization error
     shift = (off["lhs"] - out["lhs"]) / inv.sphere_area(2)
     assert abs(shift - 1.0) < 5e-2, shift
+
+
+# log-slope volume from the ON_SURFACE bases at coarse resolution under the
+# cut-cell quadrature the exact integrals replaced
+CUT_CELL_LOG_SLOPE = {
+    "enneper": 18.32028721823217,
+    "complex_parabola_r4": 12.410827011013673,
+    "catenoid": 12.552628730772533,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ON_SURFACE))
+def test_base_on_surface_star_has_no_defect(coarse, name):
+    # the base's own star lies in planes through it: heights there are
+    # roundoff, read as 0, so the defect integrand vanishes on the star
+    # instead of adding a spurious point mass of pi
+    mesh, base = coarse(name).mesh, np.array(ON_SURFACE[name])
+    dist = np.linalg.norm(mesh.vertices - base, axis=1)
+    star = (dist[mesh.triangles] <= 1e-9).any(axis=1)
+    assert star.sum() >= 3
+    per_triangle = radial_integrals(mesh, base,
+                                    [inv.max_safe_radius(mesh, base)],
+                                    "defect")[0]
+    assert abs(per_triangle[star].sum()) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(ON_SURFACE))
+def test_base_on_surface_log_slope_anchored(coarse, name):
+    # 1/|x - a|^2 diverges at an on-surface base; the fit anchors its
+    # integral at the first fit level, which leaves the slope unchanged
+    spec = coarse(name)
+    out = inv.projective_volume(spec.mesh, np.array(ON_SURFACE[name]))
+    assert out["log_integrals"][0] == 0.0
+    assert np.all(np.isfinite(out["log_integrals"]))
+    assert abs(out["slope_estimate"] - CUT_CELL_LOG_SLOPE[name]) <= out["error"]
 
 
 def test_boundary_constant_oracle_and_identity():

@@ -302,7 +302,7 @@ def test_report_estimates_each_quantity_once(monkeypatch):
         "surface": {"name": "catenoid", "resolution": "coarse"},
     }))
     assert calls["radial_defect"] == 1
-    assert calls["flux_profile"] == 4
+    assert calls["flux_profile"] == 1
     assert calls["boundary_constant"] == 1
     defect = next(e for e in report["estimates"]
                   if e["quantity"] == "radial_defect")
