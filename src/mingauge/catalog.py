@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateChartError, MeshTopologyError
 from .geometry import (
     ImmersionChart,
     SimplicialSurface,
-    geometric_radii,
     icosphere,
     mesh_from_chart,
     orthonormal_frame,
@@ -230,6 +229,16 @@ _DEFAULT_PARAMS = {
 }
 
 
+def _polar_radii(res, r_outer: float) -> np.ndarray:
+    """Ring radii of a polar preset whose grid fits the disk."""
+    if res["sectors"] < 3:
+        raise ConfigError("surface.resolution.sectors", "must be at least 3")
+    if not 0 < res["r_inner"] < r_outer:
+        raise ConfigError("surface.resolution.r_inner",
+                          f"must lie in (0, {r_outer:.6g})")
+    return np.geomspace(res["r_inner"], r_outer, res["rings"])
+
+
 def _build_plane(params, res):
     h = float(params["offset"])
     r_max = float(params["r_max"])
@@ -243,7 +252,7 @@ def _build_plane(params, res):
              np.full_like(np.asarray(rho, float), h)], axis=-1
         )
 
-    radii = geometric_radii(res["r_inner"], disk_r, res["rings"])
+    radii = _polar_radii(res, disk_r)
     mesh = polar_disk_mesh(pt, radii, res["sectors"],
                            truncation_radius=r_max, name="plane")
     return SurfaceSpec(
@@ -282,8 +291,9 @@ def _build_catenoid(params, res):
         raise ConfigError("surface.params.r_max", "must exceed 2c")
     u_hi = catenoid_u_max(c, r_max)
     u_lo = -u_hi if params.get("u_min") is None else float(params["u_min"])
-    if u_lo >= u_hi:
-        raise ConfigError("surface.params.u_min", "must be below the top rim")
+    if not -u_hi <= u_lo < u_hi:  # below the top rim, inside the ball
+        raise ConfigError("surface.params.u_min", "must lie in [-u_max, "
+                          f"u_max) = [{-u_hi:.6g}, {u_hi:.6g})")
     chart = catenoid_chart(c, u_lo, u_hi)
     mesh = mesh_from_chart(chart, (res["nu"], res["nv"]), truncation_radius=r_max)
     one_sided = params.get("u_min") is not None
@@ -322,7 +332,7 @@ def _build_enneper(params, res):
     def pt(rho, phi):
         return enneper_point(rho * np.cos(phi), rho * np.sin(phi))
 
-    radii = geometric_radii(res["r_inner"], rho_max, res["rings"])
+    radii = _polar_radii(res, rho_max)
     mesh = polar_disk_mesh(pt, radii, res["sectors"],
                            truncation_radius=r_max, name="enneper")
     return SurfaceSpec(
@@ -388,7 +398,7 @@ def _build_complex_parabola(params, res):
     def pt(rho, phi):
         return complex_parabola_point(rho * np.cos(phi), rho * np.sin(phi))
 
-    radii = geometric_radii(res["r_inner"], rho_max, res["rings"])
+    radii = _polar_radii(res, rho_max)
     mesh = polar_disk_mesh(pt, radii, res["sectors"],
                            truncation_radius=r_max, name="complex_parabola_r4")
     return SurfaceSpec(
@@ -448,6 +458,11 @@ def build_surface(name: str, params: dict | None = None,
         if unknown:
             raise ConfigError(f"surface.params.{sorted(unknown)[0]}",
                               "unknown parameter")
+        for key, value in params.items():  # a point or a number
+            if np.shape(value) != np.shape(p[key]):
+                raise ConfigError(f"surface.params.{key}", "must be a number"
+                                  if np.ndim(p[key]) == 0 else
+                                  f"must be a list of {len(p[key])} numbers")
         p.update(params)
     if isinstance(resolution, str):
         if resolution not in _RESOLUTIONS[name]:
@@ -461,7 +476,11 @@ def build_surface(name: str, params: dict | None = None,
             raise ConfigError(f"surface.resolution.{sorted(unknown)[0]}",
                               "unknown field")
         res.update(resolution)
-    spec = _BUILDERS[name](p, res)
+    try:
+        spec = _BUILDERS[name](p, res)
+    except (MeshTopologyError, DegenerateChartError) as exc:
+        # parameters that pass the checks above but still give a broken mesh
+        raise ConfigError("surface", f"cannot build '{name}': {exc}") from exc
     spec.targets = dict(spec.targets)
     return spec
 

@@ -8,7 +8,6 @@ from .types import (
     triangle_areas,
 )
 from .meshing import (
-    geometric_radii,
     icosphere,
     mesh_from_chart,
     polar_disk_mesh,
@@ -23,7 +22,6 @@ __all__ = [
     "SimplicialSurface",
     "check_frame",
     "decompose_radial",
-    "geometric_radii",
     "icosphere",
     "integrate_with_error",
     "level_polyline",

@@ -61,8 +61,11 @@ def level_polyline(
     rows = np.repeat(np.arange(m), 2)
     ev0 = edge_v0[rows, pair_pos.ravel()]
     ev1 = edge_v1[rows, pair_pos.ravel()]
-    ekeys = np.stack([np.minimum(ev0, ev1), np.maximum(ev0, ev1)], axis=1)
-    uniq, inverse = np.unique(ekeys, axis=0, return_inverse=True)
+    # group by the edge code lo * (V + 1) + hi, which sorts like (lo, hi)
+    base = len(mesh.vertices) + 1
+    codes, inverse = np.unique(np.minimum(ev0, ev1) * base
+                               + np.maximum(ev0, ev1), return_inverse=True)
+    uniq = np.stack([codes // base, codes % base], axis=1)
     seg_nodes = inverse.reshape(m, 2)        # two curve nodes per triangle
 
     # One interpolated + sphere-projected point per crossed edge.

@@ -1,4 +1,8 @@
-"""Mesh generators: chart grids, polar disks, tubes, icospheres."""
+"""Mesh generators: chart grids, polar disks, tubes, icospheres.
+
+Grid and polar-disk triangles come from index arithmetic on the cells; the
+boundary is left to ``SimplicialSurface``, which takes it from its edge table.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -9,44 +13,28 @@ from .types import ImmersionChart, SimplicialSurface
 DEGENERACY_TOL = 1e-12
 
 
-def _boundary_from_triangles(triangles: np.ndarray) -> np.ndarray:
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    edges.sort(axis=1)
-    keys, counts = np.unique(edges, axis=0, return_counts=True)
-    return keys[counts == 1]
-
-
 def _grid_triangles(nu: int, nv: int, wrap_v: bool) -> np.ndarray:
-    """Triangulate an (nu+1) x (nv or nv+1) vertex grid with alternating diagonals."""
+    """Triangulate an (nu+1) x (nv or nv+1) vertex grid with alternating diagonals.
+
+    Cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1),
+    d = (i, j+1) and gives (a, b, c), (a, c, d) when i + j is even, else
+    (a, b, d), (b, c, d); cells follow in row-major order.
+    """
     cols = nv if wrap_v else nv + 1
-
-    def vid(i, j):
-        return i * cols + (j % cols if wrap_v else j)
-
-    tris = []
-    for i in range(nu):
-        for j in range(nv):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-    return np.asarray(tris, dtype=np.int64)
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    j1 = (j + 1) % cols
+    a, b = i * cols + j, (i + 1) * cols + j
+    c, d = (i + 1) * cols + j1, i * cols + j1
+    even = (i + j) % 2 == 0
+    first = np.stack([a, b, np.where(even, c, d)], axis=-1)
+    second = np.stack([np.where(even, a, b), c, d], axis=-1)
+    return np.stack([first, second], axis=-2).reshape(-1, 3)
 
 
 def mesh_from_chart(
     chart: ImmersionChart,
     resolution: tuple[int, int],
     truncation_radius: float | None = None,
-    u_values: np.ndarray | None = None,
-    v_values: np.ndarray | None = None,
 ) -> SimplicialSurface:
     """Sample a chart on a structured grid and triangulate it.
 
@@ -58,10 +46,8 @@ def mesh_from_chart(
     if nu < 1 or nv < 1:
         raise ValueError("resolution must be at least (1, 1)")
     u0, u1, v0, v1 = chart.domain
-    if u_values is None:
-        u_values = np.linspace(u0, u1, nu + 1)
-    if v_values is None:
-        v_values = np.linspace(v0, v1, nv + 1)
+    u_values = np.linspace(u0, u1, nu + 1)
+    v_values = np.linspace(v0, v1, nv + 1)
     uu, vv = np.meshgrid(u_values, v_values, indexing="ij")
 
     E, F, G = chart.first_form(uu, vv)
@@ -83,7 +69,6 @@ def mesh_from_chart(
     return SimplicialSurface(
         vertices=verts,
         triangles=tris,
-        boundary_edges=_boundary_from_triangles(tris),
         truncation_radius=truncation_radius,
         name=chart.name,
     )
@@ -112,35 +97,25 @@ def polar_disk_mesh(
     center = np.asarray(point_fn(np.zeros(1), np.zeros(1)), dtype=float).reshape(1, -1)
     verts = np.concatenate([center, ring_pts])
 
-    def vid(ring, j):
-        return 1 + ring * sectors + (j % sectors)
-
-    tris = []
-    for j in range(sectors):  # central fan
-        tris.append((0, vid(0, j), vid(0, j + 1)))
-    for r in range(len(radii) - 1):
-        for j in range(sectors):
-            a, b = vid(r, j), vid(r, j + 1)
-            c, d = vid(r + 1, j), vid(r + 1, j + 1)
-            if (r + j) % 2 == 0:
-                tris.append((a, c, d))
-                tris.append((a, d, b))
-            else:
-                tris.append((a, c, b))
-                tris.append((c, d, b))
-    tris = np.asarray(tris, dtype=np.int64)
+    # central fan (0, (0, j), (0, j+1)), then ring cells r = 0 .. R-2 with
+    # a = (r, j), b = (r, j+1), c = (r+1, j), d = (r+1, j+1), giving
+    # (a, c, d), (a, d, b) when r + j is even, else (a, c, b), (c, d, b)
+    j = np.arange(sectors)
+    fan = np.stack([np.zeros_like(j), 1 + j, 1 + (j + 1) % sectors], axis=-1)
+    r, j = np.meshgrid(np.arange(len(radii) - 1), j, indexing="ij")
+    a, b = 1 + r * sectors + j, 1 + r * sectors + (j + 1) % sectors
+    c, d = a + sectors, b + sectors
+    even = (r + j) % 2 == 0
+    first = np.stack([a, c, np.where(even, d, b)], axis=-1)
+    second = np.stack([np.where(even, a, c), d, b], axis=-1)
+    cells = np.stack([first, second], axis=-2).reshape(-1, 3)
+    tris = np.concatenate([fan, cells])
     return SimplicialSurface(
         vertices=verts,
         triangles=tris,
-        boundary_edges=_boundary_from_triangles(tris),
         truncation_radius=truncation_radius,
         name=name,
     )
-
-
-def geometric_radii(r_inner: float, r_outer: float, rings: int) -> np.ndarray:
-    """Ring radii growing geometrically from r_inner to r_outer."""
-    return np.geomspace(r_inner, r_outer, rings)
 
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0
@@ -195,7 +170,6 @@ def icosphere(
     return SimplicialSurface(
         vertices=verts,
         triangles=faces,
-        boundary_edges=np.zeros((0, 2), dtype=np.int64),
         truncation_radius=None,
         name=name,
     )

@@ -70,14 +70,16 @@ class SimplicialSurface:
 
     vertices         (V, n) float64 coordinates
     triangles        (T, 3) int vertex indices
-    boundary_edges   (B, 2) int vertex index pairs lying on the mesh boundary
+    boundary_edges   (B, 2) the edges used by one triangle, as sorted vertex
+                     pairs in lexicographic order; None takes them from the
+                     triangles, and a declared set (any order) is checked
     truncation_radius  |x| at which an unbounded surface was cut off, or None
     name             free-form label used in reports
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
+    boundary_edges: np.ndarray | None = None
     truncation_radius: float | None = None
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -85,8 +87,6 @@ class SimplicialSurface:
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        be = np.asarray(self.boundary_edges, dtype=np.int64)
-        self.boundary_edges = be.reshape(-1, 2)
         if self.vertices.ndim != 2:
             raise MeshTopologyError("vertices must be (V, n)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -133,45 +133,50 @@ class SimplicialSurface:
         return self._cache["frames"]
 
     def edge_table(self):
-        """Map undirected edge -> array of adjacent triangle indices."""
+        """``(keys, starts, counts, owner)``: the distinct edges as sorted
+        pairs in lexicographic order; edge k is used by the triangles
+        ``owner[starts[k]:starts[k] + counts[k]]``, in ascending order.
+        Edges are grouped by the int64 code lo * (V + 1) + hi.
+        """
         if "edge_table" not in self._cache:
             tri = self.triangles
-            e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-            e.sort(axis=1)
-            owner = np.tile(np.arange(len(tri)), 3)
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            e, owner = e[order], owner[order]
-            keys, starts = np.unique(e, axis=0, return_index=True)
-            counts = np.diff(np.append(starts, len(e)))
+            nxt = np.roll(tri, -1, axis=1)  # sides (0, 1), (1, 2), (2, 0)
+            lo = np.minimum(tri, nxt).T.ravel()
+            hi = np.maximum(tri, nxt).T.ravel()
+            code = lo * (len(self.vertices) + 1) + hi
+            order = np.argsort(code, kind="stable")
+            starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+            keys = np.stack([lo[order[starts]], hi[order[starts]]], axis=1)
+            counts = np.diff(np.append(starts, len(code)))
+            owner = order % len(tri)
             self._cache["edge_table"] = (keys, starts, counts, owner)
         return self._cache["edge_table"]
 
     def interior_edge_pairs(self):
         """(E, 2) triangle index pairs sharing an interior edge, plus the edges."""
-        keys, starts, counts, owner = self.edge_table()
-        two = counts == 2
-        i0 = starts[two]
-        pairs = np.stack([owner[i0], owner[i0 + 1]], axis=1)
-        return keys[two], pairs
+        if "interior_edge_pairs" not in self._cache:
+            keys, starts, counts, owner = self.edge_table()
+            two = counts == 2
+            i0 = starts[two]
+            pairs = np.stack([owner[i0], owner[i0 + 1]], axis=1)
+            self._cache["interior_edge_pairs"] = (keys[two], pairs)
+        return self._cache["interior_edge_pairs"]
 
     def _check_edges(self):
-        keys, starts, counts, owner = self.edge_table()
+        """Reject an edge of more than two triangles, or a declared boundary
+        other than the edges used once; keep the boundary as those edges."""
+        keys, _, counts, _ = self.edge_table()
         if counts.size and counts.max() > 2:
             raise MeshTopologyError("an edge is shared by more than two triangles")
-        if len(self.boundary_edges):
-            be = np.sort(self.boundary_edges, axis=1)
-            # every declared boundary edge must be a mesh edge used exactly once
-            idx = _rows_lookup(keys, be)
-            if np.any(idx < 0):
-                raise MeshTopologyError("boundary edge not present in triangulation")
-            if np.any(counts[idx] != 1):
-                raise MeshTopologyError("declared boundary edge is interior")
-        # and conversely: every once-used edge should be declared
-        n_single = int(np.sum(counts == 1))
-        if n_single != len(self.boundary_edges):
-            raise MeshTopologyError(
-                f"mesh has {n_single} boundary edges but {len(self.boundary_edges)} declared"
-            )
+        single = keys[counts == 1]
+        if self.boundary_edges is not None:
+            be = np.sort(np.asarray(self.boundary_edges, dtype=np.int64)
+                         .reshape(-1, 2), axis=1)
+            if not np.array_equal(be[np.lexsort((be[:, 1], be[:, 0]))], single):
+                raise MeshTopologyError(
+                    f"declared boundary ({len(be)} edges) is not the set of "
+                    f"{len(single)} edges used by one triangle")
+        self.boundary_edges = single
 
     @property
     def ambient_dim(self) -> int:
@@ -253,18 +258,3 @@ class LevelCurve:
             if cl:
                 out += float(np.linalg.norm(pts[0] - pts[-1]))
         return out
-
-
-def _rows_lookup(sorted_rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Indices of ``queries`` rows inside lexsorted ``sorted_rows`` (-1 if absent)."""
-    if len(sorted_rows) == 0:
-        return -np.ones(len(queries), dtype=np.int64)
-    # encode pairs as single integers for searchsorted
-    m = max(int(sorted_rows.max()), int(queries.max()) if queries.size else 0) + 1
-    code_rows = sorted_rows[:, 0] * m + sorted_rows[:, 1]
-    code_q = queries[:, 0] * m + queries[:, 1]
-    pos = np.searchsorted(code_rows, code_q)
-    pos = np.clip(pos, 0, len(code_rows) - 1)
-    ok = code_rows[pos] == code_q
-    return np.where(ok, pos, -1)
-

@@ -34,7 +34,6 @@ from .geometry import (
     level_polyline,
     radial_integrals,
 )
-from .geometry.types import _rows_lookup
 from .ends import rim_vertex_mask, triangle_components
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss nodes on a segment
@@ -282,10 +281,10 @@ def boundary_constant(mesh: SimplicialSurface, center, p: int = 2,
     if len(edges) == 0:
         return {"value": 0.0, "error": 0.0, "num_edges": 0}
 
-    # owner triangle of each boundary edge (edges are used exactly once)
-    keys, starts, counts, owner = mesh.edge_table()
-    idx = _rows_lookup(keys, np.sort(edges, axis=1))
-    owners = owner[starts[idx]]
+    # owner triangle of each boundary edge: boundary_edges are the edge
+    # table's once-used keys, in its order
+    _, starts, counts, owner = mesh.edge_table()
+    owners = owner[starts[counts == 1][keep]]
 
     va = mesh.vertices[edges[:, 0]]
     vb = mesh.vertices[edges[:, 1]]

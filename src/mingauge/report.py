@@ -778,13 +778,11 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
     write_sweeps(sweeps, out_dir / "sweeps.csv")
 
     wall = time.perf_counter() - t0
-    import scipy
-
     log_lines = [
         f"mingauge {__version__}",
         f"python {platform.python_version()} ({sys.platform})",
         f"numpy {np.__version__}",
-        f"scipy {scipy.__version__}",
+        f"scipy {importlib.metadata.version('scipy')}",
         f"jsonschema {importlib.metadata.version('jsonschema')}",
         f"surface {config.surface_name}",
         f"seed {config.mc_seed if config.counting_enabled else 'none'}",

@@ -11,7 +11,7 @@ from mingauge.catalog import (
     spherical_region,
     verify_minimality,
 )
-from mingauge.errors import ConfigError
+from mingauge.errors import ConfigError, DegenerateChartError, MeshTopologyError
 from mingauge.geometry import radial_integrals
 
 MINIMAL_NAMES = ["plane", "catenoid", "enneper", "helicoid", "complex_parabola_r4"]
@@ -98,6 +98,17 @@ def test_bad_inputs_raise_config_errors():
         build_surface("plane", resolution="ultra")
     with pytest.raises(ConfigError):
         build_surface("plane", resolution={"bogus": 3})
+
+
+@pytest.mark.parametrize("name, params, cause", [
+    ("sphere", {"radius": 0.0}, MeshTopologyError),  # every triangle degenerate
+    ("helicoid", {"pitch": 1e-300}, DegenerateChartError),
+])
+def test_builder_mesh_errors_become_config_errors(name, params, cause):
+    with pytest.raises(ConfigError) as ei:
+        build_surface(name, params=params, resolution="coarse")
+    assert ei.value.field == "surface"
+    assert isinstance(ei.value.__cause__, cause)
 
 
 def test_resolution_override_dict():

@@ -2,14 +2,18 @@
 import numpy as np
 import pytest
 
+from mingauge import ends
 from mingauge import invariants as inv
+from mingauge.catalog import catalog_names
 from mingauge.ends import (
+    _components,
     check_ends_bound,
     components_outside,
     ends_estimate,
     triangle_components,
 )
 from mingauge.geometry import SimplicialSurface
+from meshing_oracle import scipy_components
 
 EXPECTED_ENDS = {
     "plane": 1,
@@ -95,3 +99,54 @@ def test_ends_bound_margins(coarse):
     v2 = inv.projective_volume(enn.mesh, enn.base_point)
     out2 = check_ends_bound(1, v2["value"])
     assert out2["passed"] and out2["margin"] > 0
+
+
+def _assert_components_match_scipy(n, i, j):
+    count, labels = _components(n, i, j)
+    want_count, want_labels = scipy_components(n, i, j)
+    assert count == want_count
+    np.testing.assert_array_equal(labels, want_labels)
+    return count, labels
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("preset", ["coarse", "default"])
+def test_components_match_scipy_on_ends_sweeps(coarse, default, monkeypatch,
+                                               name, preset):
+    spec = (coarse if preset == "coarse" else default)(name)
+    graphs = []
+
+    def checked(n, i, j):
+        graphs.append(n)
+        return _assert_components_match_scipy(n, i, j)
+
+    monkeypatch.setattr(ends, "_components", checked)
+    ends_estimate(spec.mesh, spec.base_point)
+    assert len(graphs) == 12  # every radius of the sweep had a nonempty mask
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_scipy_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    m = int(rng.integers(0, 2 * n))
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    _assert_components_match_scipy(n, i, j)
+    # duplicate and reversed edges, self-loops
+    k = np.arange(n)
+    _assert_components_match_scipy(n, np.r_[i, j, i, k], np.r_[j, i, j, k])
+
+
+def test_components_edge_cases():
+    none = np.zeros(0, dtype=np.int64)
+    assert _assert_components_match_scipy(1, none, none)[0] == 1
+    count, _ = _assert_components_match_scipy(5, none, none)
+    assert count == 5
+    count, labels = _assert_components_match_scipy(
+        4, np.array([3, 3, 2]), np.array([2, 2, 3]))
+    assert count == 3 and list(labels) == [0, 1, 2, 2]
+    # a long path numbered against its order takes many hooking rounds
+    n = 2000
+    perm = np.random.default_rng(1).permutation(n)
+    count, _ = _assert_components_match_scipy(n, perm[:-1], perm[1:])
+    assert count == 1

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mingauge.catalog import catalog_names
+from mingauge.catalog import catalog_entry_info, catalog_names, spherical_region
 from mingauge.errors import DegenerateChartError, InvalidFrameError, MeshTopologyError
 from mingauge.geometry import (
     ImmersionChart,
@@ -16,8 +16,15 @@ from mingauge.geometry import (
     polar_disk_mesh,
     radial_integrals,
 )
+from mingauge.geometry.meshing import _grid_triangles
 from mingauge.geometry.quadrature import KINDS
 from mingauge.invariants import max_safe_radius
+from meshing_oracle import (
+    loop_grid_triangles,
+    loop_polar_triangles,
+    unique_boundary,
+    unique_edge_table,
+)
 from quadrature_oracle import cut_cell_integrals, cut_cell_shells, integrand_of
 
 
@@ -168,6 +175,82 @@ def test_mesh_validation_catches_bad_topology():
             np.array([[0, 1, 2]]),
             np.zeros((0, 2), dtype=int),
         )
+    with pytest.raises(MeshTopologyError):
+        # one boundary edge left out
+        SimplicialSurface(verts, tris, np.array([[0, 1], [0, 2], [1, 3]]))
+    with pytest.raises(MeshTopologyError):
+        # right count, but one edge twice and another missing
+        SimplicialSurface(verts, tris,
+                          np.array([[0, 1], [0, 1], [1, 3], [2, 3]]))
+
+
+def test_boundary_is_derived_or_checked_and_kept_sorted():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+    tris = np.array([[0, 1, 2], [1, 3, 2]])
+    derived = SimplicialSurface(verts, tris)
+    np.testing.assert_array_equal(derived.boundary_edges,
+                                  [[0, 1], [0, 2], [1, 3], [2, 3]])
+    declared = SimplicialSurface(verts, tris,
+                                 np.array([[3, 2], [0, 1], [2, 0], [1, 3]]))
+    np.testing.assert_array_equal(declared.boundary_edges,
+                                  derived.boundary_edges)
+    assert derived.interior_edge_pairs() is derived.interior_edge_pairs()
+
+
+@pytest.mark.parametrize("nu, nv, wrap_v", [
+    (1, 1, False), (2, 7, False), (5, 4, False),
+    (1, 3, True), (3, 5, True), (4, 3, True),
+])
+def test_grid_triangles_match_loop_oracle(nu, nv, wrap_v):
+    got = _grid_triangles(nu, nv, wrap_v)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, loop_grid_triangles(nu, nv, wrap_v))
+
+
+@pytest.mark.parametrize("rings, sectors", [(1, 3), (2, 3), (3, 5), (4, 8)])
+def test_polar_triangles_match_loop_oracle(rings, sectors):
+    mesh = flat_disk(rings=rings, sectors=sectors)
+    np.testing.assert_array_equal(mesh.triangles,
+                                  loop_polar_triangles(rings, sectors))
+
+
+def _assert_topology_matches_oracle(mesh, want_triangles):
+    if want_triangles is not None:
+        np.testing.assert_array_equal(mesh.triangles, want_triangles)
+    np.testing.assert_array_equal(mesh.boundary_edges,
+                                  unique_boundary(mesh.triangles))
+    for got, want in zip(mesh.edge_table(), unique_edge_table(mesh.triangles)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("preset", ["coarse", "default"])
+def test_catalog_mesh_topology_matches_loop_oracle(coarse, default, name,
+                                                   preset):
+    spec = (coarse if preset == "coarse" else default)(name)
+    grid = catalog_entry_info(name)["resolutions"][preset]
+    if "rings" in grid:
+        want = loop_polar_triangles(grid["rings"], grid["sectors"])
+    elif "nu" in grid:
+        nv = grid.get("nv", grid.get("ntheta"))
+        want = loop_grid_triangles(grid["nu"], nv, spec.chart.periodic_v)
+    else:
+        want = None  # icosphere: subdivided, not a cell grid
+    _assert_topology_matches_oracle(spec.mesh, want)
+
+
+@pytest.mark.parametrize("kind, angle", [
+    ("full", None), ("hemisphere", None), ("cap", 0.7),
+])
+def test_spherical_region_topology_matches_loop_oracle(kind, angle):
+    region = spherical_region(kind, angle=angle)
+    want = None
+    if kind != "full":
+        sectors = 256
+        want = loop_polar_triangles((len(region.vertices) - 1) // sectors,
+                                    sectors)
+    _assert_topology_matches_oracle(region, want)
 
 
 def test_icosphere_area_and_closedness():

@@ -454,3 +454,81 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
                       "--out", str(tmp_path / "s")])
     assert strict.returncode == 1
     assert "warning" in normal.stdout
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"surface": {"name": "sphere", "params": {"center": [0, 0]}}},
+     "surface.params.center"),
+    ({"surface": {"name": "catenoid", "params": {"u_min": -1e6}}},
+     "surface.params.u_min"),
+    ({"surface": {"name": "plane", "resolution": {"rings": 2, "sectors": 2}}},
+     "surface.resolution.sectors"),
+    ({"surface": {"name": "plane", "resolution": {"r_inner": 500}}},
+     "surface.resolution.r_inner"),
+    ({"surface": {"name": "catenoid", "params": {"c": [1, 2]}}},
+     "surface.params.c"),
+])
+def test_cli_build_probes_exit_2(tmp_path, config, field):
+    # each of these ended in a numpy or mesh-validation traceback (exit 1)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert f"config error at {field}:" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# Runs the CLI in a fresh interpreter, recording which mingauge function
+# executed each import statement that names a scipy module.
+_IMPORT_SPY = """
+import builtins, json, sys
+from mingauge.cli import main
+
+seen = set()
+real_import = builtins.__import__
+
+def spy(name, globals=None, locals=None, fromlist=(), level=0):
+    caller = sys._getframe(1)
+    module = caller.f_globals.get("__name__", "")
+    if level == 0 and name.split(".")[0] == "scipy" and module.startswith("mingauge"):
+        seen.add(f"{module}.{caller.f_code.co_name} imports {name}")
+    return real_import(name, globals, locals, fromlist, level)
+
+builtins.__import__ = spy
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"exit": code, "imports": sorted(seen), "loaded": loaded}))
+"""
+
+
+def _startup_imports(args):
+    env = dict(os.environ, MINGAUGE_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SPY, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_startup_imports_no_scipy_outside_the_catenoid_solver(tmp_path):
+    crofton = _startup_imports(["crofton", "--set", "hemisphere",
+                                "--samples", "2000", "--seed", "4"])
+    assert crofton["exit"] == 0
+    assert crofton["imports"] == [] and crofton["loaded"] == []
+
+    cfg = tmp_path / "helicoid.json"
+    cfg.write_text(json.dumps({"surface": {"name": "helicoid",
+                                           "resolution": "coarse"}}))
+    helicoid = _startup_imports(["report", "--config", str(cfg),
+                                 "--out", str(tmp_path / "h")])
+    assert helicoid["exit"] in (0, 1)
+    assert helicoid["imports"] == [] and helicoid["loaded"] == []
+
+    # the catenoid's truncation root finder is the one scipy user
+    cfg.write_text(json.dumps({"surface": {"name": "catenoid",
+                                           "resolution": "coarse"}}))
+    catenoid = _startup_imports(["report", "--config", str(cfg),
+                                 "--out", str(tmp_path / "c")])
+    assert catenoid["exit"] == 0
+    assert catenoid["imports"] == [
+        "mingauge.catalog.catenoid_u_max imports scipy.optimize"]
+    assert "scipy.optimize" in catenoid["loaded"]
