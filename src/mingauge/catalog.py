@@ -7,6 +7,8 @@ the invariant values the surface is expected to produce from that base point
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +230,8 @@ _DEFAULT_PARAMS = {
     "complex_parabola_r4": {"r_max": 60.0},
 }
 
+_MAX_LENGTH = 1e150
+
 
 def _polar_radii(res, r_outer: float) -> np.ndarray:
     """Ring radii of a polar preset whose grid fits the disk."""
@@ -241,7 +245,7 @@ def _polar_radii(res, r_outer: float) -> np.ndarray:
 
 def _build_plane(params, res):
     h = float(params["offset"])
-    r_max = float(params["r_max"])
+    r_max = _check_length(params, "r_max")
     if r_max <= abs(h):
         raise ConfigError("surface.params.r_max", "must exceed |offset|")
     disk_r = np.sqrt(r_max**2 - h**2)
@@ -271,11 +275,85 @@ def _build_plane(params, res):
     )
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's C ``brentq`` at its default tolerances:
+    it performs the same float operations in the same order, so it returns
+    the same double as ``scipy.optimize.brentq``.  Raises ``ValueError``
+    when ``f`` has one sign at both ends, gives NaN, or does not converge.
+    """
+    xtol, rtol, maxiter = 2e-12, 4 * sys.float_info.epsilon, 100
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # signbit, for the nonzero, non-NaN values that reach each sign test
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator makes C's step inf or NaN,
+                # which the test below turns into a bisection
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ValueError(f"failed to converge after {maxiter} iterations")
+
+
+def _check_length(params, key: str) -> float:
+    """``params[key]`` as a float the builders can square without overflow.
+
+    Builders square lengths as Python floats, which raise ``OverflowError``
+    above about 1.3e154; the bound leaves room for their own factors.
+    """
+    value = float(params[key])
+    if not abs(value) <= _MAX_LENGTH:
+        raise ConfigError(f"surface.params.{key}",
+                          f"must not exceed {_MAX_LENGTH:g} in absolute value")
+    return value
+
+
 def catenoid_u_max(c: float, r_max: float) -> float:
     """u with |x(u, .)| = r_max on the catenoid of neck radius c."""
-    from scipy.optimize import brentq  # slow to import: loaded on use only
-
-    return brentq(
+    return _brentq(
         lambda u: (c * np.cosh(u / c)) ** 2 + u**2 - r_max**2,
         0.0,
         c * np.arccosh(r_max / c) + 1.0,
@@ -284,12 +362,17 @@ def catenoid_u_max(c: float, r_max: float) -> float:
 
 def _build_catenoid(params, res):
     c = float(params["c"])
-    r_max = float(params["r_max"])
+    r_max = _check_length(params, "r_max")
     if c <= 0:
         raise ConfigError("surface.params.c", "must be positive")
     if r_max <= 2 * c:
         raise ConfigError("surface.params.r_max", "must exceed 2c")
-    u_hi = catenoid_u_max(c, r_max)
+    # a neck so thin that r_max / c overflows gives an infinite bracket, and
+    # one whose root is under the finder's 2e-12 tolerance gives the root 0
+    u_hi = catenoid_u_max(c, r_max) if r_max / c < math.inf else 0.0
+    if u_hi <= 0:
+        raise ConfigError("surface.params.c", "too small to resolve against "
+                          f"r_max = {r_max:.6g}")
     u_lo = -u_hi if params.get("u_min") is None else float(params["u_min"])
     if not -u_hi <= u_lo < u_hi:  # below the top rim, inside the ball
         raise ConfigError("surface.params.u_min", "must lie in [-u_max, "
@@ -317,17 +400,23 @@ def _build_catenoid(params, res):
 
 def enneper_domain_radius(r_max: float) -> float:
     """Domain radius rho with min over angles of |x(rho, .)| = r_max."""
-    from scipy.optimize import brentq
 
     def worst(rho):
         return rho**6 / 9 + rho**4 / 3 + rho**2 - r_max**2
 
-    return brentq(worst, r_max ** (1.0 / 3.0) * 0.5, (3 * r_max) ** (1.0 / 3.0) + 2.0)
+    return _brentq(worst, r_max ** (1.0 / 3.0) * 0.5,
+                   (3 * r_max) ** (1.0 / 3.0) + 2.0)
 
 
 def _build_enneper(params, res):
-    r_max = float(params["r_max"])
-    rho_max = enneper_domain_radius(r_max)
+    r_max = _check_length(params, "r_max")
+    if r_max <= 0:
+        raise ConfigError("surface.params.r_max", "must be positive")
+    try:
+        rho_max = enneper_domain_radius(r_max)
+    except ValueError as exc:  # the bracket misses it for tiny or huge r_max
+        raise ConfigError("surface.params.r_max",
+                          f"no domain radius found: {exc}") from None
 
     def pt(rho, phi):
         return enneper_point(rho * np.cos(phi), rho * np.sin(phi))
@@ -356,8 +445,8 @@ def _build_enneper(params, res):
 
 
 def _build_helicoid(params, res):
-    pitch = float(params["pitch"])
-    r_max = float(params["r_max"])
+    pitch = _check_length(params, "pitch")
+    r_max = _check_length(params, "r_max")
     if pitch <= 0:
         raise ConfigError("surface.params.pitch", "must be positive")
     chart = helicoid_chart(pitch, r_max)
@@ -392,7 +481,7 @@ def _build_sphere(params, res):
 
 
 def _build_complex_parabola(params, res):
-    r_max = float(params["r_max"])
+    r_max = _check_length(params, "r_max")
     rho_max = np.sqrt((-1.0 + np.sqrt(1.0 + 4.0 * r_max**2)) / 2.0)
 
     def pt(rho, phi):

@@ -21,10 +21,6 @@ class IdentityNotApplicableError(MingaugeError):
     """Preconditions of an integral identity fail on the given data."""
 
 
-class PathSingularityError(MingaugeError):
-    """An integration path passes through a declared puncture."""
-
-
 class ConfigError(MingaugeError):
     """A run configuration is invalid.
 

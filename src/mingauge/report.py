@@ -163,7 +163,10 @@ def parse_config(raw) -> RunConfig:
     resolution = surface.get("resolution", "default")
     if isinstance(resolution, dict):
         for key, value in resolution.items():
-            _require_int(value, f"surface.resolution.{key}", minimum=2)
+            if key == "r_inner":  # a radius; build_surface checks its range
+                _require_number(value, f"surface.resolution.{key}")
+            else:
+                _require_int(value, f"surface.resolution.{key}", minimum=2)
     elif not isinstance(resolution, str):
         raise ConfigError("surface.resolution", "must be a preset name or an "
                                                 "object of grid sizes")
@@ -315,6 +318,11 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             )
     else:
         base = spec.base_point
+    r_hi = max_safe_radius(mesh, base)
+    if not 0 < r_hi < math.inf:
+        raise ConfigError("base_point", "must lie inside the ball the surface "
+                          "is truncated to" if r_hi <= 0 else
+                          "is too far from the surface: distances overflow")
     control = spec.control
     warnings: list[str] = []
     checks: list[dict] = []
@@ -340,7 +348,6 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # every level any estimate or check reads the flux at is traced once:
     # the sweep, the defect's tail level r_hi / 2, the density levels and
     # the shell's outer level
-    r_hi = max_safe_radius(mesh, base)
     levels = level_grid(mesh, base, config.num_levels)
     density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
     shell_hi = 0.7 * r_hi
@@ -782,7 +789,6 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
         f"mingauge {__version__}",
         f"python {platform.python_version()} ({sys.platform})",
         f"numpy {np.__version__}",
-        f"scipy {importlib.metadata.version('scipy')}",
         f"jsonschema {importlib.metadata.version('jsonschema')}",
         f"surface {config.surface_name}",
         f"seed {config.mc_seed if config.counting_enabled else 'none'}",

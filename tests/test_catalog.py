@@ -1,8 +1,13 @@
 """Catalog construction, truncation geometry and the minimality validator."""
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from mingauge.catalog import (
+    _brentq,
     build_surface,
     catalog_entry_info,
     catalog_names,
@@ -66,6 +71,59 @@ def test_truncation_solvers():
     assert (c * np.cosh(u / c)) ** 2 + u**2 == pytest.approx(r_max**2, rel=1e-12)
     rho = enneper_domain_radius(80.0)
     assert rho**6 / 9 + rho**4 / 3 + rho**2 == pytest.approx(80.0**2, rel=1e-12)
+
+
+def _brackets():
+    """Catenoid and Enneper truncation brackets, as their builders form them."""
+    rng = np.random.default_rng(20)
+    necks = [(1.0, 200.0), (1.3, 150.0), (1e-3, 200.0)]
+    for c in 10 ** rng.uniform(-3, 3, 300):
+        necks.append((c, c * 10 ** rng.uniform(np.log10(2), 4)))
+    radii = [200.0, 80.0, *10 ** rng.uniform(0, 6, 300)]
+    cases = [(lambda u, c=c, r=r: (c * np.cosh(u / c)) ** 2 + u**2 - r**2,
+              0.0, c * np.arccosh(r / c) + 1.0) for c, r in necks]
+    cases += [(lambda rho, r=r: rho**6 / 9 + rho**4 / 3 + rho**2 - r**2,
+               r ** (1.0 / 3.0) * 0.5, (3 * r) ** (1.0 / 3.0) + 2.0)
+              for r in radii]
+    return cases
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    # the port must give scipy's double, or the catenoid's bytes move;
+    # odd powers take every step kind, and the clipped lines have flat ends
+    # where C's extrapolation divides by 0
+    rng = np.random.default_rng(21)
+    cases = _brackets() + [
+        (lambda x, k=k, r=r: (x - r) ** k, r - lo, r + hi)
+        for k, r, lo, hi in zip(rng.choice([1, 3, 5, 7], 200), rng.normal(size=200),
+                                rng.uniform(0.1, 5, 200), rng.uniform(0.1, 5, 200))
+    ] + [
+        (lambda x, s=s, r=r: max(-1.0, min(1.0, s * (x - r))), r - 2.0, r + 3.0)
+        for s, r in zip(10 ** np.linspace(-300, 300, 61), np.linspace(-1, 1, 61))
+    ]
+
+    def root(solve, f, a, b):
+        try:
+            return solve(f, a, b)
+        except (ValueError, RuntimeError):  # scipy: RuntimeError if no convergence
+            return "failed"
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # cosh overflows to inf
+        for f, a, b in cases:
+            got = root(_brentq, f, a, b)
+            assert type(got) is float or got == "failed"
+            assert got == root(brentq, f, a, b)
+
+
+def test_brentq_errors():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+    # a step across a wide bracket needs about 1,000 bisections, not 100
+    with pytest.raises(ValueError, match="converge"):
+        _brentq(lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300)
 
 
 def test_base_points_stay_off_surface():

@@ -104,6 +104,12 @@ def test_parse_config_minimal():
      "surface.resolution"),
     ({"surface": {"name": "plane", "resolution": {"spokes": 8}}},
      "surface.resolution.spokes"),
+    ({"surface": {"name": "plane", "resolution": {"sectors": 48.5}}},
+     "surface.resolution.sectors"),
+    ({"surface": {"name": "plane", "resolution": {"r_inner": "x"}}},
+     "surface.resolution.r_inner"),
+    ({"surface": {"name": "plane", "resolution": {"r_inner": -0.05}}},
+     "surface.resolution.r_inner"),
 ])
 def test_parse_config_rejects(raw, field):
     # preset names and grid keys are known only to the surface builder
@@ -112,6 +118,15 @@ def test_parse_config_rejects(raw, field):
         build_surface(config.surface_name, config.surface_params,
                       config.resolution)
     assert err.value.field == field
+
+
+def test_resolution_r_inner_takes_a_radius():
+    # the preset's own float value; the count fields stay integers
+    res = {"rings": 56, "sectors": 48, "r_inner": 0.05}
+    config = parse_config({"surface": {"name": "plane", "resolution": res}})
+    spec = build_surface("plane", None, config.resolution)
+    preset = build_surface("plane", None, "coarse")
+    assert np.array_equal(spec.mesh.vertices, preset.mesh.vertices)
 
 
 def test_unknown_surface_names_the_surface():
@@ -467,9 +482,29 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
      "surface.resolution.r_inner"),
     ({"surface": {"name": "catenoid", "params": {"c": [1, 2]}}},
      "surface.params.c"),
+    ({"surface": {"name": "catenoid", "params": {"r_max": 1e300}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "enneper", "params": {"r_max": 1e300}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "params": {"pitch": 1e300}}},
+     "surface.params.pitch"),
+    ({"surface": {"name": "plane", "params": {"r_max": 1e300}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "enneper", "params": {"r_max": 0.1}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "catenoid", "params": {"c": 1e-300}}},
+     "surface.params.c"),
+    ({"surface": {"name": "catenoid", "params": {"c": 1e-320}}},
+     "surface.params.c"),
+    ({"surface": {"name": "catenoid"}, "base_point": [1e308, 0, 0]},
+     "base_point"),
+    ({"surface": {"name": "catenoid"}, "base_point": [1e6, 0, 0]},
+     "base_point"),
+    ({"surface": {"name": "sphere", "params": {"radius": 1e300}}},
+     "base_point"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
-    # each of these ended in a numpy or mesh-validation traceback (exit 1)
+    # each of these ended in a traceback (exit 1) or blamed another field
     cfg = tmp_path / "probe.json"
     cfg.write_text(json.dumps(config))
     proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
@@ -509,26 +544,21 @@ def _startup_imports(args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_startup_imports_no_scipy_outside_the_catenoid_solver(tmp_path):
-    crofton = _startup_imports(["crofton", "--set", "hemisphere",
-                                "--samples", "2000", "--seed", "4"])
-    assert crofton["exit"] == 0
-    assert crofton["imports"] == [] and crofton["loaded"] == []
-
-    cfg = tmp_path / "helicoid.json"
-    cfg.write_text(json.dumps({"surface": {"name": "helicoid",
-                                           "resolution": "coarse"}}))
-    helicoid = _startup_imports(["report", "--config", str(cfg),
-                                 "--out", str(tmp_path / "h")])
-    assert helicoid["exit"] in (0, 1)
-    assert helicoid["imports"] == [] and helicoid["loaded"] == []
-
-    # the catenoid's truncation root finder is the one scipy user
-    cfg.write_text(json.dumps({"surface": {"name": "catenoid",
-                                           "resolution": "coarse"}}))
-    catenoid = _startup_imports(["report", "--config", str(cfg),
-                                 "--out", str(tmp_path / "c")])
-    assert catenoid["exit"] == 0
-    assert catenoid["imports"] == [
-        "mingauge.catalog.catenoid_u_max imports scipy.optimize"]
-    assert "scipy.optimize" in catenoid["loaded"]
+@pytest.mark.parametrize("args, config", [
+    (["crofton", "--set", "hemisphere", "--samples", "2000", "--seed", "4"],
+     None),
+    (["catalog"], None),
+    (["report"], {"surface": {"name": "helicoid", "resolution": "coarse"}}),
+    (["report"], {"surface": {"name": "catenoid", "resolution": "coarse"},
+                  "mc": {"seed": 3, "samples": 200}}),
+    (["report"], {"surface": {"name": "enneper", "resolution": "coarse"}}),
+], ids=["crofton", "catalog", "helicoid", "catenoid-mc", "enneper"])
+def test_no_cli_path_imports_scipy(tmp_path, args, config):
+    # scipy is a test oracle only: the truncation roots use catalog._brentq
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    run = _startup_imports(args)
+    assert run["exit"] in (0, 1)
+    assert run["imports"] == [] and run["loaded"] == []
