@@ -231,6 +231,10 @@ _DEFAULT_PARAMS = {
 }
 
 _MAX_LENGTH = 1e150
+# how far the catenoid's rim may sit from r_max, relative to it: the root
+# finder's 2e-12 step in u moves |x| by about 2e-12 / c of r_max, so necks
+# thinner than about 1e-6 cannot be truncated where they were asked to be
+_RIM_RTOL = 1e-6
 
 
 def _polar_radii(res, r_outer: float) -> np.ndarray:
@@ -367,10 +371,12 @@ def _build_catenoid(params, res):
         raise ConfigError("surface.params.c", "must be positive")
     if r_max <= 2 * c:
         raise ConfigError("surface.params.r_max", "must exceed 2c")
-    # a neck so thin that r_max / c overflows gives an infinite bracket, and
-    # one whose root is under the finder's 2e-12 tolerance gives the root 0
+    # a neck so thin that r_max / c overflows gives an infinite bracket;
+    # thinner than about 1e-6, the root misses the rim (see _RIM_RTOL)
     u_hi = catenoid_u_max(c, r_max) if r_max / c < math.inf else 0.0
-    if u_hi <= 0:
+    with np.errstate(over="ignore"):
+        rim = float(np.hypot(c * np.cosh(u_hi / c), u_hi))
+    if not abs(rim - r_max) <= _RIM_RTOL * r_max:
         raise ConfigError("surface.params.c", "too small to resolve against "
                           f"r_max = {r_max:.6g}")
     u_lo = -u_hi if params.get("u_min") is None else float(params["u_min"])

@@ -484,23 +484,7 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
      "surface.params.c"),
     ({"surface": {"name": "catenoid", "params": {"r_max": 1e300}}},
      "surface.params.r_max"),
-    ({"surface": {"name": "enneper", "params": {"r_max": 1e300}}},
-     "surface.params.r_max"),
-    ({"surface": {"name": "helicoid", "params": {"pitch": 1e300}}},
-     "surface.params.pitch"),
-    ({"surface": {"name": "plane", "params": {"r_max": 1e300}}},
-     "surface.params.r_max"),
-    ({"surface": {"name": "enneper", "params": {"r_max": 0.1}}},
-     "surface.params.r_max"),
-    ({"surface": {"name": "catenoid", "params": {"c": 1e-300}}},
-     "surface.params.c"),
-    ({"surface": {"name": "catenoid", "params": {"c": 1e-320}}},
-     "surface.params.c"),
     ({"surface": {"name": "catenoid"}, "base_point": [1e308, 0, 0]},
-     "base_point"),
-    ({"surface": {"name": "catenoid"}, "base_point": [1e6, 0, 0]},
-     "base_point"),
-    ({"surface": {"name": "sphere", "params": {"radius": 1e300}}},
      "base_point"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
@@ -511,6 +495,36 @@ def test_cli_build_probes_exit_2(tmp_path, config, field):
     assert proc.returncode == 2
     assert f"config error at {field}:" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"surface": {"name": "enneper", "params": {"r_max": 1e300}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "params": {"pitch": 1e300}}},
+     "surface.params.pitch"),
+    ({"surface": {"name": "plane", "params": {"r_max": 1e300}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "enneper", "params": {"r_max": 0.1}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "catenoid", "params": {"c": 1e-13}}},
+     "surface.params.c"),
+    ({"surface": {"name": "catenoid", "params": {"c": 1e-300}}},
+     "surface.params.c"),
+    ({"surface": {"name": "catenoid", "params": {"c": 1e-320}}},
+     "surface.params.c"),
+    ({"surface": {"name": "catenoid"}, "base_point": [1e6, 0, 0]},
+     "base_point"),
+    ({"surface": {"name": "sphere", "params": {"radius": 1e300}}},
+     "base_point"),
+], ids=["enneper-r_max", "helicoid-pitch", "plane-r_max", "enneper-small",
+        "catenoid-c-1e-13", "catenoid-c-1e-300", "catenoid-c-1e-320",
+        "catenoid-far-base", "sphere-huge"])
+def test_report_probes_name_their_field(config, field):
+    # overflows, unresolvable necks and base points outside the truncation
+    # ball are config errors, raised before any estimator runs
+    with pytest.raises(ConfigError) as err:
+        compute_report(parse_config(config))
+    assert err.value.field == field
 
 
 # Runs the CLI in a fresh interpreter, recording which mingauge function
@@ -544,21 +558,23 @@ def _startup_imports(args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("args, config", [
+@pytest.mark.parametrize("args, config, exits", [
     (["crofton", "--set", "hemisphere", "--samples", "2000", "--seed", "4"],
-     None),
-    (["catalog"], None),
-    (["report"], {"surface": {"name": "helicoid", "resolution": "coarse"}}),
-    (["report"], {"surface": {"name": "catenoid", "resolution": "coarse"},
-                  "mc": {"seed": 3, "samples": 200}}),
-    (["report"], {"surface": {"name": "enneper", "resolution": "coarse"}}),
-], ids=["crofton", "catalog", "helicoid", "catenoid-mc", "enneper"])
-def test_no_cli_path_imports_scipy(tmp_path, args, config):
+     None, (0,)),
+    (["catalog"], None, (0,)),
+    (["report"], {"surface": {"name": "helicoid", "resolution": "coarse"}},
+     (0, 1)),
+    (["report"], {"surface": {"name": "catenoid", "resolution": "coarse"}},
+     (0,)),
+    (["report"], {"surface": {"name": "enneper", "resolution": "coarse"}},
+     (0,)),
+], ids=["crofton", "catalog", "helicoid", "catenoid", "enneper"])
+def test_no_cli_path_imports_scipy(tmp_path, args, config, exits):
     # scipy is a test oracle only: the truncation roots use catalog._brentq
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         args = [*args, "--config", str(cfg), "--out", str(tmp_path / "out")]
     run = _startup_imports(args)
-    assert run["exit"] in (0, 1)
+    assert run["exit"] in exits
     assert run["imports"] == [] and run["loaded"] == []
