@@ -357,11 +357,9 @@ def _check_length(params, key: str) -> float:
 
 def catenoid_u_max(c: float, r_max: float) -> float:
     """u with |x(u, .)| = r_max on the catenoid of neck radius c."""
-    return _brentq(
-        lambda u: (c * np.cosh(u / c)) ** 2 + u**2 - r_max**2,
-        0.0,
-        c * np.arccosh(r_max / c) + 1.0,
-    )
+    with np.errstate(over="ignore"):  # thin necks: +inf at the far end
+        return _brentq(lambda u: (c * np.cosh(u / c)) ** 2 + u**2 - r_max**2,
+                       0.0, c * np.arccosh(r_max / c) + 1.0)
 
 
 def _build_catenoid(params, res):

@@ -4,8 +4,10 @@ An end shows up, at a given radius r, as a connected component of the part of
 the mesh outside the ball of radius r that still reaches the truncation rim.
 Components that stay bounded (a closed control surface, say) are reported
 separately.  The count as a function of r must stabilize before it is
-trusted.  Components come from numpy alone: min-label hooking with full
-pointer jumping, after Shiloach and Vishkin (J. Algorithms 3, 1982).
+trusted.  The cuts are nested in r: with triangles and edges weighted by their
+farthest vertex, the cut at r keeps the weights > r, so one maximum spanning
+forest (Boruvka's rounds in numpy) counts components at every radius, and a
+virtual node joined to the rim triangles tells the unbounded ones apart.
 """
 from __future__ import annotations
 
@@ -18,51 +20,64 @@ from .geometry import SimplicialSurface
 RIM_FRACTION = 0.999
 
 
-def _components(n: int, i: np.ndarray, j: np.ndarray):
-    """``(count, labels)`` of the undirected graph on n nodes with edges (i, j).
+def _max_forest(n: int, i: np.ndarray, j: np.ndarray):
+    """``(ranks, rounds, roots)`` for the graph on n nodes whose edges
+    (i[k], j[k]) are given heaviest first: the sorted ranks k of a maximum
+    spanning forest, the Boruvka rounds it took, and each node's root.
 
-    Each round hooks every root to the smallest root across its edges and
-    jumps pointers to the roots.  A component's smallest node is never
-    hooked, so it ends as the root, and labels follow the smallest nodes.
+    Each round every component picks its best edge (the smallest rank).  As
+    ranks are distinct these edges form a forest but for pairs picking the
+    same edge, so each component hooks onto the other end of its edge, the
+    smaller of such a pair stays a root, and pointers jump to the roots.
     """
-    parent = np.arange(n)
+    parent, rank, rounds = np.arange(n), np.arange(len(i)), 0
+    in_forest, i0, j0 = np.zeros(len(i), dtype=bool), i, j
     while True:
-        pi, pj = parent[i], parent[j]
-        cross = pi != pj
+        ci, cj = parent[i], parent[j]
+        cross = ci != cj
         if not cross.any():
-            break
-        i, j, pi, pj = i[cross], j[cross], pi[cross], pj[cross]
-        np.minimum.at(parent, pi, pj)
-        np.minimum.at(parent, pj, pi)
+            return np.flatnonzero(in_forest), rounds, parent
+        i, j, rank, ci, cj = i[cross], j[cross], rank[cross], ci[cross], cj[cross]
+        best = np.full(n, len(in_forest))
+        np.minimum.at(best, ci, rank)
+        np.minimum.at(best, cj, rank)
+        comp = np.flatnonzero(best < len(in_forest))
+        edge = best[comp]
+        other = parent[i0[edge]] + parent[j0[edge]] - comp
+        hook = np.arange(n)
+        hook[comp] = np.where((best[other] == edge) & (comp < other), comp, other)
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
                 break
-            parent = jumped
-    roots, labels = np.unique(parent, return_inverse=True)
-    return len(roots), labels
+            hook = jumped
+        parent = hook[parent]
+        in_forest[edge] = True
+        rounds += 1
 
 
-def triangle_components(mesh: SimplicialSurface, tri_mask: np.ndarray,
-                        edge_vertex_mask: np.ndarray | None = None):
+def _components(n: int, i: np.ndarray, j: np.ndarray):
+    """``(count, labels)`` of the undirected graph on n nodes with edges
+    (i, j); labels number the components in the order of their smallest
+    nodes."""
+    roots, first, labels = np.unique(_max_forest(n, i, j)[2], return_index=True,
+                                     return_inverse=True)
+    return len(roots), np.argsort(np.argsort(first))[labels]
+
+
+def triangle_components(mesh: SimplicialSurface, tri_mask: np.ndarray):
     """Connected components of the selected triangles under shared edges.
 
-    Two selected triangles are adjacent when they share an edge; if
-    ``edge_vertex_mask`` is given, only edges with at least one flagged
-    endpoint count as connections (this keeps components from being glued
-    together across a thin excluded region).  Returns ``(labels, count)``
-    with labels of length T, ``-1`` on unselected triangles.
+    Returns ``(labels, count)`` with labels of length T, ``-1`` on
+    unselected triangles.
     """
     T = len(mesh.triangles)
     labels = np.full(T, -1, dtype=np.int64)
     sel = np.flatnonzero(tri_mask)
     if len(sel) == 0:
         return labels, 0
-    edges, tri_pairs = mesh.interior_edge_pairs()
-    keep = tri_mask[tri_pairs[:, 0]] & tri_mask[tri_pairs[:, 1]]
-    if edge_vertex_mask is not None:
-        keep &= edge_vertex_mask[edges].any(axis=1)
-    tp = tri_pairs[keep]
+    tri_pairs = mesh.interior_edge_pairs()[1]
+    tp = tri_pairs[tri_mask[tri_pairs[:, 0]] & tri_mask[tri_pairs[:, 1]]]
     remap = np.full(T, -1, dtype=np.int64)
     remap[sel] = np.arange(len(sel))
     count, labels[sel] = _components(len(sel), remap[tp[:, 0]], remap[tp[:, 1]])
@@ -80,29 +95,45 @@ def rim_vertex_mask(mesh: SimplicialSurface) -> np.ndarray:
     return out
 
 
-def components_outside(mesh: SimplicialSurface, center, radius: float):
-    """Split the mesh outside the ball |x - center| > radius into components.
+def _end_counts(mesh: SimplicialSurface, center: np.ndarray, radii):
+    """``(unbounded, bounded, graph_edges, forest_rounds)`` outside each
+    radius: a triangle is outside when any of its vertices is, and two
+    outside triangles connect only through an edge with an endpoint outside,
+    so pieces touching along the sphere are not merged."""
+    dist = np.linalg.norm(mesh.vertices - center, axis=1)
+    tri, (edges, pairs) = mesh.triangles.T, mesh.interior_edge_pairs()
+    tri_d = np.maximum(np.maximum(dist[tri[0]], dist[tri[1]]), dist[tri[2]])
+    edge_d = np.maximum(dist[edges[:, 0]], dist[edges[:, 1]])
+    order = np.argsort(-edge_d, kind="stable")
+    forest, rounds, _ = _max_forest(len(tri_d), *pairs[order].T)
+    tree = order[forest]
+    # a maximum forest of G + rim lies in G's forest plus the rim edges
+    on_rim = rim_vertex_mask(mesh)
+    rim = np.flatnonzero(on_rim[tri[0]] | on_rim[tri[1]] | on_rim[tri[2]])
+    w = np.concatenate([edge_d[tree], tri_d[rim]])
+    ij = np.concatenate([pairs[tree], np.c_[rim, np.full(len(rim), len(tri_d))]])
+    order = np.argsort(-w, kind="stable")
+    rim_forest, rim_rounds, _ = _max_forest(len(tri_d) + 1, *ij[order].T)
 
-    A triangle belongs to the outside when any of its vertices does; two
-    outside triangles connect only through edges that have an endpoint
-    outside, so pieces touching along the sphere are not merged.  Returns
-    ``(unbounded, bounded)``: counts of components that do / do not reach the
-    truncation rim.
-    """
-    center = np.asarray(center, dtype=float)
+    def above(weights):  # how many weights are > each radius (strictly)
+        return len(weights) - np.searchsorted(np.sort(weights), radii,
+                                              side="right")
+
+    # components outside r: triangles minus forest edges heavier than r
+    count = above(tri_d) - above(edge_d[tree])
+    unbounded = above(w[order[rim_forest]]) - above(edge_d[tree])
+    return (unbounded, count - unbounded, len(edges) + len(rim),
+            rounds + rim_rounds)
+
+
+def components_outside(mesh: SimplicialSurface, center, radius: float):
+    """``(unbounded, bounded)``: counts of the components outside the ball
+    |x - center| > radius that do / do not reach the truncation rim."""
     if mesh.truncation_radius is not None and radius >= mesh.truncation_radius:
         raise ValueError("cut radius must stay below the truncation radius")
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
-    outside = dist > radius
-    tri_mask = outside[mesh.triangles].any(axis=1)
-    labels, count = triangle_components(mesh, tri_mask, edge_vertex_mask=outside)
-    if count == 0:
-        return 0, 0
-    rim = rim_vertex_mask(mesh)
-    tri_on_rim = rim[mesh.triangles].any(axis=1)
-    unbounded = np.unique(labels[tri_mask & tri_on_rim])
-    n_unbounded = int(len(unbounded[unbounded >= 0]))
-    return n_unbounded, count - n_unbounded
+    unbounded, bounded, _, _ = _end_counts(
+        mesh, np.asarray(center, dtype=float), [radius])
+    return int(unbounded[0]), int(bounded[0])
 
 
 @dataclass
@@ -114,6 +145,8 @@ class EndCount:
     bounded_counts: np.ndarray
     stable_count: int
     stabilized: bool
+    graph_edges: int  # interior plus rim edges of the cut graph
+    forest_rounds: int  # Boruvka rounds of both forests
 
 
 def ends_estimate(mesh: SimplicialSurface, center, radii=None,
@@ -142,13 +175,11 @@ def ends_estimate(mesh: SimplicialSurface, center, radii=None,
             "cut radii must stay at or below 0.8x the truncation radius so "
             "truncation artifacts cannot merge or split components"
         )
-    counts = np.empty(len(radii), dtype=np.int64)
-    bounded = np.empty(len(radii), dtype=np.int64)
-    for k, r in enumerate(radii):
-        counts[k], bounded[k] = components_outside(mesh, center, r)
+    counts, bounded, edges, rounds = _end_counts(mesh, center, radii)
     tail = max(1, int(np.ceil(stable_fraction * len(radii))))
     stabilized = bool(np.all(counts[-tail:] == counts[-1]))
-    return EndCount(radii, counts, bounded, int(counts[-1]), stabilized)
+    return EndCount(radii, counts, bounded, int(counts[-1]), stabilized,
+                    edges, rounds)
 
 
 def check_ends_bound(num_ends: int, projective_volume: float, p: int = 2,

@@ -168,7 +168,12 @@ def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
         raise ValueError("radii must be a nonempty, strictly increasing "
                          "sequence of nonnegative radii")
     P, h2, near2, far2 = _in_plane(mesh, c)
-    whole = _fan_integrals(kind, P, h2)
+    # whole-triangle integrals, kept on the mesh per kind for the last center
+    key = f"whole_{kind}"
+    cached = mesh._cache.get(key)
+    if cached is None or not np.array_equal(cached[0], c):
+        cached = mesh._cache[key] = (c.copy(), _fan_integrals(kind, P, h2))
+    whole = cached[1]
     balls = np.zeros((len(radii), len(P)))
     for k, r2 in enumerate(radii**2):
         inside = far2 <= r2

@@ -9,8 +9,10 @@ into the output directory:
   byte-identical across runs with the same config (and seed).
 * ``sweeps.csv``   -- the radius sweeps behind the headline numbers
   (normalized flux, log-growth ratio, end counts, section-count means).
-* ``run.log``      -- library versions, seed, wall time and, when counting
-  ran, its work counters (``counting_cells``: pruned triangles x samples;
+* ``run.log``      -- library versions, seed, wall time, work counters of the
+  end count (``ends_graph_edges``: interior plus rim edges of its graph;
+  ``ends_forest_rounds``: Boruvka rounds of its two forests) and, when
+  counting ran, of counting (``counting_cells``: pruned triangles x samples;
   ``counting_candidates``: pairs the cull proposed to its floor test;
   ``counting_pairs_tested``: pairs left by the cull).  Timing makes this the
   one file that is allowed to differ between identical runs.
@@ -746,11 +748,14 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         "passed": bool(passed),
     }
     report["_sweeps"] = sweeps
-    report["_log_lines"] = [] if counting is None else [
+    report["_log_lines"] = [
+        f"ends_graph_edges {ends.graph_edges}",
+        f"ends_forest_rounds {ends.forest_rounds}",
+    ] + ([] if counting is None else [
         f"counting_cells {counting['cells']}",
         f"counting_candidates {counting['candidates']}",
         f"counting_pairs_tested {counting['pairs_tested']}",
-    ]
+    ])
     return report
 
 

@@ -1,13 +1,16 @@
-"""Slow reference mesh topology: loop triangulations, row-wise edge grouping
-and scipy's connected components.
+"""Slow reference mesh topology: loop triangulations, row-wise edge grouping,
+scipy's connected components and end counts relabelled at each radius.
 
 These are the implementations the index-arithmetic triangulations, the
-int64-coded edge table and the numpy component labelling replaced, kept as
-the oracles they must match exactly.
+int64-coded edge table, the numpy component labelling and the one-pass
+spanning-forest end sweep replaced, kept as the oracles they must match
+exactly.
 """
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+
+from mingauge.ends import rim_vertex_mask
 
 
 def loop_grid_triangles(nu, nv, wrap_v):
@@ -84,3 +87,26 @@ def scipy_components(n, i, j):
     """(count, labels) from scipy.sparse.csgraph.connected_components."""
     graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     return connected_components(graph, directed=False)
+
+
+def per_radius_ends(mesh, center, radius):
+    """(unbounded, bounded) components outside one ball, labelled from
+    scratch: triangles with a vertex outside, joined across interior edges
+    with an endpoint outside; unbounded ones hold a rim triangle."""
+    outside = np.linalg.norm(mesh.vertices - center, axis=1) > radius
+    a, b, c = outside[mesh.triangles].T
+    tri_mask = a | b | c
+    sel = np.flatnonzero(tri_mask)
+    if len(sel) == 0:
+        return 0, 0
+    edges, pairs = mesh.interior_edge_pairs()
+    keep = (tri_mask[pairs[:, 0]] & tri_mask[pairs[:, 1]]
+            & (outside[edges[:, 0]] | outside[edges[:, 1]]))
+    remap = np.full(len(tri_mask), -1)
+    remap[sel] = np.arange(len(sel))
+    count, labels = scipy_components(len(sel), remap[pairs[keep, 0]],
+                                     remap[pairs[keep, 1]])
+    a, b, c = rim_vertex_mask(mesh)[mesh.triangles[sel]].T
+    on_rim = a | b | c
+    unbounded = len(np.unique(labels[on_rim]))
+    return unbounded, count - unbounded

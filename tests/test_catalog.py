@@ -73,6 +73,15 @@ def test_truncation_solvers():
     assert rho**6 / 9 + rho**4 / 3 + rho**2 == pytest.approx(80.0**2, rel=1e-12)
 
 
+def test_thin_catenoid_neck_builds_without_warnings():
+    # the far bracket end overflows cosh to inf, which keeps its sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = build_surface("catenoid", {"c": 0.001, "r_max": 4},
+                             resolution="coarse")
+    np.testing.assert_allclose(rim_radii(spec.mesh), 4.0, rtol=1e-12)
+
+
 def _brackets():
     """Catenoid and Enneper truncation brackets, as their builders form them."""
     rng = np.random.default_rng(20)

@@ -2,18 +2,19 @@
 import numpy as np
 import pytest
 
-from mingauge import ends
 from mingauge import invariants as inv
 from mingauge.catalog import catalog_names
 from mingauge.ends import (
     _components,
+    _end_counts,
+    _max_forest,
     check_ends_bound,
     components_outside,
     ends_estimate,
     triangle_components,
 )
 from mingauge.geometry import SimplicialSurface
-from meshing_oracle import scipy_components
+from meshing_oracle import per_radius_ends, scipy_components
 
 EXPECTED_ENDS = {
     "plane": 1,
@@ -76,13 +77,9 @@ def test_adjacency_requires_outside_edge_endpoint():
     # the shared edge (0,1) is used twice, the rest once
     mesh = SimplicialSurface(verts, tris, boundary_edges=boundary[:4],
                              truncation_radius=None)
-    outside = np.linalg.norm(verts, axis=1) > 1.0
-    tri_mask = outside[tris].any(axis=1)
-    labels, count = triangle_components(mesh, tri_mask,
-                                        edge_vertex_mask=outside)
-    assert count == 2
-    labels2, count2 = triangle_components(mesh, tri_mask)
-    assert count2 == 1  # without the mask they would merge
+    assert components_outside(mesh, np.zeros(3), 1.0) == (0, 2)
+    labels, count = triangle_components(mesh, np.ones(2, dtype=bool))
+    assert count == 1  # under shared edges alone they merge
 
 
 def test_ends_bound_margins(coarse):
@@ -111,18 +108,64 @@ def _assert_components_match_scipy(n, i, j):
 
 @pytest.mark.parametrize("name", catalog_names())
 @pytest.mark.parametrize("preset", ["coarse", "default"])
-def test_components_match_scipy_on_ends_sweeps(coarse, default, monkeypatch,
-                                               name, preset):
+def test_components_match_scipy_on_ends_sweeps(coarse, default, name, preset):
+    # the one-pass sweep must give the per-radius relabelling's counts
+    # exactly: at the sweep's radii, at vertex distances (ties against the
+    # strict >), just below the nearest vertex and just past the farthest
     spec = (coarse if preset == "coarse" else default)(name)
-    graphs = []
+    mesh, base = spec.mesh, spec.base_point
+    sweep = ends_estimate(mesh, base)
+    dist = np.unique(np.linalg.norm(mesh.vertices - base, axis=1))
+    extra = np.r_[np.nextafter(dist[0], -np.inf), dist[::len(dist) // 10],
+                  dist[-1], np.nextafter(dist[-1], np.inf)]
+    unbounded, bounded, _, _ = _end_counts(mesh, base, extra)
+    for radii, got in [(sweep.radii, (sweep.counts, sweep.bounded_counts)),
+                       (extra, (unbounded, bounded))]:
+        want = np.array([per_radius_ends(mesh, base, r) for r in radii]).T
+        np.testing.assert_array_equal(got, want)
+    # every radius of the sweep leaves some of the mesh outside
+    assert np.all(sweep.counts + sweep.bounded_counts > 0)
+    assert unbounded[-1] == bounded[-1] == 0
 
-    def checked(n, i, j):
-        graphs.append(n)
-        return _assert_components_match_scipy(n, i, j)
 
-    monkeypatch.setattr(ends, "_components", checked)
-    ends_estimate(spec.mesh, spec.base_point)
-    assert len(graphs) == 12  # every radius of the sweep had a nonempty mask
+def _assert_forest_counts_match_scipy(n, i, j, w):
+    # components outside each threshold r are n minus the forest's edges
+    # heavier than r; the forest itself must be acyclic
+    order = np.argsort(-w, kind="stable")
+    forest = _max_forest(n, i[order], j[order])[0]
+    tree = order[forest]
+    assert scipy_components(n, i[tree], j[tree])[0] == n - len(tree)
+    for r in np.r_[-np.inf, np.unique(w)]:
+        heavy = w > r
+        assert (n - np.count_nonzero(w[tree] > r)
+                == scipy_components(n, i[heavy], j[heavy])[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_forest_counts_components_at_every_threshold(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    m = int(rng.integers(0, 3 * n))
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    # duplicate and reversed edges, self-loops, all with tied integer weights
+    dup = rng.integers(0, max(m, 1), m // 3)
+    k = rng.integers(0, n, 5)
+    i, j = np.r_[i, j[dup], i[dup], k], np.r_[j, i[dup], j[dup], k]
+    w = rng.integers(0, 6, len(i)).astype(float)
+    _assert_forest_counts_match_scipy(n, i, j, w)
+
+
+def test_max_forest_edge_cases():
+    none = np.zeros(0, dtype=np.int64)
+    forest, rounds, _ = _max_forest(5, none, none)
+    assert len(forest) == 0 and rounds == 0
+    # a long cycle numbered against its order, with equal and with mixed
+    # weights
+    n = 2000
+    perm = np.random.default_rng(1).permutation(n)
+    i, j = np.r_[perm[:-1], perm[-1]], np.r_[perm[1:], perm[0]]
+    _assert_forest_counts_match_scipy(n, i, j, np.ones(n))
+    _assert_forest_counts_match_scipy(n, i, j, (perm % 40).astype(float))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -288,6 +288,21 @@ def test_radial_integrals_one_pass_matches_one_ball_each():
         assert ball == pytest.approx(alone, rel=1e-12)
 
 
+def test_radial_integrals_cache_never_returns_a_stale_whole():
+    # whole-triangle integrals are kept on the mesh per kind; alternating
+    # centers and kinds must give a fresh mesh's result bit for bit
+    mesh = mesh_from_chart(catenoid_chart(c=1.0, u_max=1.5), (32, 48))
+    centers = [np.array([0.2, -0.1, 0.3]), np.array([1.0, 0.0, 0.0])]
+    radii = [0.8, 1.6, 2.4, np.inf]
+    for center, kind in ([(c, k) for k in KINDS for c in centers]
+                         + [(c, k) for c in centers for k in KINDS]):
+        fresh = SimplicialSurface(mesh.vertices, mesh.triangles,
+                                  truncation_radius=mesh.truncation_radius)
+        got = radial_integrals(mesh, center, radii, kind)
+        want = radial_integrals(fresh, center, radii, kind)
+        assert got.tobytes() == want.tobytes(), (center, kind)
+
+
 @pytest.mark.parametrize("radii", [[1.0, 1.0], [2.0, 1.0], []])
 def test_radial_integrals_rejects_radii_not_increasing(radii):
     mesh = flat_disk(radius=1.0, rings=6, sectors=12)

@@ -164,6 +164,12 @@ def test_reports_are_byte_identical(plane_runs):
     cells = int(log["counting_cells"])
     candidates = int(log["counting_candidates"])
     assert 0 < int(log["counting_pairs_tested"]) <= candidates < cells
+    # the end count's work counters go to run.log only
+    assert int(log["ends_graph_edges"]) > 0
+    assert int(log["ends_forest_rounds"]) > 0
+    report_text = (a / "report.json").read_text()
+    assert "graph_edges" not in report_text
+    assert "forest_rounds" not in report_text
 
 
 def test_report_validates_against_shipped_schema(plane_runs):
