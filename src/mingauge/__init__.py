@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 # counts in the environment before numpy is first imported.
 _EXPORTS = {
     "ImmersionChart": ".geometry",
-    "LevelCurve": ".geometry",
     "SimplicialSurface": ".geometry",
     "decompose_radial": ".geometry",
-    "level_polyline": ".geometry",
+    "level_chords": ".geometry",
     "mesh_from_chart": ".geometry",
     "radial_integrals": ".geometry",
 }

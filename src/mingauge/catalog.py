@@ -469,7 +469,7 @@ def _build_helicoid(params, res):
 
 
 def _build_sphere(params, res):
-    radius = float(params["radius"])
+    radius = _check_length(params, "radius")
     center = np.asarray(params["center"], dtype=float)
     mesh = icosphere(res["subdivisions"], radius, center, name="sphere")
     return SurfaceSpec(

@@ -1,6 +1,5 @@
 from .types import (
     ImmersionChart,
-    LevelCurve,
     SimplicialSurface,
     check_frame,
     decompose_radial,
@@ -14,17 +13,16 @@ from .meshing import (
     spherical_cap_mesh,
 )
 from .quadrature import integrate_with_error, radial_integrals, triangle_rule
-from .levels import level_polyline
+from .levels import level_chords
 
 __all__ = [
     "ImmersionChart",
-    "LevelCurve",
     "SimplicialSurface",
     "check_frame",
     "decompose_radial",
     "icosphere",
     "integrate_with_error",
-    "level_polyline",
+    "level_chords",
     "mesh_from_chart",
     "orthonormal_frame",
     "polar_disk_mesh",

@@ -1,4 +1,4 @@
-"""Core geometric types: triangulated surfaces, charts, level curves, frames.
+"""Core geometric types: triangulated surfaces, charts, frames.
 
 All ambient points are plain float64 numpy arrays of shape (n,) with n the
 ambient dimension (3 or 4 in practice).  Tangent frames are arrays of shape
@@ -225,36 +225,3 @@ class ImmersionChart:
         F = np.sum(xu * xv, axis=-1)
         G = np.sum(xv * xv, axis=-1)
         return E, F, G
-
-
-@dataclass
-class LevelCurve:
-    """Polyline approximation of {x on mesh : |x - center| = level}.
-
-    polylines        list of (k_i, n) point arrays, consecutive points joined
-    closed           per-polyline flag; True when the curve is a loop
-    segment_triangles list of (k_i - 1,) or (k_i,) triangle indices: the mesh
-                     triangle each segment lies in (k_i for closed loops)
-    level, center    define the sphere that was traced
-    snap_shift       relative amount the level was nudged to avoid vertices
-    """
-
-    polylines: list
-    closed: list
-    segment_triangles: list
-    level: float
-    center: np.ndarray
-    snap_shift: float = 0.0
-
-    @property
-    def empty(self) -> bool:
-        return len(self.polylines) == 0
-
-    def total_length(self) -> float:
-        out = 0.0
-        for pts, cl in zip(self.polylines, self.closed):
-            seg = np.diff(pts, axis=0)
-            out += float(np.linalg.norm(seg, axis=1).sum())
-            if cl:
-                out += float(np.linalg.norm(pts[0] - pts[-1]))
-        return out

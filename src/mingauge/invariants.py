@@ -7,8 +7,8 @@ surface point, split into its components tangent and normal to the surface:
   limit of the normalized sphere flux;
 * radial defect      -- integral of |normal part|^2 / |x - a|^(p + 2), a
   convergent measure of how far the surface is from a cone through ``a``;
-* sphere flux        -- line integral of |tangent part| over the curve where
-  the mesh meets a sphere, normalized by the sphere radius;
+* sphere flux        -- line integral of |tangent part| over the chords where
+  the sphere crosses the mesh triangles, normalized by the sphere radius;
 * boundary constant  -- conormal flux of the same field through a genuine
   (non-truncation) boundary.
 
@@ -16,7 +16,7 @@ The divergence theorem ties these together.  Each estimate is computed once;
 the identity check takes the estimates themselves and does only arithmetic
 on them, so a report never re-runs an estimator to check it.  The remaining
 check_* functions compare two independent discretization routes on a concrete
-mesh (curve integrals vs region quadrature), so agreement is evidence of
+mesh (chord sums vs region integrals), so agreement is evidence of
 correctness rather than of a shared bug.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .geometry import (
     SimplicialSurface,
     decompose_radial,
     integrate_with_error,
-    level_polyline,
+    level_chords,
     radial_integrals,
 )
 from .ends import rim_vertex_mask, triangle_components
@@ -55,8 +55,10 @@ class FluxProfile:
     """Sphere flux across a sweep of radii.
 
     raw[k] is the line integral of |tangent part of x - center| over the
-    level curve |x - center| = levels[k]; errors[k] the quadrature error
-    estimate for it (midpoint vs 2-point Gauss on each segment).
+    chords where the sphere |x - center| = levels[k] crosses the mesh
+    triangles, one per crossed triangle; errors[k] the quadrature error
+    estimate for it (midpoint vs 2-point Gauss on each chord), and
+    curve_lengths[k] the chords' total length.
     """
 
     levels: np.ndarray
@@ -92,34 +94,20 @@ class FluxProfile:
                            self.curve_lengths[idx], self.p, self.center)
 
 
-def _curve_flux(mesh, curve, center):
-    """(midpoint value, gauss value, length) of the |tangent| line integral."""
-    c = np.asarray(center, dtype=float)
-    mid_total = 0.0
-    gauss_total = 0.0
-    length = 0.0
+def _segment_rule(A, B, integrand):
+    """Line integral of ``integrand`` over the segments A[i] -> B[i].
 
-    def tang_norm(points, owners):
-        tang, _ = decompose_radial(points, c, mesh.frames()[owners],
-                                   check=False)
-        return np.linalg.norm(tang, axis=1)
-
-    for pts, closed, owners in zip(curve.polylines, curve.closed,
-                                   curve.segment_triangles):
-        if closed:
-            A, B = pts, np.roll(pts, -1, axis=0)
-        else:
-            A, B = pts[:-1], pts[1:]
-        owners = np.asarray(owners)
-        d = B - A
-        L = np.linalg.norm(d, axis=1)
-        mid = 0.5 * (A + B)
-        mid_total += float(np.sum(L * tang_norm(mid, owners)))
-        g1 = tang_norm(mid - GAUSS_OFFSET * d, owners)
-        g2 = tang_norm(mid + GAUSS_OFFSET * d, owners)
-        gauss_total += float(np.sum(L * 0.5 * (g1 + g2)))
-        length += float(L.sum())
-    return mid_total, gauss_total, length
+    Returns (2-point Gauss value, its error, segment lengths); the error is
+    the Gauss sum's distance from the midpoint sum plus a roundoff floor.
+    """
+    d = B - A
+    L = np.linalg.norm(d, axis=1)
+    mid = 0.5 * (A + B)
+    v_mid = float(np.sum(L * integrand(mid)))
+    g1 = integrand(mid - GAUSS_OFFSET * d)
+    g2 = integrand(mid + GAUSS_OFFSET * d)
+    v_gauss = float(np.sum(L * 0.5 * (g1 + g2)))
+    return v_gauss, abs(v_gauss - v_mid) + 1e-14 * abs(v_gauss), L
 
 
 def flux_profile(mesh: SimplicialSurface, center, levels, p: int = 2) -> FluxProfile:
@@ -132,13 +120,17 @@ def flux_profile(mesh: SimplicialSurface, center, levels, p: int = 2) -> FluxPro
     errors = np.zeros(len(levels))
     lengths = np.zeros(len(levels))
     for k, t in enumerate(levels):
-        curve = level_polyline(mesh, center, t)
-        if curve.empty:
+        tris, ends, _ = level_chords(mesh, center, t)
+        if len(tris) == 0:
             continue
-        mid, gauss, length = _curve_flux(mesh, curve, center)
-        raw[k] = gauss
-        errors[k] = abs(gauss - mid) + 1e-14 * abs(gauss)
-        lengths[k] = length
+        frames = mesh.frames()[tris]
+
+        def tang_norm(points):
+            tang, _ = decompose_radial(points, center, frames, check=False)
+            return np.linalg.norm(tang, axis=1)
+
+        raw[k], errors[k], L = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
+        lengths[k] = L.sum()
     return FluxProfile(levels, raw, errors, lengths, p, center)
 
 
@@ -289,10 +281,8 @@ def boundary_constant(mesh: SimplicialSurface, center, p: int = 2,
     va = mesh.vertices[edges[:, 0]]
     vb = mesh.vertices[edges[:, 1]]
     d = vb - va
-    L = np.linalg.norm(d, axis=1)
-    ehat = d / L[:, None]
-    mid = 0.5 * (va + vb)
-    w = mid - mesh.centroids()[owners]
+    ehat = d / np.linalg.norm(d, axis=1)[:, None]
+    w = 0.5 * (va + vb) - mesh.centroids()[owners]
     w -= np.sum(w * ehat, axis=1)[:, None] * ehat
     nu = w / np.linalg.norm(w, axis=1)[:, None]
 
@@ -301,13 +291,10 @@ def boundary_constant(mesh: SimplicialSurface, center, p: int = 2,
         r = np.linalg.norm(x, axis=1)
         return np.sum(x * nu, axis=1) / r**p
 
-    v_mid = float(np.sum(L * field_dot_nu(mid)))
-    g1 = field_dot_nu(mid - GAUSS_OFFSET * d)
-    g2 = field_dot_nu(mid + GAUSS_OFFSET * d)
-    v_gauss = float(np.sum(L * 0.5 * (g1 + g2)))
+    value, error, _ = _segment_rule(va, vb, field_dot_nu)
     return {
-        "value": v_gauss,
-        "error": abs(v_gauss - v_mid) + 1e-14 * abs(v_gauss),
+        "value": value,
+        "error": error,
         "num_edges": int(len(edges)),
     }
 
@@ -342,7 +329,7 @@ def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
                               profile: FluxProfile | None = None) -> dict:
     """Flux increment across a shell equals twice the defect inside it.
 
-    Left side: curve integrals on the two spheres (looked up in ``profile``
+    Left side: chord sums on the two spheres (looked up in ``profile``
     when given).  Right side: the defect integral over the shell.  These
     share no discretization machinery beyond the mesh itself.
     """

@@ -10,7 +10,7 @@ from mingauge.geometry import (
     SimplicialSurface,
     decompose_radial,
     icosphere,
-    level_polyline,
+    level_chords,
     mesh_from_chart,
     orthonormal_frame,
     polar_disk_mesh,
@@ -18,13 +18,14 @@ from mingauge.geometry import (
 )
 from mingauge.geometry.meshing import _grid_triangles
 from mingauge.geometry.quadrature import KINDS
-from mingauge.invariants import max_safe_radius
+from mingauge.invariants import flux_profile, level_grid, max_safe_radius
 from meshing_oracle import (
     loop_grid_triangles,
     loop_polar_triangles,
     unique_boundary,
     unique_edge_table,
 )
+from levels_oracle import curve_flux, level_polyline, polyline_segments
 from quadrature_oracle import cut_cell_integrals, cut_cell_shells, integrand_of
 
 
@@ -387,63 +388,144 @@ def test_radial_integrals_rejects_unknown_kind():
 
 
 # ---------------------------------------------------------------- levels
+# The level polyline of a sphere is the unordered set of chords that
+# level_chords cuts from the crossed triangles.
+
+
+def chord_lengths(ends):
+    return np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+
+
+def endpoint_uses(ends):
+    """(distinct endpoints, how many chords share each)."""
+    return np.unique(ends.reshape(-1, ends.shape[-1]), axis=0,
+                     return_counts=True)
 
 
 def test_level_polyline_plane_circle_length():
     mesh = flat_disk(radius=2.0, rings=96, sectors=192)
-    curve = level_polyline(mesh, np.zeros(3), 1.0)
-    assert len(curve.polylines) == 1
-    assert curve.closed == [True]
-    assert curve.total_length() == pytest.approx(2 * np.pi, rel=1e-3)
+    tris, ends, t = level_chords(mesh, np.zeros(3), 1.0)
+    assert ends.shape == (len(tris), 2, 3)
+    assert chord_lengths(ends).sum() == pytest.approx(2 * np.pi, rel=1e-3)
     # every point radially projected onto the sphere
-    for pts in curve.polylines:
-        r = np.linalg.norm(pts - curve.center, axis=1)
-        assert np.max(np.abs(r - curve.level)) <= 1e-9 * curve.level
+    r = np.linalg.norm(ends, axis=2)
+    assert np.max(np.abs(r - t)) <= 1e-9 * t
+    # neighbouring chords meet in one shared point: the circle is closed
+    assert np.all(endpoint_uses(ends)[1] == 2)
 
 
 def test_level_polyline_empty_below_neck():
     mesh = mesh_from_chart(catenoid_chart(c=1.0, u_max=2.0), (48, 64))
-    curve = level_polyline(mesh, np.zeros(3), 0.5)
-    assert curve.empty
+    tris, ends, _ = level_chords(mesh, np.zeros(3), 0.5)
+    assert len(tris) == 0
+    assert ends.shape == (0, 2, 3)
 
 
 def test_level_polyline_catenoid_two_loops():
     mesh = mesh_from_chart(catenoid_chart(c=1.0, u_max=2.0), (48, 64))
-    curve = level_polyline(mesh, np.zeros(3), 2.5)
-    assert len(curve.polylines) == 2
-    assert all(curve.closed)
-    # loops sit on opposite sides of the neck plane
-    z_signs = sorted(np.sign(pts[:, 2].mean()) for pts in curve.polylines)
-    assert z_signs == [-1.0, 1.0]
+    _, ends, _ = level_chords(mesh, np.zeros(3), 2.5)
+    # the loops sit on opposite sides of the neck plane, mirror images
+    z = ends[:, :, 2]
+    assert np.all(np.sign(z[:, 0]) == np.sign(z[:, 1]))
+    assert np.all(z[:, 0] != 0.0)
+    lengths = chord_lengths(ends)
+    upper, lower = lengths[z[:, 0] > 0].sum(), lengths[z[:, 0] < 0].sum()
+    assert upper > 2 * np.pi
+    assert upper == pytest.approx(lower, rel=1e-12)
 
 
 def test_level_polyline_snaps_off_vertices():
     mesh = flat_disk(radius=2.0, rings=40, sectors=64)
     # ring radii include exactly 1.0 -> vertices at distance 1.0 from center
     r_hit = float(np.linalg.norm(mesh.vertices, axis=1)[33])
-    curve = level_polyline(mesh, np.zeros(3), r_hit)
-    assert curve.snap_shift > 0
-    assert len(curve.polylines) == 1
-    assert curve.total_length() == pytest.approx(2 * np.pi * r_hit, rel=1e-3)
+    _, ends, t = level_chords(mesh, np.zeros(3), r_hit)
+    assert t > r_hit
+    assert np.all(np.abs(np.linalg.norm(mesh.vertices, axis=1) - t) > 1e-9 * t)
+    assert chord_lengths(ends).sum() == pytest.approx(2 * np.pi * r_hit, rel=1e-3)
 
 
 def test_level_polyline_open_path_on_boundary_crossing_sphere():
     mesh = mesh_from_chart(flat_square_chart(1.0), (30, 30))
-    curve = level_polyline(mesh, np.zeros(3), 1.2)  # sphere exits the square
-    assert len(curve.polylines) == 4
-    assert not any(curve.closed)
+    _, ends, _ = level_chords(mesh, np.zeros(3), 1.2)  # sphere exits the square
     # arc total: 4 corner arcs of a circle radius 1.2 inside the square
     ang = 2 * (np.pi / 4 - np.arccos(1.0 / 1.2))
-    assert curve.total_length() == pytest.approx(4 * ang * 1.2, rel=2e-3)
+    assert chord_lengths(ends).sum() == pytest.approx(4 * ang * 1.2, rel=2e-3)
+    # each arc has two ends of its own, on the square's rim (up to the
+    # radial projection of the rim chord's crossing point)
+    points, uses = endpoint_uses(ends)
+    assert np.count_nonzero(uses == 1) == 8
+    assert np.all((uses == 1) | (uses == 2))
+    loose = points[uses == 1]
+    assert np.allclose(np.abs(loose[:, :2]).max(axis=1), 1.0, atol=1e-3)
 
 
 def test_level_polyline_segment_owners_are_crossing_triangles():
     mesh = flat_disk(radius=1.5, rings=32, sectors=48)
-    curve = level_polyline(mesh, np.zeros(3), 0.8)
-    (tris,) = curve.segment_triangles
-    mids = mesh.centroids()[tris]
-    r = np.linalg.norm(mids, axis=1)
-    assert np.all(np.abs(r - 0.8) < 0.25)
+    tris, ends, t = level_chords(mesh, np.zeros(3), 0.8)
+    assert np.all(np.diff(tris) > 0)
+    d = np.linalg.norm(mesh.vertices, axis=1)[mesh.triangles[tris]]
+    assert np.all((d.min(axis=1) < t) & (d.max(axis=1) > t))
+    # no other triangle is crossed
+    assert len(tris) == np.count_nonzero(
+        (np.linalg.norm(mesh.vertices, axis=1)[mesh.triangles] > t).sum(axis=1)
+        % 3 != 0)
+    # each chord lies in the plane of its triangle
+    corners = mesh.corners()[tris]
+    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    offset = np.einsum("mkn,mn->mk", ends - corners[:, :1], normal)
+    assert np.max(np.abs(offset)) <= 1e-12
+
+
+def test_level_chords_distance_cache_never_returns_a_stale_center(coarse):
+    mesh = coarse("catenoid").mesh
+    centers = [np.zeros(3), np.array([1.0, 0.0, 0.0])]
+    for center in [*centers, *centers[::-1]]:
+        got = level_chords(mesh, center, 3.0)
+        want = level_chords(SimplicialSurface(mesh.vertices, mesh.triangles),
+                            center, 3.0)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+def report_levels(mesh, base):
+    """Every level a report traces the flux at (see compute_report)."""
+    r_hi = max_safe_radius(mesh, base)
+    return np.union1d(level_grid(mesh, base, 24),
+                      [*np.geomspace(0.5 * r_hi, r_hi, 4), 0.7 * r_hi])
+
+
+@pytest.mark.parametrize("name, preset, base", [
+    *[(name, preset, None) for name in catalog_names()
+      for preset in ("coarse", "default")],
+    ("catenoid", "coarse", [1.0, 0.0, 0.0]),
+    ("enneper", "coarse", [0.0, 0.0, 0.0]),
+], ids=lambda v: "base" if v is None else str(v))
+def test_level_chords_equal_the_polyline_segments(request, name, preset, base):
+    spec = request.getfixturevalue(preset)(name)
+    mesh = spec.mesh
+    base = spec.base_point if base is None else np.asarray(base)
+    levels = report_levels(mesh, base)
+    profile = flux_profile(mesh, base, levels)
+    for k, level in enumerate(levels):
+        tris, ends, t = level_chords(mesh, base, level)
+        curve = level_polyline(mesh, base, level)
+        assert t == curve[3]
+        if len(tris) == 0:
+            assert curve[0] == [] and profile.raw[k] == 0.0
+            continue
+        A, B, owners = polyline_segments(curve)
+        order = np.argsort(owners)
+        assert np.array_equal(owners[order], tris)
+        A, B = A[order].view(np.int64), B[order].view(np.int64)
+        P, Q = ends[:, 0].view(np.int64), ends[:, 1].view(np.int64)
+        same = np.all(A == P, axis=1) & np.all(B == Q, axis=1)
+        flipped = np.all(A == Q, axis=1) & np.all(B == P, axis=1)
+        assert np.all(same | flipped), (level, np.count_nonzero(~(same | flipped)))
+        _, gauss, length = curve_flux(mesh, curve, base)
+        assert profile.raw[k] == pytest.approx(gauss, rel=1e-14, abs=0.0)
+        assert profile.curve_lengths[k] == pytest.approx(length, rel=1e-14,
+                                                         abs=0.0)
 
 
 # ---------------------------------------------------------------- invariance
@@ -462,7 +544,7 @@ def test_rigid_motion_invariance_of_measure_and_levels():
     a = np.array([0.2, -0.1, 0.3])
     t = 2.0
     area0 = radial_integrals(mesh, a, [t]).sum()
-    len0 = level_polyline(mesh, a, t).total_length()
+    len0 = chord_lengths(level_chords(mesh, a, t)[1]).sum()
     for _ in range(3):
         q, shift = random_rigid_motion(rng)
         moved = SimplicialSurface(
@@ -473,6 +555,6 @@ def test_rigid_motion_invariance_of_measure_and_levels():
         )
         a2 = q @ a + shift
         area1 = radial_integrals(moved, a2, [t]).sum()
-        len1 = level_polyline(moved, a2, t).total_length()
+        len1 = chord_lengths(level_chords(moved, a2, t)[1]).sum()
         assert abs(area1 - area0) <= 1e-10 * max(1.0, area0)
         assert abs(len1 - len0) <= 1e-10 * max(1.0, len0)

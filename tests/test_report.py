@@ -521,7 +521,7 @@ def test_cli_build_probes_exit_2(tmp_path, config, field):
     ({"surface": {"name": "catenoid"}, "base_point": [1e6, 0, 0]},
      "base_point"),
     ({"surface": {"name": "sphere", "params": {"radius": 1e300}}},
-     "base_point"),
+     "surface.params.radius"),
 ], ids=["enneper-r_max", "helicoid-pitch", "plane-r_max", "enneper-small",
         "catenoid-c-1e-13", "catenoid-c-1e-300", "catenoid-c-1e-320",
         "catenoid-far-base", "sphere-huge"])
