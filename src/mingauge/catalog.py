@@ -230,7 +230,7 @@ _DEFAULT_PARAMS = {
     "complex_parabola_r4": {"r_max": 60.0},
 }
 
-_MAX_LENGTH = 1e150
+_MAX_LENGTH = 1e75
 # how far the catenoid's rim may sit from r_max, relative to it: the root
 # finder's 2e-12 step in u moves |x| by about 2e-12 / c of r_max, so necks
 # thinner than about 1e-6 cannot be truncated where they were asked to be
@@ -343,10 +343,10 @@ def _brentq(f, xa: float, xb: float) -> float:
 
 
 def _check_length(params, key: str) -> float:
-    """``params[key]`` as a float the builders can square without overflow.
+    """``params[key]`` as a float whose fourth power stays finite.
 
-    Builders square lengths as Python floats, which raise ``OverflowError``
-    above about 1.3e154; the bound leaves room for their own factors.
+    The first fundamental form and the chart meshing raise lengths to the
+    fourth power; the bound leaves room for the builders' own factors.
     """
     value = float(params[key])
     if not abs(value) <= _MAX_LENGTH:

@@ -11,13 +11,18 @@ so section-count averages, projected sphere measure, and the defect integral
 can all be compared against one another.
 
 Counting culls before it tests: a (triangle, section) pair gets the exact
-barycentric hit test only when the section passes within the triangle's
-corner spread of its centroid.  For lines in R^3 the passing directions form
-a cap, and the caps are indexed on a lat-long grid of S^2, so a line tests
-only the triangles listed under its own and its opposite direction's cells;
-crofton_verify is the same line count with base 0.  Tangencies, edge hits and
-near-parallel triangles among tested pairs land in a small gray zone; such a
-section is jittered by ~1e-9 and recounted, which keeps seeded runs
+hit test only when the section passes within the triangle's corner spread of
+its centroid.  For lines in R^3 the passing directions form a cap, and the
+caps are indexed on a lat-long grid of S^2, so a line tests only the
+triangles listed under its own and its opposite direction's cells;
+crofton_verify is the same line count with base 0.  One test serves every n:
+the hit's barycentric coordinates are ratios of dot products between the
+Plucker coordinates of the triangle and of the section's complement, and the
+hit counts inside radius r when its offset w from the base has |w| <= r.
+A pair is gray, its count not trusted, when the section is near-parallel to
+the triangle, when the hit lies within EDGE_EPS of an edge in barycentric
+terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
+gray pair is jittered by ~1e-9 and recounted, which keeps seeded runs
 reproducible.  A triangle out of reach never jitters: it cannot change counts.
 """
 from functools import partial
@@ -86,15 +91,17 @@ def sample_grassmann(n: int, p: int, count: int, rng):
 
 
 def _signed_qr_frames(columns, k):
-    """QR of (m, n, n) matrices with the R-diagonal sign fix, as row frames.
+    """Complete QR of (m, n, c) column matrices with the R-diagonal sign fix.
 
-    Returns the first ``k`` columns of each Q as (m, k, n) rows and the
-    remaining ones as (m, n - k, n) rows.
+    The first ``min(n, c)`` columns of each Q take the signs of R's
+    diagonal, which frees Q of the factorization's sign choices.  Returns
+    the first ``k`` columns of each Q as (m, k, n) rows and the remaining
+    ones as (m, n - k, n) rows.
     """
-    q, r = np.linalg.qr(columns)
+    q, r = np.linalg.qr(columns, mode="complete")
     sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
     sign[sign == 0] = 1.0
-    q = q * sign[:, None, :]
+    q[:, :, :sign.shape[1]] *= sign[:, None, :]
     return (np.swapaxes(q[:, :, :k], 1, 2).copy(),
             np.swapaxes(q[:, :, k:], 1, 2).copy())
 
@@ -102,13 +109,11 @@ def _signed_qr_frames(columns, k):
 def _complete_frames(directions):
     """Orthonormalize (m, k, n) direction rows and append complements."""
     d = np.asarray(directions, dtype=float)
-    m, k, n = d.shape
-    q, r = np.linalg.qr(np.swapaxes(d, 1, 2), mode="complete")
-    lead = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    if np.any(lead < 1e-12):
+    sections, complements = _signed_qr_frames(np.swapaxes(d, 1, 2),
+                                              d.shape[1])
+    # after the sign fix each row's component along its direction is |R_jj|
+    if np.any(np.einsum("mkn,mkn->mk", sections, d) < 1e-12):
         raise InvalidFrameError("section directions are linearly dependent")
-    sections = np.swapaxes(q[:, :, :k], 1, 2).copy()
-    complements = np.swapaxes(q[:, :, k:], 1, 2).copy()
     return sections, complements
 
 
@@ -239,88 +244,50 @@ def _cap_cull(offset, floor):
     return cull, per_line
 
 
-def _barycentric_zones(det, det_scale, a_num, b_num, eps):
-    """Cramer solve of a batch of pairs and its tangency gray zone.
+def _wedge(a, b):
+    """Plucker coordinates ``a_i b_j - a_j b_i`` (i < j) of rows (m, n),
+    as a C-contiguous (m, n(n-1)/2) array."""
+    i, j = np.triu_indices(a.shape[1], 1)
+    return np.ascontiguousarray(a[:, i] * b[:, j] - a[:, j] * b[:, i])
 
-    Returns (alpha, beta, inside, potential, gray): ``inside`` hits lie clear
-    of the triangle's edges, ``potential`` ones lie on the ``eps``-widened
-    triangle, and ``gray`` marks near-parallel pairs and potential hits near
-    an edge, whose count cannot be trusted.
+
+def _hit_test(A, e1, e2, base, split=False):
+    """Exact pair test of (n-2)-plane sections against triangles, any n.
+
+    A section meets triangle ``A + alpha e1 + beta e2`` where its complement
+    rows ``c1``, ``c2`` annihilate ``alpha e1 + beta e2 - t`` (t = base - A),
+    a 2 x 2 system whose Cramer determinants are dot products of 2-vectors:
+    ``det = C.(e1^e2)``, ``alpha det = C.(t^e2)``, ``beta det = C.(e1^t)``
+    with ``C = c1^c2``.  With ``split`` a last row of hits keeps those of the
+    outermost radius ahead of the base along the section's first row.
     """
-    safe = np.abs(det) > 1e-13 * det_scale
-    inv = np.where(safe, det, 1.0)
-    alpha = a_num / inv
-    beta = b_num / inv
-    inside = safe & (alpha > eps) & (beta > eps) & (alpha + beta < 1.0 - eps)
-    potential = safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps)
-    near_edge = (
-        (np.abs(alpha) <= eps) | (np.abs(beta) <= eps)
-        | (np.abs(alpha + beta - 1.0) <= eps)
-    )
-    gray = (~safe) | (potential & near_edge)
-    return alpha, beta, inside, potential, gray
-
-
-def _line_hit_test(A, e1, e2, base, split=False):
-    """Pair test for line sections in R^3 via cross-product Cramer solves.
-
-    The hit lies at ``base + (s / det) u``.  With ``split`` a last row of
-    hits keeps those of the outermost radius ahead of the base (s / det > 0).
-    """
-    tvec = base - A
-    w_det = np.cross(e2, e1)
-    w_alpha = np.cross(e2, tvec)
-    w_beta = np.cross(tvec, e1)
-    s_num = np.einsum("tn,tn->t", e2, w_beta)
-    abs_s = np.abs(s_num)
-    det_scale = np.linalg.norm(w_det, axis=1) + 1e-300
+    t = base - A
+    E, Ea, Eb = _wedge(e1, e2), _wedge(t, e2), _wedge(e1, t)
+    det_scale = np.linalg.norm(E, axis=1) + 1e-300
 
     def test(sections, complements, ti, si, radii, eps):
-        dirs = np.take(sections[:, 0, :], si, axis=0)
-        det = np.einsum("pn,pn->p", np.take(w_det, ti, axis=0), dirs)
-        a_num = np.einsum("pn,pn->p", np.take(w_alpha, ti, axis=0), dirs)
-        b_num = np.einsum("pn,pn->p", np.take(w_beta, ti, axis=0), dirs)
-        _, _, inside, potential, gray = _barycentric_zones(
-            det, np.take(det_scale, ti), a_num, b_num, eps)
-        s = np.take(abs_s, ti)
-        abs_det = np.abs(det)
-        hits = np.empty((len(radii) + split, len(ti)), dtype=bool)
-        for k, r in enumerate(radii):
-            hits[k] = inside & (s <= r * abs_det)
-            gray |= potential & (np.abs(s - r * abs_det) <= eps * r * abs_det)
+        C = np.take(_wedge(complements[:, 0], complements[:, 1]), si, axis=0)
+        det = np.einsum("pk,pk->p", np.take(E, ti, axis=0), C)
+        safe = np.abs(det) > 1e-13 * np.take(det_scale, ti)
+        inv = np.where(safe, det, 1.0)
+        alpha = np.einsum("pk,pk->p", np.take(Ea, ti, axis=0), C) / inv
+        beta = np.einsum("pk,pk->p", np.take(Eb, ti, axis=0), C) / inv
+        pot = np.flatnonzero(
+            safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps))
+        a, b, tp = alpha[pot], beta[pot], ti[pot]
+        inside = (a > eps) & (b > eps) & (a + b < 1.0 - eps)
+        w = (a[:, None] * np.take(e1, tp, axis=0)
+             + b[:, None] * np.take(e2, tp, axis=0) - np.take(t, tp, axis=0))
+        rho2 = np.einsum("pn,pn->p", w, w)
+        r2 = radii[:, None] * radii[:, None]
+        hits = np.zeros((len(radii) + split, len(ti)), dtype=bool)
+        hits[:len(radii), pot] = inside & (rho2 <= r2)
         if split:
-            hits[-1] = hits[-2] & (np.take(s_num, ti) * det > 0)
-        return hits, gray
-
-    return test
-
-
-def _plane_hit_test(A, e1, e2, base):
-    """Pair test for (n-2)-plane sections via Cramer solves on projections."""
-    t0 = base - A
-
-    def test(sections, complements, ti, si, radii, eps):
-        comp = complements[si]
-        m1 = np.einsum("pn,pin->pi", e1[ti], comp)
-        m2 = np.einsum("pn,pin->pi", e2[ti], comp)
-        tt = np.einsum("pn,pin->pi", t0[ti], comp)
-        det = m1[:, 0] * m2[:, 1] - m2[:, 0] * m1[:, 1]
-        det_scale = (np.abs(m1) + np.abs(m2)).sum(axis=1) ** 2 / 4.0 + 1e-300
-        a_num = tt[:, 0] * m2[:, 1] - m2[:, 0] * tt[:, 1]
-        b_num = m1[:, 0] * tt[:, 1] - tt[:, 0] * m1[:, 1]
-        alpha, beta, inside, potential, gray = _barycentric_zones(
-            det, det_scale, a_num, b_num, eps)
-
-        sec = sections[si]
-        b0 = np.einsum("pn,pkn->pk", A[ti] - base, sec)
-        f1 = np.einsum("pn,pkn->pk", e1[ti], sec)
-        f2 = np.einsum("pn,pkn->pk", e2[ti], sec)
-        w = b0 + alpha[:, None] * f1 + beta[:, None] * f2
-        rho2 = np.sum(w * w, axis=1)
-        hits = np.empty((len(radii), len(ti)), dtype=bool)
-        for k, r in enumerate(radii):
-            hits[k] = inside & (rho2 <= r * r)
-            gray |= potential & (np.abs(rho2 - r * r) <= 3.0 * eps * r * r)
+            ahead = np.einsum("pn,pn->p", w, sections[si[pot], 0]) > 0
+            hits[-1, pot] = hits[-2, pot] & ahead
+        gray = ~safe
+        gray[pot] = ~inside | np.any(np.abs(rho2 - r2) <= 3.0 * eps * r2,
+                                     axis=0)
         return hits, gray
 
     return test
@@ -355,8 +322,8 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
                     eps=EDGE_EPS, split=False) -> _SectionCounts:
     """(num_radii, S) intersection counts inside |x - base| <= r, jittered.
 
-    With ``split`` (lines only) a last row counts the hits inside the
-    outermost radius that lie ahead of the base along the line.
+    With ``split`` a last row counts the hits inside the outermost radius
+    that lie ahead of the base along each section's first row.
     """
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -386,12 +353,11 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
     jittered = candidates = pairs_tested = 0
     if len(A) == 0:
         return _SectionCounts(counts, jittered, 0, candidates, pairs_tested)
+    hit_test = _hit_test(A, e1, e2, base, split)
     if n == 3:
-        hit_test = _line_hit_test(A, e1, e2, base, split)
         cull, per_line = _cap_cull(offset, floor)
         block = max(32, _BLOCK_CANDIDATES // per_line)
     else:
-        hit_test = _plane_hit_test(A, e1, e2, base)
         cull = partial(_cull_pairs, offset, floor)
         block = max(32, _BLOCK_CELLS // len(A))
     for lo in range(0, S, block):

@@ -145,9 +145,11 @@ def _flux_at(mesh, center, levels, profile: FluxProfile | None, p: int = 2):
 def max_safe_radius(mesh: SimplicialSurface, center, margin: float = 0.98) -> float:
     """Largest |x - center| radius guaranteed covered by the truncated mesh."""
     center = np.asarray(center, dtype=float)
-    if mesh.truncation_radius is None:
-        return margin * float(np.linalg.norm(mesh.vertices - center, axis=1).max())
-    return margin * (mesh.truncation_radius - float(np.linalg.norm(center)))
+    with np.errstate(over="ignore"):  # a center past 1e154 is +inf away
+        if mesh.truncation_radius is None:
+            return margin * float(
+                np.linalg.norm(mesh.vertices - center, axis=1).max())
+        return margin * (mesh.truncation_radius - float(np.linalg.norm(center)))
 
 
 def level_grid(mesh: SimplicialSurface, center, count: int = 24,

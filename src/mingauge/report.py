@@ -72,6 +72,8 @@ _LEVELS_KEYS = {"count"}
 _MC_KEYS = {"seed", "samples", "radii"}
 
 DEFAULT_MC_SAMPLES = 50000
+MAX_LEVELS = 10_000
+MAX_MC_SAMPLES = 1_000_000
 
 
 # --------------------------------------------------------------------------
@@ -102,11 +104,14 @@ def _require_object(value, where: str) -> dict:
     return value
 
 
-def _require_int(value, where: str, minimum: int | None = None) -> int:
+def _require_int(value, where: str, minimum: int | None = None,
+                 maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(where, "must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(where, f"must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(where, f"must be at most {maximum}")
     return value
 
 
@@ -189,7 +194,7 @@ def parse_config(raw) -> RunConfig:
         _reject_unknown(levels, _LEVELS_KEYS, "levels")
         if "count" in levels:
             num_levels = _require_int(levels["count"], "levels.count",
-                                      minimum=4)
+                                      minimum=4, maximum=MAX_LEVELS)
 
     mc_seed = None
     mc_samples = DEFAULT_MC_SAMPLES
@@ -203,7 +208,8 @@ def parse_config(raw) -> RunConfig:
                                          "Monte-Carlo based)")
         mc_seed = _require_int(mc["seed"], "mc.seed", minimum=0)
         if "samples" in mc:
-            mc_samples = _require_int(mc["samples"], "mc.samples", minimum=100)
+            mc_samples = _require_int(mc["samples"], "mc.samples",
+                                      minimum=100, maximum=MAX_MC_SAMPLES)
         if "radii" in mc:
             radii = mc["radii"]
             if not isinstance(radii, (list, tuple)) or len(radii) == 0:

@@ -1,0 +1,96 @@
+"""Reference section hit tests: one Cramer solve per section dimension.
+
+These are the pair tests the single Plücker-coordinate ``intgeom._hit_test``
+replaced, kept as the oracle it is tested against.  Lines in R^3 solve by
+cross products and measure the hit along the line; (n-2)-planes project the
+triangle onto the section's complement and measure the hit in the section.
+Hits must agree on every pair that neither test calls gray.
+"""
+import numpy as np
+
+
+def _barycentric_zones(det, det_scale, a_num, b_num, eps):
+    """Cramer solve of a batch of pairs and its tangency gray zone.
+
+    Returns (alpha, beta, inside, potential, gray): ``inside`` hits lie clear
+    of the triangle's edges, ``potential`` ones lie on the ``eps``-widened
+    triangle, and ``gray`` marks near-parallel pairs and potential hits near
+    an edge, whose count cannot be trusted.
+    """
+    safe = np.abs(det) > 1e-13 * det_scale
+    inv = np.where(safe, det, 1.0)
+    alpha = a_num / inv
+    beta = b_num / inv
+    inside = safe & (alpha > eps) & (beta > eps) & (alpha + beta < 1.0 - eps)
+    potential = safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps)
+    near_edge = (
+        (np.abs(alpha) <= eps) | (np.abs(beta) <= eps)
+        | (np.abs(alpha + beta - 1.0) <= eps)
+    )
+    gray = (~safe) | (potential & near_edge)
+    return alpha, beta, inside, potential, gray
+
+
+def _line_hit_test(A, e1, e2, base, split=False):
+    """Pair test for line sections in R^3 via cross-product Cramer solves.
+
+    The hit lies at ``base + (s / det) u``.  With ``split`` a last row of
+    hits keeps those of the outermost radius ahead of the base (s / det > 0).
+    """
+    tvec = base - A
+    w_det = np.cross(e2, e1)
+    w_alpha = np.cross(e2, tvec)
+    w_beta = np.cross(tvec, e1)
+    s_num = np.einsum("tn,tn->t", e2, w_beta)
+    abs_s = np.abs(s_num)
+    det_scale = np.linalg.norm(w_det, axis=1) + 1e-300
+
+    def test(sections, complements, ti, si, radii, eps):
+        dirs = np.take(sections[:, 0, :], si, axis=0)
+        det = np.einsum("pn,pn->p", np.take(w_det, ti, axis=0), dirs)
+        a_num = np.einsum("pn,pn->p", np.take(w_alpha, ti, axis=0), dirs)
+        b_num = np.einsum("pn,pn->p", np.take(w_beta, ti, axis=0), dirs)
+        _, _, inside, potential, gray = _barycentric_zones(
+            det, np.take(det_scale, ti), a_num, b_num, eps)
+        s = np.take(abs_s, ti)
+        abs_det = np.abs(det)
+        hits = np.empty((len(radii) + split, len(ti)), dtype=bool)
+        for k, r in enumerate(radii):
+            hits[k] = inside & (s <= r * abs_det)
+            gray |= potential & (np.abs(s - r * abs_det) <= eps * r * abs_det)
+        if split:
+            hits[-1] = hits[-2] & (np.take(s_num, ti) * det > 0)
+        return hits, gray
+
+    return test
+
+
+def _plane_hit_test(A, e1, e2, base):
+    """Pair test for (n-2)-plane sections via Cramer solves on projections."""
+    t0 = base - A
+
+    def test(sections, complements, ti, si, radii, eps):
+        comp = complements[si]
+        m1 = np.einsum("pn,pin->pi", e1[ti], comp)
+        m2 = np.einsum("pn,pin->pi", e2[ti], comp)
+        tt = np.einsum("pn,pin->pi", t0[ti], comp)
+        det = m1[:, 0] * m2[:, 1] - m2[:, 0] * m1[:, 1]
+        det_scale = (np.abs(m1) + np.abs(m2)).sum(axis=1) ** 2 / 4.0 + 1e-300
+        a_num = tt[:, 0] * m2[:, 1] - m2[:, 0] * tt[:, 1]
+        b_num = m1[:, 0] * tt[:, 1] - tt[:, 0] * m1[:, 1]
+        alpha, beta, inside, potential, gray = _barycentric_zones(
+            det, det_scale, a_num, b_num, eps)
+
+        sec = sections[si]
+        b0 = np.einsum("pn,pkn->pk", A[ti] - base, sec)
+        f1 = np.einsum("pn,pkn->pk", e1[ti], sec)
+        f2 = np.einsum("pn,pkn->pk", e2[ti], sec)
+        w = b0 + alpha[:, None] * f1 + beta[:, None] * f2
+        rho2 = np.sum(w * w, axis=1)
+        hits = np.empty((len(radii), len(ti)), dtype=bool)
+        for k, r in enumerate(radii):
+            hits[k] = inside & (rho2 <= r * r)
+            gray |= potential & (np.abs(rho2 - r * r) <= 3.0 * eps * r * r)
+        return hits, gray
+
+    return test

@@ -13,6 +13,10 @@ Deterministic oracles:
   lines the angular cap index proposes every pair the flat cull keeps
 * a line through the origin meets a spherical region's flat triangle exactly
   when its direction lies on the positive side of all three edge planes
+* the Plucker hit test agrees with the per-dimension Cramer solves it
+  replaced (counting_oracle.py) on every pair that neither calls gray, and
+  calls sections through a vertex, along an edge or parallel to a triangle
+  gray
 """
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from mingauge import invariants as inv
 from mingauge.catalog import build_surface, catalog_names, spherical_region
 from mingauge.errors import IdentityNotApplicableError, InvalidFrameError
 from mingauge.geometry import orthonormal_frame
+import counting_oracle
 from quadrature_oracle import cut_cell_shells, defect_integrand
 
 
@@ -219,8 +224,7 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     n = mesh.vertices.shape[1]
     sec, comp = ig.sample_grassmann(n, 2, 256, np.random.default_rng(11))
     A, e1, e2, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
-    hit_test = (ig._line_hit_test if n == 3 else ig._plane_hit_test)(
-        A, e1, e2, base)
+    hit_test = ig._hit_test(A, e1, e2, base)
     if n == 3:
         # the index proposes a superset of the flat cull's pairs; its floor
         # test keeps the same pairs, each once
@@ -245,6 +249,63 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     assert np.array_equal(gray, dense_gray)
     assert counts[-1].sum() > 0
     assert len(ti) < 0.05 * len(A) * len(sec)  # the cull does drop pairs
+
+
+def _planted_edge_cases(A, e1, e2, base):
+    """Sections through a mesh vertex, through a triangle edge (containing
+    it for 2-planes, crossing its midpoint for lines) and parallel to a
+    triangle, all at the middle pruned triangle."""
+    k = len(A) // 2
+    vertex, edge = A[k] - base, A[k] + 0.5 * e1[k] - base
+    if len(base) == 3:
+        rows = [[vertex], [edge], [e1[k]]]
+    else:
+        rows = [[vertex, [0.3, -0.5, 0.7, 0.2]], [vertex, edge],
+                [e1[k], e2[k]]]
+    return ig._complete_frames(np.array(rows))
+
+
+@pytest.mark.parametrize("case", [*catalog_names(), *_NEAR_SURFACE])
+def test_hit_test_matches_the_cramer_oracle(coarse, case):
+    # the Plucker test against the per-dimension Cramer solves it replaced,
+    # on every (triangle, section) pair; lines also compare the ahead row
+    name, base = _NEAR_SURFACE.get(case, (case, None))
+    spec = coarse(name)
+    base = spec.base_point if base is None else np.asarray(base)
+    r_hi = inv.max_safe_radius(spec.mesh, base)
+    radii = np.geomspace(0.3 * r_hi, r_hi, 5)
+    n = len(base)
+    A, e1, e2, _, _ = ig._pruned_triangles(spec.mesh, base, r_hi)
+    frames = [ig.sample_grassmann(n, 2, 256, np.random.default_rng(11)),
+              _planted_edge_cases(A, e1, e2, base)]
+    if n == 3:
+        frames.append(_planted_lines())
+        old = counting_oracle._line_hit_test(A, e1, e2, base, split=True)
+    else:
+        old = counting_oracle._plane_hit_test(A, e1, e2, base)
+    sec, comp = (np.concatenate(f) for f in zip(*frames))
+    new = ig._hit_test(A, e1, e2, base, split=n == 3)
+    S, T = len(sec), len(A)
+    counts = np.empty((2, len(radii) + (n == 3), S), dtype=np.int64)
+    gray = np.empty((2, S), dtype=bool)
+    compared = 0
+    step = max(1, 100_000 // T)
+    for lo in range(0, S, step):
+        sl = slice(lo, min(lo + step, S))
+        ti, si = np.divmod(np.arange(T * len(sec[sl])), len(sec[sl]))
+        pairs = [test(sec[sl], comp[sl], ti, si, radii, ig.EDGE_EPS)
+                 for test in (new, old)]
+        clear = ~(pairs[0][1] | pairs[1][1])
+        assert np.array_equal(pairs[0][0][:, clear], pairs[1][0][:, clear])
+        compared += clear.sum()
+        for j, (hits, g) in enumerate(pairs):
+            counts[j, :, sl], gray[j, sl] = ig._per_section(si, hits, g,
+                                                            len(sec[sl]))
+    assert compared > 0.9 * S * T
+    assert np.array_equal(counts[0, :, :256], counts[1, :, :256])
+    assert np.array_equal(gray[0, :256], gray[1, :256])
+    assert counts[0, -1, :256].sum() > 0
+    assert gray[0, 256:259].all()  # vertex, edge and parallel
 
 
 # --------------------------------------------------------------------------

@@ -110,6 +110,10 @@ def test_parse_config_minimal():
      "surface.resolution.r_inner"),
     ({"surface": {"name": "plane", "resolution": {"r_inner": -0.05}}},
      "surface.resolution.r_inner"),
+    ({"surface": {"name": "plane"}, "levels": {"count": 10_001}},
+     "levels.count"),
+    ({"surface": {"name": "plane"}, "mc": {"seed": 1, "samples": 1_000_001}},
+     "mc.samples"),
 ])
 def test_parse_config_rejects(raw, field):
     # preset names and grid keys are known only to the surface builder
@@ -118,6 +122,14 @@ def test_parse_config_rejects(raw, field):
         build_surface(config.surface_name, config.surface_params,
                       config.resolution)
     assert err.value.field == field
+
+
+def test_parse_config_accepts_the_budgets():
+    # the largest level and sample counts README admits
+    config = parse_config({"surface": {"name": "plane"},
+                           "levels": {"count": 10_000},
+                           "mc": {"seed": 1, "samples": 1_000_000}})
+    assert (config.num_levels, config.mc_samples) == (10_000, 1_000_000)
 
 
 def test_resolution_r_inner_takes_a_radius():
@@ -492,15 +504,21 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
      "surface.params.r_max"),
     ({"surface": {"name": "catenoid"}, "base_point": [1e308, 0, 0]},
      "base_point"),
+    ({"surface": {"name": "plane", "params": {"r_max": 1e100}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "params": {"r_max": 1e100}}},
+     "surface.params.r_max"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
-    # each of these ended in a traceback (exit 1) or blamed another field
+    # each of these ended in a traceback (exit 1), blamed another field, or
+    # overflowed the fourth power of a length on the way
     cfg = tmp_path / "probe.json"
     cfg.write_text(json.dumps(config))
     proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert f"config error at {field}:" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("config, field", [
