@@ -185,10 +185,8 @@ def complex_parabola_chart(half: float) -> ImmersionChart:
         xv = np.stack([zero, one, -2 * v, 2 * u], axis=-1)
         return xu, xv
 
-    return ImmersionChart(
-        "complex_parabola_r4", (-half, half, -half, half),
-        complex_parabola_point, de, ambient_dim=4,
-    )
+    return ImmersionChart("complex_parabola_r4", (-half, half, -half, half),
+                          complex_parabola_point, de)
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +233,9 @@ _MAX_LENGTH = 1e75
 # finder's 2e-12 step in u moves |x| by about 2e-12 / c of r_max, so necks
 # thinner than about 1e-6 cannot be truncated where they were asked to be
 _RIM_RTOL = 1e-6
+# r_max / pitch is about the helicoid chart's largest angle in radians; from
+# 2e14 up, reports were seen to divide by zero in the quadrature
+_MAX_R_OVER_PITCH = 1e14
 
 
 def _polar_radii(res, r_outer: float) -> np.ndarray:
@@ -456,6 +457,9 @@ def _build_helicoid(params, res):
     chart = helicoid_chart(pitch, r_max)
     mesh = mesh_from_chart(chart, (res["nu"], res["ntheta"]),
                            truncation_radius=r_max)
+    if not r_max <= _MAX_R_OVER_PITCH * pitch:
+        raise ConfigError("surface.params.r_max", "must not exceed "
+                          f"{_MAX_R_OVER_PITCH:g} x pitch")
     return SurfaceSpec(
         name="helicoid",
         params=dict(params),
@@ -574,6 +578,13 @@ def build_surface(name: str, params: dict | None = None,
     except (MeshTopologyError, DegenerateChartError) as exc:
         # parameters that pass the checks above but still give a broken mesh
         raise ConfigError("surface", f"cannot build '{name}': {exc}") from exc
+    except ConfigError as exc:
+        # a preset's r_inner conflicts only with the r_max that sets the disk
+        if (exc.field != "surface.resolution.r_inner"
+                or isinstance(resolution, dict) and "r_inner" in resolution):
+            raise
+        raise ConfigError("surface.params.r_max", "leaves a disk narrower than "
+                          f"the preset's r_inner {res['r_inner']:g}") from None
     spec.targets = dict(spec.targets)
     return spec
 
@@ -598,8 +609,7 @@ def spherical_region(kind: str, angle: float | None = None,
 # minimality validation
 
 
-def verify_minimality(chart: ImmersionChart, grid=(20, 20), tol: float = 1e-3,
-                      fd_rel: float = 1e-4) -> dict:
+def verify_minimality(chart: ImmersionChart) -> dict:
     """Finite-difference check that the chart's mean curvature vanishes.
 
     Second derivatives come from central differences of the exact first
@@ -608,10 +618,10 @@ def verify_minimality(chart: ImmersionChart, grid=(20, 20), tol: float = 1e-3,
     dimension (the normal component is taken by projecting out the tangent
     frame).
     """
+    gu, gv, tol, fd_rel = 20, 20, 1e-3, 1e-4
     u0, u1, v0, v1 = chart.domain
     hu = fd_rel * (u1 - u0)
     hv = fd_rel * (v1 - v0)
-    gu, gv = grid
     us = np.linspace(u0 + 2 * hu, u1 - 2 * hu, gu)
     vs = np.linspace(v0 + 2 * hv, v1 - 2 * hv, gv)
     uu, vv = np.meshgrid(us, vs, indexing="ij")

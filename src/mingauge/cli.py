@@ -59,12 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cro = sub.add_parser(
         "crofton",
-        help="check the line-counting identity on a spherical region",
+        help="check the line-counting identity on a region of the unit "
+             "sphere in R^3",
     )
-    cro.add_argument("--n", type=int, default=3,
-                     help="ambient dimension (only 3 is supported)")
-    cro.add_argument("--p", type=int, default=2,
-                     help="surface dimension (only 2 is supported)")
     cro.add_argument("--set", dest="region", required=True,
                      choices=("full", "hemisphere", "cap"),
                      help="spherical region to integrate over")
@@ -143,10 +140,6 @@ def _cmd_catalog(_args) -> int:
 
 
 def _cmd_crofton(args) -> int:
-    if args.n != 3 or args.p != 2:
-        raise ConfigError("n/p", "only lines through the origin meeting "
-                                 "regions of the unit 2-sphere in R^3 are "
-                                 "supported (--n 3 --p 2)")
     if args.region == "cap" and args.angle is None:
         raise ConfigError("angle", "--set cap requires --angle")
     if args.samples < 100:

@@ -12,10 +12,11 @@ virtual node joined to the rim triangles tells the unbounded ones apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 
-from .geometry import SimplicialSurface
+from .geometry import SimplicialSurface, on_surface_multiplicity
 
 RIM_FRACTION = 0.999
 
@@ -100,7 +101,7 @@ def _end_counts(mesh: SimplicialSurface, center: np.ndarray, radii):
     radius: a triangle is outside when any of its vertices is, and two
     outside triangles connect only through an edge with an endpoint outside,
     so pieces touching along the sphere are not merged."""
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
+    dist = mesh.about(center)["distances"]
     tri, (edges, pairs) = mesh.triangles.T, mesh.interior_edge_pairs()
     tri_d = np.maximum(np.maximum(dist[tri[0]], dist[tri[1]]), dist[tri[2]])
     edge_d = np.maximum(dist[edges[:, 0]], dist[edges[:, 1]])
@@ -149,26 +150,24 @@ class EndCount:
     forest_rounds: int  # Boruvka rounds of both forests
 
 
-def ends_estimate(mesh: SimplicialSurface, center, radii=None,
-                  num_radii: int = 12, stable_fraction: float = 0.3) -> EndCount:
+def ends_estimate(mesh: SimplicialSurface, center, radii=None) -> EndCount:
     """Count ends by sweeping the cut radius and requiring stabilization.
 
-    The estimate is trusted when the count is constant over the last
-    ``stable_fraction`` of the sweep.
+    The estimate is trusted when the count is constant over the last 30% of
+    the sweep.
     """
     center = np.asarray(center, dtype=float)
     if radii is None:
-        dist = np.linalg.norm(mesh.vertices - center, axis=1)
+        dist = mesh.about(center)["distances"]
         if mesh.truncation_radius is not None:
             hi = 0.8 * (mesh.truncation_radius - np.linalg.norm(center))
         else:
             hi = 0.9 * dist.max()
         # from a base on the surface 1.3 x dmin is ~0 and would crowd the
         # geometric sweep near the base; start where level_grid does
-        dmin = dist.min()
-        lo = 1.3 * dmin + 1e-9 if dmin > 1e-9 else 0.02 * hi
-        lo = min(lo, 0.5 * hi)
-        radii = np.geomspace(lo, hi, num_radii)
+        lo = (0.02 * hi if on_surface_multiplicity(mesh, center)
+              else 1.3 * dist.min() + 1e-9)
+        radii = np.geomspace(min(lo, 0.5 * hi), hi, 12)
     radii = np.asarray(radii, dtype=float)
     if mesh.truncation_radius is not None and radii.max() > 0.8 * mesh.truncation_radius:
         raise ValueError(
@@ -176,20 +175,15 @@ def ends_estimate(mesh: SimplicialSurface, center, radii=None,
             "truncation artifacts cannot merge or split components"
         )
     counts, bounded, edges, rounds = _end_counts(mesh, center, radii)
-    tail = max(1, int(np.ceil(stable_fraction * len(radii))))
+    tail = max(1, int(np.ceil(0.3 * len(radii))))
     stabilized = bool(np.all(counts[-tail:] == counts[-1]))
     return EndCount(radii, counts, bounded, int(counts[-1]), stabilized,
                     edges, rounds)
 
 
-def check_ends_bound(num_ends: int, projective_volume: float, p: int = 2,
-                     sphere_area_p: float | None = None) -> dict:
-    """Ends are bounded by (2^p / area(S^{p-1})) * projective volume."""
-    if sphere_area_p is None:
-        from .invariants import sphere_area
-
-        sphere_area_p = sphere_area(p)
-    rhs = (2.0**p / sphere_area_p) * projective_volume
+def check_ends_bound(num_ends: int, projective_volume: float) -> dict:
+    """Ends are bounded by (4 / area(S^1)) * projective volume."""
+    rhs = (4.0 / (2 * pi)) * projective_volume
     return {
         "ends": int(num_ends),
         "bound": float(rhs),

@@ -3,6 +3,7 @@ from .types import (
     SimplicialSurface,
     check_frame,
     decompose_radial,
+    on_surface_multiplicity,
     orthonormal_frame,
     triangle_areas,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "integrate_with_error",
     "level_chords",
     "mesh_from_chart",
+    "on_surface_multiplicity",
     "orthonormal_frame",
     "polar_disk_mesh",
     "radial_integrals",

@@ -25,11 +25,7 @@ def level_chords(mesh: SimplicialSurface, center, level: float):
     t = float(level)
     if t <= 0.0:
         raise ValueError("level must be positive")
-    cached = mesh._cache.get("distances")  # kept for the last center
-    if cached is None or not np.array_equal(cached[0], a):
-        cached = mesh._cache["distances"] = (
-            a.copy(), np.linalg.norm(mesh.vertices - a, axis=1))
-    f = cached[1]
+    f = mesh.about(a)["distances"]
 
     for _ in range(64):
         if not np.any(np.abs(f - t) < SNAP_REL * t):

@@ -52,7 +52,7 @@ def mesh_from_chart(
 
     E, F, G = chart.first_form(uu, vv)
     det = E * G - F * F
-    scale = (0.5 * (E + G)) ** 2
+    scale = E * G  # det / scale: sin^2 of the coordinate angle, at any scale
     bad = det <= DEGENERACY_TOL * scale
     if np.any(bad):
         i, j = np.argwhere(bad)[0]

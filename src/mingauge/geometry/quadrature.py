@@ -120,10 +120,10 @@ def _fan_integrals(kind, P, h2, sigma2=None):
 def _in_plane(mesh, center):
     """In-plane corners about the foot of ``center`` (T, 3, 2; positively
     oriented, as frames follow corner order), squared heights and squared
-    nearest / farthest distances; kept on the mesh for the last center."""
-    cached = mesh._cache.get("in_plane")
-    if cached is not None and np.array_equal(cached[0], center):
-        return cached[1]
+    nearest / farthest distances; kept in the mesh's store for ``center``."""
+    store = mesh.about(center)
+    if "in_plane" in store:
+        return store["in_plane"]
     x = mesh.corners() - center
     frames = mesh.frames()
     P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))
@@ -143,9 +143,8 @@ def _in_plane(mesh, center):
     foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
     inside = _cross(X, Y) >= 0.0
     foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
-    out = P, h2, h2 + foot2, far2
-    mesh._cache["in_plane"] = (center.copy(), out)
-    return out
+    store["in_plane"] = P, h2, h2 + foot2, far2
+    return store["in_plane"]
 
 
 def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
@@ -168,12 +167,12 @@ def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
         raise ValueError("radii must be a nonempty, strictly increasing "
                          "sequence of nonnegative radii")
     P, h2, near2, far2 = _in_plane(mesh, c)
-    # whole-triangle integrals, kept on the mesh per kind for the last center
+    # whole-triangle integrals, kept in the mesh's store for c per kind
+    store = mesh.about(c)
     key = f"whole_{kind}"
-    cached = mesh._cache.get(key)
-    if cached is None or not np.array_equal(cached[0], c):
-        cached = mesh._cache[key] = (c.copy(), _fan_integrals(kind, P, h2))
-    whole = cached[1]
+    if key not in store:
+        store[key] = _fan_integrals(kind, P, h2)
+    whole = store[key]
     balls = np.zeros((len(radii), len(P)))
     for k, r2 in enumerate(radii**2):
         inside = far2 <= r2

@@ -30,7 +30,7 @@ def orthonormal_frame(xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2], axis=-2)
 
 
-def check_frame(frame: np.ndarray, tol: float = FRAME_TOL) -> None:
+def check_frame(frame: np.ndarray) -> None:
     """Raise InvalidFrameError unless every frame has orthonormal rows.
 
     ``frame`` is one (k, n) frame or a batch of them shaped (..., k, n).
@@ -42,7 +42,7 @@ def check_frame(frame: np.ndarray, tol: float = FRAME_TOL) -> None:
     f2 = frame.reshape(-1, frame.shape[-2], frame.shape[-1])
     gram = np.einsum("kin,kjn->kij", f2, f2)
     dev = np.max(np.abs(gram - np.eye(frame.shape[-2])))
-    if not np.isfinite(dev) or dev > tol:
+    if not np.isfinite(dev) or dev > FRAME_TOL:
         raise InvalidFrameError(f"frame rows not orthonormal (deviation {dev:.3e})")
 
 
@@ -82,7 +82,8 @@ class SimplicialSurface:
     boundary_edges: np.ndarray | None = None
     truncation_radius: float | None = None
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -131,6 +132,18 @@ class SimplicialSurface:
                 c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
             )
         return self._cache["frames"]
+
+    def about(self, center) -> dict:
+        """Values kept for ``center``, such as its ``"distances"`` |vertex -
+        center|; another center empties the store."""
+        center = np.asarray(center, dtype=float)
+        store = self._cache.get("about")
+        if store is None or not np.array_equal(store["center"], center):
+            with np.errstate(over="ignore"):  # a center past 1e154 is +inf away
+                dist = np.linalg.norm(self.vertices - center, axis=1)
+            store = self._cache["about"] = {"center": center.copy(),
+                                            "distances": dist}
+        return store
 
     def edge_table(self):
         """``(keys, starts, counts, owner)``: the distinct edges as sorted
@@ -186,6 +199,16 @@ class SimplicialSurface:
         return float(self.areas().sum())
 
 
+def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
+    """Number of mesh vertices within 1e-9 (1 + |center|) of ``center``:
+    zero for a base point off the surface, else one per sheet through it in
+    the catalog meshes.  The one test of whether a base lies on the surface.
+    """
+    center = np.asarray(center, dtype=float)
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(center)))
+    return int(np.count_nonzero(mesh.about(center)["distances"] <= tol))
+
+
 def triangle_areas(corners: np.ndarray) -> np.ndarray:
     """Areas of triangles given as (..., 3, n) corner arrays (any n via Gram)."""
     u = corners[..., 1, :] - corners[..., 0, :]
@@ -210,7 +233,6 @@ class ImmersionChart:
     domain: tuple[float, float, float, float]  # (u0, u1, v0, v1)
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    ambient_dim: int = 3
     periodic_v: bool = False
 
     def points(self, u, v) -> np.ndarray:

@@ -59,18 +59,18 @@ _CAP_MARGIN = 1e-9
 # radial projection
 
 
-def radial_jacobian(points, frames, center, p: int = 2):
-    """Area scaling of x -> x/|x| on the surface: |x_normal| / |x|^(p+1).
+def radial_jacobian(points, frames, center):
+    """Area scaling of x -> x/|x| on the surface: |x_normal| / |x|^3.
 
     ``points`` (..., n) paired with orthonormal tangent ``frames``
-    (..., p, n); broadcasts over leading axes.
+    (..., 2, n); broadcasts over leading axes.
     """
     x = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
     frames = np.asarray(frames, dtype=float)
     coef = np.einsum("...n,...kn->...k", x, frames)
     r2 = np.sum(x * x, axis=-1)
     n2 = np.maximum(r2 - np.sum(coef * coef, axis=-1), 0.0)
-    return np.sqrt(n2) / r2 ** ((p + 1) / 2.0)
+    return np.sqrt(n2) / r2 ** 1.5
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +222,7 @@ def _cap_cull(offset, floor):
     start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)
     np.cumsum(np.bincount(cells, minlength=_CAP_ROWS * _CAP_COLS),
               out=start[1:])
+    wide_offset, wide_floor = offset[always], floor[always]
 
     def cull(sections):
         u = sections[:, 0, :]
@@ -234,11 +235,10 @@ def _cap_cull(offset, floor):
         dots = np.einsum("pn,pn->p", np.repeat(both, lengths, axis=0),
                          np.take(offset, ti, axis=0))
         keep = np.flatnonzero(dots * dots >= np.take(floor, ti))
-        near = u @ offset[always].T
-        si_w, k_w = np.nonzero(near * near >= floor[always])
+        k_w, si_w, wide_cells = _cull_pairs(wide_offset, wide_floor, sections)
         ti = np.concatenate([ti[keep], always[k_w]])
         si = np.concatenate([owner[keep] % m, si_w])
-        return ti, si, len(pos) + near.size
+        return ti, si, len(pos) + wide_cells
 
     per_line = 2 * len(listed) // (_CAP_ROWS * _CAP_COLS) + len(always) + 1
     return cull, per_line
@@ -264,8 +264,9 @@ def _hit_test(A, e1, e2, base, split=False):
     t = base - A
     E, Ea, Eb = _wedge(e1, e2), _wedge(t, e2), _wedge(e1, t)
     det_scale = np.linalg.norm(E, axis=1) + 1e-300
+    eps = EDGE_EPS
 
-    def test(sections, complements, ti, si, radii, eps):
+    def test(sections, complements, ti, si, radii):
         C = np.take(_wedge(complements[:, 0], complements[:, 1]), si, axis=0)
         det = np.einsum("pk,pk->p", np.take(E, ti, axis=0), C)
         safe = np.abs(det) > 1e-13 * np.take(det_scale, ti)
@@ -301,10 +302,10 @@ def _per_section(si, hits, gray, S):
     return counts, np.bincount(si[gray], minlength=S) > 0
 
 
-def _jitter_frames(sections, complements, rng, scale=JITTER_SCALE):
+def _jitter_frames(sections, complements, rng):
     k = sections.shape[1]
     basis = np.concatenate([sections, complements], axis=1)
-    basis = basis + scale * rng.standard_normal(basis.shape)
+    basis = basis + JITTER_SCALE * rng.standard_normal(basis.shape)
     return _signed_qr_frames(np.swapaxes(basis, 1, 2), k)
 
 
@@ -319,7 +320,7 @@ class _SectionCounts(NamedTuple):
 
 
 def _count_sections(mesh, base, sections, complements, radii, rng,
-                    eps=EDGE_EPS, split=False) -> _SectionCounts:
+                    split=False) -> _SectionCounts:
     """(num_radii, S) intersection counts inside |x - base| <= r, jittered.
 
     With ``split`` a last row counts the hits inside the outermost radius
@@ -368,7 +369,7 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
             ti, si, proposed = cull(sec)
             candidates += proposed
             pairs_tested += len(ti)
-            hits, pair_gray = hit_test(sec, comp, ti, si, radii, eps)
+            hits, pair_gray = hit_test(sec, comp, ti, si, radii)
             c_blk, gray = _per_section(si, hits, pair_gray, len(sec))
             if not gray.any():
                 break
@@ -383,7 +384,7 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
 
 
 def plane_mesh_intersections(mesh, base, sections, complements=None,
-                             radius=None, seed: int = 0):
+                             radius=None):
     """Intersection counts of explicit section frames against the mesh.
 
     ``sections`` is (S, n-2, n) direction rows through ``base``; they are
@@ -398,7 +399,7 @@ def plane_mesh_intersections(mesh, base, sections, complements=None,
         complements = np.asarray(complements, dtype=float)
     if radius is None:
         radius = max_safe_radius(mesh, base, margin=1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     out = _count_sections(mesh, base, sections, complements,
                           [float(radius)], rng)
     return out.counts[0], out.jittered
@@ -521,12 +522,11 @@ def crofton_verify(region, samples: int = 100000, seed: int | None = None,
 # counting-based bounds
 
 
-def check_defect_counting_bound(defect: dict, counting: dict,
-                                p: int = 2) -> dict:
-    """Defect <= (omega_(p+1)/2) x mean section count, inside one ball.
+def check_defect_counting_bound(defect: dict, counting: dict) -> dict:
+    """Defect <= (omega_3/2) x mean section count, inside one ball.
 
-    Pointwise the defect integrand |x_n|^2/|x|^(p+2) never exceeds the
-    projection Jacobian |x_n|/|x|^(p+1), and integrating the Jacobian counts
+    Pointwise the defect integrand |x_n|^2/|x|^4 never exceeds the
+    projection Jacobian |x_n|/|x|^3, and integrating the Jacobian counts
     radial lines with multiplicity; the Monte-Carlo mean stands in for that
     count, so the bound must hold up to its confidence interval.  Pure
     arithmetic on a ``radial_defect`` estimate and a ``counting_sweep``
@@ -539,7 +539,7 @@ def check_defect_counting_bound(defect: dict, counting: dict,
             f"defect radius {defect['radius']:.6g} differs from the outermost "
             f"counting radius {radius:.6g}"
         )
-    half_omega = 0.5 * sphere_area(p + 1)
+    half_omega = 0.5 * sphere_area(3)
     bound = half_omega * float(counting["means"][-1])
     bound_err = half_omega * float(counting["ci95"][-1])
     margin = bound - defect["value"]
@@ -571,14 +571,14 @@ def counting_bound_constant(p: int = 2, route: str = "gamma") -> float:
     raise ValueError("route must be 'gamma' or 'sphere'")
 
 
-def check_ends_counting_bound(num_ends: int, max_count: int, p: int = 2,
+def check_ends_counting_bound(num_ends: int, max_count: int,
                               starlike: bool = True) -> dict:
     """Falsification check: end count <= constant x max section count.
 
     The non-starlike form doubles the constant; both are reported so the
     sharper starlike version can be exercised where it applies.
     """
-    c = counting_bound_constant(p)
+    c = counting_bound_constant()
     if not starlike:
         c = 2.0 * c
     bound = c * max_count

@@ -3,9 +3,9 @@
 Everything here revolves around the vector from a base point ``a`` to a
 surface point, split into its components tangent and normal to the surface:
 
-* projective volume  -- growth rate of the integral of |x - a|^(-p), also the
+* projective volume  -- growth rate of the integral of |x - a|^(-2), also the
   limit of the normalized sphere flux;
-* radial defect      -- integral of |normal part|^2 / |x - a|^(p + 2), a
+* radial defect      -- integral of |normal part|^2 / |x - a|^4, a
   convergent measure of how far the surface is from a cone through ``a``;
 * sphere flux        -- line integral of |tangent part| over the chords where
   the sphere crosses the mesh triangles, normalized by the sphere radius;
@@ -32,6 +32,7 @@ from .geometry import (
     decompose_radial,
     integrate_with_error,
     level_chords,
+    on_surface_multiplicity,
     radial_integrals,
 )
 from .ends import rim_vertex_mask, triangle_components
@@ -55,7 +56,7 @@ class FluxProfile:
     """Sphere flux across a sweep of radii.
 
     raw[k] is the line integral of |tangent part of x - center| over the
-    chords where the sphere |x - center| = levels[k] crosses the mesh
+    chords where the sphere |x - base| = levels[k] crosses the mesh
     triangles, one per crossed triangle; errors[k] the quadrature error
     estimate for it (midpoint vs 2-point Gauss on each chord), and
     curve_lengths[k] the chords' total length.
@@ -65,18 +66,11 @@ class FluxProfile:
     raw: np.ndarray
     errors: np.ndarray
     curve_lengths: np.ndarray
-    p: int
-    center: np.ndarray
-
-    @property
-    def flux(self) -> np.ndarray:
-        """raw / t^(p-1): the flux J(t)."""
-        return self.raw / self.levels ** (self.p - 1)
 
     @property
     def normalized(self) -> np.ndarray:
-        """raw / t^p: the monotone quantity converging to projective volume."""
-        return self.raw / self.levels**self.p
+        """raw / t^2: the monotone quantity converging to projective volume."""
+        return self.raw / self.levels**2
 
     @property
     def empty_levels(self) -> np.ndarray:
@@ -91,7 +85,7 @@ class FluxProfile:
         if not np.array_equal(self.levels[idx], levels):
             raise ValueError("flux profile lacks a requested level")
         return FluxProfile(levels, self.raw[idx], self.errors[idx],
-                           self.curve_lengths[idx], self.p, self.center)
+                           self.curve_lengths[idx])
 
 
 def _segment_rule(A, B, integrand):
@@ -110,7 +104,7 @@ def _segment_rule(A, B, integrand):
     return v_gauss, abs(v_gauss - v_mid) + 1e-14 * abs(v_gauss), L
 
 
-def flux_profile(mesh: SimplicialSurface, center, levels, p: int = 2) -> FluxProfile:
+def flux_profile(mesh: SimplicialSurface, center, levels) -> FluxProfile:
     """Sweep the sphere flux over the given radii."""
     center = np.asarray(center, dtype=float)
     levels = np.asarray(levels, dtype=float)
@@ -131,14 +125,14 @@ def flux_profile(mesh: SimplicialSurface, center, levels, p: int = 2) -> FluxPro
 
         raw[k], errors[k], L = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
         lengths[k] = L.sum()
-    return FluxProfile(levels, raw, errors, lengths, p, center)
+    return FluxProfile(levels, raw, errors, lengths)
 
 
-def _flux_at(mesh, center, levels, profile: FluxProfile | None, p: int = 2):
+def _flux_at(mesh, center, levels, profile: FluxProfile | None):
     """The flux at ``levels``: looked up in ``profile`` when one is given,
     so a report traces each level once, else traced here."""
     if profile is None:
-        return flux_profile(mesh, center, levels, p)
+        return flux_profile(mesh, center, levels)
     return profile.at(levels)
 
 
@@ -147,22 +141,17 @@ def max_safe_radius(mesh: SimplicialSurface, center, margin: float = 0.98) -> fl
     center = np.asarray(center, dtype=float)
     with np.errstate(over="ignore"):  # a center past 1e154 is +inf away
         if mesh.truncation_radius is None:
-            return margin * float(
-                np.linalg.norm(mesh.vertices - center, axis=1).max())
+            return margin * float(mesh.about(center)["distances"].max())
         return margin * (mesh.truncation_radius - float(np.linalg.norm(center)))
 
 
-def level_grid(mesh: SimplicialSurface, center, count: int = 24,
-               lo: float | None = None, hi: float | None = None) -> np.ndarray:
+def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
     """Geometric radius sweep from just outside the surface to the rim."""
     center = np.asarray(center, dtype=float)
-    if hi is None:
-        hi = max_safe_radius(mesh, center)
-    if lo is None:
-        dmin = float(np.linalg.norm(mesh.vertices - center, axis=1).min())
-        lo = 1.3 * dmin if dmin > 1e-9 else 0.02 * hi
-        lo = min(lo, 0.5 * hi)
-    return np.geomspace(lo, hi, count)
+    hi = max_safe_radius(mesh, center)
+    lo = (0.02 * hi if on_surface_multiplicity(mesh, center)
+          else 1.3 * float(mesh.about(center)["distances"].min()))
+    return np.geomspace(min(lo, 0.5 * hi), hi, count)
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +159,6 @@ def level_grid(mesh: SimplicialSurface, center, count: int = 24,
 
 
 def projective_volume(mesh: SimplicialSurface, center, levels=None,
-                      num_levels: int = 24, num_fit: int = 6,
                       profile: FluxProfile | None = None) -> dict:
     """Projective volume via two routes: flux limit and log-growth slope.
 
@@ -188,7 +176,7 @@ def projective_volume(mesh: SimplicialSurface, center, levels=None,
     center = np.asarray(center, dtype=float)
     if profile is None:
         if levels is None:
-            levels = level_grid(mesh, center, num_levels)
+            levels = level_grid(mesh, center)
         profile = flux_profile(mesh, center, np.asarray(levels, dtype=float))
     levels = profile.levels
     flux_at_rim = float(profile.normalized[-1])
@@ -201,7 +189,7 @@ def projective_volume(mesh: SimplicialSurface, center, levels=None,
     value = float(coef[0])
     fit_rms = float(np.sqrt(np.mean((basis @ coef - ys) ** 2)))
 
-    fit_levels = ts[np.unique(np.linspace(0, len(ts) - 1, num_fit).astype(int))]
+    fit_levels = ts[np.unique(np.linspace(0, len(ts) - 1, 6).astype(int))]
     shells = radial_integrals(mesh, center, fit_levels,
                               "inverse_power").sum(axis=1)
     if not np.isfinite(shells[0]):
@@ -252,22 +240,19 @@ def radial_defect(mesh: SimplicialSurface, center, radius: float | None = None,
     }
 
 
-def boundary_constant(mesh: SimplicialSurface, center, p: int = 2,
-                      exclude_rim: bool = True,
+def boundary_constant(mesh: SimplicialSurface, center,
                       within_radius: float | None = None) -> dict:
-    """Conormal flux of (x - a)/|x - a|^p through the genuine boundary.
+    """Conormal flux of (x - a)/|x - a|^2 through the genuine boundary.
 
-    Truncation-rim edges (on the cutting sphere) are excluded by default;
-    what remains is the boundary the surface actually has.  The conormal is
-    the in-facet outward unit vector perpendicular to each boundary edge.
+    Truncation-rim edges (on the cutting sphere) are excluded; what remains
+    is the boundary the surface actually has.  The conormal is the in-facet
+    outward unit vector perpendicular to each boundary edge.
     """
     center = np.asarray(center, dtype=float)
     edges = mesh.boundary_edges
     if len(edges) == 0:
         return {"value": 0.0, "error": 0.0, "num_edges": 0}
-    keep = np.ones(len(edges), dtype=bool)
-    if exclude_rim:
-        keep &= ~rim_vertex_mask(mesh)[edges].all(axis=1)
+    keep = ~rim_vertex_mask(mesh)[edges].all(axis=1)
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     if within_radius is not None:
         keep &= np.linalg.norm(mids - center, axis=1) <= within_radius
@@ -291,7 +276,7 @@ def boundary_constant(mesh: SimplicialSurface, center, p: int = 2,
     def field_dot_nu(points):
         x = points - center
         r = np.linalg.norm(x, axis=1)
-        return np.sum(x * nu, axis=1) / r**p
+        return np.sum(x * nu, axis=1) / r**2
 
     value, error, _ = _segment_rule(va, vb, field_dot_nu)
     return {
@@ -309,8 +294,9 @@ def _gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
 
 
-def check_monotonicity(profile: FluxProfile, tol: float = 1e-3) -> dict:
+def check_monotonicity(profile: FluxProfile) -> dict:
     """Normalized flux must not decrease as the radius grows."""
+    tol = 1e-3
     norm = profile.normalized
     running = np.maximum.accumulate(norm)
     drop = running - norm
@@ -327,7 +313,7 @@ def check_monotonicity(profile: FluxProfile, tol: float = 1e-3) -> dict:
 
 
 def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
-                              t_hi: float, tol: float = 2e-2,
+                              t_hi: float,
                               profile: FluxProfile | None = None) -> dict:
     """Flux increment across a shell equals twice the defect inside it.
 
@@ -335,6 +321,7 @@ def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
     when given).  Right side: the defect integral over the shell.  These
     share no discretization machinery beyond the mesh itself.
     """
+    tol = 2e-2
     center = np.asarray(center, dtype=float)
     prof = _flux_at(mesh, center, [t_lo, t_hi], profile)
     lhs = float(prof.normalized[1] - prof.normalized[0])
@@ -345,22 +332,9 @@ def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
             "t_hi": float(t_hi)}
 
 
-def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
-    """Number of mesh vertices that coincide with ``center``.
-
-    Zero for a base point off the surface; otherwise one per sheet through
-    it in the catalog meshes.
-    """
-    center = np.asarray(center, dtype=float)
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
-    return int(np.count_nonzero(
-        dist <= 1e-9 * (1.0 + float(np.linalg.norm(center)))))
-
-
 def check_defect_volume_identity(defect: dict, flux_normalized: float,
-                                 boundary: dict, sheets: int, p: int = 2,
-                                 tol: float = 2e-2) -> dict:
-    """p * defect = normalized flux + boundary constant, at the cut radius.
+                                 boundary: dict, sheets: int) -> dict:
+    """2 * defect = normalized flux + boundary constant, at the cut radius.
 
     Pure arithmetic on estimates taken at one radius: ``defect`` from
     ``radial_defect``, the normalized flux from ``flux_profile``, ``boundary``
@@ -371,13 +345,14 @@ def check_defect_volume_identity(defect: dict, flux_normalized: float,
 
     A center on the surface contributes one unit-sphere area per sheet to the
     normalized flux at vanishing radius, and the identity subtracts that; with
-    no boundary this is the preimage-count relation flux = p * defect +
+    no boundary this is the preimage-count relation flux = 2 * defect +
     sheets * sphere area.  Meshes that excise a small hole around the center
     instead carry the same term through the boundary constant, so the two
     routes never double-count.
     """
-    lhs = p * defect["value"]
-    rhs = float(flux_normalized) + boundary["value"] - sheets * sphere_area(p)
+    tol = 2e-2
+    lhs = 2 * defect["value"]
+    rhs = float(flux_normalized) + boundary["value"] - sheets * sphere_area(2)
     gap = _gap(lhs, rhs)
     return {
         "passed": bool(gap <= tol),
@@ -393,32 +368,32 @@ def check_defect_volume_identity(defect: dict, flux_normalized: float,
     }
 
 
-def preimage_count_residual(volume: float, defect: float, preimages: int,
-                            p: int = 2) -> float:
-    """Residual of volume = p * defect + preimages * sphere_area(p).
+def preimage_count_residual(volume: float, defect: float,
+                            preimages: int) -> float:
+    """Residual of volume = 2 * defect + preimages * sphere_area(2).
 
     Pure arithmetic on already-known values; use with closed-form inputs
     (e.g. a flat plane through the base point: volume 2*pi, defect 0, one
     preimage) or with independently estimated ones.
     """
-    return abs(volume - p * defect - preimages * sphere_area(p))
+    return abs(volume - 2 * defect - preimages * sphere_area(2))
 
 
 def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
-                          r_hi: float, p: int = 2, slack: float = 5e-3) -> dict:
+                          r_hi: float) -> dict:
     """Any component crossing the whole shell has area >= the width bound.
 
-    The bound is sphere_area(p)/p * ((r_hi - r_lo)/2)^p.  Components are
-    taken over triangles meeting the shell; one qualifies when it has
-    vertices on or inside the inner sphere and on or outside the outer one.
+    The bound is sphere_area(2)/2 * ((r_hi - r_lo)/2)^2, less 0.5%.
+    Components are taken over triangles meeting the shell; one qualifies
+    when it has vertices on or inside the inner sphere and on or outside the
+    outer one.
     Vacuous (no qualifying component) is reported as not applicable.
     """
     center = np.asarray(center, dtype=float)
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
-    tri_d = dist[mesh.triangles]
+    tri_d = mesh.about(center)["distances"][mesh.triangles]
     tri_mask = (tri_d.min(axis=1) < r_hi) & (tri_d.max(axis=1) > r_lo)
     labels, count = triangle_components(mesh, tri_mask)
-    bound = sphere_area(p) / p * ((r_hi - r_lo) / 2.0) ** p
+    bound = sphere_area(2) / 2 * ((r_hi - r_lo) / 2.0) ** 2
     crossing = []
     for comp in range(count):
         comp_tris = labels == comp
@@ -434,7 +409,7 @@ def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
     areas = sorted(float(comp_area[comp]) for comp in crossing)
     return {
         "applicable": True,
-        "passed": bool(areas[0] >= bound * (1.0 - slack)),
+        "passed": bool(areas[0] >= bound * (1.0 - 5e-3)),
         "bound": float(bound),
         "areas": areas,
         "num_crossing": len(areas),
@@ -443,9 +418,9 @@ def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
 
 
 def check_density_identity(mesh: SimplicialSurface, center, levels,
-                           boundary: dict, p: int = 2, tol: float = 1e-2,
+                           boundary: dict,
                            profile: FluxProfile | None = None) -> dict:
-    """p * area inside each sphere equals the raw flux through it.
+    """2 * area inside each sphere equals the raw flux through it.
 
     Holds for any base point provided the surface has no genuine boundary
     inside the largest ball; ``boundary`` is the ``boundary_constant``
@@ -453,6 +428,7 @@ def check_density_identity(mesh: SimplicialSurface, center, levels,
     to run.  Reports the worst relative residual over the level sweep;
     ``profile`` supplies the flux when it is already traced.
     """
+    tol = 1e-2
     center = np.asarray(center, dtype=float)
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if boundary["num_edges"] > 0:
@@ -460,9 +436,9 @@ def check_density_identity(mesh: SimplicialSurface, center, levels,
             "surface has genuine boundary inside the ball; the area-flux "
             "identity does not apply"
         )
-    prof = _flux_at(mesh, center, levels, profile, p)
+    prof = _flux_at(mesh, center, levels, profile)
     areas = np.cumsum(radial_integrals(mesh, center, levels).sum(axis=1))
-    residuals = np.array([_gap(p * area, float(raw))
+    residuals = np.array([_gap(2 * area, float(raw))
                           for area, raw in zip(areas, prof.raw)])
     worst = int(np.argmax(residuals))
     return {

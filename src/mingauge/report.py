@@ -331,6 +331,13 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         raise ConfigError("base_point", "must lie inside the ball the surface "
                           "is truncated to" if r_hi <= 0 else
                           "is too far from the surface: distances overflow")
+    given = base
+    sheets = on_surface_multiplicity(mesh, base)
+    if sheets:
+        # a base within roundoff of a vertex is that vertex, as the
+        # quadrature reads roundoff heights as zero
+        vertex = mesh.vertices[np.argmin(mesh.about(base)["distances"])]
+        base = base if np.array_equal(vertex, base) else vertex
     control = spec.control
     warnings: list[str] = []
     checks: list[dict] = []
@@ -364,9 +371,8 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     vol = projective_volume(mesh, base, profile=flux.at(levels))
     profile = vol["profile"]
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
-        sweeps.append(("flux_normalized", float(t),
-                       float(raw / t**profile.p),
-                       float(err / t**profile.p)))
+        sweeps.append(("flux_normalized", float(t), float(raw / t**2),
+                       float(err / t**2)))
     mono = check_monotonicity(profile)
     checks.append(_check(
         "flux_monotone",
@@ -436,7 +442,7 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # -- identities ---------------------------------------------------------
     # levels[-1] is r_hi, so the sweep's last flux is the one at the cut
     ident = check_defect_volume_identity(q, profile.normalized[-1], bnd,
-                                         on_surface_multiplicity(mesh, base))
+                                         sheets)
     checks.append(_check(
         "defect_volume_identity",
         applicable=not control,
@@ -455,9 +461,9 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # off the surface, levels near the closest-approach distance are
     # near-critical for the restricted distance function (level curves run
     # almost tangent to the spheres there), so skip past them.
-    d_min = float(np.linalg.norm(mesh.vertices - base, axis=1).min())
     shell_lo = float(levels[0])
-    if d_min > 1e-9:
+    if not sheets:
+        d_min = float(mesh.about(base)["distances"].min())
         cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
         if cleared.size:
             shell_lo = float(cleared[0])
@@ -707,7 +713,7 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             "surface": {"name": config.surface_name,
                         "params": config.surface_params,
                         "resolution": config.resolution},
-            "base_point": [float(c) for c in base],
+            "base_point": [float(c) for c in given],
             "levels": {"count": config.num_levels},
             "mc": None if not config.counting_enabled else {
                 "seed": config.mc_seed,

@@ -178,6 +178,15 @@ def test_builder_mesh_errors_become_config_errors(name, params, cause):
     assert isinstance(ei.value.__cause__, cause)
 
 
+@pytest.mark.parametrize("r_max", [1e8, 1e14])
+def test_helicoid_far_past_its_pitch_builds(r_max):
+    # the chart's axis row has E ~ r_max^2 and G = pitch^2; only the angle
+    # between the coordinate directions decides whether it is singular
+    spec = build_surface("helicoid", params={"r_max": r_max},
+                         resolution="coarse")
+    assert spec.mesh.truncation_radius == r_max
+
+
 def test_resolution_override_dict():
     spec = build_surface("catenoid", resolution={"nu": 32, "nv": 16})
     assert len(spec.mesh.triangles) == 2 * 32 * 16

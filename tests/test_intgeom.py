@@ -192,7 +192,7 @@ def _all_pairs_counts(hit_test, T, sections, complements, radii):
         sl = slice(lo, min(lo + step, S))
         sec, comp = sections[sl], complements[sl]
         ti, si = np.divmod(np.arange(T * len(sec)), len(sec))
-        hits, g = hit_test(sec, comp, ti, si, radii, ig.EDGE_EPS)
+        hits, g = hit_test(sec, comp, ti, si, radii)
         counts[:, sl], gray[sl] = ig._per_section(si, hits, g, len(sec))
     return counts, gray
 
@@ -241,7 +241,7 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
         assert case not in _NEAR_SURFACE or np.any(floor <= 0)
 
     ti, si, _ = ig._cull_pairs(offset, floor, sec)
-    hits, gray = hit_test(sec, comp, ti, si, radii, ig.EDGE_EPS)
+    hits, gray = hit_test(sec, comp, ti, si, radii)
     counts, gray = ig._per_section(si, hits, gray, len(sec))
     dense_counts, dense_gray = _all_pairs_counts(hit_test, len(A), sec, comp,
                                                  radii)
@@ -293,8 +293,8 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
     for lo in range(0, S, step):
         sl = slice(lo, min(lo + step, S))
         ti, si = np.divmod(np.arange(T * len(sec[sl])), len(sec[sl]))
-        pairs = [test(sec[sl], comp[sl], ti, si, radii, ig.EDGE_EPS)
-                 for test in (new, old)]
+        pairs = [new(sec[sl], comp[sl], ti, si, radii),
+                 old(sec[sl], comp[sl], ti, si, radii, ig.EDGE_EPS)]
         clear = ~(pairs[0][1] | pairs[1][1])
         assert np.array_equal(pairs[0][0][:, clear], pairs[1][0][:, clear])
         compared += clear.sum()

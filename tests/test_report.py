@@ -508,6 +508,13 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
      "surface.params.r_max"),
     ({"surface": {"name": "helicoid", "params": {"r_max": 1e100}}},
      "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "params": {"r_max": 1e16}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "params": {"r_max": 1e20}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "plane", "params": {"r_max": 1e-100,
+                                              "offset": 0}}},
+     "surface.params.r_max"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
     # each of these ended in a traceback (exit 1), blamed another field, or
@@ -549,6 +556,31 @@ def test_report_probes_name_their_field(config, field):
     with pytest.raises(ConfigError) as err:
         compute_report(parse_config(config))
     assert err.value.field == field
+
+
+def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
+    # a base 5e-10 or 5e-9 off a catenoid vertex along its normal lies on
+    # the surface by the one on-surface rule; the report computes with the
+    # vertex, so the quadrature and the identities agree on the sheet there
+    mesh = coarse("catenoid").mesh
+    k = np.argmin(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 10.0))
+    around = np.flatnonzero((mesh.triangles == k).any(axis=1))
+    normal = np.cross(mesh.frames()[around, 0],
+                      mesh.frames()[around, 1]).sum(axis=0)
+    normal /= np.linalg.norm(normal)
+
+    def verdicts(base):
+        report = compute_report(parse_config({
+            "surface": {"name": "catenoid", "resolution": "coarse"},
+            "base_point": base.tolist()}))
+        assert report["config"]["base_point"] == base.tolist()
+        return [(c["name"], c["applicable"], c["passed"])
+                for c in report["checks"]]
+
+    want = verdicts(mesh.vertices[k])
+    assert all(passed for _, applicable, passed in want if applicable)
+    for offset in (5e-10, 5e-9):
+        assert verdicts(mesh.vertices[k] + offset * normal) == want, offset
 
 
 # Runs the CLI in a fresh interpreter, recording which mingauge function
