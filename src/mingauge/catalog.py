@@ -236,6 +236,25 @@ _RIM_RTOL = 1e-6
 # r_max / pitch is about the helicoid chart's largest angle in radians; from
 # 2e14 up, reports were seen to divide by zero in the quadrature
 _MAX_R_OVER_PITCH = 1e14
+# the most triangles a mesh may have, 8 x the default helicoid's
+MAX_TRIANGLES = 2**20
+
+
+def _check_budget(res, field: str) -> None:
+    if _triangle_count(res) > MAX_TRIANGLES:
+        raise ConfigError(field, f"would mesh more than {MAX_TRIANGLES:,} "
+                                 "triangles")
+
+
+def _triangle_count(res) -> int:
+    """Triangles of the mesh a merged resolution asks for: 20 x 4^k on an
+    icosphere, a center fan and two per cell on a polar disk, two per cell
+    on a chart grid."""
+    if "subdivisions" in res:  # capped: from 8 on it is over budget
+        return 20 * 4 ** min(res["subdivisions"], 9)
+    if "rings" in res:
+        return res["sectors"] * (2 * res["rings"] - 1)
+    return 2 * math.prod(res.values())
 
 
 def _polar_radii(res, r_outer: float) -> np.ndarray:
@@ -465,7 +484,7 @@ def _build_helicoid(params, res):
         params=dict(params),
         chart=chart,
         mesh=mesh,
-        base_point=np.array([0.0, 0.5, 0.0]),
+        base_point=np.array([0.0, 0.5 * pitch, 0.0]),
         targets={"ends": 1, "provenance": "derived"},
         notes="one end; projective volume grows without bound, estimates are "
               "flagged as truncation-limited",
@@ -573,6 +592,10 @@ def build_surface(name: str, params: dict | None = None,
             raise ConfigError(f"surface.resolution.{sorted(unknown)[0]}",
                               "unknown field")
         res.update(resolution)
+    sizes = {k: v for k, v in res.items() if k != "r_inner"}
+    given = resolution if isinstance(resolution, dict) else {}
+    _check_budget(sizes, "surface.resolution." + max(
+        sizes, key=lambda k: (k in given, sizes[k])))  # a field the config set
     try:
         spec = _BUILDERS[name](p, res)
     except (MeshTopologyError, DegenerateChartError) as exc:
@@ -591,18 +614,32 @@ def build_surface(name: str, params: dict | None = None,
 
 def spherical_region(kind: str, angle: float | None = None,
                      refinement: int = 4, sectors: int = 256) -> SimplicialSurface:
-    """Subsets of the unit sphere used by the line-counting identities."""
+    """Subsets of the unit sphere used by the line-counting identities.
+
+    A ``ConfigError`` names the ``mingauge crofton`` flag at fault.
+    """
     if kind == "full":
+        _check_budget({"subdivisions": refinement}, "refinement")
         return icosphere(refinement, 1.0, (0.0, 0.0, 0.0), name="sphere_full")
     if kind == "hemisphere":
-        return spherical_cap_mesh(np.pi / 2, rings=max(24, refinement * 12),
-                                  sectors=sectors, name="hemisphere")
-    if kind == "cap":
-        if angle is None:
-            raise ConfigError("set.angle", "cap requires an angle")
-        return spherical_cap_mesh(float(angle), rings=max(24, refinement * 12),
-                                  sectors=sectors, name=f"cap_{angle:.4f}")
-    raise ConfigError("set", f"unknown spherical set '{kind}'")
+        angle = np.pi / 2
+    elif kind != "cap":
+        raise ConfigError("set", f"unknown spherical set '{kind}'")
+    elif angle is None:
+        raise ConfigError("angle", "cap requires an angle")
+    elif not 0 < angle <= np.pi:
+        raise ConfigError("angle", "must lie in (0, pi]")
+    if sectors < 3:
+        raise ConfigError("sectors", "must be at least 3")
+    rings = max(24, refinement * 12)
+    _check_budget({"rings": rings, "sectors": sectors},
+                  "refinement" if rings > sectors else "sectors")
+    try:
+        return spherical_cap_mesh(float(angle), rings=rings, sectors=sectors,
+                                  name=kind if kind == "hemisphere" else
+                                  f"cap_{angle:.4f}")
+    except MeshTopologyError as exc:  # a cap too narrow for its grid
+        raise ConfigError("angle", f"cannot mesh the cap: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -616,7 +653,8 @@ def verify_minimality(chart: ImmersionChart) -> dict:
     derivatives.  The residual |H| at each sample is scaled by the local cell
     size, so the verdict is resolution-independent.  Works in any ambient
     dimension (the normal component is taken by projecting out the tangent
-    frame).
+    frame).  Returns the check's report entry (``passed``, ``margin``,
+    ``detail``) plus the largest unscaled ``max_mean_curvature``.
     """
     gu, gv, tol, fd_rel = 20, 20, 1e-3, 1e-4
     u0, u1, v0, v1 = chart.domain
@@ -656,13 +694,10 @@ def verify_minimality(chart: ImmersionChart) -> dict:
     du = (us[-1] - us[0]) / max(gu - 1, 1)
     dv = (vs[-1] - vs[0]) / max(gv - 1, 1)
     cell = np.sqrt(det) * du * dv
-    scaled = Hnorm * np.sqrt(cell)
-    k = np.unravel_index(np.argmax(scaled), scaled.shape)
+    worst = float((Hnorm * np.sqrt(cell)).max())
     return {
-        "passed": bool(scaled.max() <= tol),
-        "max_scaled_residual": float(scaled.max()),
+        "passed": bool(worst <= tol),
+        "margin": tol - worst,
+        "detail": {"max_scaled_residual": worst, "tol": tol, "grid": [gu, gv]},
         "max_mean_curvature": float(Hnorm.max()),
-        "tol": tol,
-        "grid": [int(gu), int(gv)],
-        "worst_uv": [float(uu[k]), float(vv[k])],
     }

@@ -140,14 +140,13 @@ def _cmd_catalog(_args) -> int:
 
 
 def _cmd_crofton(args) -> int:
-    if args.region == "cap" and args.angle is None:
-        raise ConfigError("angle", "--set cap requires --angle")
-    if args.samples < 100:
-        raise ConfigError("samples", "must be at least 100")
-
     from .catalog import spherical_region
-    from .intgeom import crofton_verify
+    from .intgeom import MAX_MC_SAMPLES, crofton_verify
 
+    if not 100 <= args.samples <= MAX_MC_SAMPLES:
+        raise ConfigError("samples", f"must lie in [100, {MAX_MC_SAMPLES}]")
+    if args.seed < 0:
+        raise ConfigError("seed", "must be at least 0")
     region = spherical_region(args.region, angle=args.angle,
                               refinement=args.refinement,
                               sectors=args.sectors)

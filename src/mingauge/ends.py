@@ -184,9 +184,6 @@ def ends_estimate(mesh: SimplicialSurface, center, radii=None) -> EndCount:
 def check_ends_bound(num_ends: int, projective_volume: float) -> dict:
     """Ends are bounded by (4 / area(S^1)) * projective volume."""
     rhs = (4.0 / (2 * pi)) * projective_volume
-    return {
-        "ends": int(num_ends),
-        "bound": float(rhs),
-        "passed": bool(num_ends <= rhs + 1e-12),
-        "margin": float(rhs - num_ends),
-    }
+    return {"passed": bool(num_ends <= rhs + 1e-12),
+            "margin": float(rhs - num_ends),
+            "detail": {"ends": int(num_ends), "bound": float(rhs)}}

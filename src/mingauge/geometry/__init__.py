@@ -6,6 +6,7 @@ from .types import (
     on_surface_multiplicity,
     orthonormal_frame,
     triangle_areas,
+    wedge,
 )
 from .meshing import (
     icosphere,
@@ -32,4 +33,5 @@ __all__ = [
     "spherical_cap_mesh",
     "triangle_areas",
     "triangle_rule",
+    "wedge",
 ]

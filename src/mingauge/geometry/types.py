@@ -209,15 +209,21 @@ def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
     return int(np.count_nonzero(mesh.about(center)["distances"] <= tol))
 
 
+def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Plucker coordinates ``a_i b_j - a_j b_i`` (i < j) of rows (..., n), as
+    a C-contiguous (..., n(n-1)/2) array; a row's norm is the area of the
+    parallelogram its pair of vectors spans."""
+    i, j = np.triu_indices(a.shape[-1], 1)
+    return np.ascontiguousarray(a[..., i] * b[..., j] - a[..., j] * b[..., i])
+
+
 def triangle_areas(corners: np.ndarray) -> np.ndarray:
-    """Areas of triangles given as (..., 3, n) corner arrays (any n via Gram)."""
+    """Areas of triangles given as (..., 3, n) corner arrays, any n: half the
+    norm of the wedge of two sides, which, unlike the Gram determinant
+    |u|^2 |v|^2 - (u.v)^2, does not cancel on long thin triangles."""
     u = corners[..., 1, :] - corners[..., 0, :]
     v = corners[..., 2, :] - corners[..., 0, :]
-    uu = np.sum(u * u, axis=-1)
-    vv = np.sum(v * v, axis=-1)
-    uv = np.sum(u * v, axis=-1)
-    g = uu * vv - uv * uv
-    return 0.5 * np.sqrt(np.maximum(g, 0.0))
+    return 0.5 * np.linalg.norm(wedge(u, v), axis=-1)
 
 
 @dataclass

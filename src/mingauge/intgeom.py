@@ -32,12 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IdentityNotApplicableError, InvalidFrameError
-from .geometry import triangle_rule
+from .geometry import triangle_rule, wedge
 from .invariants import max_safe_radius, on_surface_multiplicity, sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
 _MAX_JITTER_ROUNDS = 12
+MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
 _BLOCK_CELLS = 1_500_000  # ~ triangle x sample cells handled per block
 _BLOCK_CANDIDATES = 100_000  # ~ indexed line candidates handled per block
 # The cull keeps a pair when the centroid lies within reach of the section.
@@ -244,13 +245,6 @@ def _cap_cull(offset, floor):
     return cull, per_line
 
 
-def _wedge(a, b):
-    """Plucker coordinates ``a_i b_j - a_j b_i`` (i < j) of rows (m, n),
-    as a C-contiguous (m, n(n-1)/2) array."""
-    i, j = np.triu_indices(a.shape[1], 1)
-    return np.ascontiguousarray(a[:, i] * b[:, j] - a[:, j] * b[:, i])
-
-
 def _hit_test(A, e1, e2, base, split=False):
     """Exact pair test of (n-2)-plane sections against triangles, any n.
 
@@ -262,12 +256,12 @@ def _hit_test(A, e1, e2, base, split=False):
     outermost radius ahead of the base along the section's first row.
     """
     t = base - A
-    E, Ea, Eb = _wedge(e1, e2), _wedge(t, e2), _wedge(e1, t)
+    E, Ea, Eb = wedge(e1, e2), wedge(t, e2), wedge(e1, t)
     det_scale = np.linalg.norm(E, axis=1) + 1e-300
     eps = EDGE_EPS
 
     def test(sections, complements, ti, si, radii):
-        C = np.take(_wedge(complements[:, 0], complements[:, 1]), si, axis=0)
+        C = np.take(wedge(complements[:, 0], complements[:, 1]), si, axis=0)
         det = np.einsum("pk,pk->p", np.take(E, ti, axis=0), C)
         safe = np.abs(det) > 1e-13 * np.take(det_scale, ti)
         inv = np.where(safe, det, 1.0)
@@ -547,10 +541,8 @@ def check_defect_counting_bound(defect: dict, counting: dict) -> dict:
     return {
         "passed": bool(margin >= -slack),
         "margin": float(margin),
-        "bound": float(bound),
-        "bound_error": float(bound_err),
-        "defect": float(defect["value"]),
-        "radius": radius,
+        "detail": {"bound": float(bound), "bound_error": float(bound_err),
+                   "defect": float(defect["value"]), "radius": radius},
     }
 
 
@@ -584,10 +576,8 @@ def check_ends_counting_bound(num_ends: int, max_count: int,
     bound = c * max_count
     return {
         "passed": bool(num_ends <= bound + 1e-12),
-        "ends": int(num_ends),
-        "max_count": int(max_count),
-        "constant": float(c),
-        "starlike": bool(starlike),
-        "bound": float(bound),
         "margin": float(bound - num_ends),
+        "detail": {"ends": int(num_ends), "max_count": int(max_count),
+                   "constant": float(c), "starlike": bool(starlike),
+                   "bound": float(bound)},
     }

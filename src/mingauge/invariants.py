@@ -17,7 +17,9 @@ the identity check takes the estimates themselves and does only arithmetic
 on them, so a report never re-runs an estimator to check it.  The remaining
 check_* functions compare two independent discretization routes on a concrete
 mesh (chord sums vs region integrals), so agreement is evidence of
-correctness rather than of a shared bug.
+correctness rather than of a shared bug.  Every check_* returns the entry a
+report stores (``passed``, ``margin``, ``detail``); one that cannot apply
+raises IdentityNotApplicableError.
 """
 from __future__ import annotations
 
@@ -294,22 +296,21 @@ def _gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
 
 
+def _at_most(tol: float, key: str, value: float, **detail) -> dict:
+    """The entry of a check that ``value``, published as ``key``, is at most
+    ``tol``: its verdict, its margin ``tol - value`` and its detail."""
+    return {"passed": bool(value <= tol), "margin": tol - value,
+            "detail": {key: value, "tol": tol, **detail}}
+
+
 def check_monotonicity(profile: FluxProfile) -> dict:
     """Normalized flux must not decrease as the radius grows."""
-    tol = 1e-3
     norm = profile.normalized
-    running = np.maximum.accumulate(norm)
-    drop = running - norm
+    drop = np.maximum.accumulate(norm) - norm
     k = int(np.argmax(drop))
-    scale = max(float(norm.max()), 1e-12)
-    rel = float(drop[k]) / scale
-    return {
-        "passed": bool(rel <= tol),
-        "max_violation": float(drop[k]),
-        "rel_violation": rel,
-        "at_level": float(profile.levels[k]),
-        "tol": tol,
-    }
+    rel = float(drop[k]) / max(float(norm.max()), 1e-12)
+    return _at_most(1e-3, "rel_violation", rel, max_violation=float(drop[k]),
+                    at_level=float(profile.levels[k]))
 
 
 def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
@@ -321,15 +322,13 @@ def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
     when given).  Right side: the defect integral over the shell.  These
     share no discretization machinery beyond the mesh itself.
     """
-    tol = 2e-2
     center = np.asarray(center, dtype=float)
     prof = _flux_at(mesh, center, [t_lo, t_hi], profile)
     lhs = float(prof.normalized[1] - prof.normalized[0])
-    rhs = 2 * radial_integrals(mesh, center, [t_lo, t_hi], "defect")[1].sum()
-    gap = _gap(lhs, rhs)
-    return {"passed": bool(gap <= tol), "lhs": lhs, "rhs": float(rhs),
-            "rel_gap": gap, "tol": tol, "t_lo": float(t_lo),
-            "t_hi": float(t_hi)}
+    rhs = float(2 * radial_integrals(mesh, center, [t_lo, t_hi], "defect")[1]
+                .sum())
+    return _at_most(2e-2, "rel_gap", _gap(lhs, rhs), lhs=lhs, rhs=rhs,
+                    t_lo=float(t_lo), t_hi=float(t_hi))
 
 
 def check_defect_volume_identity(defect: dict, flux_normalized: float,
@@ -350,22 +349,12 @@ def check_defect_volume_identity(defect: dict, flux_normalized: float,
     instead carry the same term through the boundary constant, so the two
     routes never double-count.
     """
-    tol = 2e-2
     lhs = 2 * defect["value"]
     rhs = float(flux_normalized) + boundary["value"] - sheets * sphere_area(2)
-    gap = _gap(lhs, rhs)
-    return {
-        "passed": bool(gap <= tol),
-        "lhs": lhs,
-        "rhs": rhs,
-        "rel_gap": gap,
-        "tol": tol,
-        "radius": defect["radius"],
-        "defect": defect,
-        "flux_normalized": float(flux_normalized),
-        "boundary_constant": boundary,
-        "on_surface_multiplicity": int(sheets),
-    }
+    return {**_at_most(2e-2, "rel_gap", _gap(lhs, rhs), lhs=lhs, rhs=rhs,
+                       radius=defect["radius"],
+                       on_surface_multiplicity=int(sheets)),
+            "boundary_constant": boundary}
 
 
 def preimage_count_residual(volume: float, defect: float,
@@ -379,41 +368,49 @@ def preimage_count_residual(volume: float, defect: float,
     return abs(volume - 2 * defect - preimages * sphere_area(2))
 
 
-def check_band_area_bound(mesh: SimplicialSurface, center, r_lo: float,
-                          r_hi: float) -> dict:
-    """Any component crossing the whole shell has area >= the width bound.
+def check_band_area_bound(mesh: SimplicialSurface, center, bands) -> dict:
+    """Any component crossing a whole shell has area >= the width bound.
 
-    The bound is sphere_area(2)/2 * ((r_hi - r_lo)/2)^2, less 0.5%.
-    Components are taken over triangles meeting the shell; one qualifies
-    when it has vertices on or inside the inner sphere and on or outside the
-    outer one.
-    Vacuous (no qualifying component) is reported as not applicable.
+    ``bands`` lists the shells ``(r_lo, r_hi)``; each one's bound is
+    sphere_area(2)/2 * ((r_hi - r_lo)/2)^2, less 0.5%.  Components are taken
+    over triangles meeting the shell; one qualifies when it has vertices on
+    or inside the inner sphere and on or outside the outer one.  The margin
+    is the smallest area over bound, less 1, and ``areas`` lists the
+    qualifying areas band by band.  Raises IdentityNotApplicableError when
+    no component qualifies in any band.
     """
     center = np.asarray(center, dtype=float)
     tri_d = mesh.about(center)["distances"][mesh.triangles]
-    tri_mask = (tri_d.min(axis=1) < r_hi) & (tri_d.max(axis=1) > r_lo)
-    labels, count = triangle_components(mesh, tri_mask)
-    bound = sphere_area(2) / 2 * ((r_hi - r_lo) / 2.0) ** 2
-    crossing = []
-    for comp in range(count):
-        comp_tris = labels == comp
-        if tri_d[comp_tris].min() <= r_lo and tri_d[comp_tris].max() >= r_hi:
-            crossing.append(comp)
-    if not crossing:
-        return {"applicable": False, "passed": True, "bound": float(bound),
-                "areas": [], "num_crossing": 0}
-    shell_area = radial_integrals(mesh, center, [r_lo, r_hi])[1]
-    sel = labels >= 0
-    comp_area = np.bincount(labels[sel], weights=shell_area[sel],
-                            minlength=count)
-    areas = sorted(float(comp_area[comp]) for comp in crossing)
+    areas, ratios, passed = [], [], True
+    for r_lo, r_hi in bands:
+        tri_mask = (tri_d.min(axis=1) < r_hi) & (tri_d.max(axis=1) > r_lo)
+        labels, count = triangle_components(mesh, tri_mask)
+        crossing = []
+        for comp in range(count):
+            comp_d = tri_d[labels == comp]
+            if comp_d.min() <= r_lo and comp_d.max() >= r_hi:
+                crossing.append(comp)
+        if not crossing:
+            continue
+        shell_area = radial_integrals(mesh, center, [r_lo, r_hi])[1]
+        sel = labels >= 0
+        comp_area = np.bincount(labels[sel], weights=shell_area[sel],
+                                minlength=count)
+        band = sorted(float(comp_area[comp]) for comp in crossing)
+        bound = sphere_area(2) / 2 * ((r_hi - r_lo) / 2.0) ** 2
+        passed &= band[0] >= bound * (1.0 - 5e-3)
+        ratios.append(float(band[0] / bound))
+        areas += band
+    if not areas:
+        raise IdentityNotApplicableError("no component crosses the test "
+                                         "shells")
     return {
-        "applicable": True,
-        "passed": bool(areas[0] >= bound * (1.0 - 5e-3)),
-        "bound": float(bound),
+        "passed": bool(passed),
+        "margin": min(ratios) - 1.0,
+        "detail": {"bands": [[float(lo), float(hi)] for lo, hi in bands],
+                   "min_area_over_bound": min(ratios)},
         "areas": areas,
         "num_crossing": len(areas),
-        "min_ratio": float(areas[0] / bound),
     }
 
 
@@ -428,7 +425,6 @@ def check_density_identity(mesh: SimplicialSurface, center, levels,
     to run.  Reports the worst relative residual over the level sweep;
     ``profile`` supplies the flux when it is already traced.
     """
-    tol = 1e-2
     center = np.asarray(center, dtype=float)
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if boundary["num_edges"] > 0:
@@ -438,15 +434,7 @@ def check_density_identity(mesh: SimplicialSurface, center, levels,
         )
     prof = _flux_at(mesh, center, levels, profile)
     areas = np.cumsum(radial_integrals(mesh, center, levels).sum(axis=1))
-    residuals = np.array([_gap(2 * area, float(raw))
-                          for area, raw in zip(areas, prof.raw)])
+    residuals = [_gap(2 * area, float(raw)) for area, raw in zip(areas, prof.raw)]
     worst = int(np.argmax(residuals))
-    return {
-        "passed": bool(residuals[worst] <= tol),
-        "max_residual": float(residuals[worst]),
-        "at_level": float(levels[worst]),
-        "tol": tol,
-        "levels": levels,
-        "areas": areas,
-        "residuals": residuals,
-    }
+    return _at_most(1e-2, "max_residual", float(residuals[worst]),
+                    at_level=float(levels[worst]))

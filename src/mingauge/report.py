@@ -44,6 +44,7 @@ from .catalog import build_surface, catalog_names, verify_minimality
 from .ends import check_ends_bound, ends_estimate
 from .errors import ConfigError, IdentityNotApplicableError
 from .intgeom import (
+    MAX_MC_SAMPLES,
     check_defect_counting_bound,
     check_ends_counting_bound,
     counting_bound_constant,
@@ -73,7 +74,6 @@ _MC_KEYS = {"seed", "samples", "radii"}
 
 DEFAULT_MC_SAMPLES = 50000
 MAX_LEVELS = 10_000
-MAX_MC_SAMPLES = 1_000_000
 
 
 # --------------------------------------------------------------------------
@@ -289,8 +289,20 @@ def validate_report(report: dict) -> None:
 # the pipeline
 
 
-def _check(name: str, applicable: bool, passed, note: str = "",
-           margin=None, detail: dict | None = None) -> dict:
+# why a check that needs vanishing mean curvature does not apply to the
+# non-minimal control entry
+_MINIMAL = "requires vanishing mean curvature"
+_CONTROL_REASONS = {
+    "minimal_surface": "non-minimal control entry",
+    "flux_monotone": "non-minimal control entry; the drop below is the "
+                     "expected counterexample",
+}
+
+
+def _entry(name: str, checked: dict, note: str, applicable: bool) -> dict:
+    """The report entry of check ``name``; ``checked`` is what its check
+    function returned (``passed``, ``margin``, ``detail``)."""
+    passed, margin = checked["passed"], checked.get("margin")
     entry = {
         "name": name,
         "applicable": bool(applicable),
@@ -299,13 +311,9 @@ def _check(name: str, applicable: bool, passed, note: str = "",
     }
     if note:
         entry["note"] = note
-    if detail:
-        entry["detail"] = _jsonify(detail)
+    if checked.get("detail"):
+        entry["detail"] = _jsonify(checked["detail"])
     return entry
-
-
-def _small(detail: dict, keys) -> dict:
-    return {k: detail[k] for k in keys if k in detail}
 
 
 def compute_report(config: RunConfig, strict: bool = False) -> dict:
@@ -344,62 +352,50 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     estimates: list[dict] = []
     sweeps: list[tuple[str, float, float, float]] = []
 
-    def skip_note(reason: str) -> str:
-        return f"not applicable: {reason}"
+    def add(name, run, note="", why=None, minimal=True):
+        """Append check ``name`` with the entry ``run()`` returns.
+
+        ``why`` names a failed hypothesis: the verdict is kept but does not
+        count, as on the control for a check needing vanishing mean
+        curvature (``minimal``).  A check that cannot apply at all raises
+        IdentityNotApplicableError and has no verdict."""
+        try:
+            checked = run()
+        except IdentityNotApplicableError as exc:
+            checked, why = {"passed": None}, str(exc)
+        else:
+            if minimal and control:
+                why = _CONTROL_REASONS.get(name, _MINIMAL)
+        checks.append(_entry(name, checked, note if why is None else
+                             f"not applicable: {why}", why is None))
 
     # -- minimality -------------------------------------------------------
-    minimality = verify_minimality(spec.chart)
-    checks.append(_check(
-        "minimal_surface",
-        applicable=not control,
-        passed=minimality["passed"],
-        note=skip_note("non-minimal control entry") if control else
-             "mean curvature of the exact chart vanishes to tolerance",
-        margin=minimality["tol"] - minimality["max_scaled_residual"],
-        detail=_small(minimality, ("max_scaled_residual", "tol", "grid")),
-    ))
+    add("minimal_surface", lambda: verify_minimality(spec.chart),
+        "mean curvature of the exact chart vanishes to tolerance")
 
     # -- flux sweep and monotonicity ---------------------------------------
     # every level any estimate or check reads the flux at is traced once:
-    # the sweep, the defect's tail level r_hi / 2, the density levels and
-    # the shell's outer level
+    # the sweep, the defect's tail level r_hi / 2, the density levels, the
+    # shell's outer level and the outermost counting radius with its half
     levels = level_grid(mesh, base, config.num_levels)
     density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
     shell_hi = 0.7 * r_hi
-    flux = flux_profile(mesh, base, np.union1d(
-        levels, [*density_levels, shell_hi]))
+    r_count = config.mc_radii[-1] if config.mc_radii else r_hi
+    flux = flux_profile(mesh, base, np.union1d(levels, [
+        0.5 * r_hi, *density_levels, shell_hi, 0.5 * r_count, r_count]))
     vol = projective_volume(mesh, base, profile=flux.at(levels))
     profile = vol["profile"]
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
         sweeps.append(("flux_normalized", float(t), float(raw / t**2),
                        float(err / t**2)))
-    mono = check_monotonicity(profile)
-    checks.append(_check(
-        "flux_monotone",
-        applicable=not control,
-        passed=mono["passed"],
-        note=skip_note("non-minimal control entry; the drop below is the "
-                       "expected counterexample") if control else "",
-        margin=mono["tol"] - mono["rel_violation"],
-        detail=_small(mono, ("max_violation", "rel_violation", "at_level",
-                             "tol")),
-    ))
+    add("flux_monotone", lambda: check_monotonicity(profile))
 
     # -- projective volume (both routes) -----------------------------------
-    estimates.append({
-        "quantity": "projective_volume",
-        "value": vol["value"],
-        "error": vol["error"],
-        "method": "flux_limit",
-        "flags": list(vol["flags"]),
-    })
-    estimates.append({
-        "quantity": "projective_volume",
-        "value": vol["slope_estimate"],
-        "error": vol["error"],
-        "method": "log_slope",
-        "flags": list(vol["flags"]),
-    })
+    for method, value in (("flux_limit", vol["value"]),
+                          ("log_slope", vol["slope_estimate"])):
+        estimates.append({"quantity": "projective_volume", "value": value,
+                          "error": vol["error"], "method": method,
+                          "flags": list(vol["flags"])})
     for R, I in zip(vol["fit_levels"], vol["log_integrals"]):
         sweeps.append(("inverse_power_over_log", float(R),
                        float(I / np.log(R)), 0.0))
@@ -410,50 +406,33 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             f"(flags: {', '.join(vol['flags'])}); the truncated mesh does "
             "not reach the asymptotic regime"
         )
-    checks.append(_check(
+    checks.append(_entry(
         "volume_estimate_reliable",
-        applicable=strict,
-        passed=volume_reliable,
-        note="" if strict else
-             "warning only; rerun with --strict to make this failing",
-        detail={"flags": list(vol["flags"]),
-                "flux_limit": vol["value"],
-                "log_slope": vol["slope_estimate"]},
+        {"passed": volume_reliable,
+         "detail": {"flags": list(vol["flags"]), "flux_limit": vol["value"],
+                    "log_slope": vol["slope_estimate"]}},
+        "" if strict else
+        "warning only; rerun with --strict to make this failing",
+        strict,
     ))
 
     # -- radial defect and boundary term ------------------------------------
     q = radial_defect(mesh, base, r_hi, profile=flux)
-    estimates.append({
-        "quantity": "radial_defect",
-        "value": q["value"],
-        "error": q["error"],
-        "method": "region_quadrature",
-        "radius": float(r_hi),
-    })
     bnd = boundary_constant(mesh, base, within_radius=r_hi)
-    estimates.append({
-        "quantity": "boundary_flux_constant",
-        "value": bnd["value"],
-        "error": bnd["error"],
-        "method": "edge_quadrature",
-        "radius": float(r_hi),
-    })
+    for quantity, est, method in (
+            ("radial_defect", q, "region_quadrature"),
+            ("boundary_flux_constant", bnd, "edge_quadrature")):
+        estimates.append({"quantity": quantity, "value": est["value"],
+                          "error": est["error"], "method": method,
+                          "radius": float(r_hi)})
 
     # -- identities ---------------------------------------------------------
     # levels[-1] is r_hi, so the sweep's last flux is the one at the cut
-    ident = check_defect_volume_identity(q, profile.normalized[-1], bnd,
-                                         sheets)
-    checks.append(_check(
-        "defect_volume_identity",
-        applicable=not control,
-        passed=ident["passed"],
-        note=skip_note("requires vanishing mean curvature") if control else
-             "2 x defect = normalized flux + boundary term - on-surface "
-             "density, at the cut radius",
-        margin=ident["tol"] - ident["rel_gap"],
-        detail=_small(ident, ("lhs", "rhs", "rel_gap", "tol", "radius",
-                              "on_surface_multiplicity")),
-    ))
+    add("defect_volume_identity",
+        lambda: check_defect_volume_identity(q, profile.normalized[-1], bnd,
+                                             sheets),
+        "2 x defect = normalized flux + boundary term - on-surface density, "
+        "at the cut radius")
 
     # anchor the shell at an inner sweep level: flat ends make the flux
     # increment across any outer shell vanish, which would turn the relative
@@ -467,58 +446,19 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
         if cleared.size:
             shell_lo = float(cleared[0])
-    shell = check_flux_shell_identity(mesh, base, shell_lo, shell_hi,
-                                      profile=flux)
-    checks.append(_check(
-        "flux_shell_identity",
-        applicable=not control,
-        passed=shell["passed"],
-        note=skip_note("requires vanishing mean curvature") if control else "",
-        margin=shell["tol"] - shell["rel_gap"],
-        detail=_small(shell, ("lhs", "rhs", "rel_gap", "tol", "t_lo",
-                              "t_hi")),
-    ))
+    add("flux_shell_identity",
+        lambda: check_flux_shell_identity(mesh, base, shell_lo, shell_hi,
+                                          profile=flux))
 
     # outer-band levels (density_levels above): at small spheres the (tiny)
     # area and flux values being compared are swamped by discretization error
-    try:
-        dens = check_density_identity(mesh, base, density_levels, bnd,
-                                      profile=flux)
-        checks.append(_check(
-            "density_identity",
-            applicable=not control,
-            passed=dens["passed"],
-            note=skip_note("requires vanishing mean curvature")
-                 if control else "",
-            margin=dens["tol"] - dens["max_residual"],
-            detail=_small(dens, ("max_residual", "at_level", "tol")),
-        ))
-    except IdentityNotApplicableError as exc:
-        checks.append(_check("density_identity", applicable=False,
-                             passed=None, note=skip_note(str(exc))))
-
-    bands = [(0.30 * r_hi, 0.55 * r_hi), (0.55 * r_hi, 0.85 * r_hi)]
-    band_results = [check_band_area_bound(mesh, base, lo, hi)
-                    for lo, hi in bands]
-    crossing = [b for b in band_results if b["applicable"]]
-    if not crossing:
-        checks.append(_check(
-            "band_area_bound", applicable=False, passed=None,
-            note=skip_note("no component crosses the test shells"),
-        ))
-    else:
-        worst = min(b["min_ratio"] for b in crossing)
-        checks.append(_check(
-            "band_area_bound",
-            applicable=not control,
-            passed=all(b["passed"] for b in crossing),
-            note=skip_note("requires vanishing mean curvature")
-                 if control else
-                 "area of every crossing component >= half-width bound",
-            margin=worst - 1.0,
-            detail={"bands": [[float(lo), float(hi)] for lo, hi in bands],
-                    "min_area_over_bound": worst},
-        ))
+    add("density_identity",
+        lambda: check_density_identity(mesh, base, density_levels, bnd,
+                                       profile=flux))
+    add("band_area_bound",
+        lambda: check_band_area_bound(mesh, base, [
+            (0.30 * r_hi, 0.55 * r_hi), (0.55 * r_hi, 0.85 * r_hi)]),
+        "area of every crossing component >= half-width bound")
 
     # -- ends ---------------------------------------------------------------
     ends = ends_estimate(mesh, base)
@@ -530,110 +470,85 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     })
     for r, n in zip(ends.radii, ends.counts):
         sweeps.append(("ends_count", float(r), float(n), 0.0))
-    checks.append(_check(
-        "ends_stabilized",
-        applicable=True,
-        passed=ends.stabilized,
-        note="count constant over the outer third of the sweep",
-        detail={"counts": ends.counts, "radii": ends.radii},
-    ))
+    add("ends_stabilized",
+        lambda: {"passed": ends.stabilized,
+                 "detail": {"counts": ends.counts, "radii": ends.radii}},
+        "count constant over the outer third of the sweep", minimal=False)
     if not ends.stabilized:
         warnings.append("end count did not stabilize over the radius sweep")
 
     if "ends" in spec.targets:
         expected = int(spec.targets["ends"])
-        checks.append(_check(
-            "ends_match_expected",
-            applicable=True,
-            passed=ends.stable_count == expected,
-            margin=-abs(ends.stable_count - expected),
-            detail={"expected": expected, "measured": ends.stable_count},
-        ))
+        add("ends_match_expected",
+            lambda: {"passed": ends.stable_count == expected,
+                     "margin": -abs(ends.stable_count - expected),
+                     "detail": {"expected": expected,
+                                "measured": ends.stable_count}},
+            minimal=False)
 
-    if control:
-        checks.append(_check(
-            "ends_volume_bound", applicable=False, passed=None,
-            note=skip_note("requires vanishing mean curvature"),
-        ))
-    elif not volume_reliable:
-        checks.append(_check(
-            "ends_volume_bound", applicable=False, passed=None,
-            note=skip_note("projective volume is truncation-limited; the "
-                           "bound would be vacuous"),
-        ))
-    else:
-        endsb = check_ends_bound(ends.stable_count, vol["value"])
-        checks.append(_check(
-            "ends_volume_bound",
-            applicable=True,
-            passed=endsb["passed"],
-            note="ends <= (4 / sphere area) x projective volume",
-            margin=endsb["margin"],
-            detail=_small(endsb, ("ends", "bound")),
-        ))
+    # the end bounds are not run on the control at all
+    def ends_volume_bound():
+        if control:
+            raise IdentityNotApplicableError(_MINIMAL)
+        if not volume_reliable:
+            raise IdentityNotApplicableError(
+                "projective volume is truncation-limited; the bound would "
+                "be vacuous")
+        return check_ends_bound(ends.stable_count, vol["value"])
+
+    add("ends_volume_bound", ends_volume_bound,
+        "ends <= (4 / sphere area) x projective volume")
 
     # -- closed-form / derived target comparison ----------------------------
-    # catalog targets are stated for the suggested base point only (the
-    # defect depends on the base), so another base cannot be checked
-    target_keys = [k for k in ("projective_volume", "radial_defect")
-                   if k in spec.targets]
-    if target_keys:
+    def invariants_match_expected():
+        # catalog targets are stated for the suggested base point only (the
+        # defect depends on the base), so another base cannot be checked
         if not np.array_equal(base, spec.base_point):
             def fmt(point):
                 return "[" + ", ".join(f"{float(c):g}" for c in point) + "]"
 
-            checks.append(_check(
-                "invariants_match_expected", applicable=False, passed=None,
-                note=skip_note(f"catalog values hold for the suggested base "
-                               f"point {fmt(spec.base_point)}, not for "
-                               f"{fmt(base)}"),
-            ))
-        elif spec.targets.get("provenance") in ("closed-form", "derived",
-                                                "literature"):
-            measured = {"projective_volume": (vol["value"], vol["error"]),
-                        "radial_defect": (q["value"], q["error"])}
-            gaps = {}
-            ok = True
-            for key in target_keys:
-                tgt = float(spec.targets[key])
-                val, err = measured[key]
-                tol = max(5.0 * err, 0.03 * abs(tgt))
-                gaps[key] = {"target": tgt, "measured": float(val),
-                             "tolerance": float(tol)}
-                ok &= abs(val - tgt) <= tol
-            checks.append(_check(
-                "invariants_match_expected",
-                applicable=volume_reliable,
-                passed=ok,
-                note="" if volume_reliable else
-                     skip_note("volume estimate is truncation-limited"),
-                detail=gaps,
-            ))
-        else:
-            checks.append(_check(
-                "invariants_match_expected", applicable=False, passed=None,
-                note=skip_note("catalog values for this entry have no "
-                               "trusted provenance"),
-            ))
+            raise IdentityNotApplicableError(
+                f"catalog values hold for the suggested base point "
+                f"{fmt(spec.base_point)}, not for {fmt(base)}")
+        if spec.targets.get("provenance") not in ("closed-form", "derived",
+                                                  "literature"):
+            raise IdentityNotApplicableError(
+                "catalog values for this entry have no trusted provenance")
+        measured = {"projective_volume": (vol["value"], vol["error"]),
+                    "radial_defect": (q["value"], q["error"])}
+        gaps = {}
+        ok = True
+        for key in target_keys:
+            tgt = float(spec.targets[key])
+            val, err = measured[key]
+            tol = max(5.0 * err, 0.03 * abs(tgt))
+            gaps[key] = {"target": tgt, "measured": float(val),
+                         "tolerance": float(tol)}
+            ok &= abs(val - tgt) <= tol
+        return {"passed": ok, "detail": gaps}
+
+    target_keys = [k for k in ("projective_volume", "radial_defect")
+                   if k in spec.targets]
+    if target_keys:
+        add("invariants_match_expected", invariants_match_expected,
+            why=None if volume_reliable else
+            "volume estimate is truncation-limited", minimal=False)
 
     # -- Monte-Carlo section counting ---------------------------------------
     counting = None
-    counting_note = skip_note("no mc block in the config; add one with a "
-                              "seed to enable Monte-Carlo counting")
+    skipped = IdentityNotApplicableError(
+        "no mc block in the config; add one with a seed to enable "
+        "Monte-Carlo counting")
     if config.counting_enabled:
-        if config.mc_radii is not None:
-            count_radii = np.asarray(config.mc_radii, dtype=float)
-        else:
-            count_radii = np.geomspace(0.3 * r_hi, r_hi, 5)
         try:
-            counting = counting_sweep(mesh, base, count_radii,
-                                      samples=config.mc_samples,
-                                      seed=config.mc_seed)
+            counting = counting_sweep(
+                mesh, base, config.mc_radii or np.geomspace(0.3 * r_hi, r_hi, 5),
+                samples=config.mc_samples, seed=config.mc_seed)
         except IdentityNotApplicableError as exc:
             # a base point on the surface pins every section through it, so
             # the count is ill-posed there; that invalidates only the
             # counting checks, not the rest of the report
-            counting_note = skip_note(str(exc))
+            skipped = exc
         except ValueError as exc:
             raise ConfigError("mc.radii", str(exc)) from exc
     if counting is not None:
@@ -651,58 +566,35 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             "seed": int(counting["seed"]),
         })
 
-        # defect at the outermost counting radius, against the half-sphere-
-        # area times the mean count
-        r_count = float(counting["radii"][-1])
-        q_at = (q if abs(r_count - r_hi) <= 1e-12 * max(1.0, r_hi)
-                else radial_defect(mesh, base, r_count))
-        dcb = check_defect_counting_bound(q_at, counting)
-        checks.append(_check(
-            "defect_counting_bound",
-            applicable=True,
-            passed=dcb["passed"],
-            note="defect <= half the 2-sphere area x mean section count",
-            margin=dcb["margin"],
-            detail=_small(dcb, ("defect", "bound", "bound_error", "radius")),
-        ))
+    def defect_counting_bound():
+        # the defect at the outermost counting radius, against half the
+        # sphere area times the mean count there
+        if counting is None:
+            raise skipped
+        return check_defect_counting_bound(
+            q if abs(r_count - r_hi) <= 1e-12 * max(1.0, r_hi)
+            else radial_defect(mesh, base, r_count, profile=flux), counting)
 
+    def ends_counting_bound():
+        if counting is None:
+            raise skipped
         if control:
-            checks.append(_check(
-                "ends_counting_bound", applicable=False, passed=None,
-                note=skip_note("requires vanishing mean curvature"),
-            ))
-        else:
-            endsc = check_ends_counting_bound(ends.stable_count,
-                                              counting["max_observed"])
-            checks.append(_check(
-                "ends_counting_bound",
-                applicable=ends.stabilized,
-                passed=endsc["passed"],
-                note="ends <= constant x max observed section count"
-                     if ends.stabilized else
-                     skip_note("end count did not stabilize"),
-                margin=endsc["margin"],
-                detail=_small(endsc, ("ends", "max_count", "constant",
-                                      "bound", "starlike")),
-            ))
-    else:
-        checks.append(_check("defect_counting_bound", applicable=False,
-                             passed=None, note=counting_note))
-        checks.append(_check("ends_counting_bound", applicable=False,
-                             passed=None, note=counting_note))
+            raise IdentityNotApplicableError(_MINIMAL)
+        return check_ends_counting_bound(ends.stable_count,
+                                         counting["max_observed"])
 
-    estimates.append({
-        "quantity": "ends_counting_constant",
-        "value": counting_bound_constant(2),
-        "error": 0.0,
-        "method": "closed_form",
-    })
-    estimates.append({
-        "quantity": "ends_counting_constant_nonstarlike",
-        "value": 2.0 * counting_bound_constant(2),
-        "error": 0.0,
-        "method": "closed_form",
-    })
+    add("defect_counting_bound", defect_counting_bound,
+        "defect <= half the 2-sphere area x mean section count",
+        minimal=False)
+    add("ends_counting_bound", ends_counting_bound,
+        "ends <= constant x max observed section count",
+        why=None if ends.stabilized else "end count did not stabilize")
+
+    for quantity, factor in (("ends_counting_constant", 1.0),
+                             ("ends_counting_constant_nonstarlike", 2.0)):
+        estimates.append({"quantity": quantity,
+                          "value": factor * counting_bound_constant(2),
+                          "error": 0.0, "method": "closed_form"})
 
     # -- assemble -----------------------------------------------------------
     passed = all(c["passed"] for c in checks if c["applicable"])

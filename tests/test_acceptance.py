@@ -145,13 +145,14 @@ def test_criterion_04_monotonicity_suite(default):
         prof = flux_profile(spec.mesh, spec.base_point, levels)
         out = check_monotonicity(prof)
         ok &= out["passed"]
-        details.append(f"{name} {out['rel_violation']:.1e}")
+        details.append(f"{name} {out['detail']['rel_violation']:.1e}")
     sphere = default("sphere")
     levels = np.linspace(0.5, 2.9, 24)
     prof = flux_profile(sphere.mesh, sphere.base_point, levels)
     control = check_monotonicity(prof)
     ok &= not control["passed"]
-    details.append(f"sphere violates ({control['rel_violation']:.2f})")
+    details.append(
+        f"sphere violates ({control['detail']['rel_violation']:.2f})")
     assert verdict(4, ok,
                    "max relative drop at 24 levels: " + ", ".join(details))
 
@@ -168,7 +169,7 @@ def test_criterion_05_density_identity(default):
         bnd = boundary_constant(spec.mesh, spec.base_point, within_radius=r_hi)
         out = check_density_identity(spec.mesh, spec.base_point,
                                      np.geomspace(0.3 * r_hi, r_hi, 6), bnd)
-        worst[name] = out["max_residual"]
+        worst[name] = out["detail"]["max_residual"]
     ok = all(value <= 1e-2 for value in worst.values())
     assert verdict(5, ok,
                    "max |2 area(t) - raw flux(t)| residual: "
@@ -188,9 +189,9 @@ def test_criterion_06_band_area_bound(default):
     for _ in range(10):
         lo = rng.uniform(0.15, 0.55) * r_hi
         hi = min(lo + rng.uniform(0.15, 0.4) * r_hi, 0.95 * r_hi)
-        out = check_band_area_bound(spec.mesh, spec.base_point, lo, hi)
-        assert out["applicable"], "band drew no crossing component"
-        ratios.append(out["min_ratio"])
+        out = check_band_area_bound(spec.mesh, spec.base_point, [(lo, hi)])
+        assert out["num_crossing"] > 0, "band drew no crossing component"
+        ratios.append(out["detail"]["min_area_over_bound"])
     bands_ok = min(ratios) >= 1.0
 
     # flat annulus between radii 1 and 3, pure closed-form arithmetic:

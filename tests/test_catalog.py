@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from mingauge.catalog import (
     _brentq,
+    _triangle_count,
     build_surface,
     catalog_entry_info,
     catalog_names,
@@ -196,7 +197,8 @@ def test_minimality_validator_accepts_minimal_charts():
     for name in MINIMAL_NAMES:
         spec = build_surface(name, resolution="coarse")
         out = verify_minimality(spec.chart)
-        assert out["passed"], f"{name}: residual {out['max_scaled_residual']:.2e}"
+        assert out["passed"], (
+            f"{name}: residual {out['detail']['max_scaled_residual']:.2e}")
 
 
 def test_minimality_validator_rejects_sphere():
@@ -224,6 +226,19 @@ def test_spherical_regions():
         spherical_region("cap")
     with pytest.raises(ConfigError):
         spherical_region("lune")
+
+
+def test_triangle_count_matches_the_meshes():
+    # the budget is checked on the count before any array is made
+    for name in catalog_names():
+        for preset, res in catalog_entry_info(name)["resolutions"].items():
+            res = {k: v for k, v in res.items() if k != "r_inner"}
+            spec = build_surface(name, resolution=preset)
+            assert _triangle_count(res) == len(spec.mesh.triangles), name
+    full = spherical_region("full", refinement=2)
+    assert _triangle_count({"subdivisions": 2}) == len(full.triangles)
+    hemi = spherical_region("hemisphere", refinement=3, sectors=40)
+    assert _triangle_count({"rings": 36, "sectors": 40}) == len(hemi.triangles)
 
 
 def test_sphere_mesh_radius_exact():

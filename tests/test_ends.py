@@ -89,7 +89,7 @@ def test_ends_bound_margins(coarse):
     out = check_ends_bound(e.stable_count, v["value"])
     assert out["passed"]
     # bound is (2^2 / 2pi) * V = 2V/pi, about 8 for the catenoid
-    assert out["bound"] == pytest.approx(8.0, rel=0.05)
+    assert out["detail"]["bound"] == pytest.approx(8.0, rel=0.05)
     assert out["margin"] == pytest.approx(6.0, abs=0.5)
 
     enn = coarse("enneper")

@@ -15,6 +15,7 @@ from mingauge.geometry import (
     orthonormal_frame,
     polar_disk_mesh,
     radial_integrals,
+    triangle_areas,
 )
 from mingauge.geometry.meshing import _grid_triangles
 from mingauge.geometry.quadrature import KINDS
@@ -161,6 +162,31 @@ def test_mesh_from_chart_degenerate_chart_raises():
     bad = ImmersionChart("bad", (0, 1, 0, 1), ev, de)
     with pytest.raises(DegenerateChartError):
         mesh_from_chart(bad, (4, 4))
+
+
+def test_long_thin_triangles_keep_their_area():
+    # the Gram determinant |u|^2 |v|^2 - (u.v)^2 cancels to 0 for the sides
+    # (2.5e7, 0, 0) and (2.5e7, 0.25, 0); the wedge norm keeps the area
+    def ev(u, v):
+        return np.stack([1e8 * u, v, np.zeros_like(u)], axis=-1)
+
+    def de(u, v):
+        one, zero = np.ones_like(u), np.zeros_like(u)
+        return (np.stack([1e8 * one, zero, zero], axis=-1),
+                np.stack([zero, one, zero], axis=-1))
+
+    mesh = mesh_from_chart(ImmersionChart("thin", (0, 1, 0, 1), ev, de),
+                           (4, 4))
+    np.testing.assert_allclose(mesh.areas(), 0.5 * 2.5e7 * 0.25, rtol=1e-12)
+    assert mesh.total_area() == pytest.approx(1e8, rel=1e-12)
+    # on well-shaped triangles in R^3 and R^4 both formulas agree
+    corners = np.random.default_rng(3).normal(size=(2, 50, 3, 4))
+    corners[0, ..., 3] = 0.0
+    u = corners[..., 1, :] - corners[..., 0, :]
+    v = corners[..., 2, :] - corners[..., 0, :]
+    gram = (u * u).sum(-1) * (v * v).sum(-1) - ((u * v).sum(-1)) ** 2
+    np.testing.assert_allclose(triangle_areas(corners), 0.5 * np.sqrt(gram),
+                               rtol=1e-12)
 
 
 def test_mesh_validation_catches_bad_topology():

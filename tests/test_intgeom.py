@@ -574,7 +574,7 @@ def test_defect_counting_bound_plane_margin(plane_coarse):
     chk, _ = defect_counting_bound(m, a, inv.max_safe_radius(m, a),
                                    samples=20000, seed=6)
     assert chk["passed"]
-    R = chk["radius"]
+    R = chk["detail"]["radius"]
     assert chk["margin"] == pytest.approx(np.pi * (1 - 2 / R), abs=0.03)
 
 
@@ -595,8 +595,8 @@ def test_defect_counting_bound_needs_one_radius(catenoid_coarse):
 
 def test_ends_counting_bound():
     out = ig.check_ends_counting_bound(2, 2)
-    assert out["passed"] and out["constant"] == pytest.approx(8.0)
-    assert out["bound"] == pytest.approx(16.0)
+    assert out["passed"] and out["detail"]["constant"] == pytest.approx(8.0)
+    assert out["detail"]["bound"] == pytest.approx(16.0)
     loose = ig.check_ends_counting_bound(2, 2, starlike=False)
-    assert loose["bound"] == pytest.approx(32.0)
+    assert loose["detail"]["bound"] == pytest.approx(32.0)
     assert not ig.check_ends_counting_bound(100, 2)["passed"]

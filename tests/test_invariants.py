@@ -108,7 +108,7 @@ def test_flux_shell_identity_dual_route(catenoid_coarse):
     for t_lo, t_hi in [(2.0, 20.0), (5.0, 50.0)]:
         out = inv.check_flux_shell_identity(m, a, t_lo, t_hi)
         assert out["passed"], out
-        assert out["rel_gap"] <= 2e-2
+        assert out["detail"]["rel_gap"] <= 2e-2
 
 
 def defect_volume_identity(mesh, center):
@@ -130,7 +130,7 @@ def test_defect_volume_identity_boundaryless(coarse, name):
     out = defect_volume_identity(spec.mesh, spec.base_point)
     assert out["passed"], out
     assert out["boundary_constant"]["num_edges"] == 0
-    assert out["on_surface_multiplicity"] == 0
+    assert out["detail"]["on_surface_multiplicity"] == 0
 
 
 # one mesh vertex on each surface, away from the suggested base point
@@ -149,13 +149,13 @@ def test_defect_volume_identity_base_on_surface(coarse, name):
     # flux = p * defect + preimages * sphere area
     spec = coarse(name)
     out = defect_volume_identity(spec.mesh, np.array(ON_SURFACE[name]))
-    assert out["on_surface_multiplicity"] == 1
+    assert out["detail"]["on_surface_multiplicity"] == 1
     assert out["boundary_constant"]["num_edges"] == 0
     assert out["passed"], out
     off = defect_volume_identity(spec.mesh, spec.base_point)
     # the two defects differ by one unit-sphere area over p, per the
     # flux limits at the shared cut radius agreeing to discretization error
-    shift = (off["lhs"] - out["lhs"]) / inv.sphere_area(2)
+    shift = (off["detail"]["lhs"] - out["detail"]["lhs"]) / inv.sphere_area(2)
     assert abs(shift - 1.0) < 5e-2, shift
 
 
@@ -259,7 +259,7 @@ def test_density_identity_grid(catenoid_coarse, plane_coarse):
                                     within_radius=ts.max())
         out = inv.check_density_identity(spec.mesh, spec.base_point, ts, bnd)
         assert out["passed"], f"{spec.name}: {out}"
-        assert out["max_residual"] <= 1e-2
+        assert out["detail"]["max_residual"] <= 1e-2
     cut = build_surface("catenoid", params={"u_min": -1.0}, resolution="coarse")
     with pytest.raises(IdentityNotApplicableError):
         inv.check_density_identity(
@@ -272,8 +272,7 @@ def test_band_area_bound_catenoid_randomized(catenoid_coarse, rng):
     for _ in range(10):
         r_lo = rng.uniform(1.5, 60.0)
         r_hi = r_lo + rng.uniform(1.0, 100.0)
-        out = inv.check_band_area_bound(m, a, r_lo, min(r_hi, 150.0))
-        assert out["applicable"]
+        out = inv.check_band_area_bound(m, a, [(r_lo, min(r_hi, 150.0))])
         assert out["num_crossing"] == 2
         assert out["passed"], out
 
@@ -284,15 +283,29 @@ def test_band_area_bound_flat_annulus():
     bound = inv.sphere_area(2) / 2.0 * ((3.0 - 1.0) / 2.0) ** 2
     assert area / bound == pytest.approx(8.0, abs=1e-6)
     flat = build_surface("plane", params={"offset": 0.0}, resolution="coarse")
-    out = inv.check_band_area_bound(flat.mesh, np.zeros(3), 1.0, 3.0)
-    assert out["applicable"] and out["passed"]
+    out = inv.check_band_area_bound(flat.mesh, np.zeros(3), [(1.0, 3.0)])
+    assert out["num_crossing"] > 0 and out["passed"]
     assert out["areas"][0] / bound == pytest.approx(8.0, rel=1e-3)
 
 
 def test_band_area_bound_vacuous(catenoid_coarse):
-    out = inv.check_band_area_bound(catenoid_coarse.mesh,
-                                    catenoid_coarse.base_point, 0.2, 0.5)
-    assert not out["applicable"]
+    with pytest.raises(IdentityNotApplicableError, match="no component"):
+        inv.check_band_area_bound(catenoid_coarse.mesh,
+                                  catenoid_coarse.base_point, [(0.2, 0.5)])
+
+
+def test_band_area_bound_takes_every_band(catenoid_coarse):
+    # one call over several bands: the smallest area ratio, every crossing
+    # area band by band, and a band nothing crosses left out
+    m, a = catenoid_coarse.mesh, catenoid_coarse.base_point
+    bands = [(0.2, 0.5), (5.0, 20.0), (20.0, 60.0)]
+    out = inv.check_band_area_bound(m, a, bands)
+    each = [inv.check_band_area_bound(m, a, [band]) for band in bands[1:]]
+    assert out["detail"]["min_area_over_bound"] == min(
+        e["detail"]["min_area_over_bound"] for e in each)
+    assert out["margin"] == min(e["margin"] for e in each)
+    assert out["areas"] == each[0]["areas"] + each[1]["areas"]
+    assert out["detail"]["bands"] == [list(band) for band in bands]
 
 
 def test_base_point_independence(catenoid_coarse):

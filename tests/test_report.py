@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -343,6 +344,61 @@ def test_report_estimates_each_quantity_once(monkeypatch):
     assert ident["detail"]["lhs"] == 2 * defect["value"]
 
 
+def test_counting_defect_reads_the_report_sweep(monkeypatch):
+    # with explicit mc.radii the defect at the outermost counting radius
+    # takes its tail flux from the one sweep instead of tracing it again
+    from mingauge import invariants, report as report_module
+
+    calls = {"flux_profile": 0, "radial_defect": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(invariants, name))
+        for module in (invariants, report_module):
+            monkeypatch.setattr(module, name, wrapper)
+    report = compute_report(parse_config({
+        "surface": {"name": "catenoid", "params": {"u_min": -2.0},
+                    "resolution": "coarse"},
+        "mc": {"seed": 11, "samples": 200, "radii": [5.0, 20.0]},
+    }))
+    assert calls == {"flux_profile": 1, "radial_defect": 2}
+    bound = {c["name"]: c for c in report["checks"]}["defect_counting_bound"]
+    assert bound["detail"]["radius"] == 20.0
+
+
+def helicoid_report(pitch, r_max):
+    return compute_report(parse_config({
+        "surface": {"name": "helicoid", "resolution": "coarse",
+                    "params": {"pitch": pitch, "r_max": r_max}}}))
+
+
+def test_helicoid_report_scales_with_its_pitch():
+    # the suggested base lies half a pitch off the axis, so scaling pitch
+    # and r_max together scales the whole configuration
+    unit, double = helicoid_report(1.0, 40.0), helicoid_report(2.0, 80.0)
+    assert double["base_point"] == [0.0, 1.0, 0.0]
+    assert ([(c["name"], c["applicable"], c["passed"]) for c in unit["checks"]]
+            == [(c["name"], c["applicable"], c["passed"])
+                for c in double["checks"]])
+    assert double["estimates"][0]["value"] == pytest.approx(
+        unit["estimates"][0]["value"], rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e20])
+def test_scaled_helicoid_runs_without_warnings(scale):
+    # at 1e20 the quadrature divided by zero, and at 1e-3 the report blamed
+    # a base_point the config never set, while the base sat at (0, 0.5, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = helicoid_report(scale, scale)
+    assert report["base_point"] == [0.0, 0.5 * scale, 0.0]
+
+
 def test_explicit_counting_radii_beyond_mesh(tmp_path):
     config = parse_config({
         "surface": {"name": "plane", "params": {"r_max": 120.0},
@@ -477,6 +533,31 @@ def test_cli_crofton_usage_errors():
     assert proc.returncode == 2  # --seed is required
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--set", "cap", "--angle", "0"], "angle"),
+    (["--set", "cap", "--angle", "4"], "angle"),
+    (["--set", "cap", "--angle", "nan"], "angle"),
+    (["--set", "cap", "--angle", "1e-9"], "angle"),  # a degenerate mesh
+    (["--set", "hemisphere", "--sectors", "0"], "sectors"),
+    (["--set", "hemisphere", "--sectors", "1"], "sectors"),
+    (["--set", "hemisphere", "--sectors", "2"], "sectors"),
+    (["--set", "hemisphere", "--sectors", "-4"], "sectors"),
+    (["--set", "hemisphere", "--sectors", "100000"], "sectors"),  # budget
+    (["--set", "full", "--refinement", "9"], "refinement"),  # budget
+    (["--set", "full", "--samples", "1000001"], "samples"),
+    (["--set", "full", "--seed", "-1"], "seed"),
+])
+def test_cli_crofton_flags_exit_2(args, flag):
+    # each of these ended in a traceback, with exit 1
+    for option, value in (("--samples", "500"), ("--seed", "1")):
+        if option not in args:
+            args = [*args, option, value]
+    proc = run_cli(["crofton", *args])
+    assert proc.returncode == 2
+    assert f"config error at {flag}:" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
     cfg = tmp_path / "sphere.json"
     cfg.write_text(json.dumps(SPHERE_CONFIG))
@@ -547,9 +628,25 @@ def test_cli_build_probes_exit_2(tmp_path, config, field):
      "base_point"),
     ({"surface": {"name": "sphere", "params": {"radius": 1e300}}},
      "surface.params.radius"),
+    # past the triangle budget: 2 x 600 x 1024 triangles, then larger ones
+    ({"surface": {"name": "helicoid", "resolution": {"nu": 600}}},
+     "surface.resolution.nu"),
+    ({"surface": {"name": "catenoid", "resolution": {"nu": 10**20, "nv": 5}}},
+     "surface.resolution.nu"),
+    ({"surface": {"name": "sphere", "resolution": {"subdivisions": 8}}},
+     "surface.resolution.subdivisions"),
+    ({"surface": {"name": "sphere", "resolution": {"subdivisions": 10**14}}},
+     "surface.resolution.subdivisions"),
+    ({"surface": {"name": "plane", "resolution": {"sectors": 100_000}}},
+     "surface.resolution.sectors"),
+    ({"surface": {"name": "enneper",
+                  "resolution": {"rings": 5000, "sectors": 200}}},
+     "surface.resolution.rings"),
 ], ids=["enneper-r_max", "helicoid-pitch", "plane-r_max", "enneper-small",
         "catenoid-c-1e-13", "catenoid-c-1e-300", "catenoid-c-1e-320",
-        "catenoid-far-base", "sphere-huge"])
+        "catenoid-far-base", "sphere-huge", "helicoid-nu-budget",
+        "catenoid-nu-budget", "sphere-budget", "sphere-huge-budget",
+        "plane-sectors-budget", "enneper-rings-budget"])
 def test_report_probes_name_their_field(config, field):
     # overflows, unresolvable necks and base points outside the truncation
     # ball are config errors, raised before any estimator runs
