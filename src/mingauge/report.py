@@ -9,7 +9,8 @@ into the output directory:
   byte-identical across runs with the same config (and seed).
 * ``sweeps.csv``   -- the radius sweeps behind the headline numbers
   (normalized flux, log-growth ratio, end counts, section-count means).
-* ``run.log``      -- library versions, seed, wall time, work counters of the
+* ``run.log``      -- library versions, the BLAS thread cap
+  (``OPENBLAS_NUM_THREADS``), seed, wall time, work counters of the
   end count (``ends_graph_edges``: interior plus rim edges of its graph;
   ``ends_forest_rounds``: Boruvka rounds of its two forests) and, when
   counting ran, of counting (``counting_cells``: pruned triangles x samples;
@@ -26,17 +27,15 @@ reported with ``applicable: false`` and do not affect the overall verdict unless
 from __future__ import annotations
 
 import csv
-import importlib.metadata
-import importlib.resources
 import json
 import math
+import os
 import platform
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -272,17 +271,78 @@ def _jsonify(value):
 
 def report_schema() -> dict:
     """The JSON schema every report must validate against."""
-    text = (
-        importlib.resources.files("mingauge")
-        .joinpath("schema/report-v1.json")
-        .read_text()
-    )
-    return json.loads(text)
+    return json.loads((Path(__file__).parent / "schema" / "report-v1.json")
+                      .read_text())
+
+
+# the draft-07 keywords ``_conforms`` implements; ``_check_keywords``
+# raises on any other, so a schema edit cannot be checked more weakly than
+# it reads
+_ANNOTATIONS = {"$schema", "$id", "title", "description"}
+_KEYWORDS = {"type", "const", "required", "properties",
+             "additionalProperties", "items", "minItems", "minimum"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None)}
+
+
+def _check_keywords(schema: dict) -> None:
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if (unknown or schema.get("additionalProperties", False) is not False
+            or not isinstance(schema.get("items", {}), dict)):
+        raise ValueError(f"the report schema checker does not implement "
+                         f"{sorted(unknown) or 'this form'} in {schema}")
+    for sub in [*schema.get("properties", {}).values(),
+                *([schema["items"]] if "items" in schema else [])]:
+        _check_keywords(sub)
+
+
+def _is_type(value, name: str) -> bool:
+    if name == "integer":  # 3.0 is an integer
+        return _is_type(value, "number") and (isinstance(value, int)
+                                              or value.is_integer())
+    if name == "number":  # a bool is not
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, _TYPES[name])
+
+
+def _conforms(value, schema: dict) -> bool:
+    """Whether ``value`` satisfies ``schema`` under draft-07 rules, for a
+    schema ``_check_keywords`` accepts."""
+    types = schema.get("type", [])
+    if types and not any(_is_type(value, t) for t in
+                         ([types] if isinstance(types, str) else types)):
+        return False
+    if "const" in schema and not (value == schema["const"] and isinstance(
+            value, bool) == isinstance(schema["const"], bool)):
+        return False
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return (all(key in value for key in schema.get("required", ()))
+                and ("additionalProperties" not in schema
+                     or set(value) <= set(props))
+                and all(_conforms(value[key], sub)
+                        for key, sub in props.items() if key in value))
+    if isinstance(value, list):
+        return len(value) >= schema.get("minItems", 0) and all(
+            _conforms(item, schema.get("items", {})) for item in value)
+    return not (_is_type(value, "number")
+                and value < schema.get("minimum", -math.inf))
 
 
 def validate_report(report: dict) -> None:
-    """Raise ``jsonschema.ValidationError`` if the report is malformed."""
-    jsonschema.validate(report, report_schema())
+    """Raise ``jsonschema.ValidationError`` if the report is malformed.
+
+    ``_conforms`` decides; jsonschema is imported only to explain a report
+    it rejects, so the error and its message are jsonschema's."""
+    schema = report_schema()
+    _check_keywords(schema)
+    if _conforms(report, schema):
+        return
+    import jsonschema
+
+    jsonschema.validate(report, schema)
+    raise RuntimeError("jsonschema accepts a report the schema checker "
+                       "rejects")
 
 
 # --------------------------------------------------------------------------
@@ -339,6 +399,17 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         raise ConfigError("base_point", "must lie inside the ball the surface "
                           "is truncated to" if r_hi <= 0 else
                           "is too far from the surface: distances overflow")
+    d_min = float(mesh.about(base)["distances"].min())
+    if r_hi <= d_min:
+        # every level would miss the mesh and every estimate read 0; the
+        # sphere, the one entry without r_max, misses when nearly concentric
+        raise ConfigError(
+            "base_point" if config.base_point is not None else
+            "surface.params." + ("r_max" if "r_max" in spec.params
+                                 else "center"),
+            f"the ball of radius {r_hi:.6g} about the base point, the "
+            f"largest the mesh covers, misses the surface: its nearest "
+            f"vertex is {d_min:.6g} away")
     given = base
     sheets = on_surface_multiplicity(mesh, base)
     if sheets:
@@ -442,7 +513,6 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # almost tangent to the spheres there), so skip past them.
     shell_lo = float(levels[0])
     if not sheets:
-        d_min = float(mesh.about(base)["distances"].min())
         cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
         if cleared.size:
             shell_lo = float(cleared[0])
@@ -698,7 +768,7 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
         f"mingauge {__version__}",
         f"python {platform.python_version()} ({sys.platform})",
         f"numpy {np.__version__}",
-        f"jsonschema {importlib.metadata.version('jsonschema')}",
+        f"threads {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
         f"surface {config.surface_name}",
         f"seed {config.mc_seed if config.counting_enabled else 'none'}",
         f"strict {strict}",

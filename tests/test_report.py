@@ -4,7 +4,8 @@ Deterministic oracles:
 * invalid configs name the offending field with a dotted path, exit code 2
 * two identical runs (same config, same seed) produce byte-identical
   report.json and sweeps.csv, in separate processes
-* report.json validates against the shipped schema
+* report.json validates against the shipped schema, and the built-in schema
+  checker accepts exactly what jsonschema accepts
 * the non-minimal control exits 0 (its expected failures are inapplicable)
   but --strict turns its estimator warning into a real failure
 * the hemisphere line-counting identity is exact, so the crofton subcommand
@@ -21,13 +22,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mingauge.catalog import build_surface
+import mingauge.report as report_module
+from mingauge.catalog import build_surface, catalog_names
 from mingauge.errors import ConfigError
 from mingauge.report import (
+    _conforms,
     compute_report,
     parse_config,
     report_schema,
     run_report,
+    validate_report,
 )
 
 PLANE_CONFIG = {
@@ -177,6 +181,10 @@ def test_reports_are_byte_identical(plane_runs):
     cells = int(log["counting_cells"])
     candidates = int(log["counting_candidates"])
     assert 0 < int(log["counting_pairs_tested"]) <= candidates < cells
+    # it names the BLAS thread cap that ran, and no jsonschema version: a
+    # valid run never imports jsonschema
+    assert log["threads"] == "1"
+    assert "jsonschema" not in log
     # the end count's work counters go to run.log only
     assert int(log["ends_graph_edges"]) > 0
     assert int(log["ends_forest_rounds"]) > 0
@@ -190,6 +198,117 @@ def test_report_validates_against_shipped_schema(plane_runs):
     jsonschema.validate(report, report_schema())
     assert report["version"] == "1"
     assert report["passed"] is True
+
+
+@pytest.fixture(scope="module")
+def shipped_reports(plane_runs, neck_report):
+    """The plane report the CLI wrote, the catenoid neck report (counting
+    skipped) and every catalog surface's report at ``coarse`` with counting
+    on."""
+    reports = [json.loads((plane_runs[0] / "report.json").read_text()),
+               {k: v for k, v in neck_report.items() if k != "exit_code"}]
+    for name in catalog_names():
+        report = compute_report(parse_config({
+            "surface": {"name": name, "resolution": "coarse"},
+            "mc": {"seed": 11, "samples": 200}}))
+        reports.append({k: v for k, v in report.items()
+                        if not k.startswith("_")})
+    return reports
+
+
+def test_shipped_reports_pass_checker_and_jsonschema(shipped_reports):
+    schema = report_schema()
+    for report in shipped_reports:
+        assert _conforms(report, schema)
+        jsonschema.validate(report, schema)
+        validate_report(report)
+
+
+_DELETE = object()
+
+
+def _plant(report, path, value):
+    """A deep copy of ``report`` with the key or index ``path`` set to
+    ``value``, or deleted when ``value`` is ``_DELETE``."""
+    report = json.loads(json.dumps(report))
+    *parents, last = path
+    node = report
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return report
+
+
+@pytest.mark.parametrize("path, value", [
+    (("warnings",), _DELETE),
+    (("ends", "estimate"), _DELETE),
+    (("extra",), 1),
+    (("surface", "name"), 3),
+    (("ends", "counts", 0), True),
+    (("estimates", 0, "value"), True),
+    (("surface", "vertices"), 3.0),
+    (("surface", "vertices"), 3.5),
+    (("estimates", 0, "value"), None),
+    (("estimates", 0, "error"), -1e-300),
+    (("surface", "ambient_dim"), 2),
+    (("base_point",), [0.0, 0.0]),
+    (("base_point", 0), "0"),
+    (("version",), "2"),
+    (("version",), 1),
+    (("counting",), None),
+    (("passed",), 1),
+], ids=["required", "nested-required", "additionalProperties", "type",
+        "bool-not-integer", "bool-not-number", "3.0-is-integer",
+        "3.5-not-integer", "null-not-number", "minimum", "integer-minimum",
+        "minItems", "items", "const", "const-type", "null-allowed",
+        "int-not-boolean"])
+def test_schema_checker_agrees_with_jsonschema(shipped_reports, path, value):
+    # one violation planted in a shipped report: _conforms must accept it
+    # exactly when jsonschema does, and reject it with jsonschema's own error
+    schema = report_schema()
+    validator = jsonschema.Draft7Validator(schema)
+    planted = _plant(shipped_reports[0], path, value)
+    assert _conforms(planted, schema) == validator.is_valid(planted)
+    if validator.is_valid(planted):
+        validate_report(planted)
+        return
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(planted, schema)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        validate_report(planted)
+    assert got.value.message == want.value.message
+    assert list(got.value.path) == list(want.value.path)
+
+
+@pytest.mark.parametrize("path, sub", [
+    (("properties", "surface", "properties", "name"), {"pattern": "^[a-z]"}),
+    (("properties", "estimates", "items"), {"maxItems": 3}),
+    ((), {"additionalProperties": {"type": "string"}}),
+    (("properties", "base_point"), {"items": [{"type": "number"}]}),
+], ids=["pattern", "maxItems", "additionalProperties-schema", "items-list"])
+def test_schema_checker_rejects_what_it_does_not_implement(
+        monkeypatch, plane_runs, path, sub):
+    schema = report_schema()
+    node = schema
+    for key in path:
+        node = node[key]
+    node.update(sub)
+    monkeypatch.setattr(report_module, "report_schema", lambda: schema)
+    report = json.loads((plane_runs[0] / "report.json").read_text())
+    with pytest.raises(ValueError, match="does not implement"):
+        validate_report(report)
+
+
+def test_schema_checker_never_passes_what_it_rejects(monkeypatch, plane_runs):
+    # when jsonschema accepts a report the checker rejected, the two disagree
+    # and validation fails rather than passing
+    monkeypatch.setattr(report_module, "_conforms", lambda *args: False)
+    report = json.loads((plane_runs[0] / "report.json").read_text())
+    with pytest.raises(RuntimeError, match="jsonschema accepts"):
+        validate_report(report)
 
 
 def test_report_estimates_cover_both_volume_routes(plane_runs):
@@ -392,11 +511,16 @@ def test_helicoid_report_scales_with_its_pitch():
 @pytest.mark.parametrize("scale", [1e-3, 1e20])
 def test_scaled_helicoid_runs_without_warnings(scale):
     # at 1e20 the quadrature divided by zero, and at 1e-3 the report blamed
-    # a base_point the config never set, while the base sat at (0, 0.5, 0)
+    # a base_point the config never set, while the base sat at (0, 0.5, 0).
+    # With r_max = pitch the cut radius 0.49 pitch stops short of the base's
+    # distance 0.5 pitch to the surface, which is r_max's fault
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = helicoid_report(scale, scale)
+        report = helicoid_report(scale, 40 * scale)
+        with pytest.raises(ConfigError) as err:
+            helicoid_report(scale, scale)
     assert report["base_point"] == [0.0, 0.5 * scale, 0.0]
+    assert err.value.field == "surface.params.r_max"
 
 
 def test_explicit_counting_radii_beyond_mesh(tmp_path):
@@ -596,10 +720,27 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
     ({"surface": {"name": "plane", "params": {"r_max": 1e-100,
                                               "offset": 0}}},
      "surface.params.r_max"),
+    # the largest ball the mesh covers about the base misses the surface:
+    # the helicoid's base lies half a pitch off it, its cut radius is
+    # 0.98 (r_max - pitch / 2), and a sphere about its center is all rim
+    ({"surface": {"name": "helicoid", "resolution": "coarse",
+                  "params": {"pitch": 1, "r_max": 1}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "resolution": "coarse",
+                  "params": {"pitch": 1e-3, "r_max": 1e-3}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "resolution": "coarse",
+                  "params": {"pitch": 1, "r_max": 1}},
+      "base_point": [0, 0.5, 0]},
+     "base_point"),
+    ({"surface": {"name": "sphere", "resolution": "coarse",
+                  "params": {"center": [0, 0, 0]}}},
+     "surface.params.center"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
-    # each of these ended in a traceback (exit 1), blamed another field, or
-    # overflowed the fourth power of a length on the way
+    # each of these ended in a traceback (exit 1), blamed another field,
+    # overflowed the fourth power of a length on the way, or read every
+    # estimate as 0 and exited 0 or 1
     cfg = tmp_path / "probe.json"
     cfg.write_text(json.dumps(config))
     proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
@@ -681,53 +822,82 @@ def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
 
 
 # Runs the CLI in a fresh interpreter, recording which mingauge function
-# executed each import statement that names a scipy module.
+# executed each import statement that names a watched module.
 _IMPORT_SPY = """
 import builtins, json, sys
 from mingauge.cli import main
 
+WATCHED = ("scipy", "jsonschema", "importlib.metadata")
 seen = set()
 real_import = builtins.__import__
+
+def watched(name):
+    return any(name == w or name.startswith(w + ".") for w in WATCHED)
 
 def spy(name, globals=None, locals=None, fromlist=(), level=0):
     caller = sys._getframe(1)
     module = caller.f_globals.get("__name__", "")
-    if level == 0 and name.split(".")[0] == "scipy" and module.startswith("mingauge"):
+    names = [name, *(f"{name}.{item}" for item in fromlist or ())]
+    if level == 0 and any(map(watched, names)) and module.startswith("mingauge"):
         seen.add(f"{module}.{caller.f_code.co_name} imports {name}")
     return real_import(name, globals, locals, fromlist, level)
 
 builtins.__import__ = spy
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if watched(m))
 print(json.dumps({"exit": code, "imports": sorted(seen), "loaded": loaded}))
 """
 
+_THREAD_VARS = ("MINGAUGE_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-def _startup_imports(args):
-    env = dict(os.environ, MINGAUGE_THREADS="1")
+
+def _startup_imports(args, threads):
+    # the caller's thread variables are replaced by ``threads``
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_SPY, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env={**env, **threads})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("args, config, exits", [
+_SPHERE = {"surface": {"name": "sphere", "resolution": "coarse"}}
+
+
+@pytest.mark.parametrize("args, config, exits, threads, cap", [
     (["crofton", "--set", "hemisphere", "--samples", "2000", "--seed", "4"],
-     None, (0,)),
-    (["catalog"], None, (0,)),
+     None, (0,), {"MINGAUGE_THREADS": "1"}, None),
+    (["catalog"], None, (0,), {"MINGAUGE_THREADS": "1"}, None),
     (["report"], {"surface": {"name": "helicoid", "resolution": "coarse"}},
-     (0, 1)),
+     (0, 1), {"MINGAUGE_THREADS": "1"}, "1"),
     (["report"], {"surface": {"name": "catenoid", "resolution": "coarse"}},
-     (0,)),
+     (0,), {"MINGAUGE_THREADS": "1"}, "1"),
     (["report"], {"surface": {"name": "enneper", "resolution": "coarse"}},
-     (0,)),
-], ids=["crofton", "catalog", "helicoid", "catenoid", "enneper"])
-def test_no_cli_path_imports_scipy(tmp_path, args, config, exits):
-    # scipy is a test oracle only: the truncation roots use catalog._brentq
+     (0,), {"MINGAUGE_THREADS": "1"}, "1"),
+    # the BLAS cap: 1 by default, a preset pool variable wins over the
+    # default, MINGAUGE_THREADS over both
+    (["report"], _SPHERE, (0,), {}, "1"),
+    (["report"], _SPHERE, (0,), {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    (["report"], _SPHERE, (0,), {"MINGAUGE_THREADS": "2"}, "2"),
+    (["report"], _SPHERE, (0,),
+     {"MINGAUGE_THREADS": "2", "OPENBLAS_NUM_THREADS": "3"}, "2"),
+], ids=["crofton", "catalog", "helicoid", "catenoid", "enneper",
+        "threads-default", "threads-openblas-3", "threads-mingauge-2",
+        "threads-mingauge-over-openblas"])
+def test_no_cli_path_imports_scipy(tmp_path, args, config, exits, threads,
+                                   cap):
+    # scipy is a test oracle only: the truncation roots use catalog._brentq.
+    # jsonschema only explains a report that fails its schema, so a valid
+    # run loads neither it nor importlib.metadata
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         args = [*args, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    run = _startup_imports(args)
+    run = _startup_imports(args, threads)
     assert run["exit"] in exits
     assert run["imports"] == [] and run["loaded"] == []
+    if cap is not None:
+        log = dict(line.split(" ", 1) for line in
+                   (tmp_path / "out" / "run.log").read_text().splitlines())
+        assert log["threads"] == cap
