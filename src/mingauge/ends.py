@@ -90,7 +90,8 @@ def rim_vertex_mask(mesh: SimplicialSurface) -> np.ndarray:
     out = np.zeros(len(mesh.vertices), dtype=bool)
     if mesh.truncation_radius is None or len(mesh.boundary_edges) == 0:
         return out
-    bverts = np.unique(mesh.boundary_edges)
+    # the boundary's vertices, sorted; np.unique would import numpy.ma
+    bverts = np.flatnonzero(np.bincount(mesh.boundary_edges.ravel()))
     r = np.linalg.norm(mesh.vertices[bverts], axis=1)
     out[bverts[r >= RIM_FRACTION * mesh.truncation_radius]] = True
     return out

@@ -12,10 +12,13 @@ can all be compared against one another.
 
 Counting culls before it tests: a (triangle, section) pair gets the exact
 hit test only when the section passes within the triangle's corner spread of
-its centroid.  For lines in R^3 the passing directions form a cap, and the
-caps are indexed on a lat-long grid of S^2, so a line tests only the
-triangles listed under its own and its opposite direction's cells;
-crofton_verify is the same line count with base 0.  One test serves every n:
+its centroid, which it does when its angle to the centroid direction is at
+most the triangle's cap half-angle.  For lines in R^3 the caps are indexed on
+a lat-long grid of S^2, so a line tests only the triangles listed under its
+own and its opposite direction's cells; crofton_verify is the same line
+count with base 0.  For 2-planes in R^4 the triangles are grouped by
+centroid direction and cap half-angle, so a 2-plane tests each group's cap
+and only then its members.  One test serves every n:
 the hit's barycentric coordinates are ratios of dot products between the
 Plucker coordinates of the triangle and of the section's complement, and the
 hit counts inside radius r when its offset w from the base has |w| <= r.
@@ -25,7 +28,6 @@ terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
 gray pair is jittered by ~1e-9 and recounted, which keeps seeded runs
 reproducible.  A triangle out of reach never jitters: it cannot change counts.
 """
-from functools import partial
 from math import gamma, pi, sqrt
 from typing import NamedTuple
 
@@ -39,8 +41,7 @@ EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
 _MAX_JITTER_ROUNDS = 12
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
-_BLOCK_CELLS = 1_500_000  # ~ triangle x sample cells handled per block
-_BLOCK_CANDIDATES = 100_000  # ~ indexed line candidates handled per block
+_BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
 # The cull keeps a pair when the centroid lies within reach of the section.
 # The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
 # its centroid, so any point the exact test can call a hit lies within that
@@ -54,6 +55,11 @@ _CULL_ROUNDOFF = 1e-10
 _CAP_ROWS, _CAP_COLS = 64, 128
 _CAP_MAX_ANGLE = 0.25
 _CAP_MARGIN = 1e-9
+# _group_cull's groups: a cell of the _GROUP_GRID-per-axis grid of [-1, 1]^n
+# over the unit centroid direction, and a power-of-_GROUP_CLASS_BASE class of
+# the cap half-angle.
+_GROUP_GRID = 12
+_GROUP_CLASS_BASE = 2.0
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +154,7 @@ def _cull_pairs(offset, floor, sections):
     ``base`` with orthonormal rows ``F_j`` is ``|d|^2 - sum_j (F_j . d)^2``,
     so a pair survives when ``sum_j (F_j . d)^2 >= floor``.  Each row is one
     contiguous (S, T) product.  Returns (ti, si, candidates = S x T).
+    ``_group_cull`` passes unit group centers with floors ``cos^2 rho``.
     """
     near = sections[:, 0, :] @ offset.T
     np.square(near, out=near)
@@ -156,6 +163,15 @@ def _cull_pairs(offset, floor, sections):
         near += np.square(proj, out=proj)
     si, ti = np.divmod(np.flatnonzero(near >= floor), len(floor))
     return ti, si, near.size
+
+
+def _half_angles(offset, floor):
+    """Cap half-angles: a section through the base passes within reach of
+    centroid offset ``d`` when its angle to ``d/|d|`` is at most
+    ``atan2(sqrt(|d|^2 - floor), sqrt(floor))``, pi/2 when ``floor <= 0``."""
+    d2 = np.einsum("tn,tn->t", offset, offset)
+    return np.arctan2(np.sqrt(np.maximum(d2 - floor, 0.0)),
+                      np.sqrt(np.maximum(floor, 0.0)))
 
 
 def _sphere_cells(u):
@@ -191,9 +207,7 @@ def _cap_cull(offset, floor):
     Returns ``cull(sections) -> (ti, si, candidates)`` and an estimate of
     the candidates per line, which sizes the section blocks.
     """
-    d2 = np.einsum("tn,tn->t", offset, offset)
-    half = np.arctan2(np.sqrt(np.maximum(d2 - floor, 0.0)),
-                      np.sqrt(np.maximum(floor, 0.0))) + _CAP_MARGIN
+    half = _half_angles(offset, floor) + _CAP_MARGIN
     wide = half > _CAP_MAX_ANGLE  # as is every cap with floor <= 0
     always = np.flatnonzero(wide).astype(np.int32)
     caps = np.flatnonzero(~wide)
@@ -243,6 +257,67 @@ def _cap_cull(offset, floor):
 
     per_line = 2 * len(listed) // (_CAP_ROWS * _CAP_COLS) + len(always) + 1
     return cull, per_line
+
+
+def _group_cull(offset, floor):
+    """The ``_cull_pairs`` pairs for 2-planes in R^4, through triangle groups.
+
+    A section passes within reach of centroid offset ``d`` when its angle to
+    ``d/|d|`` is at most the cap half-angle ``beta`` (``_half_angles``).  The
+    triangles are grouped by the grid cell of ``d/|d|`` on [-1, 1]^n and by
+    the power-of-``_GROUP_CLASS_BASE`` class of ``beta``.  A group with unit
+    center ``c`` and radius ``rho = max(angle(c, d/|d|) + beta)`` holds every
+    member's cap, and the angle to a section is 1-Lipschitz on the sphere, so
+    a section passes within reach of a member only if its angle to ``c`` is
+    at most ``rho``: if ``sum_j (F_j . c)^2 >= cos^2 rho``.  Groups with
+    ``rho >= pi/2`` (as is every one holding a ``floor <= 0``) pass every
+    section.  The floor test on the members of a section's passed groups
+    keeps ``_cull_pairs``' pairs.
+
+    Returns ``cull(sections) -> (ti, si, candidates)``, the candidates being
+    the group tests plus the member floor tests, and the expected candidates
+    per Haar-random 2-plane in R^4, which sizes the section blocks.
+    """
+    half = _half_angles(offset, floor)
+    u = offset / np.maximum(np.linalg.norm(offset, axis=1), 1e-300)[:, None]
+    cell = np.minimum(((u + 1.0) * (_GROUP_GRID / 2)).astype(np.intp),
+                      _GROUP_GRID - 1)
+    level = np.floor(np.log(half) / np.log(_GROUP_CLASS_BASE)).astype(np.intp)
+    level -= level.min()
+    key = np.ravel_multi_index((*cell.T, level), (_GROUP_GRID,) * len(cell.T)
+                               + (level.max() + 1,))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    size = np.diff(np.r_[first, len(key)])
+    u = u[order]
+    center = np.add.reduceat(u, first, axis=0)
+    center /= np.maximum(np.linalg.norm(center, axis=1), 1e-300)[:, None]
+    apart = 2.0 * np.arcsin(np.minimum(
+        0.5 * np.linalg.norm(u - np.repeat(center, size, axis=0), axis=1),
+        1.0))
+    # _CULL_ROUNDOFF keeps every half-angle above ~1e-5 rad, where
+    # _CAP_MARGIN moves cos^2 rho by far more than its roundoff
+    rho = np.maximum.reduceat(apart + half[order], first) + _CAP_MARGIN
+    wide = rho >= pi / 2
+    rim = np.where(wide, -1.0, np.cos(rho) ** 2)
+    member = order.astype(np.int32)
+    member_offset, member_floor = offset[order], floor[order]
+
+    def cull(sections):
+        gi, si, tests = _cull_pairs(center, rim, sections)
+        pos, owner = _ranges(first[gi], size[gi])
+        si = si[owner]
+        proj = np.einsum("pkn,pn->pk", np.take(sections, si, axis=0),
+                         np.take(member_offset, pos, axis=0))
+        keep = np.flatnonzero(np.einsum("pk,pk->p", proj, proj)
+                              >= np.take(member_floor, pos))
+        return member[pos[keep]], si[keep], tests + len(pos)
+
+    # |F c|^2 is uniform on [0, 1] for a Haar 2-plane in R^4: a group passes
+    # with probability sin^2 rho
+    per_section = len(first) + size @ np.where(wide, 1.0, np.sin(rho) ** 2)
+    return cull, int(per_section) + 1
 
 
 def _hit_test(A, e1, e2, base, split=False):
@@ -350,11 +425,10 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
         return _SectionCounts(counts, jittered, 0, candidates, pairs_tested)
     hit_test = _hit_test(A, e1, e2, base, split)
     if n == 3:
-        cull, per_line = _cap_cull(offset, floor)
-        block = max(32, _BLOCK_CANDIDATES // per_line)
+        cull, cost = _cap_cull(offset, floor)
     else:
-        cull = partial(_cull_pairs, offset, floor)
-        block = max(32, _BLOCK_CELLS // len(A))
+        cull, cost = _group_cull(offset, floor)
+    block = max(32, _BLOCK_CANDIDATES // cost)
     for lo in range(0, S, block):
         sl = slice(lo, min(lo + block, S))
         sec = sections[sl].copy()
@@ -405,9 +479,10 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
 
     Because every radius is evaluated on the same sections, the means are
     exactly nondecreasing in the cut radius.  ``cells`` (pruned triangles x
-    samples), ``candidates`` (pairs the cull proposed to its floor test) and
-    ``pairs_tested`` (pairs left by the cull), the last two summed over jitter
-    rounds, say how much of the counting work the cull saved.
+    samples), ``candidates`` (pairs the cull proposed to its floor test; for
+    n = 4 the group tests plus the member floor tests) and ``pairs_tested``
+    (pairs left by the cull), the last two summed over jitter rounds, say how
+    much of the counting work the cull saved.
     """
     if seed is None:
         raise ValueError("seed is required: counting is Monte-Carlo based")

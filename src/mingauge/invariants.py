@@ -191,7 +191,9 @@ def projective_volume(mesh: SimplicialSurface, center, levels=None,
     value = float(coef[0])
     fit_rms = float(np.sqrt(np.mean((basis @ coef - ys) ** 2)))
 
-    fit_levels = ts[np.unique(np.linspace(0, len(ts) - 1, 6).astype(int))]
+    # return_index keeps np.unique from importing numpy.ma
+    fit_levels = ts[np.unique(np.linspace(0, len(ts) - 1, 6).astype(int),
+                              return_index=True)[0]]
     shells = radial_integrals(mesh, center, fit_levels,
                               "inverse_power").sum(axis=1)
     if not np.isfinite(shells[0]):

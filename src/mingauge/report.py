@@ -452,8 +452,10 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
     shell_hi = 0.7 * r_hi
     r_count = config.mc_radii[-1] if config.mc_radii else r_hi
-    flux = flux_profile(mesh, base, np.union1d(levels, [
-        0.5 * r_hi, *density_levels, shell_hi, 0.5 * r_count, r_count]))
+    # return_index keeps np.unique from importing numpy.ma
+    flux = flux_profile(mesh, base, np.unique(np.concatenate([levels, [
+        0.5 * r_hi, *density_levels, shell_hi, 0.5 * r_count, r_count]]),
+        return_index=True)[0])
     vol = projective_volume(mesh, base, profile=flux.at(levels))
     profile = vol["profile"]
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):

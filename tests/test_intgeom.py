@@ -9,8 +9,9 @@ Deterministic oracles:
 * random lines from the origin hit the plane {z = h} inside |x| < R with
   probability 1 - h/R
 * the centroid-reach cull drops no pair that counts: the exact pair test on
-  all (triangle, section) pairs gives the same counts and gray flags, and for
-  lines the angular cap index proposes every pair the flat cull keeps
+  all (triangle, section) pairs gives the same counts and gray flags, and the
+  angular cap index for lines and the triangle groups for 2-planes propose
+  every pair the flat cull keeps
 * a line through the origin meets a spherical region's flat triangle exactly
   when its direction lies on the positive side of all three edge planes
 * the Plucker hit test agrees with the per-dimension Cramer solves it
@@ -207,9 +208,14 @@ def _planted_lines():
     return ig._complete_frames(np.array(seam + poles)[:, None, :])
 
 
-# a base just inside the catenoid's neck, nearer to its triangles than their
-# reach, so the cap index has caps it must test against every line
-_NEAR_SURFACE = {"catenoid_near_surface": ("catenoid", [0.98, 0.0, 0.0])}
+# bases nearer to some triangles than their reach: just inside the catenoid's
+# neck, so the cap index has caps it must test against every line, and 0.02
+# off {w = z^2} at z = 0.5, so some triangle groups pass every 2-plane
+_NEAR_SURFACE = {
+    "catenoid_near_surface": ("catenoid", [0.98, 0.0, 0.0]),
+    "complex_parabola_r4_near_surface": ("complex_parabola_r4",
+                                         [0.5, 0.0, 0.27, 0.0]),
+}
 
 
 @pytest.mark.parametrize("case", [*catalog_names(), *_NEAR_SURFACE])
@@ -225,20 +231,25 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     sec, comp = ig.sample_grassmann(n, 2, 256, np.random.default_rng(11))
     A, e1, e2, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
     hit_test = ig._hit_test(A, e1, e2, base)
+    # the index (lines) or the groups (2-planes) propose a superset of the
+    # flat cull's pairs; the floor test keeps the same pairs, each once
     if n == 3:
-        # the index proposes a superset of the flat cull's pairs; its floor
-        # test keeps the same pairs, each once
-        lines = np.concatenate([sec, _planted_lines()[0]])
+        culled = np.concatenate([sec, _planted_lines()[0]])
         cull, _ = ig._cap_cull(offset, floor)
-        ci, cs, proposed = cull(lines)
-        flat_ti, flat_si, cells = ig._cull_pairs(offset, floor, lines)
-        keys = ci.astype(np.int64) * len(lines) + cs
-        assert len(np.unique(keys)) == len(keys)
-        assert np.array_equal(np.sort(keys),
-                              np.sort(flat_ti.astype(np.int64) * len(lines)
-                                      + flat_si))
-        assert len(ci) <= proposed < 0.05 * cells
-        assert case not in _NEAR_SURFACE or np.any(floor <= 0)
+        share = 0.05
+    else:
+        culled = sec
+        cull, _ = ig._group_cull(offset, floor)
+        share = 0.25  # the group tests dominate on a coarse mesh
+    ci, cs, proposed = cull(culled)
+    flat_ti, flat_si, cells = ig._cull_pairs(offset, floor, culled)
+    keys = ci.astype(np.int64) * len(culled) + cs
+    assert len(np.unique(keys)) == len(keys)
+    assert np.array_equal(np.sort(keys),
+                          np.sort(flat_ti.astype(np.int64) * len(culled)
+                                  + flat_si))
+    assert len(ci) <= proposed < share * cells
+    assert case not in _NEAR_SURFACE or np.any(floor <= 0)
 
     ti, si, _ = ig._cull_pairs(offset, floor, sec)
     hits, gray = hit_test(sec, comp, ti, si, radii)
@@ -249,6 +260,20 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     assert np.array_equal(gray, dense_gray)
     assert counts[-1].sum() > 0
     assert len(ti) < 0.05 * len(A) * len(sec)  # the cull does drop pairs
+
+
+def test_plane_counting_work_on_the_benchmark_config(default):
+    # a work count, not a timing: at the parabola report's counting config
+    # (1,000 samples, seed 11, default radii) the grouped cull keeps the flat
+    # cull's pairs and proposes under a tenth of the triangle x section cells,
+    # so a fallback to the flat cull fails here
+    spec = default("complex_parabola_r4")
+    r_hi = inv.max_safe_radius(spec.mesh, spec.base_point)
+    out = ig.counting_sweep(spec.mesh, spec.base_point,
+                            np.geomspace(0.3 * r_hi, r_hi, 5), samples=1000,
+                            seed=11)
+    assert out["pairs_tested"] == 56_180
+    assert out["candidates"] <= 0.1 * out["cells"]
 
 
 def _planted_edge_cases(A, e1, e2, base):

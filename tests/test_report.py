@@ -827,7 +827,7 @@ _IMPORT_SPY = """
 import builtins, json, sys
 from mingauge.cli import main
 
-WATCHED = ("scipy", "jsonschema", "importlib.metadata")
+WATCHED = ("scipy", "jsonschema", "importlib.metadata", "numpy.ma")
 seen = set()
 real_import = builtins.__import__
 
@@ -875,6 +875,10 @@ _SPHERE = {"surface": {"name": "sphere", "resolution": "coarse"}}
      (0,), {"MINGAUGE_THREADS": "1"}, "1"),
     (["report"], {"surface": {"name": "enneper", "resolution": "coarse"}},
      (0,), {"MINGAUGE_THREADS": "1"}, "1"),
+    (["report"], {"surface": {"name": "complex_parabola_r4",
+                              "resolution": "coarse"},
+                  "mc": {"seed": 11, "samples": 1000}},
+     (0,), {"MINGAUGE_THREADS": "1"}, "1"),
     # the BLAS cap: 1 by default, a preset pool variable wins over the
     # default, MINGAUGE_THREADS over both
     (["report"], _SPHERE, (0,), {}, "1"),
@@ -883,13 +887,14 @@ _SPHERE = {"surface": {"name": "sphere", "resolution": "coarse"}}
     (["report"], _SPHERE, (0,),
      {"MINGAUGE_THREADS": "2", "OPENBLAS_NUM_THREADS": "3"}, "2"),
 ], ids=["crofton", "catalog", "helicoid", "catenoid", "enneper",
-        "threads-default", "threads-openblas-3", "threads-mingauge-2",
-        "threads-mingauge-over-openblas"])
+        "parabola-mc", "threads-default", "threads-openblas-3",
+        "threads-mingauge-2", "threads-mingauge-over-openblas"])
 def test_no_cli_path_imports_scipy(tmp_path, args, config, exits, threads,
                                    cap):
     # scipy is a test oracle only: the truncation roots use catalog._brentq.
     # jsonschema only explains a report that fails its schema, so a valid
-    # run loads neither it nor importlib.metadata
+    # run loads neither it nor importlib.metadata.  numpy.ma (10-15 ms) comes
+    # with a plain np.unique or np.union1d, which ask np.ma.is_masked
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
