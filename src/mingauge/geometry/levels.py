@@ -20,26 +20,36 @@ def level_chords(mesh: SimplicialSurface, center, level: float):
     triangles sharing a side share that endpoint bit for bit.  If the sphere
     passes through a mesh vertex (within ``SNAP_REL * level``) the level is
     nudged upward.
+
+    Both tests read a distance index kept in ``mesh.about(center)``: the
+    sorted vertex distances, where the vertices nearest the level are the
+    two neighbours of its ``searchsorted`` place (``|f - t|`` rounds
+    monotonically in ``f`` on each side), and each triangle's least and
+    greatest corner distance, between which the level must lie for the
+    triangle to cross it.  Only crossing triangles are gathered.
     """
     a = np.asarray(center, dtype=float)
     t = float(level)
     if t <= 0.0:
         raise ValueError("level must be positive")
-    f = mesh.about(a)["distances"]
+    store = mesh.about(a)
+    f = store["distances"]
+    ordered, f_min, f_max = _distance_index(mesh, store)
 
     for _ in range(64):
-        if not np.any(np.abs(f - t) < SNAP_REL * t):
+        i = np.searchsorted(ordered, t)
+        near = ordered[max(i - 1, 0):i + 1]
+        if not np.any(np.abs(near - t) < SNAP_REL * t):
             break
         t += 2.5 * SNAP_REL * t
     else:
         raise MeshTopologyError("level could not be snapped away from mesh vertices")
 
-    above = (f > t)[mesh.triangles]
-    triangles = np.flatnonzero((above[:, 0] != above[:, 1])
-                               | (above[:, 1] != above[:, 2]))
+    triangles = np.flatnonzero((f_min <= t) & (t < f_max))
     # sides (0, 1), (1, 2), (2, 0); a crossing triangle has exactly two
     # crossed sides, taken here in that order
-    tri, above = mesh.triangles[triangles], above[triangles]
+    tri = mesh.triangles[triangles]
+    above = f[tri] > t
     nxt = np.roll(tri, -1, axis=1)
     sides = above != np.roll(above, -1, axis=1)
     lo = np.minimum(tri, nxt)[sides]
@@ -50,3 +60,17 @@ def level_chords(mesh: SimplicialSurface, center, level: float):
     rad = pts - a
     pts = a + rad * (t / np.linalg.norm(rad, axis=1))[:, None]
     return triangles, pts.reshape(len(triangles), 2, len(a)), t
+
+
+def _distance_index(mesh: SimplicialSurface, store):
+    """Sorted vertex distances and each triangle's least and greatest
+    corner distance, kept in the mesh's store for the center."""
+    if "distance_index" not in store:
+        f = store["distances"]
+        c = f[mesh.triangles]
+        store["distance_index"] = (
+            np.sort(f),
+            np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2]),
+            np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2]),
+        )
+    return store["distance_index"]

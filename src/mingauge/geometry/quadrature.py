@@ -13,6 +13,14 @@ integral where it stays inside (closed form for area and defect, 12-point
 Gauss-Legendre for the inverse power).  Only triangles straddling a sphere
 are clipped.  Roundoff heights (a base on the surface) read as h = 0: the
 defect vanishes there and the inverse power's first ball diverges (``inf``).
+
+Whole-triangle integrals are kept in the mesh's store for the base point,
+per kind, and filled in only out to the largest ball a call asks for, so a
+later, larger ball computes just the triangles it adds.  They are computed
+``_BLOCK_TRIANGLES`` triangles at a time, so the per-edge temporaries stay
+in cache.  Every step is elementwise and each Gauss rule sums its nodes in
+one fixed order, so the values do not depend on the blocks or on the order
+in which balls were asked for.
 """
 from __future__ import annotations
 
@@ -27,6 +35,9 @@ _FLAT = 1e-12
 _ROUNDOFF = 1e-14
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+# whole-triangle integrals run this many triangles at a time, so that each
+# (block, 3) temporary stays in cache
+_BLOCK_TRIANGLES = 4096
 
 # 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
 _A1, _W1 = 0.445948490915965, 0.223381589678011
@@ -57,23 +68,29 @@ def _dot(x, y):
     return np.einsum("...n,...n->...", x, y)
 
 
-def _log_ratio(s2, h2):
-    """log(1 + s^2 / h^2), or log(s^2) at h = 0 (where only shells count)."""
-    flat = h2 == 0.0
-    return np.where(flat, np.log(np.where(flat, s2, 1.0)),
-                    np.log1p(s2 / np.where(flat, 1.0, h2)))
+def _log_ratio(s2, h2, flat):
+    """log(1 + s^2 / h^2), or log(s^2) on the rows ``flat`` where h = 0
+    (there only shells count)."""
+    if len(flat) == 0:
+        out = s2 / h2
+        return np.log1p(out, out=out)
+    h2 = h2.copy()
+    h2[flat] = 1.0
+    out = np.log1p(s2 / h2)
+    out[flat] = np.log(s2[flat])
+    return out
 
 
-def _antiderivative(kind, s2, h2):
+def _antiderivative(kind, s2, h2, flat):
     """G(sigma), the integral of the integrand times rho over rho < sigma."""
     if kind == "area":
         return 0.5 * s2
     if kind == "defect":
         return np.where(h2 > 0.0, 0.5 * s2 / (h2 + s2), 0.0)
-    return 0.5 * _log_ratio(s2, h2)
+    return 0.5 * _log_ratio(s2, h2, flat)
 
 
-def _edge(kind, cross, A, b, xx, h2, lo, hi):
+def _edge(kind, cross, A, b, xx, h2, flat, lo, hi):
     """Integral of G(rho) d(theta) along the edge points X + u D, u in
     [lo, hi]; d(theta) = cross(X, Y) du / |X + u D|^2."""
     if kind == "area":
@@ -86,23 +103,35 @@ def _edge(kind, cross, A, b, xx, h2, lo, hi):
         k = np.where(ok, k, 1.0)
         return np.where(ok, 0.5 * cross
                         * np.arctan2(k * (p - q), k * k + p * q) / k, 0.0)
-    total = 0.0
+    # in place, with the operation order of s2 = xx + u (2b + A u) and
+    # total + w log_ratio / s2, so each node rounds as that form does
+    total = np.zeros(cross.shape)
+    b2 = 2.0 * b
     for t, w in zip(_GL_U, _GL_W):
         u = lo + (hi - lo) * t
-        s2 = xx + u * (2.0 * b + A * u)
-        total = total + w * _log_ratio(s2, h2) / s2
+        s2 = A * u
+        s2 += b2
+        s2 *= u
+        s2 += xx
+        term = _log_ratio(s2, h2, flat)
+        term *= w
+        term /= s2
+        total += term
     return 0.5 * cross * (hi - lo) * total
 
 
 def _fan_integrals(kind, P, h2, sigma2=None):
     """Each triangle's integral over the disk rho^2 < sigma2 (all of it when
-    ``sigma2`` is None), from in-plane corners P (m, 3, 2) about the foot."""
-    X, Y = P, np.roll(P, -1, axis=1)
+    ``sigma2`` is None), from in-plane corners P (m, 3, 2) about the foot.
+    A whole triangle's edges run over u in [0, 1] as scalars, so each Gauss
+    node is the node itself."""
+    X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
     D = Y - X
     cross, A, b, xx = _cross(X, Y), _dot(D, D), _dot(X, D), _dot(X, X)
+    flat = np.flatnonzero(h2 == 0.0)
     h2 = np.broadcast_to(h2[:, None], cross.shape)
     if sigma2 is None:
-        lo, hi = np.zeros_like(A), np.ones_like(A)
+        lo, hi = 0.0, 1.0
         outside = 0.0
     else:
         s2 = sigma2[:, None]
@@ -113,8 +142,26 @@ def _fan_integrals(kind, P, h2, sigma2=None):
         Xa, Xb = X + lo[..., None] * D, X + hi[..., None] * D
         angle = (np.arctan2(_cross(X, Xa), _dot(X, Xa))
                  + np.arctan2(_cross(Xb, Y), _dot(Xb, Y)))
-        outside = _antiderivative(kind, s2, h2) * angle
-    return (_edge(kind, cross, A, b, xx, h2, lo, hi) + outside).sum(axis=1)
+        outside = _antiderivative(kind, s2, h2, flat) * angle
+    return (_edge(kind, cross, A, b, xx, h2, flat, lo, hi) + outside).sum(axis=1)
+
+
+def _whole_integrals(mesh, center, kind, P, h2, far2, r2):
+    """Whole-triangle integrals of ``kind``, filled in ``_BLOCK_TRIANGLES``
+    at a time for the triangles the ball of squared radius ``r2`` holds.
+    They are kept in the mesh's store for ``center`` as (values, computed),
+    so a larger ball later computes only the triangles it adds."""
+    store = mesh.about(center)
+    key = f"whole_{kind}"
+    if key not in store:
+        store[key] = np.zeros(len(P)), np.zeros(len(P), dtype=bool)
+    values, computed = store[key]
+    todo = np.flatnonzero((far2 <= r2) & ~computed)
+    for i in range(0, len(todo), _BLOCK_TRIANGLES):
+        block = todo[i:i + _BLOCK_TRIANGLES]
+        values[block] = _fan_integrals(kind, P[block], h2[block])
+    computed[todo] = True
+    return values
 
 
 def _in_plane(mesh, center):
@@ -127,7 +174,7 @@ def _in_plane(mesh, center):
     x = mesh.corners() - center
     frames = mesh.frames()
     P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))
-    X, Y = P, np.roll(P, -1, axis=1)
+    X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
     foot = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
     normal = (mesh.centroids() - center - foot[:, :1] * frames[:, 0]
               - foot[:, 1:] * frames[:, 1])
@@ -167,17 +214,13 @@ def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
         raise ValueError("radii must be a nonempty, strictly increasing "
                          "sequence of nonnegative radii")
     P, h2, near2, far2 = _in_plane(mesh, c)
-    # whole-triangle integrals, kept in the mesh's store for c per kind
-    store = mesh.about(c)
-    key = f"whole_{kind}"
-    if key not in store:
-        store[key] = _fan_integrals(kind, P, h2)
-    whole = store[key]
+    radii2 = radii**2
+    whole = _whole_integrals(mesh, c, kind, P, h2, far2, radii2[-1])
     balls = np.zeros((len(radii), len(P)))
-    for k, r2 in enumerate(radii**2):
+    for k, r2 in enumerate(radii2):
         inside = far2 <= r2
-        balls[k, inside] = whole[inside]
-        cut = (near2 < r2) & ~inside
+        np.copyto(balls[k], whole, where=inside)
+        cut = np.flatnonzero((near2 < r2) & ~inside)
         balls[k, cut] = _fan_integrals(kind, P[cut], h2[cut], r2 - h2[cut])
     # balls are finite, so a triangle inside two of them adds exactly 0 to
     # the shell between; the inverse power diverges only in the first ball

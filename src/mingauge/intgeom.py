@@ -230,8 +230,9 @@ def _cap_cull(offset, floor):
 
     size = (row1 - row0 + 1) * ncol
     k, cap = _ranges(np.zeros_like(size), size)
+    # cell ids fit int16, for which numpy's stable sort is a radix sort
     cells = ((row0[cap] + k // ncol[cap]) * _CAP_COLS
-             + (col0[cap] + k % ncol[cap]) % _CAP_COLS)
+             + (col0[cap] + k % ncol[cap]) % _CAP_COLS).astype(np.int16)
     order = np.argsort(cells, kind="stable")
     listed = caps[cap[order]].astype(np.int32)
     start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)

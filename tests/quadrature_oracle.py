@@ -1,16 +1,30 @@
-"""Slow reference quadrature: midpoint subdivision with centroid assignment.
+"""Reference quadratures for ``radial_integrals``.
 
-This is the cut-cell scheme the exact flat-triangle integrals replaced, kept
-as the oracle they are tested against.  Triangles straddling a sphere are
-split into four by their edge midpoints until their corners and centroid
-agree on a shell; leaves left at the cut depth go to their centroid's shell.
-Every leaf takes a symmetric 6-node rule.  Integrands are pointwise
-callables ``(points, owner_triangles) -> values``; ``None`` is area.
+``cut_cell_integrals`` is the slow midpoint subdivision with centroid
+assignment that the exact flat-triangle integrals replaced, kept as the
+oracle they are tested against.  Triangles straddling a sphere are split
+into four by their edge midpoints until their corners and centroid agree on
+a shell; leaves left at the cut depth go to their centroid's shell.  Every
+leaf takes a symmetric 6-node rule.  Integrands are pointwise callables
+``(points, owner_triangles) -> values``; ``None`` is area.
+
+``fan_radial_integrals`` is the plain form of the exact fan integrals: every
+triangle's whole integral at once, both logarithms on every Gauss node and
+per-node ``u`` arrays on whole edges.  ``radial_integrals`` must match it
+byte for byte.
 """
 import numpy as np
 
 from mingauge.geometry import decompose_radial, triangle_areas
-from mingauge.geometry.quadrature import TRI6_BARY, TRI6_W
+from mingauge.geometry.quadrature import (
+    _GL_U,
+    _GL_W,
+    TRI6_BARY,
+    TRI6_W,
+    _cross,
+    _dot,
+    _in_plane,
+)
 
 
 def split4(corners, owners):
@@ -103,3 +117,75 @@ def integrand_of(kind, mesh, center):
     return {"area": None,
             "inverse_power": inverse_power_integrand(center),
             "defect": defect_integrand(mesh, center)}[kind]
+
+
+def _log_ratio(s2, h2):
+    """log(1 + s^2 / h^2), or log(s^2) at h = 0 (where only shells count)."""
+    flat = h2 == 0.0
+    return np.where(flat, np.log(np.where(flat, s2, 1.0)),
+                    np.log1p(s2 / np.where(flat, 1.0, h2)))
+
+
+def _antiderivative(kind, s2, h2):
+    if kind == "area":
+        return 0.5 * s2
+    if kind == "defect":
+        return np.where(h2 > 0.0, 0.5 * s2 / (h2 + s2), 0.0)
+    return 0.5 * _log_ratio(s2, h2)
+
+
+def _edge(kind, cross, A, b, xx, h2, lo, hi):
+    if kind == "area":
+        return 0.5 * cross * (hi - lo)
+    if kind == "defect":
+        k = np.sqrt(A * h2 + cross * cross)
+        p, q = A * hi + b, A * lo + b
+        ok = (h2 > 0.0) & (k > 0.0)
+        k = np.where(ok, k, 1.0)
+        return np.where(ok, 0.5 * cross
+                        * np.arctan2(k * (p - q), k * k + p * q) / k, 0.0)
+    total = 0.0
+    for t, w in zip(_GL_U, _GL_W):
+        u = lo + (hi - lo) * t
+        s2 = xx + u * (2.0 * b + A * u)
+        total = total + w * _log_ratio(s2, h2) / s2
+    return 0.5 * cross * (hi - lo) * total
+
+
+def _fan_integrals(kind, P, h2, sigma2=None):
+    X, Y = P, np.roll(P, -1, axis=1)
+    D = Y - X
+    cross, A, b, xx = _cross(X, Y), _dot(D, D), _dot(X, D), _dot(X, X)
+    h2 = np.broadcast_to(h2[:, None], cross.shape)
+    if sigma2 is None:
+        lo, hi = np.zeros_like(A), np.ones_like(A)
+        outside = 0.0
+    else:
+        s2 = sigma2[:, None]
+        disc = b * b - A * (xx - s2)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.where(disc > 0.0, np.clip((-b - root) / A, 0.0, 1.0), 0.0)
+        hi = np.where(disc > 0.0, np.clip((-b + root) / A, 0.0, 1.0), 0.0)
+        Xa, Xb = X + lo[..., None] * D, X + hi[..., None] * D
+        angle = (np.arctan2(_cross(X, Xa), _dot(X, Xa))
+                 + np.arctan2(_cross(Xb, Y), _dot(Xb, Y)))
+        outside = _antiderivative(kind, s2, h2) * angle
+    return (_edge(kind, cross, A, b, xx, h2, lo, hi) + outside).sum(axis=1)
+
+
+def fan_radial_integrals(mesh, center, radii, kind):
+    """(K, T) shell integrals like ``radial_integrals``, with the whole
+    integrals of every triangle computed in one pass and nothing kept."""
+    c = np.asarray(center, dtype=float)
+    P, h2, near2, far2 = _in_plane(mesh, c)
+    whole = _fan_integrals(kind, P, h2)
+    balls = np.zeros((len(radii), len(P)))
+    for k, r2 in enumerate(np.asarray(radii, dtype=float) ** 2):
+        inside = far2 <= r2
+        balls[k, inside] = whole[inside]
+        cut = (near2 < r2) & ~inside
+        balls[k, cut] = _fan_integrals(kind, P[cut], h2[cut], r2 - h2[cut])
+    shells = np.diff(balls, axis=0, prepend=0.0)
+    if kind == "inverse_power":
+        shells[0, near2 == 0.0] = np.inf
+    return shells

@@ -18,7 +18,7 @@ from mingauge.geometry import (
     triangle_areas,
 )
 from mingauge.geometry.meshing import _grid_triangles
-from mingauge.geometry.quadrature import KINDS
+from mingauge.geometry.quadrature import _BLOCK_TRIANGLES, KINDS, _in_plane
 from mingauge.invariants import flux_profile, level_grid, max_safe_radius
 from meshing_oracle import (
     loop_grid_triangles,
@@ -27,7 +27,12 @@ from meshing_oracle import (
     unique_edge_table,
 )
 from levels_oracle import curve_flux, level_polyline, polyline_segments
-from quadrature_oracle import cut_cell_integrals, cut_cell_shells, integrand_of
+from quadrature_oracle import (
+    cut_cell_integrals,
+    cut_cell_shells,
+    fan_radial_integrals,
+    integrand_of,
+)
 
 
 def catenoid_chart(c=1.0, u_max=2.0):
@@ -316,18 +321,33 @@ def test_radial_integrals_one_pass_matches_one_ball_each():
 
 
 def test_radial_integrals_cache_never_returns_a_stale_whole():
-    # whole-triangle integrals are kept on the mesh per kind; alternating
-    # centers and kinds must give a fresh mesh's result bit for bit
+    # whole-triangle integrals are kept on the mesh per kind, filled out to
+    # the largest ball asked for; alternating centers and kinds, each with a
+    # small ball before the whole mesh, must give a fresh mesh's result bit
+    # for bit
     mesh = mesh_from_chart(catenoid_chart(c=1.0, u_max=1.5), (32, 48))
     centers = [np.array([0.2, -0.1, 0.3]), np.array([1.0, 0.0, 0.0])]
-    radii = [0.8, 1.6, 2.4, np.inf]
     for center, kind in ([(c, k) for k in KINDS for c in centers]
                          + [(c, k) for c in centers for k in KINDS]):
-        fresh = SimplicialSurface(mesh.vertices, mesh.triangles,
-                                  truncation_radius=mesh.truncation_radius)
-        got = radial_integrals(mesh, center, radii, kind)
-        want = radial_integrals(fresh, center, radii, kind)
-        assert got.tobytes() == want.tobytes(), (center, kind)
+        for radii in ([0.5, 0.9], [0.8, 1.6, 2.4, np.inf]):
+            fresh = SimplicialSurface(mesh.vertices, mesh.triangles,
+                                      truncation_radius=mesh.truncation_radius)
+            got = radial_integrals(mesh, center, radii, kind)
+            want = radial_integrals(fresh, center, radii, kind)
+            assert got.tobytes() == want.tobytes(), (center, kind, radii)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_radial_integrals_fill_only_the_triangles_a_ball_holds(coarse, kind):
+    spec = coarse("helicoid")
+    mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
+                             truncation_radius=spec.mesh.truncation_radius)
+    c = spec.base_point
+    r = 0.5 * max_safe_radius(mesh, c)
+    radial_integrals(mesh, c, [r], kind)
+    far2 = _in_plane(mesh, c)[3]
+    computed = mesh.about(c)[f"whole_{kind}"][1]
+    assert computed.sum() == (far2 <= r**2).sum() < len(far2)
 
 
 @pytest.mark.parametrize("radii", [[1.0, 1.0], [2.0, 1.0], []])
@@ -405,6 +425,34 @@ def test_radial_integrals_match_cut_cell_oracle(coarse, name):
         fine, change = cut_cell_shells(m, a, radii, integrand_of(kind, m, a))
         assert np.all(np.abs(exact - fine)
                       <= 3.0 * change + 1e-12 * np.abs(fine)), kind
+
+
+# the exact integrals against their plain one-pass form: every catalog
+# surface at its base point, and two bases on the surface (h = 0 there)
+FAN_CASES = [(name, None) for name in catalog_names()] + [
+    ("catenoid", [1.0, 0.0, 0.0]), ("enneper", [0.0, 0.0, 0.0])]
+
+
+@pytest.mark.parametrize("name,center", FAN_CASES)
+def test_radial_integrals_bitwise_match_the_one_pass_form(coarse, name,
+                                                          center):
+    spec = coarse(name)
+    a = spec.base_point if center is None else np.array(center)
+    mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
+                             truncation_radius=spec.mesh.truncation_radius)
+    r = max_safe_radius(mesh, a)
+    for kind in KINDS:
+        # a partial fill first, then the rest of the mesh from the store
+        for radii in ([0.3 * r, 0.6 * r, r], [0.45 * r, np.inf]):
+            got = radial_integrals(mesh, a, radii, kind)
+            want = fan_radial_integrals(mesh, a, radii, kind)
+            assert got.tobytes() == want.tobytes(), (kind, radii)
+
+
+def test_bitwise_cases_cross_block_edges(coarse):
+    # a mesh of more than one block, and not a whole number of them
+    T = len(coarse("enneper").mesh.triangles)
+    assert T > _BLOCK_TRIANGLES and T % _BLOCK_TRIANGLES != 0
 
 
 def test_radial_integrals_rejects_unknown_kind():
@@ -512,6 +560,22 @@ def test_level_chords_distance_cache_never_returns_a_stale_center(coarse):
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+
+def test_level_chords_snap_like_a_scan_of_every_vertex(coarse):
+    # levels on, just inside and just outside the snap band of vertex
+    # distances: the distance index must snap and cross as the full scan
+    spec = coarse("helicoid")
+    mesh, base = spec.mesh, spec.base_point
+    f = np.linalg.norm(mesh.vertices - base, axis=1)
+    picks = f[np.linspace(0, len(f) - 1, 40).astype(int)]
+    for level in np.concatenate([picks * s for s in (
+            1.0, 1 - 0.9e-9, 1 + 0.9e-9, 1 - 1.1e-9, 1 + 1.1e-9)]):
+        tris, _, t = level_chords(mesh, base, level)
+        curve = level_polyline(mesh, base, level)
+        assert t == curve[3], level
+        owners = np.sort(polyline_segments(curve)[2]) if curve[0] else []
+        assert np.array_equal(tris, owners), level
 
 
 def report_levels(mesh, base):
