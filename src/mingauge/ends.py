@@ -8,6 +8,9 @@ trusted.  The cuts are nested in r: with triangles and edges weighted by their
 farthest vertex, the cut at r keeps the weights > r, so one maximum spanning
 forest (Boruvka's rounds in numpy) counts components at every radius, and a
 virtual node joined to the rim triangles tells the unbounded ones apart.
+Triangle and edge indices in the sweeps are int32, half the memory of
+int64: a catalog mesh has at most ``catalog.MAX_TRIANGLES`` = 2^20
+triangles, and any mesh that fits in memory has fewer than 2^31.
 """
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from math import pi
 
 import numpy as np
 
-from .geometry import SimplicialSurface, on_surface_multiplicity
+from .geometry import (SimplicialSurface, distance_index,
+                       on_surface_multiplicity)
 
 RIM_FRACTION = 0.999
 
@@ -30,29 +34,39 @@ def _max_forest(n: int, i: np.ndarray, j: np.ndarray):
     ranks are distinct these edges form a forest but for pairs picking the
     same edge, so each component hooks onto the other end of its edge, the
     smaller of such a pair stays a root, and pointers jump to the roots.
+    Nodes, ranks and roots are int32, and each round's unfiltered arrays go
+    before the next ones are made.
     """
-    parent, rank, rounds = np.arange(n), np.arange(len(i)), 0
-    in_forest, i0, j0 = np.zeros(len(i), dtype=bool), i, j
+    none = len(i)  # the best edge of a component that has none
+    parent = np.arange(n, dtype=np.int32)
+    rank = np.arange(none, dtype=np.int32)
+    in_forest, i0, j0, rounds = np.zeros(none, dtype=bool), i, j, 0
+    # take() gathers through int32 indices as fast as through intp ones
     while True:
-        ci, cj = parent[i], parent[j]
+        ci, cj = parent.take(i), parent.take(j)
         cross = ci != cj
         if not cross.any():
             return np.flatnonzero(in_forest), rounds, parent
-        i, j, rank, ci, cj = i[cross], j[cross], rank[cross], ci[cross], cj[cross]
-        best = np.full(n, len(in_forest))
+        i, j, rank = i[cross], j[cross], rank[cross]
+        ci, cj = ci[cross], cj[cross]
+        del cross
+        best = np.full(n, none, dtype=np.int32)
         np.minimum.at(best, ci, rank)
         np.minimum.at(best, cj, rank)
-        comp = np.flatnonzero(best < len(in_forest))
-        edge = best[comp]
-        other = parent[i0[edge]] + parent[j0[edge]] - comp
-        hook = np.arange(n)
-        hook[comp] = np.where((best[other] == edge) & (comp < other), comp, other)
+        del ci, cj
+        comp = np.flatnonzero(best < none).astype(np.int32)
+        edge = best.take(comp)
+        other = parent.take(i0.take(edge)) + parent.take(j0.take(edge)) - comp
+        hook = np.arange(n, dtype=np.int32)
+        hook[comp] = np.where((best.take(other) == edge) & (comp < other),
+                              comp, other)
+        del best, comp, other
         while True:
-            jumped = hook[hook]
+            jumped = hook.take(hook)
             if np.array_equal(jumped, hook):
                 break
             hook = jumped
-        parent = hook[parent]
+        parent = hook.take(parent)
         in_forest[edge] = True
         rounds += 1
 
@@ -69,19 +83,19 @@ def _components(n: int, i: np.ndarray, j: np.ndarray):
 def triangle_components(mesh: SimplicialSurface, tri_mask: np.ndarray):
     """Connected components of the selected triangles under shared edges.
 
-    Returns ``(labels, count)`` with labels of length T, ``-1`` on
+    Returns ``(labels, count)`` with int32 labels of length T, ``-1`` on
     unselected triangles.
     """
     T = len(mesh.triangles)
-    labels = np.full(T, -1, dtype=np.int64)
+    labels = np.full(T, -1, dtype=np.int32)
     sel = np.flatnonzero(tri_mask)
     if len(sel) == 0:
         return labels, 0
-    tri_pairs = mesh.interior_edge_pairs()[1]
-    tp = tri_pairs[tri_mask[tri_pairs[:, 0]] & tri_mask[tri_pairs[:, 1]]]
-    remap = np.full(T, -1, dtype=np.int64)
-    remap[sel] = np.arange(len(sel))
-    count, labels[sel] = _components(len(sel), remap[tp[:, 0]], remap[tp[:, 1]])
+    i, j = mesh.interior_edge_pairs()[1].T
+    keep = np.flatnonzero(tri_mask[i] & tri_mask[j])
+    remap = np.full(T, -1, dtype=np.int32)
+    remap[sel] = np.arange(len(sel), dtype=np.int32)
+    count, labels[sel] = _components(len(sel), remap[i[keep]], remap[j[keep]])
     return labels, count
 
 
@@ -97,25 +111,34 @@ def rim_vertex_mask(mesh: SimplicialSurface) -> np.ndarray:
     return out
 
 
+def _int32_columns(pairs, order):
+    """The two columns of ``pairs[order]`` as int32 arrays."""
+    return [pairs[order, k].astype(np.int32) for k in (0, 1)]
+
+
 def _end_counts(mesh: SimplicialSurface, center: np.ndarray, radii):
     """``(unbounded, bounded, graph_edges, forest_rounds)`` outside each
     radius: a triangle is outside when any of its vertices is, and two
     outside triangles connect only through an edge with an endpoint outside,
     so pieces touching along the sphere are not merged."""
     dist = mesh.about(center)["distances"]
-    tri, (edges, pairs) = mesh.triangles.T, mesh.interior_edge_pairs()
-    tri_d = np.maximum(np.maximum(dist[tri[0]], dist[tri[1]]), dist[tri[2]])
-    edge_d = np.maximum(dist[edges[:, 0]], dist[edges[:, 1]])
+    tri_d = distance_index(mesh, center)[2]  # each triangle's farthest corner
+    edges, pairs = mesh.interior_edge_pairs()
+    edge_d = dist[edges[:, 0]]
+    np.maximum(edge_d, dist[edges[:, 1]], out=edge_d)
     order = np.argsort(-edge_d, kind="stable")
-    forest, rounds, _ = _max_forest(len(tri_d), *pairs[order].T)
+    forest, rounds, _ = _max_forest(len(tri_d), *_int32_columns(pairs, order))
     tree = order[forest]
+    del order, forest
     # a maximum forest of G + rim lies in G's forest plus the rim edges
     on_rim = rim_vertex_mask(mesh)
+    tri = mesh.triangles.T
     rim = np.flatnonzero(on_rim[tri[0]] | on_rim[tri[1]] | on_rim[tri[2]])
     w = np.concatenate([edge_d[tree], tri_d[rim]])
     ij = np.concatenate([pairs[tree], np.c_[rim, np.full(len(rim), len(tri_d))]])
     order = np.argsort(-w, kind="stable")
-    rim_forest, rim_rounds, _ = _max_forest(len(tri_d) + 1, *ij[order].T)
+    rim_forest, rim_rounds, _ = _max_forest(len(tri_d) + 1,
+                                            *_int32_columns(ij, order))
 
     def above(weights):  # how many weights are > each radius (strictly)
         return len(weights) - np.searchsorted(np.sort(weights), radii,

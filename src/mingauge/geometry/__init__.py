@@ -15,13 +15,14 @@ from .meshing import (
     spherical_cap_mesh,
 )
 from .quadrature import integrate_with_error, radial_integrals, triangle_rule
-from .levels import level_chords
+from .levels import distance_index, level_chords
 
 __all__ = [
     "ImmersionChart",
     "SimplicialSurface",
     "check_frame",
     "decompose_radial",
+    "distance_index",
     "icosphere",
     "integrate_with_error",
     "level_chords",

@@ -32,9 +32,8 @@ def level_chords(mesh: SimplicialSurface, center, level: float):
     t = float(level)
     if t <= 0.0:
         raise ValueError("level must be positive")
-    store = mesh.about(a)
-    f = store["distances"]
-    ordered, f_min, f_max = _distance_index(mesh, store)
+    f = mesh.about(a)["distances"]
+    ordered, f_min, f_max = distance_index(mesh, a)
 
     for _ in range(64):
         i = np.searchsorted(ordered, t)
@@ -62,9 +61,10 @@ def level_chords(mesh: SimplicialSurface, center, level: float):
     return triangles, pts.reshape(len(triangles), 2, len(a)), t
 
 
-def _distance_index(mesh: SimplicialSurface, store):
-    """Sorted vertex distances and each triangle's least and greatest
-    corner distance, kept in the mesh's store for the center."""
+def distance_index(mesh: SimplicialSurface, center):
+    """Sorted vertex distances from ``center`` and each triangle's least and
+    greatest corner distance, kept in the mesh's store for the center."""
+    store = mesh.about(center)
     if "distance_index" not in store:
         f = store["distances"]
         c = f[mesh.triangles]

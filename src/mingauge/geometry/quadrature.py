@@ -16,11 +16,13 @@ defect vanishes there and the inverse power's first ball diverges (``inf``).
 
 Whole-triangle integrals are kept in the mesh's store for the base point,
 per kind, and filled in only out to the largest ball a call asks for, so a
-later, larger ball computes just the triangles it adds.  They are computed
+later, larger ball computes just the triangles it adds.  They, and the
+in-plane data of the base point that they start from, are computed
 ``_BLOCK_TRIANGLES`` triangles at a time, so the per-edge temporaries stay
-in cache.  Every step is elementwise and each Gauss rule sums its nodes in
-one fixed order, so the values do not depend on the blocks or on the order
-in which balls were asked for.
+in cache and no whole-mesh temporary is made; shells are differences of
+balls taken in place.  Every step is elementwise or matrix by matrix and
+each Gauss rule sums its nodes in one fixed order, so the values do not
+depend on the blocks or on the order in which balls were asked for.
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ _FLAT = 1e-12
 _ROUNDOFF = 1e-14
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
-# whole-triangle integrals run this many triangles at a time, so that each
-# (block, 3) temporary stays in cache
+# in-plane data and whole-triangle integrals run this many triangles at a
+# time, so that each (block, 3) temporary stays in cache
 _BLOCK_TRIANGLES = 4096
 
 # 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
@@ -167,20 +169,34 @@ def _whole_integrals(mesh, center, kind, P, h2, far2, r2):
 def _in_plane(mesh, center):
     """In-plane corners about the foot of ``center`` (T, 3, 2; positively
     oriented, as frames follow corner order), squared heights and squared
-    nearest / farthest distances; kept in the mesh's store for ``center``."""
+    nearest / farthest distances; kept in the mesh's store for ``center``.
+    Built ``_BLOCK_TRIANGLES`` triangles at a time into the four arrays."""
     store = mesh.about(center)
     if "in_plane" in store:
         return store["in_plane"]
-    x = mesh.corners() - center
-    frames = mesh.frames()
-    P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))
+    T = len(mesh.triangles)
+    P = np.empty((T, 3, 2))
+    h2, near2, far2 = np.empty(T), np.empty(T), np.empty(T)
+    corners, frames, cen = mesh.corners(), mesh.frames(), mesh.centroids()
+    for lo in range(0, T, _BLOCK_TRIANGLES):
+        sl = slice(lo, lo + _BLOCK_TRIANGLES)
+        _in_plane_block(corners[sl] - center, frames[sl], cen[sl] - center,
+                        P[sl], h2[sl], near2[sl], far2[sl])
+    store["in_plane"] = P, h2, near2, far2
+    return store["in_plane"]
+
+
+def _in_plane_block(x, frames, centroid, P, h2, near2, far2):
+    """``_in_plane`` on one block of corners ``x`` and centroids taken about
+    the center, written into the block's rows of the four outputs.  A stacked
+    matmul multiplies matrix by matrix, so the blocks leave the bits alone."""
+    np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)), out=P)
     X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
     foot = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
-    normal = (mesh.centroids() - center - foot[:, :1] * frames[:, 0]
-              - foot[:, 1:] * frames[:, 1])
-    h2 = _dot(normal, normal)
+    normal = centroid - foot[:, :1] * frames[:, 0] - foot[:, 1:] * frames[:, 1]
+    h2[:] = _dot(normal, normal)
     d2 = _dot(x, x)
-    far2 = np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2])
+    np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2], out=far2)
     flat2 = _FLAT * _FLAT * far2
     h2[h2 <= flat2] = 0.0
     # in-plane distance from the foot to the closed triangle
@@ -190,8 +206,7 @@ def _in_plane(mesh, center):
     foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
     inside = _cross(X, Y) >= 0.0
     foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
-    store["in_plane"] = P, h2, h2 + foot2, far2
-    return store["in_plane"]
+    np.add(h2, foot2, out=near2)
 
 
 def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
@@ -223,11 +238,13 @@ def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
         cut = np.flatnonzero((near2 < r2) & ~inside)
         balls[k, cut] = _fan_integrals(kind, P[cut], h2[cut], r2 - h2[cut])
     # balls are finite, so a triangle inside two of them adds exactly 0 to
-    # the shell between; the inverse power diverges only in the first ball
-    shells = np.diff(balls, axis=0, prepend=0.0)
+    # the shell between; the inverse power diverges only in the first ball.
+    # Rows turn into shells in place, from the last one down.
+    for k in range(len(balls) - 1, 0, -1):
+        np.subtract(balls[k], balls[k - 1], out=balls[k])
     if kind == "inverse_power":
-        shells[0, near2 == 0.0] = np.inf
-    return shells
+        balls[0, near2 == 0.0] = np.inf
+    return balls
 
 
 def integrate_with_error(mesh, center, radius: float, kind: str):

@@ -120,8 +120,11 @@ class SimplicialSurface:
         return self._cache["areas"]
 
     def centroids(self) -> np.ndarray:
+        """Corner means, shape (T, n), summed in corner order as
+        ``mean(axis=1)`` does, without its strided reduction."""
         if "centroids" not in self._cache:
-            self._cache["centroids"] = self.corners().mean(axis=1)
+            c = self.corners()
+            self._cache["centroids"] = (c[:, 0] + c[:, 1] + c[:, 2]) / 3.0
         return self._cache["centroids"]
 
     def frames(self) -> np.ndarray:

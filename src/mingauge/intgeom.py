@@ -41,6 +41,7 @@ EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
 _MAX_JITTER_ROUNDS = 12
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
+_BLOCK_FRAMES = 8192  # section frames QR-factored at a time
 _BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
 # The cull keeps a pair when the centroid lies within reach of the section.
 # The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
@@ -55,6 +56,8 @@ _CULL_ROUNDOFF = 1e-10
 _CAP_ROWS, _CAP_COLS = 64, 128
 _CAP_MAX_ANGLE = 0.25
 _CAP_MARGIN = 1e-9
+# the cap index is built this many listings (cap x cell) at a time
+_CAP_CHUNK = 1 << 16
 # _group_cull's groups: a cell of the _GROUP_GRID-per-axis grid of [-1, 1]^n
 # over the unit centroid direction, and a power-of-_GROUP_CLASS_BASE class of
 # the cap half-angle.
@@ -103,14 +106,21 @@ def _signed_qr_frames(columns, k):
     The first ``min(n, c)`` columns of each Q take the signs of R's
     diagonal, which frees Q of the factorization's sign choices.  Returns
     the first ``k`` columns of each Q as (m, k, n) rows and the remaining
-    ones as (m, n - k, n) rows.
+    ones as (m, n - k, n) rows.  The stacked QR factors matrix by matrix, so
+    running it ``_BLOCK_FRAMES`` matrices at a time leaves the bits alone
+    and bounds its working arrays.
     """
-    q, r = np.linalg.qr(columns, mode="complete")
-    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    sign[sign == 0] = 1.0
-    q[:, :, :sign.shape[1]] *= sign[:, None, :]
-    return (np.swapaxes(q[:, :, :k], 1, 2).copy(),
-            np.swapaxes(q[:, :, k:], 1, 2).copy())
+    m, n = columns.shape[:2]
+    sections, complements = np.empty((m, k, n)), np.empty((m, n - k, n))
+    for lo in range(0, m, _BLOCK_FRAMES):
+        sl = slice(lo, lo + _BLOCK_FRAMES)
+        q, r = np.linalg.qr(columns[sl], mode="complete")
+        sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        sign[sign == 0] = 1.0
+        q[:, :, :sign.shape[1]] *= sign[:, None, :]
+        sections[sl] = np.swapaxes(q[:, :, :k], 1, 2)
+        complements[sl] = np.swapaxes(q[:, :, k:], 1, 2)
+    return sections, complements
 
 
 def _complete_frames(directions):
@@ -191,6 +201,47 @@ def _ranges(starts, lengths):
     return pos, owner
 
 
+def _cap_index(caps, row0, nrow, col0, ncol):
+    """``(listed, start)``: the triangles ``caps`` listed cell by cell of
+    the grid, cell ``c`` holding ``listed[start[c]:start[c + 1]]`` in the
+    order of ``caps``.
+
+    Cap i covers ``nrow[i]`` rows from ``row0[i]`` and ``ncol[i]`` columns
+    from ``col0[i]``, wrapped.  Its listings (cap x cell) are made in chunks
+    of about ``_CAP_CHUNK`` as int16 cells and int32 triangles; then each
+    chunk, sorted by cell stably, fills its cells' next free places.  So no
+    array as long as all the listings holds int64.
+    """
+    size = nrow * ncol
+    ends, total = np.cumsum(size), int(size.sum())
+    cuts = np.searchsorted(ends, np.arange(_CAP_CHUNK, total, _CAP_CHUNK),
+                           side="right")
+    chunks = [(a, b, slice(ends[a] - size[a], ends[b - 1]))
+              for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(size)]) if a < b]
+    cells = np.empty(total, dtype=np.int16)
+    owner = np.empty(total, dtype=np.int32)
+    start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)
+    for a, b, at in chunks:
+        k, cap = _ranges(np.zeros(b - a, dtype=np.intp), size[a:b])
+        cap += a
+        cells[at] = ((row0[cap] + k // ncol[cap]) * _CAP_COLS
+                     + (col0[cap] + k % ncol[cap]) % _CAP_COLS)
+        owner[at] = caps[cap]
+        start[1:] += np.bincount(cells[at], minlength=len(start) - 1)
+    np.cumsum(start, out=start)
+    free, listed = start[:-1].copy(), np.empty_like(owner)
+    for _, _, at in chunks:
+        # cell ids fit int16, for which numpy's stable sort is a radix sort
+        order = np.argsort(cells[at], kind="stable")
+        chunk_cells = cells[at][order]
+        n = np.bincount(chunk_cells, minlength=len(free))
+        first = np.cumsum(n) - n  # each cell's first place in the chunk
+        listed[free[chunk_cells] + np.arange(len(order))
+               - first[chunk_cells]] = owner[at][order]
+        free += n
+    return listed, start
+
+
 def _cap_cull(offset, floor):
     """The ``_cull_pairs`` pairs for lines in R^3, through an angular index.
 
@@ -228,16 +279,7 @@ def _cap_cull(offset, floor):
     ring = ncol >= _CAP_COLS
     col0[ring], ncol[ring] = 0, _CAP_COLS
 
-    size = (row1 - row0 + 1) * ncol
-    k, cap = _ranges(np.zeros_like(size), size)
-    # cell ids fit int16, for which numpy's stable sort is a radix sort
-    cells = ((row0[cap] + k // ncol[cap]) * _CAP_COLS
-             + (col0[cap] + k % ncol[cap]) % _CAP_COLS).astype(np.int16)
-    order = np.argsort(cells, kind="stable")
-    listed = caps[cap[order]].astype(np.int32)
-    start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cells, minlength=_CAP_ROWS * _CAP_COLS),
-              out=start[1:])
+    listed, start = _cap_index(caps, row0, row1 - row0 + 1, col0, ncol)
     wide_offset, wide_floor = offset[always], floor[always]
 
     def cull(sections):

@@ -32,6 +32,7 @@ from .errors import IdentityNotApplicableError
 from .geometry import (
     SimplicialSurface,
     decompose_radial,
+    distance_index,
     integrate_with_error,
     level_chords,
     on_surface_multiplicity,
@@ -382,21 +383,22 @@ def check_band_area_bound(mesh: SimplicialSurface, center, bands) -> dict:
     no component qualifies in any band.
     """
     center = np.asarray(center, dtype=float)
-    tri_d = mesh.about(center)["distances"][mesh.triangles]
+    _, tri_min, tri_max = distance_index(mesh, center)
     areas, ratios, passed = [], [], True
     for r_lo, r_hi in bands:
-        tri_mask = (tri_d.min(axis=1) < r_hi) & (tri_d.max(axis=1) > r_lo)
-        labels, count = triangle_components(mesh, tri_mask)
-        crossing = []
-        for comp in range(count):
-            comp_d = tri_d[labels == comp]
-            if comp_d.min() <= r_lo and comp_d.max() >= r_hi:
-                crossing.append(comp)
-        if not crossing:
+        labels, count = triangle_components(mesh, (tri_min < r_hi)
+                                            & (tri_max > r_lo))
+        sel = np.flatnonzero(labels >= 0)
+        labels = labels[sel]
+        # each component's least and greatest corner distance
+        comp_min, comp_max = np.full(count, np.inf), np.full(count, -np.inf)
+        np.minimum.at(comp_min, labels, tri_min[sel])
+        np.maximum.at(comp_max, labels, tri_max[sel])
+        crossing = np.flatnonzero((comp_min <= r_lo) & (comp_max >= r_hi))
+        if len(crossing) == 0:
             continue
         shell_area = radial_integrals(mesh, center, [r_lo, r_hi])[1]
-        sel = labels >= 0
-        comp_area = np.bincount(labels[sel], weights=shell_area[sel],
+        comp_area = np.bincount(labels, weights=shell_area[sel],
                                 minlength=count)
         band = sorted(float(comp_area[comp]) for comp in crossing)
         bound = sphere_area(2) / 2 * ((r_hi - r_lo) / 2.0) ** 2

@@ -10,13 +10,14 @@ into the output directory:
 * ``sweeps.csv``   -- the radius sweeps behind the headline numbers
   (normalized flux, log-growth ratio, end counts, section-count means).
 * ``run.log``      -- library versions, the BLAS thread cap
-  (``OPENBLAS_NUM_THREADS``), seed, wall time, work counters of the
+  (``OPENBLAS_NUM_THREADS``), seed, wall time, the process's peak resident
+  memory so far (``peak_rss_mb``: ``ru_maxrss`` / 1024), work counters of the
   end count (``ends_graph_edges``: interior plus rim edges of its graph;
   ``ends_forest_rounds``: Boruvka rounds of its two forests) and, when
   counting ran, of counting (``counting_cells``: pruned triangles x samples;
   ``counting_candidates``: pairs the cull proposed to its floor test;
-  ``counting_pairs_tested``: pairs left by the cull).  Timing makes this the
-  one file that is allowed to differ between identical runs.
+  ``counting_pairs_tested``: pairs left by the cull).  Timing and memory
+  make this the one file that is allowed to differ between identical runs.
 
 Checks that need a hypothesis the surface does not satisfy (the non-minimal
 control, a flagged volume estimate, a missing Monte-Carlo block, catalog
@@ -31,6 +32,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -766,6 +768,7 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
     write_sweeps(sweeps, out_dir / "sweeps.csv")
 
     wall = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     log_lines = [
         f"mingauge {__version__}",
         f"python {platform.python_version()} ({sys.platform})",
@@ -775,6 +778,7 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
         f"seed {config.mc_seed if config.counting_enabled else 'none'}",
         f"strict {strict}",
         f"wall_time_s {wall:.3f}",
+        f"peak_rss_mb {rss_mb:.1f}",
         *work_lines,
     ]
     (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")

@@ -5,8 +5,13 @@ replaced, kept as the oracle it is tested against.  Lines in R^3 solve by
 cross products and measure the hit along the line; (n-2)-planes project the
 triangle onto the section's complement and measure the hit in the section.
 Hits must agree on every pair that neither test calls gray.
+
+``cap_index_one_sort`` is the cap index ``intgeom._cap_index`` builds in
+chunks, made from every listing at once with one stable sort.
 """
 import numpy as np
+
+from mingauge.intgeom import _CAP_COLS, _CAP_ROWS, _ranges
 
 
 def _barycentric_zones(det, det_scale, a_num, b_num, eps):
@@ -94,3 +99,16 @@ def _plane_hit_test(A, e1, e2, base):
         return hits, gray
 
     return test
+
+
+def cap_index_one_sort(caps, row0, nrow, col0, ncol):
+    """``_cap_index``'s (listed, start) from all listings and one sort."""
+    size = nrow * ncol
+    k, cap = _ranges(np.zeros_like(size), size)
+    cells = ((row0[cap] + k // ncol[cap]) * _CAP_COLS
+             + (col0[cap] + k % ncol[cap]) % _CAP_COLS).astype(np.int16)
+    listed = caps[cap[np.argsort(cells, kind="stable")]].astype(np.int32)
+    start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cells, minlength=_CAP_ROWS * _CAP_COLS),
+              out=start[1:])
+    return listed, start

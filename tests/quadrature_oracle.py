@@ -10,8 +10,9 @@ leaf takes a symmetric 6-node rule.  Integrands are pointwise callables
 
 ``fan_radial_integrals`` is the plain form of the exact fan integrals: every
 triangle's whole integral at once, both logarithms on every Gauss node and
-per-node ``u`` arrays on whole edges.  ``radial_integrals`` must match it
-byte for byte.
+per-node ``u`` arrays on whole edges, on the in-plane data of
+``in_plane_one_pass``, which builds it for the whole mesh in one pass.
+``radial_integrals`` and ``_in_plane`` must match them byte for byte.
 """
 import numpy as np
 
@@ -21,9 +22,9 @@ from mingauge.geometry.quadrature import (
     _GL_W,
     TRI6_BARY,
     TRI6_W,
+    _FLAT,
     _cross,
     _dot,
-    _in_plane,
 )
 
 
@@ -173,11 +174,34 @@ def _fan_integrals(kind, P, h2, sigma2=None):
     return (_edge(kind, cross, A, b, xx, h2, lo, hi) + outside).sum(axis=1)
 
 
+def in_plane_one_pass(mesh, center):
+    """``_in_plane``'s (P, h2, near2, far2), every triangle at once."""
+    x = mesh.corners() - center
+    frames = mesh.frames()
+    P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))
+    X, Y = P, np.roll(P, -1, axis=1)
+    foot = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
+    normal = (mesh.corners().mean(axis=1) - center
+              - foot[:, :1] * frames[:, 0] - foot[:, 1:] * frames[:, 1])
+    h2 = _dot(normal, normal)
+    d2 = _dot(x, x)
+    far2 = np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2])
+    flat2 = _FLAT * _FLAT * far2
+    h2[h2 <= flat2] = 0.0
+    D = Y - X
+    near = X + np.clip(-_dot(X, D) / _dot(D, D), 0.0, 1.0)[..., None] * D
+    e2 = _dot(near, near)
+    foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
+    inside = _cross(X, Y) >= 0.0
+    foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
+    return P, h2, h2 + foot2, far2
+
+
 def fan_radial_integrals(mesh, center, radii, kind):
     """(K, T) shell integrals like ``radial_integrals``, with the whole
     integrals of every triangle computed in one pass and nothing kept."""
     c = np.asarray(center, dtype=float)
-    P, h2, near2, far2 = _in_plane(mesh, c)
+    P, h2, near2, far2 = in_plane_one_pass(mesh, c)
     whole = _fan_integrals(kind, P, h2)
     balls = np.zeros((len(radii), len(P)))
     for k, r2 in enumerate(np.asarray(radii, dtype=float) ** 2):

@@ -1,4 +1,6 @@
 """End counting: components outside growing balls, stabilization, bounds."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,21 @@ def test_components_edge_cases():
     perm = np.random.default_rng(1).permutation(n)
     count, _ = _assert_components_match_scipy(n, perm[:-1], perm[1:])
     assert count == 1
+
+
+def test_end_sweep_memory_stays_bounded(coarse):
+    # with the mesh's caches warm, the sweep's int32 forests on helicoid
+    # `coarse` (24,576 triangles) stay under 3.5 MiB of numpy memory (2.6
+    # measured); an int64 sweep with a (T, 3) distance gather needs 5.0
+    spec = coarse("helicoid")
+    mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
+                             truncation_radius=spec.mesh.truncation_radius)
+    want = ends_estimate(mesh, spec.base_point)
+    tracemalloc.start()
+    try:
+        got = ends_estimate(mesh, spec.base_point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
+    np.testing.assert_array_equal(got.counts, want.counts)

@@ -1,4 +1,6 @@
 """Core geometry: radial splitting, chart meshing, measure, level curves."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -31,6 +33,7 @@ from quadrature_oracle import (
     cut_cell_integrals,
     cut_cell_shells,
     fan_radial_integrals,
+    in_plane_one_pass,
     integrand_of,
 )
 
@@ -192,6 +195,13 @@ def test_long_thin_triangles_keep_their_area():
     gram = (u * u).sum(-1) * (v * v).sum(-1) - ((u * v).sum(-1)) ** 2
     np.testing.assert_allclose(triangle_areas(corners), 0.5 * np.sqrt(gram),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_centroids_are_the_corner_means(coarse, name):
+    mesh = coarse(name).mesh
+    assert (mesh.centroids().tobytes()
+            == mesh.corners().mean(axis=1).tobytes())
 
 
 def test_mesh_validation_catches_bad_topology():
@@ -447,6 +457,34 @@ def test_radial_integrals_bitwise_match_the_one_pass_form(coarse, name,
             got = radial_integrals(mesh, a, radii, kind)
             want = fan_radial_integrals(mesh, a, radii, kind)
             assert got.tobytes() == want.tobytes(), (kind, radii)
+
+
+@pytest.mark.parametrize("name,center", FAN_CASES)
+def test_in_plane_bitwise_matches_the_one_pass_form(coarse, name, center):
+    spec = coarse(name)
+    a = spec.base_point if center is None else np.array(center)
+    for got, want in zip(_in_plane(spec.mesh, a),
+                         in_plane_one_pass(spec.mesh, a)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_in_plane_memory_is_its_outputs_and_one_block(coarse):
+    # helicoid `coarse`, 24,576 triangles in six blocks: beyond its outputs
+    # the blocked pass needs under 3 MiB of numpy memory (1.6 measured); the
+    # one-pass form needs 8.4 MiB more than its outputs
+    spec = coarse("helicoid")
+    mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
+                             truncation_radius=spec.mesh.truncation_radius)
+    mesh.corners(), mesh.frames(), mesh.centroids()
+    mesh.about(spec.base_point)
+    tracemalloc.start()
+    try:
+        out = _in_plane(mesh, spec.base_point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mesh.triangles) > 4 * _BLOCK_TRIANGLES
+    assert peak < sum(a.nbytes for a in out) + 3 * 2**20
 
 
 def test_bitwise_cases_cross_block_edges(coarse):

@@ -77,6 +77,20 @@ def test_grassmann_frames_orthonormal(n, p, rng):
     assert np.abs(cross).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_blockwise_frames_equal_one_qr_call(n):
+    # QR-factoring block by block, across a block edge, gives the frames
+    # one stacked call gives, bit for bit
+    m = 2 * ig._BLOCK_FRAMES + 5
+    draws = np.random.default_rng(n).standard_normal((m, n, n))
+    q, r = np.linalg.qr(draws, mode="complete")
+    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    q *= sign[:, None, :]
+    sec, comp = ig._signed_qr_frames(draws, n - 2)
+    assert sec.tobytes() == np.swapaxes(q[:, :, :n - 2], 1, 2).tobytes()
+    assert comp.tobytes() == np.swapaxes(q[:, :, n - 2:], 1, 2).tobytes()
+
+
 def test_grassmann_moments(rng):
     # lines in R^3: E<e, d>^2 = 1/3, sd of the mean = sqrt(4/45/m)
     sec, _ = ig.sample_grassmann(3, 2, 100000, rng)
@@ -196,6 +210,24 @@ def _all_pairs_counts(hit_test, T, sections, complements, radii):
         hits, g = hit_test(sec, comp, ti, si, radii)
         counts[:, sl], gray[sl] = ig._per_section(si, hits, g, len(sec))
     return counts, gray
+
+
+@pytest.mark.parametrize("name", ["catenoid", "enneper", "helicoid"])
+def test_cap_index_equals_one_stable_sort(coarse, monkeypatch, name):
+    # the index built in chunks lists the same triangles in the same order
+    # as one stable sort of every listing, across chunk edges
+    spec = coarse(name)
+    r_hi = inv.max_safe_radius(spec.mesh, spec.base_point)
+    offset, floor = ig._pruned_triangles(spec.mesh, spec.base_point, r_hi)[3:]
+    seen, build = [], ig._cap_index
+    monkeypatch.setattr(ig, "_cap_index",
+                        lambda *args: seen.append(args) or build(*args))
+    ig._cap_cull(offset, floor)
+    (args,) = seen
+    got, want = build(*args), counting_oracle.cap_index_one_sort(*args)
+    assert len(got[0]) > 2 * ig._CAP_CHUNK
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _planted_lines():

@@ -172,12 +172,14 @@ def test_reports_are_byte_identical(plane_runs):
     a, b = plane_runs
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "sweeps.csv").read_bytes() == (b / "sweeps.csv").read_bytes()
-    # run.log carries wall time and is allowed to differ; it must still exist
-    assert (a / "run.log").exists() and (b / "run.log").exists()
+    # run.log carries wall time and peak resident memory and is allowed to
+    # differ; each run must still write it, with its own peak memory
+    log, log_b = (dict(line.split(" ", 1) for line in
+                       (out / "run.log").read_text().splitlines())
+                  for out in plane_runs)
+    assert float(log["peak_rss_mb"]) > 0 and float(log_b["peak_rss_mb"]) > 0
     # with counting on it says how many pairs the cull proposed and how many
     # it left for the exact test
-    log = dict(line.split(" ", 1)
-               for line in (a / "run.log").read_text().splitlines())
     cells = int(log["counting_cells"])
     candidates = int(log["counting_candidates"])
     assert 0 < int(log["counting_pairs_tested"]) <= candidates < cells
