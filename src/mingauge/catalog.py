@@ -618,6 +618,8 @@ def spherical_region(kind: str, angle: float | None = None,
 
     A ``ConfigError`` names the ``mingauge crofton`` flag at fault.
     """
+    if refinement < 0:
+        raise ConfigError("refinement", "must be at least 0")
     if kind == "full":
         _check_budget({"subdivisions": refinement}, "refinement")
         return icosphere(refinement, 1.0, (0.0, 0.0, 0.0), name="sphere_full")

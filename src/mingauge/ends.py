@@ -151,16 +151,6 @@ def _end_counts(mesh: SimplicialSurface, center: np.ndarray, radii):
             rounds + rim_rounds)
 
 
-def components_outside(mesh: SimplicialSurface, center, radius: float):
-    """``(unbounded, bounded)``: counts of the components outside the ball
-    |x - center| > radius that do / do not reach the truncation rim."""
-    if mesh.truncation_radius is not None and radius >= mesh.truncation_radius:
-        raise ValueError("cut radius must stay below the truncation radius")
-    unbounded, bounded, _, _ = _end_counts(
-        mesh, np.asarray(center, dtype=float), [radius])
-    return int(unbounded[0]), int(bounded[0])
-
-
 @dataclass
 class EndCount:
     """End counts across a sweep of radii."""

@@ -14,7 +14,7 @@ from .meshing import (
     polar_disk_mesh,
     spherical_cap_mesh,
 )
-from .quadrature import integrate_with_error, radial_integrals, triangle_rule
+from .quadrature import integrate_with_error, radial_integrals
 from .levels import distance_index, level_chords
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "radial_integrals",
     "spherical_cap_mesh",
     "triangle_areas",
-    "triangle_rule",
     "wedge",
 ]

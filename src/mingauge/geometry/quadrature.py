@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import triangle_areas
-
 KINDS = ("area", "inverse_power", "defect")
 # heights below this fraction of the corners' distance are roundoff
 _FLAT = 1e-12
@@ -40,26 +38,6 @@ _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 # in-plane data and whole-triangle integrals run this many triangles at a
 # time, so that each (block, 3) temporary stays in cache
 _BLOCK_TRIANGLES = 4096
-
-# 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
-_A1, _W1 = 0.445948490915965, 0.223381589678011
-_A2, _W2 = 0.091576213509771, 0.109951743655322
-TRI6_BARY = np.array(
-    [
-        [1 - 2 * _A1, _A1, _A1], [_A1, 1 - 2 * _A1, _A1], [_A1, _A1, 1 - 2 * _A1],
-        [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2],
-    ]
-)
-TRI6_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
-
-
-def triangle_rule(mesh, f) -> float:
-    """Integral of ``f(points) -> values`` over the whole mesh, 6-node rule."""
-    corners = mesh.corners()
-    nodes = np.einsum("qb,mbn->mqn", TRI6_BARY, corners)
-    m, q, n = nodes.shape
-    vals = np.asarray(f(nodes.reshape(m * q, n)), dtype=float)
-    return float(vals.reshape(m, q) @ TRI6_W @ triangle_areas(corners))
 
 
 def _cross(x, y):

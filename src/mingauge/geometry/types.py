@@ -198,9 +198,6 @@ class SimplicialSurface:
     def ambient_dim(self) -> int:
         return self.vertices.shape[1]
 
-    def total_area(self) -> float:
-        return float(self.areas().sum())
-
 
 def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
     """Number of mesh vertices within 1e-9 (1 + |center|) of ``center``:

@@ -15,13 +15,14 @@ hit test only when the section passes within the triangle's corner spread of
 its centroid, which it does when its angle to the centroid direction is at
 most the triangle's cap half-angle.  For lines in R^3 the caps are indexed on
 a lat-long grid of S^2, so a line tests only the triangles listed under its
-own and its opposite direction's cells; crofton_verify is the same line
-count with base 0.  For 2-planes in R^4 the triangles are grouped by
-centroid direction and cap half-angle, so a 2-plane tests each group's cap
-and only then its members.  One test serves every n:
-the hit's barycentric coordinates are ratios of dot products between the
-Plucker coordinates of the triangle and of the section's complement, and the
-hit counts inside radius r when its offset w from the base has |w| <= r.
+own and its opposite direction's cells.  crofton_verify is the same line
+count with base 0 on a region of the unit sphere: its mean, times half the
+sphere's area, is the region's area.  For 2-planes in R^4 the triangles are
+grouped by centroid direction and cap half-angle, so a 2-plane tests each
+group's cap and only then its members.  One test serves every n: the hit's
+barycentric coordinates are ratios of dot products between the Plucker
+coordinates of the triangle and of the section's complement, and the hit
+counts inside radius r when its offset w from the base has |w| <= r.
 A pair is gray, its count not trusted, when the section is near-parallel to
 the triangle, when the hit lies within EDGE_EPS of an edge in barycentric
 terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
@@ -34,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IdentityNotApplicableError, InvalidFrameError
-from .geometry import triangle_rule, wedge
-from .invariants import max_safe_radius, on_surface_multiplicity, sphere_area
+from .geometry import wedge
+from .invariants import on_surface_multiplicity, sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
@@ -120,17 +121,6 @@ def _signed_qr_frames(columns, k):
         q[:, :, :sign.shape[1]] *= sign[:, None, :]
         sections[sl] = np.swapaxes(q[:, :, :k], 1, 2)
         complements[sl] = np.swapaxes(q[:, :, k:], 1, 2)
-    return sections, complements
-
-
-def _complete_frames(directions):
-    """Orthonormalize (m, k, n) direction rows and append complements."""
-    d = np.asarray(directions, dtype=float)
-    sections, complements = _signed_qr_frames(np.swapaxes(d, 1, 2),
-                                              d.shape[1])
-    # after the sign fix each row's component along its direction is |R_jj|
-    if np.any(np.einsum("mkn,mkn->mk", sections, d) < 1e-12):
-        raise InvalidFrameError("section directions are linearly dependent")
     return sections, complements
 
 
@@ -363,22 +353,21 @@ def _group_cull(offset, floor):
     return cull, int(per_section) + 1
 
 
-def _hit_test(A, e1, e2, base, split=False):
+def _hit_test(A, e1, e2, base):
     """Exact pair test of (n-2)-plane sections against triangles, any n.
 
     A section meets triangle ``A + alpha e1 + beta e2`` where its complement
     rows ``c1``, ``c2`` annihilate ``alpha e1 + beta e2 - t`` (t = base - A),
     a 2 x 2 system whose Cramer determinants are dot products of 2-vectors:
     ``det = C.(e1^e2)``, ``alpha det = C.(t^e2)``, ``beta det = C.(e1^t)``
-    with ``C = c1^c2``.  With ``split`` a last row of hits keeps those of the
-    outermost radius ahead of the base along the section's first row.
+    with ``C = c1^c2``.
     """
     t = base - A
     E, Ea, Eb = wedge(e1, e2), wedge(t, e2), wedge(e1, t)
     det_scale = np.linalg.norm(E, axis=1) + 1e-300
     eps = EDGE_EPS
 
-    def test(sections, complements, ti, si, radii):
+    def test(complements, ti, si, radii):
         C = np.take(wedge(complements[:, 0], complements[:, 1]), si, axis=0)
         det = np.einsum("pk,pk->p", np.take(E, ti, axis=0), C)
         safe = np.abs(det) > 1e-13 * np.take(det_scale, ti)
@@ -393,11 +382,8 @@ def _hit_test(A, e1, e2, base, split=False):
              + b[:, None] * np.take(e2, tp, axis=0) - np.take(t, tp, axis=0))
         rho2 = np.einsum("pn,pn->p", w, w)
         r2 = radii[:, None] * radii[:, None]
-        hits = np.zeros((len(radii) + split, len(ti)), dtype=bool)
-        hits[:len(radii), pot] = inside & (rho2 <= r2)
-        if split:
-            ahead = np.einsum("pn,pn->p", w, sections[si[pot], 0]) > 0
-            hits[-1, pot] = hits[-2, pot] & ahead
+        hits = np.zeros((len(radii), len(ti)), dtype=bool)
+        hits[:, pot] = inside & (rho2 <= r2)
         gray = ~safe
         gray[pot] = ~inside | np.any(np.abs(rho2 - r2) <= 3.0 * eps * r2,
                                      axis=0)
@@ -424,20 +410,16 @@ def _jitter_frames(sections, complements, rng):
 class _SectionCounts(NamedTuple):
     """Section counts and the work that produced them."""
 
-    counts: np.ndarray    # (num_radii [+ 1 ahead], S) intersection counts
+    counts: np.ndarray    # (num_radii, S) intersection counts
     jittered: int         # section recounts forced by the gray zone
     cells: int            # pruned triangles x sections
     candidates: int       # pairs the cull proposed to its floor test
     pairs_tested: int     # culled pairs given the exact test, all rounds
 
 
-def _count_sections(mesh, base, sections, complements, radii, rng,
-                    split=False) -> _SectionCounts:
-    """(num_radii, S) intersection counts inside |x - base| <= r, jittered.
-
-    With ``split`` a last row counts the hits inside the outermost radius
-    that lie ahead of the base along each section's first row.
-    """
+def _count_sections(mesh, base, sections, complements, radii,
+                    rng) -> _SectionCounts:
+    """(num_radii, S) intersection counts inside |x - base| <= r, jittered."""
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0):
@@ -462,11 +444,11 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
         raise InvalidFrameError("section frame shapes do not match the mesh")
     A, e1, e2, offset, floor = _pruned_triangles(mesh, base, radii.max())
     S = sections.shape[0]
-    counts = np.zeros((len(radii) + split, S), dtype=np.int64)
+    counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = candidates = pairs_tested = 0
     if len(A) == 0:
         return _SectionCounts(counts, jittered, 0, candidates, pairs_tested)
-    hit_test = _hit_test(A, e1, e2, base, split)
+    hit_test = _hit_test(A, e1, e2, base)
     if n == 3:
         cull, cost = _cap_cull(offset, floor)
     else:
@@ -480,7 +462,7 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
             ti, si, proposed = cull(sec)
             candidates += proposed
             pairs_tested += len(ti)
-            hits, pair_gray = hit_test(sec, comp, ti, si, radii)
+            hits, pair_gray = hit_test(comp, ti, si, radii)
             c_blk, gray = _per_section(si, hits, pair_gray, len(sec))
             if not gray.any():
                 break
@@ -492,28 +474,6 @@ def _count_sections(mesh, base, sections, complements, radii, rng,
         counts[:, sl] = c_blk
     return _SectionCounts(counts, jittered, len(A) * S, candidates,
                           pairs_tested)
-
-
-def plane_mesh_intersections(mesh, base, sections, complements=None,
-                             radius=None):
-    """Intersection counts of explicit section frames against the mesh.
-
-    ``sections`` is (S, n-2, n) direction rows through ``base``; they are
-    orthonormalized and completed via QR when ``complements`` is not given,
-    and linearly dependent rows raise ``InvalidFrameError``.  Returns
-    (counts (S,), jitter_events).
-    """
-    sections = np.asarray(sections, dtype=float)
-    if complements is None:
-        sections, complements = _complete_frames(sections)
-    else:
-        complements = np.asarray(complements, dtype=float)
-    if radius is None:
-        radius = max_safe_radius(mesh, base, margin=1.0)
-    rng = np.random.default_rng(0)
-    out = _count_sections(mesh, base, sections, complements,
-                          [float(radius)], rng)
-    return out.counts[0], out.jittered
 
 
 def counting_sweep(mesh, base, radii, samples: int = 20000,
@@ -576,54 +536,36 @@ def geodesic_area(mesh) -> float:
     return float(np.sum(2.0 * np.arctan2(trip, den)))
 
 
-def crofton_verify(region, samples: int = 100000, seed: int | None = None,
-                   f=None) -> dict:
-    """Check: integral over a spherical region = (omega/2) x mean over random
-    lines through the origin of the weighted hit count on that region.
+def crofton_verify(region, samples: int = 100000,
+                   seed: int | None = None) -> dict:
+    """Check: area of a spherical region = (omega/2) x mean number of times
+    a random line through the origin meets it.
 
     A line along ``u`` meets a flat triangle with corners on the unit sphere
     exactly when ``u`` or ``-u`` lies in its geodesic triangle, so the hits
-    are section counts with base 0 inside radius 2, split by the sign of the
-    hit parameter.  With f = None (indicator weight) the left side is the
-    exact geodesic area, so closed regions and geodesic hemispheres must agree
-    to roundoff; a general weight f(points)->values falls back to
-    flat-triangle quadrature on the left.  Antipodal pairs share one sample,
-    which makes the hemisphere estimator exactly variance-free.
+    are section counts with base 0 inside radius 2.  The left side is the
+    exact geodesic area, so closed regions and geodesic hemispheres must
+    agree to roundoff.  Antipodal pairs share one sample, which makes the
+    hemisphere estimator exactly variance-free.
     """
     if seed is None:
         raise ValueError("seed is required: the check is Monte-Carlo based")
     rng = np.random.default_rng(seed)
     sections, complements = sample_grassmann(3, 2, samples, rng)
     out = _count_sections(region, np.zeros(3), sections, complements, [2.0],
-                          rng, split=True)
-    total, ahead = out.counts
-    U = sections[:, 0, :]
-
-    if f is None:
-        values = total.astype(float)
-        lhs = geodesic_area(region)
-        lhs_err = 0.0
-    else:
-        values = ahead * np.asarray(f(U), dtype=float)
-        values = values + (total - ahead) * np.asarray(f(-U), dtype=float)
-        lhs = triangle_rule(region, f)
-        # flat-triangle quadrature differs from the geodesic set by the
-        # polyhedral area deficit; the error bar is that deficit
-        flat_gap = abs(geodesic_area(region) - region.total_area())
-        lhs_err = flat_gap * (np.max(np.abs(values)) + 1.0)
-
+                          rng)
+    values = out.counts[0].astype(float)
+    lhs = geodesic_area(region)
     factor = 0.5 * sphere_area(3)
-    mean = float(values.mean())
     ci = float(factor * 1.96 * values.std(ddof=1) / sqrt(samples))
-    rhs = factor * mean
+    rhs = factor * float(values.mean())
     floor = 1e-9 * max(1.0, abs(lhs))  # roundoff allowance for exact cases
     return {
         "lhs": float(lhs),
         "rhs": float(rhs),
         "ci95": ci,
-        "lhs_error": float(lhs_err),
         "gap": float(abs(lhs - rhs)),
-        "passed": bool(abs(lhs - rhs) <= ci + lhs_err + floor),
+        "passed": bool(abs(lhs - rhs) <= ci + floor),
         "samples": int(samples),
         "jittered": int(out.jittered),
         "seed": int(seed),
@@ -681,21 +623,18 @@ def counting_bound_constant(p: int = 2, route: str = "gamma") -> float:
     raise ValueError("route must be 'gamma' or 'sphere'")
 
 
-def check_ends_counting_bound(num_ends: int, max_count: int,
-                              starlike: bool = True) -> dict:
+def check_ends_counting_bound(num_ends: int, max_count: int) -> dict:
     """Falsification check: end count <= constant x max section count.
 
-    The non-starlike form doubles the constant; both are reported so the
-    sharper starlike version can be exercised where it applies.
+    The check takes the sharper, starlike constant; the report states the
+    non-starlike one, twice it, as an estimate.
     """
     c = counting_bound_constant()
-    if not starlike:
-        c = 2.0 * c
     bound = c * max_count
     return {
         "passed": bool(num_ends <= bound + 1e-12),
         "margin": float(bound - num_ends),
         "detail": {"ends": int(num_ends), "max_count": int(max_count),
-                   "constant": float(c), "starlike": bool(starlike),
+                   "constant": float(c), "starlike": True,
                    "bound": float(bound)},
     }

@@ -41,6 +41,7 @@ from .geometry import (
 from .ends import rim_vertex_mask, triangle_components
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss nodes on a segment
+_SAFE_MARGIN = 0.98  # share of the covered radius max_safe_radius returns
 
 
 def sphere_area(p: int) -> float:
@@ -74,11 +75,6 @@ class FluxProfile:
     def normalized(self) -> np.ndarray:
         """raw / t^2: the monotone quantity converging to projective volume."""
         return self.raw / self.levels**2
-
-    @property
-    def empty_levels(self) -> np.ndarray:
-        """Levels where the sphere missed the mesh (flux recorded as 0)."""
-        return self.curve_lengths == 0.0
 
     def at(self, levels) -> "FluxProfile":
         """The profile restricted to ``levels``, each one traced here."""
@@ -139,13 +135,15 @@ def _flux_at(mesh, center, levels, profile: FluxProfile | None):
     return profile.at(levels)
 
 
-def max_safe_radius(mesh: SimplicialSurface, center, margin: float = 0.98) -> float:
-    """Largest |x - center| radius guaranteed covered by the truncated mesh."""
+def max_safe_radius(mesh: SimplicialSurface, center) -> float:
+    """Largest |x - center| radius guaranteed covered by the truncated mesh,
+    with a 2% margin."""
     center = np.asarray(center, dtype=float)
     with np.errstate(over="ignore"):  # a center past 1e154 is +inf away
         if mesh.truncation_radius is None:
-            return margin * float(mesh.about(center)["distances"].max())
-        return margin * (mesh.truncation_radius - float(np.linalg.norm(center)))
+            return _SAFE_MARGIN * float(mesh.about(center)["distances"].max())
+        return _SAFE_MARGIN * (mesh.truncation_radius
+                               - float(np.linalg.norm(center)))
 
 
 def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
@@ -161,7 +159,7 @@ def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
 # headline invariants
 
 
-def projective_volume(mesh: SimplicialSurface, center, levels=None,
+def projective_volume(mesh: SimplicialSurface, center,
                       profile: FluxProfile | None = None) -> dict:
     """Projective volume via two routes: flux limit and log-growth slope.
 
@@ -170,17 +168,15 @@ def projective_volume(mesh: SimplicialSurface, center, levels=None,
     (plane-like ends decay as 1/t^2, curved graphs as 1/t).  Route two fits
     integral(|x - a|^(-2)) against log(radius) and reads off the slope; from
     a base on the surface that integral diverges, so it is anchored at the
-    first fit level instead (the slope ignores the constant).  ``profile``, a
-    flux sweep already traced, replaces ``levels``.
+    first fit level instead (the slope ignores the constant).  ``profile`` is
+    a flux sweep already traced; without one ``level_grid`` is traced here.
     Disagreement between the routes, or a bad tail fit, folds into the error;
     past 10% the estimate is flagged as truncation-limited (the surface may
     have unbounded density, or the mesh may simply be cut too soon).
     """
     center = np.asarray(center, dtype=float)
     if profile is None:
-        if levels is None:
-            levels = level_grid(mesh, center)
-        profile = flux_profile(mesh, center, np.asarray(levels, dtype=float))
+        profile = flux_profile(mesh, center, level_grid(mesh, center))
     levels = profile.levels
     flux_at_rim = float(profile.normalized[-1])
     quad_err = float(profile.errors[-1] / levels[-1] ** 2)

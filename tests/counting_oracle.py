@@ -36,18 +36,16 @@ def _barycentric_zones(det, det_scale, a_num, b_num, eps):
     return alpha, beta, inside, potential, gray
 
 
-def _line_hit_test(A, e1, e2, base, split=False):
+def _line_hit_test(A, e1, e2, base):
     """Pair test for line sections in R^3 via cross-product Cramer solves.
 
-    The hit lies at ``base + (s / det) u``.  With ``split`` a last row of
-    hits keeps those of the outermost radius ahead of the base (s / det > 0).
+    The hit lies at ``base + (s / det) u``.
     """
     tvec = base - A
     w_det = np.cross(e2, e1)
     w_alpha = np.cross(e2, tvec)
     w_beta = np.cross(tvec, e1)
-    s_num = np.einsum("tn,tn->t", e2, w_beta)
-    abs_s = np.abs(s_num)
+    abs_s = np.abs(np.einsum("tn,tn->t", e2, w_beta))
     det_scale = np.linalg.norm(w_det, axis=1) + 1e-300
 
     def test(sections, complements, ti, si, radii, eps):
@@ -59,12 +57,10 @@ def _line_hit_test(A, e1, e2, base, split=False):
             det, np.take(det_scale, ti), a_num, b_num, eps)
         s = np.take(abs_s, ti)
         abs_det = np.abs(det)
-        hits = np.empty((len(radii) + split, len(ti)), dtype=bool)
+        hits = np.empty((len(radii), len(ti)), dtype=bool)
         for k, r in enumerate(radii):
             hits[k] = inside & (s <= r * abs_det)
             gray |= potential & (np.abs(s - r * abs_det) <= eps * r * abs_det)
-        if split:
-            hits[-1] = hits[-2] & (np.take(s_num, ti) * det > 0)
         return hits, gray
 
     return test

@@ -17,15 +17,18 @@ per-node ``u`` arrays on whole edges, on the in-plane data of
 import numpy as np
 
 from mingauge.geometry import decompose_radial, triangle_areas
-from mingauge.geometry.quadrature import (
-    _GL_U,
-    _GL_W,
-    TRI6_BARY,
-    TRI6_W,
-    _FLAT,
-    _cross,
-    _dot,
+from mingauge.geometry.quadrature import _GL_U, _GL_W, _FLAT, _cross, _dot
+
+# 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
+_A1, _W1 = 0.445948490915965, 0.223381589678011
+_A2, _W2 = 0.091576213509771, 0.109951743655322
+TRI6_BARY = np.array(
+    [
+        [1 - 2 * _A1, _A1, _A1], [_A1, 1 - 2 * _A1, _A1], [_A1, _A1, 1 - 2 * _A1],
+        [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2],
+    ]
 )
+TRI6_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
 def split4(corners, owners):

@@ -11,7 +11,6 @@ from mingauge.ends import (
     _end_counts,
     _max_forest,
     check_ends_bound,
-    components_outside,
     ends_estimate,
     triangle_components,
 )
@@ -59,8 +58,6 @@ def test_stabilized_well_before_truncation(coarse):
 
 def test_components_outside_radius_guard(catenoid_coarse):
     with pytest.raises(ValueError):
-        components_outside(catenoid_coarse.mesh, np.zeros(3), 250.0)
-    with pytest.raises(ValueError):
         ends_estimate(catenoid_coarse.mesh, np.zeros(3),
                       radii=np.array([10.0, 190.0]))
 
@@ -79,7 +76,8 @@ def test_adjacency_requires_outside_edge_endpoint():
     # the shared edge (0,1) is used twice, the rest once
     mesh = SimplicialSurface(verts, tris, boundary_edges=boundary[:4],
                              truncation_radius=None)
-    assert components_outside(mesh, np.zeros(3), 1.0) == (0, 2)
+    out = ends_estimate(mesh, np.zeros(3), radii=[1.0])
+    assert list(out.counts) == [0] and list(out.bounded_counts) == [2]
     labels, count = triangle_components(mesh, np.ones(2, dtype=bool))
     assert count == 1  # under shared edges alone they merge
 

@@ -143,7 +143,7 @@ def test_mesh_from_chart_catenoid_area_converges_second_order():
     errs = []
     for k in (16, 32, 64):
         mesh = mesh_from_chart(catenoid_chart(c, u_max), (k, k))
-        errs.append(abs(mesh.total_area() - exact))
+        errs.append(abs(mesh.areas().sum() - exact))
     assert errs[1] / errs[0] < 0.35
     assert errs[2] / errs[1] < 0.35
     order = np.log2(errs[0] / errs[1])
@@ -186,7 +186,7 @@ def test_long_thin_triangles_keep_their_area():
     mesh = mesh_from_chart(ImmersionChart("thin", (0, 1, 0, 1), ev, de),
                            (4, 4))
     np.testing.assert_allclose(mesh.areas(), 0.5 * 2.5e7 * 0.25, rtol=1e-12)
-    assert mesh.total_area() == pytest.approx(1e8, rel=1e-12)
+    assert mesh.areas().sum() == pytest.approx(1e8, rel=1e-12)
     # on well-shaped triangles in R^3 and R^4 both formulas agree
     corners = np.random.default_rng(3).normal(size=(2, 50, 3, 4))
     corners[0, ..., 3] = 0.0
@@ -298,7 +298,7 @@ def test_spherical_region_topology_matches_loop_oracle(kind, angle):
 def test_icosphere_area_and_closedness():
     mesh = icosphere(subdivisions=4, radius=2.0, center=(1.0, -1.0, 0.5))
     assert len(mesh.boundary_edges) == 0
-    assert mesh.total_area() == pytest.approx(4 * np.pi * 4.0, rel=2e-3)
+    assert mesh.areas().sum() == pytest.approx(4 * np.pi * 4.0, rel=2e-3)
     d = np.linalg.norm(mesh.vertices - np.array([1.0, -1.0, 0.5]), axis=1)
     assert np.allclose(d, 2.0, atol=1e-12)
 
@@ -317,7 +317,7 @@ def test_surface_measure_disk_region():
 def test_surface_measure_without_region_is_total_area():
     mesh = flat_disk(radius=1.0, rings=24, sectors=48)
     shells = radial_integrals(mesh, np.array([0.1, 0.2, 0.0]), [0.5, np.inf])
-    assert shells.sum() == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert shells.sum() == pytest.approx(mesh.areas().sum(), rel=1e-12)
 
 
 def test_radial_integrals_one_pass_matches_one_ball_each():

@@ -58,7 +58,7 @@ def test_catenoid_flux_matches_1d_oracle(catenoid_default):
 def test_flux_below_surface_is_flagged_empty(catenoid_coarse):
     prof = inv.flux_profile(catenoid_coarse.mesh, catenoid_coarse.base_point,
                             [0.5, 2.0])
-    assert prof.empty_levels[0] and not prof.empty_levels[1]
+    assert prof.curve_lengths[0] == 0.0 and prof.curve_lengths[1] > 0.0
     assert prof.raw[0] == 0.0
     with pytest.raises(ValueError):
         inv.flux_profile(catenoid_coarse.mesh, catenoid_coarse.base_point,
@@ -328,8 +328,8 @@ def test_scaling_invariance(catenoid_coarse):
     p0 = inv.flux_profile(m, a, levels)
     p1 = inv.flux_profile(doubled, 2.0 * a, 2.0 * levels)
     np.testing.assert_allclose(p1.normalized, p0.normalized, rtol=1e-10)
-    v0 = inv.projective_volume(m, a, levels=levels)
-    v1 = inv.projective_volume(doubled, 2.0 * a, levels=2.0 * levels)
+    v0 = inv.projective_volume(m, a, profile=p0)
+    v1 = inv.projective_volume(doubled, 2.0 * a, profile=p1)
     assert v1["value"] == pytest.approx(v0["value"], rel=1e-10)
     q0 = inv.radial_defect(m, a, radius=float(levels[-1]))
     q1 = inv.radial_defect(doubled, 2.0 * a, radius=2.0 * float(levels[-1]))

@@ -1,4 +1,5 @@
-"""Every keyword parameter with a default has a caller that sets it.
+"""Every keyword parameter with a default has a caller that sets it, and
+every function the package defines has a user in the package.
 
 A default that no call ever overrides is a constant dressed as an option:
 it doubles the configurations a reader must consider without any caller
@@ -9,6 +10,12 @@ no call passes, by keyword or by position.  Calls are matched to functions
 by name only, so a name shared by two functions lets either one's callers
 count for both; a call that unpacks ``*args`` or ``**kwargs`` counts as
 passing every positional or keyword parameter it could reach.
+
+Likewise a function that only tests reach is a second program kept alive
+beside the one that ships.  The second scan lists every ``def`` in
+``src/mingauge`` whose name no code in ``src/`` uses, as a name or an
+attribute, outside that def's own body.  Strings (``__all__``) do not count.
+Dunders and the functions the acceptance tests import are exempt.
 """
 import ast
 from collections import defaultdict
@@ -17,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mingauge"
 CALLER_DIRS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _trees(dirs):
@@ -142,3 +150,54 @@ def test_the_scan_lists_an_option_no_call_sets():
     calls = ast.parse("f(1, 2)\nK().m(3)\nD(1)\n")
     assert unset_options([("s", source)], [("c", calls)]) == [
         "s:10 D(b)", "s:2 f(c)", "s:5 m(y)"]
+
+
+def unused_defs(trees, exempt=()):
+    """Sorted ``"file:line name"`` strings, one per def in ``trees`` (``(path,
+    ast)`` pairs) whose name no Name or Attribute node of ``trees`` outside
+    the def itself uses; dunders and the names in ``exempt`` are skipped."""
+    uses, defs = defaultdict(list), []
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((path, node))
+    out = []
+    for path, node in defs:
+        name = node.name
+        if name in exempt or (name.startswith("__") and name.endswith("__")):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(use) in inside for use in uses[name]):
+            out.append(f"{path}:{node.lineno} {name}")
+    return sorted(out)
+
+
+def _imported_names(path):
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_function_has_a_user_in_the_package():
+    unused = unused_defs(_trees([PACKAGE]), _imported_names(ACCEPTANCE))
+    assert not unused, ("functions only tests reach; delete them or move "
+                        "them to the tests:\n  " + "\n  ".join(unused))
+
+
+def test_the_scan_lists_a_def_only_its_own_body_uses():
+    # recursion and a string do not count; a call, a reference through an
+    # attribute and a nested def returned by name do
+    source = ast.parse(
+        "__all__ = ['dead']\n"
+        "def dead(n):\n    return dead(n - 1)\n"
+        "def called():\n    pass\n"
+        "class K:\n    def via_attr(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "def outer():\n    def inner():\n        pass\n    return inner\n"
+        "def main():\n    called()\n    K().via_attr()\n    outer()\n"
+        "def kept():\n    pass\n")
+    assert unused_defs([("s", source)], exempt={"kept"}) == [
+        "s:15 main", "s:2 dead"]

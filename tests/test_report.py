@@ -645,6 +645,22 @@ def test_cli_crofton_hemisphere_exact():
     assert float(lines["ci95"]) == 0.0
 
 
+def test_cli_crofton_cap_stdout_is_pinned():
+    # the cap's line estimate is Monte-Carlo, not exact: any change to how
+    # lines are drawn, culled or counted moves these digits
+    proc = run_cli(["crofton", "--set", "cap", "--angle", "1.2",
+                    "--samples", "50000", "--seed", "0"])
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "region          cap (angle 1.2)\n"
+        "area integral   4.00571812\n"
+        "line estimate   4.00213771\n"
+        "gap             3.580e-03\n"
+        "ci95            2.648e-02\n"
+        "samples         50000 (jittered 0)\n"
+        "passed\n")
+
+
 def test_cli_crofton_usage_errors():
     proc = run_cli(["crofton", "--set", "cap", "--samples", "500",
                     "--seed", "1"])
@@ -672,6 +688,8 @@ def test_cli_crofton_usage_errors():
     (["--set", "full", "--refinement", "9"], "refinement"),  # budget
     (["--set", "full", "--samples", "1000001"], "samples"),
     (["--set", "full", "--seed", "-1"], "seed"),
+    (["--set", "full", "--refinement", "-1"], "refinement"),
+    (["--set", "hemisphere", "--refinement", "-1"], "refinement"),
 ])
 def test_cli_crofton_flags_exit_2(args, flag):
     # each of these ended in a traceback, with exit 1
