@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ImmersionChart": ".geometry",
     "SimplicialSurface": ".geometry",
-    "decompose_radial": ".geometry",
     "level_chords": ".geometry",
     "mesh_from_chart": ".geometry",
     "radial_integrals": ".geometry",

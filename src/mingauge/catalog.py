@@ -22,6 +22,7 @@ from .geometry import (
     orthonormal_frame,
     polar_disk_mesh,
     spherical_cap_mesh,
+    tangent_part,
 )
 
 
@@ -683,8 +684,7 @@ def verify_minimality(chart: ImmersionChart) -> dict:
     frame = orthonormal_frame(xu, xv)
 
     def normal_part(w):
-        coef = np.einsum("...n,...kn->...k", w, frame)
-        return w - np.einsum("...k,...kn->...n", coef, frame)
+        return w - tangent_part(w, frame)
 
     H = (
         G[..., None] * normal_part(x_uu)

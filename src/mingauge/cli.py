@@ -8,8 +8,10 @@ Exit codes:
 ``MINGAUGE_THREADS=k`` caps the BLAS/OpenMP thread pools at k.  Unset, each
 pool defaults to 1 thread unless its own variable (``OPENBLAS_NUM_THREADS``
 and so on) is set: at the usual sizes no stage gains from more, and an idle
-pool spins a core.  ``MINGAUGE_THREADS=2`` brings back the one gain a second
-thread gives, 5-11% on n = 4 counting at 50,000 samples, for twice the CPU.
+pool spins a core.  A second thread costs wall time too: n = 4 counting at
+50,000 samples took 1.73 s with ``MINGAUGE_THREADS=2`` against 1.44 s at one
+thread (BENCH_16.json), and the helicoid benchmark report 0.70 s against
+0.58 s (BENCH_18.json), on a 2-core x86-64 host.
 The cap must land in the environment before numpy is first imported, which
 is why this module and the package root import nothing numerical at module
 scope.
@@ -75,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cro.add_argument("--seed", type=int, required=True,
                      help="random seed (runs are reproducible)")
     cro.add_argument("--refinement", type=int, default=3,
-                     help="angular refinement of the test region")
+                     help="how finely the region is triangulated; it "
+                          "sets the run time, not the printed result")
     cro.add_argument("--sectors", type=int, default=96,
                      help="azimuthal sectors for hemisphere/cap regions")
     return parser

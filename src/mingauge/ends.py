@@ -164,30 +164,24 @@ class EndCount:
     forest_rounds: int  # Boruvka rounds of both forests
 
 
-def ends_estimate(mesh: SimplicialSurface, center, radii=None) -> EndCount:
+def ends_estimate(mesh: SimplicialSurface, center) -> EndCount:
     """Count ends by sweeping the cut radius and requiring stabilization.
 
-    The estimate is trusted when the count is constant over the last 30% of
-    the sweep.
+    The sweep stops at 0.8x the radius the truncated mesh covers, so
+    truncation artifacts cannot merge or split components.  The estimate is
+    trusted when the count is constant over the last 30% of the sweep.
     """
     center = np.asarray(center, dtype=float)
-    if radii is None:
-        dist = mesh.about(center)["distances"]
-        if mesh.truncation_radius is not None:
-            hi = 0.8 * (mesh.truncation_radius - np.linalg.norm(center))
-        else:
-            hi = 0.9 * dist.max()
-        # from a base on the surface 1.3 x dmin is ~0 and would crowd the
-        # geometric sweep near the base; start where level_grid does
-        lo = (0.02 * hi if on_surface_multiplicity(mesh, center)
-              else 1.3 * dist.min() + 1e-9)
-        radii = np.geomspace(min(lo, 0.5 * hi), hi, 12)
-    radii = np.asarray(radii, dtype=float)
-    if mesh.truncation_radius is not None and radii.max() > 0.8 * mesh.truncation_radius:
-        raise ValueError(
-            "cut radii must stay at or below 0.8x the truncation radius so "
-            "truncation artifacts cannot merge or split components"
-        )
+    dist = mesh.about(center)["distances"]
+    if mesh.truncation_radius is not None:
+        hi = 0.8 * (mesh.truncation_radius - np.linalg.norm(center))
+    else:
+        hi = 0.9 * dist.max()
+    # from a base on the surface 1.3 x dmin is ~0 and would crowd the
+    # geometric sweep near the base; start where level_grid does
+    lo = (0.02 * hi if on_surface_multiplicity(mesh, center)
+          else 1.3 * dist.min() + 1e-9)
+    radii = np.geomspace(min(lo, 0.5 * hi), hi, 12)
     counts, bounded, edges, rounds = _end_counts(mesh, center, radii)
     tail = max(1, int(np.ceil(0.3 * len(radii))))
     stabilized = bool(np.all(counts[-tail:] == counts[-1]))

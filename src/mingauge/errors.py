@@ -6,7 +6,8 @@ class MingaugeError(Exception):
 
 
 class InvalidFrameError(MingaugeError):
-    """A tangent frame is not orthonormal to the required tolerance."""
+    """Section frames passed to the counter do not fit the mesh's ambient
+    dimension."""
 
 
 class DegenerateChartError(MingaugeError):

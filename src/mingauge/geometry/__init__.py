@@ -1,10 +1,9 @@
 from .types import (
     ImmersionChart,
     SimplicialSurface,
-    check_frame,
-    decompose_radial,
     on_surface_multiplicity,
     orthonormal_frame,
+    tangent_part,
     triangle_areas,
     wedge,
 )
@@ -20,8 +19,6 @@ from .levels import distance_index, level_chords
 __all__ = [
     "ImmersionChart",
     "SimplicialSurface",
-    "check_frame",
-    "decompose_radial",
     "distance_index",
     "icosphere",
     "integrate_with_error",
@@ -32,6 +29,7 @@ __all__ = [
     "polar_disk_mesh",
     "radial_integrals",
     "spherical_cap_mesh",
+    "tangent_part",
     "triangle_areas",
     "wedge",
 ]

@@ -11,9 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidFrameError, MeshTopologyError
+from ..errors import MeshTopologyError
 
-FRAME_TOL = 1e-9
 MIN_TRIANGLE_AREA = 1e-14
 
 
@@ -30,38 +29,12 @@ def orthonormal_frame(xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2], axis=-2)
 
 
-def check_frame(frame: np.ndarray) -> None:
-    """Raise InvalidFrameError unless every frame has orthonormal rows.
-
-    ``frame`` is one (k, n) frame or a batch of them shaped (..., k, n).
-    """
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim < 2:
-        raise InvalidFrameError(
-            f"frame must be shaped (..., k, n), got shape {frame.shape}")
-    f2 = frame.reshape(-1, frame.shape[-2], frame.shape[-1])
-    gram = np.einsum("kin,kjn->kij", f2, f2)
-    dev = np.max(np.abs(gram - np.eye(frame.shape[-2])))
-    if not np.isfinite(dev) or dev > FRAME_TOL:
-        raise InvalidFrameError(f"frame rows not orthonormal (deviation {dev:.3e})")
-
-
-def decompose_radial(point, a, frame, check: bool = True):
-    """Split ``point - a`` into its tangential and normal parts.
-
-    ``frame`` rows span the tangent plane at ``point``.  Supports batched
-    input: ``point`` (..., n), ``frame`` (..., 2, n), ``a`` (n,).
-    Returns (tangential, normal), both shaped like ``point``.
-    """
-    point = np.asarray(point, dtype=float)
-    frame = np.asarray(frame, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if check:
-        check_frame(frame)
-    x = point - a
+def tangent_part(x: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Projection of ``x`` onto the plane the orthonormal ``frame`` rows
+    span: ``x`` (..., n) and ``frame`` (..., 2, n) give (..., n); the normal
+    part is ``x - tangent_part(x, frame)``."""
     coef = np.einsum("...n,...kn->...k", x, frame)
-    tangential = np.einsum("...k,...kn->...n", coef, frame)
-    return tangential, x - tangential
+    return np.einsum("...k,...kn->...n", coef, frame)
 
 
 @dataclass
@@ -70,18 +43,17 @@ class SimplicialSurface:
 
     vertices         (V, n) float64 coordinates
     triangles        (T, 3) int vertex indices
-    boundary_edges   (B, 2) the edges used by one triangle, as sorted vertex
-                     pairs in lexicographic order; None takes them from the
-                     triangles, and a declared set (any order) is checked
     truncation_radius  |x| at which an unbounded surface was cut off, or None
     name             free-form label used in reports
+    boundary_edges   (B, 2) the edges used by one triangle, as sorted vertex
+                     pairs in lexicographic order, taken from the triangles
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray | None = None
     truncation_radius: float | None = None
     name: str = ""
+    boundary_edges: np.ndarray = field(init=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -179,20 +151,12 @@ class SimplicialSurface:
         return self._cache["interior_edge_pairs"]
 
     def _check_edges(self):
-        """Reject an edge of more than two triangles, or a declared boundary
-        other than the edges used once; keep the boundary as those edges."""
+        """Reject an edge of more than two triangles; keep the boundary as
+        the edges used once."""
         keys, _, counts, _ = self.edge_table()
         if counts.size and counts.max() > 2:
             raise MeshTopologyError("an edge is shared by more than two triangles")
-        single = keys[counts == 1]
-        if self.boundary_edges is not None:
-            be = np.sort(np.asarray(self.boundary_edges, dtype=np.int64)
-                         .reshape(-1, 2), axis=1)
-            if not np.array_equal(be[np.lexsort((be[:, 1], be[:, 0]))], single):
-                raise MeshTopologyError(
-                    f"declared boundary ({len(be)} edges) is not the set of "
-                    f"{len(single)} edges used by one triangle")
-        self.boundary_edges = single
+        self.boundary_edges = keys[counts == 1]
 
     @property
     def ambient_dim(self) -> int:

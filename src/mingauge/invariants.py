@@ -31,12 +31,12 @@ import numpy as np
 from .errors import IdentityNotApplicableError
 from .geometry import (
     SimplicialSurface,
-    decompose_radial,
     distance_index,
     integrate_with_error,
     level_chords,
     on_surface_multiplicity,
     radial_integrals,
+    tangent_part,
 )
 from .ends import rim_vertex_mask, triangle_components
 
@@ -62,14 +62,12 @@ class FluxProfile:
     raw[k] is the line integral of |tangent part of x - center| over the
     chords where the sphere |x - base| = levels[k] crosses the mesh
     triangles, one per crossed triangle; errors[k] the quadrature error
-    estimate for it (midpoint vs 2-point Gauss on each chord), and
-    curve_lengths[k] the chords' total length.
+    estimate for it (midpoint vs 2-point Gauss on each chord).
     """
 
     levels: np.ndarray
     raw: np.ndarray
     errors: np.ndarray
-    curve_lengths: np.ndarray
 
     @property
     def normalized(self) -> np.ndarray:
@@ -83,15 +81,14 @@ class FluxProfile:
                          len(self.levels) - 1)
         if not np.array_equal(self.levels[idx], levels):
             raise ValueError("flux profile lacks a requested level")
-        return FluxProfile(levels, self.raw[idx], self.errors[idx],
-                           self.curve_lengths[idx])
+        return FluxProfile(levels, self.raw[idx], self.errors[idx])
 
 
 def _segment_rule(A, B, integrand):
     """Line integral of ``integrand`` over the segments A[i] -> B[i].
 
-    Returns (2-point Gauss value, its error, segment lengths); the error is
-    the Gauss sum's distance from the midpoint sum plus a roundoff floor.
+    Returns (2-point Gauss value, its error); the error is the Gauss sum's
+    distance from the midpoint sum plus a roundoff floor.
     """
     d = B - A
     L = np.linalg.norm(d, axis=1)
@@ -100,7 +97,7 @@ def _segment_rule(A, B, integrand):
     g1 = integrand(mid - GAUSS_OFFSET * d)
     g2 = integrand(mid + GAUSS_OFFSET * d)
     v_gauss = float(np.sum(L * 0.5 * (g1 + g2)))
-    return v_gauss, abs(v_gauss - v_mid) + 1e-14 * abs(v_gauss), L
+    return v_gauss, abs(v_gauss - v_mid) + 1e-14 * abs(v_gauss)
 
 
 def flux_profile(mesh: SimplicialSurface, center, levels) -> FluxProfile:
@@ -111,7 +108,6 @@ def flux_profile(mesh: SimplicialSurface, center, levels) -> FluxProfile:
         raise ValueError("flux levels must be strictly increasing")
     raw = np.zeros(len(levels))
     errors = np.zeros(len(levels))
-    lengths = np.zeros(len(levels))
     for k, t in enumerate(levels):
         tris, ends, _ = level_chords(mesh, center, t)
         if len(tris) == 0:
@@ -119,12 +115,10 @@ def flux_profile(mesh: SimplicialSurface, center, levels) -> FluxProfile:
         frames = mesh.frames()[tris]
 
         def tang_norm(points):
-            tang, _ = decompose_radial(points, center, frames, check=False)
-            return np.linalg.norm(tang, axis=1)
+            return np.linalg.norm(tangent_part(points - center, frames), axis=1)
 
-        raw[k], errors[k], L = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
-        lengths[k] = L.sum()
-    return FluxProfile(levels, raw, errors, lengths)
+        raw[k], errors[k] = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
+    return FluxProfile(levels, raw, errors)
 
 
 def _flux_at(mesh, center, levels, profile: FluxProfile | None):
@@ -210,7 +204,6 @@ def projective_volume(mesh: SimplicialSurface, center,
         "slope_estimate": slope,
         "error": quad_err + max(disagreement, fit_rms),
         "flags": flags,
-        "profile": profile,
         "fit_levels": fit_levels,
         "log_integrals": log_integrals,
     }
@@ -279,7 +272,7 @@ def boundary_constant(mesh: SimplicialSurface, center,
         r = np.linalg.norm(x, axis=1)
         return np.sum(x * nu, axis=1) / r**2
 
-    value, error, _ = _segment_rule(va, vb, field_dot_nu)
+    value, error = _segment_rule(va, vb, field_dot_nu)
     return {
         "value": value,
         "error": error,

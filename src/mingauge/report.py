@@ -412,6 +412,12 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             f"the ball of radius {r_hi:.6g} about the base point, the "
             f"largest the mesh covers, misses the surface: its nearest "
             f"vertex is {d_min:.6g} away")
+    if config.mc_radii and config.mc_radii[-1] <= d_min:
+        # the sections would meet nothing, and the flux at the outermost
+        # counting radius reads 0 / 0 once its square underflows
+        raise ConfigError("mc.radii", f"the outermost radius "
+                          f"{config.mc_radii[-1]:.6g} reaches no mesh vertex: "
+                          f"the nearest is {d_min:.6g} away")
     given = base
     sheets = on_surface_multiplicity(mesh, base)
     if sheets:
@@ -458,8 +464,8 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     flux = flux_profile(mesh, base, np.unique(np.concatenate([levels, [
         0.5 * r_hi, *density_levels, shell_hi, 0.5 * r_count, r_count]]),
         return_index=True)[0])
-    vol = projective_volume(mesh, base, profile=flux.at(levels))
-    profile = vol["profile"]
+    profile = flux.at(levels)
+    vol = projective_volume(mesh, base, profile=profile)
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
         sweeps.append(("flux_normalized", float(t), float(raw / t**2),
                        float(err / t**2)))

@@ -4,13 +4,48 @@ This is the sphere-flux route the per-triangle chords replaced, kept as the
 oracle they are tested against.  Crossed edges are grouped by their vertex
 pair, segments are walked into open paths and loops, and the flux is summed
 polyline by polyline.  The chords must equal its segments bit for bit.
+
+``decompose_radial`` is the tangent/normal split the flux integrand used
+before ``geometry.tangent_part`` took its place; ``flux_oracle`` sums the
+chords with it, and the package's flux must match it bit for bit.
 """
 import numpy as np
 
 from mingauge.errors import MeshTopologyError
-from mingauge.geometry import decompose_radial
+from mingauge.geometry import level_chords
 from mingauge.geometry.levels import SNAP_REL
-from mingauge.invariants import GAUSS_OFFSET
+from mingauge.invariants import GAUSS_OFFSET, _segment_rule
+
+
+def decompose_radial(point, a, frame):
+    """``(tangential, normal)`` parts of ``point - a`` for the orthonormal
+    ``frame`` rows: ``point`` (..., n), ``frame`` (..., 2, n), ``a`` (n,)."""
+    point = np.asarray(point, dtype=float)
+    frame = np.asarray(frame, dtype=float)
+    a = np.asarray(a, dtype=float)
+    x = point - a
+    coef = np.einsum("...n,...kn->...k", x, frame)
+    tangential = np.einsum("...k,...kn->...n", coef, frame)
+    return tangential, x - tangential
+
+
+def flux_oracle(mesh, center, levels):
+    """``(raw, errors)`` of the sphere flux at ``levels``: the chords' line
+    integral of |tangential part| with ``decompose_radial`` as integrand."""
+    c = np.asarray(center, dtype=float)
+    raw, errors = np.zeros(len(levels)), np.zeros(len(levels))
+    for k, t in enumerate(levels):
+        tris, ends, _ = level_chords(mesh, c, t)
+        if len(tris) == 0:
+            continue
+        frames = mesh.frames()[tris]
+
+        def tang_norm(points):
+            return np.linalg.norm(decompose_radial(points, c, frames)[0],
+                                  axis=1)
+
+        raw[k], errors[k] = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
+    return raw, errors
 
 
 def level_polyline(mesh, center, level):
@@ -119,14 +154,13 @@ def polyline_segments(curve):
 
 
 def curve_flux(mesh, curve, center):
-    """(midpoint value, gauss value, length) of the |tangent| line integral,
-    summed polyline by polyline."""
+    """(midpoint value, gauss value) of the |tangent| line integral, summed
+    polyline by polyline."""
     c = np.asarray(center, dtype=float)
-    mid_total = gauss_total = length = 0.0
+    mid_total = gauss_total = 0.0
 
     def tang_norm(points, owners):
-        tang, _ = decompose_radial(points, c, mesh.frames()[owners],
-                                   check=False)
+        tang, _ = decompose_radial(points, c, mesh.frames()[owners])
         return np.linalg.norm(tang, axis=1)
 
     polylines, closed, seg_tris, _ = curve
@@ -142,5 +176,4 @@ def curve_flux(mesh, curve, center):
         g1 = tang_norm(mid - GAUSS_OFFSET * d, owners)
         g2 = tang_norm(mid + GAUSS_OFFSET * d, owners)
         gauss_total += float(np.sum(L * 0.5 * (g1 + g2)))
-        length += float(L.sum())
-    return mid_total, gauss_total, length
+    return mid_total, gauss_total

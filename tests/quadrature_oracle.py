@@ -16,8 +16,9 @@ per-node ``u`` arrays on whole edges, on the in-plane data of
 """
 import numpy as np
 
-from mingauge.geometry import decompose_radial, triangle_areas
+from mingauge.geometry import triangle_areas
 from mingauge.geometry.quadrature import _GL_U, _GL_W, _FLAT, _cross, _dot
+from levels_oracle import decompose_radial
 
 # 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
 _A1, _W1 = 0.445948490915965, 0.223381589678011
@@ -102,8 +103,7 @@ def defect_integrand(mesh, center):
     c = np.asarray(center, dtype=float)
 
     def f(points, owners):
-        _, nor = decompose_radial(points, c, mesh.frames()[owners],
-                                  check=False)
+        _, nor = decompose_radial(points, c, mesh.frames()[owners])
         r2 = np.sum((points - c) ** 2, axis=1)
         return np.sum(nor * nor, axis=1) / r2**2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mingauge import catalog
 from mingauge.catalog import (
     _brentq,
     _triangle_count,
@@ -19,6 +20,7 @@ from mingauge.catalog import (
 )
 from mingauge.errors import ConfigError, DegenerateChartError, MeshTopologyError
 from mingauge.geometry import radial_integrals
+from levels_oracle import decompose_radial
 
 MINIMAL_NAMES = ["plane", "catenoid", "enneper", "helicoid", "complex_parabola_r4"]
 
@@ -199,6 +201,18 @@ def test_minimality_validator_accepts_minimal_charts():
         out = verify_minimality(spec.chart)
         assert out["passed"], (
             f"{name}: residual {out['detail']['max_scaled_residual']:.2e}")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_minimality_validator_matches_the_inline_normal_part(monkeypatch,
+                                                             name):
+    # the normal part w - tangent_part(w, frame) gives the bits of the split
+    # the validator used to run inline
+    chart = build_surface(name, resolution="coarse").chart
+    got = verify_minimality(chart)
+    monkeypatch.setattr(catalog, "tangent_part", lambda w, frame:
+                        decompose_radial(w, np.zeros(w.shape[-1]), frame)[0])
+    assert got == verify_minimality(chart)
 
 
 def test_minimality_validator_rejects_sphere():

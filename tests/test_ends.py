@@ -39,27 +39,25 @@ def test_end_counts_stabilize(coarse, name):
 
 
 def test_sphere_control_has_no_ends(sphere_coarse):
-    out = ends_estimate(sphere_coarse.mesh, sphere_coarse.base_point,
-                        radii=np.linspace(0.5, 3.2, 8))
-    assert out.stable_count == 0
+    unbounded, bounded, _, _ = _end_counts(
+        sphere_coarse.mesh, sphere_coarse.base_point, np.linspace(0.5, 3.2, 8))
+    assert np.all(unbounded == 0)
     # the compact control produces exactly one bounded component until the
     # ball swallows it
-    assert out.bounded_counts[0] == 1
-    assert out.bounded_counts[-1] == 0
+    assert bounded[0] == 1
+    assert bounded[-1] == 0
+    assert ends_estimate(sphere_coarse.mesh,
+                         sphere_coarse.base_point).stable_count == 0
 
 
 def test_stabilized_well_before_truncation(coarse):
     spec = coarse("catenoid")
     t = spec.mesh.truncation_radius
-    out = ends_estimate(spec.mesh, spec.base_point,
-                        radii=np.geomspace(1.4, 0.5 * t, 10))
-    assert out.stabilized and out.stable_count == 2
-
-
-def test_components_outside_radius_guard(catenoid_coarse):
-    with pytest.raises(ValueError):
-        ends_estimate(catenoid_coarse.mesh, np.zeros(3),
-                      radii=np.array([10.0, 190.0]))
+    unbounded, bounded, _, _ = _end_counts(spec.mesh, spec.base_point,
+                                           np.geomspace(1.4, 0.5 * t, 10))
+    assert list(unbounded) == [2] * 10 and not bounded.any()
+    out = ends_estimate(spec.mesh, spec.base_point)
+    assert out.radii[-1] <= 0.8 * t
 
 
 def test_adjacency_requires_outside_edge_endpoint():
@@ -72,12 +70,9 @@ def test_adjacency_requires_outside_edge_endpoint():
         [-3.0, 0.0, 0.0],
     ])
     tris = np.array([[0, 1, 2], [1, 0, 3]])
-    boundary = np.array([[0, 2], [1, 2], [0, 3], [1, 3], [0, 1]])
-    # the shared edge (0,1) is used twice, the rest once
-    mesh = SimplicialSurface(verts, tris, boundary_edges=boundary[:4],
-                             truncation_radius=None)
-    out = ends_estimate(mesh, np.zeros(3), radii=[1.0])
-    assert list(out.counts) == [0] and list(out.bounded_counts) == [2]
+    mesh = SimplicialSurface(verts, tris, truncation_radius=None)
+    unbounded, bounded, _, _ = _end_counts(mesh, np.zeros(3), [1.0])
+    assert list(unbounded) == [0] and list(bounded) == [2]
     labels, count = triangle_components(mesh, np.ones(2, dtype=bool))
     assert count == 1  # under shared edges alone they merge
 

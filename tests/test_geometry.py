@@ -1,4 +1,4 @@
-"""Core geometry: radial splitting, chart meshing, measure, level curves."""
+"""Core geometry: frame projection, chart meshing, measure, level curves."""
 import tracemalloc
 
 import numpy as np
@@ -6,17 +6,17 @@ import pytest
 from scipy import integrate
 
 from mingauge.catalog import catalog_entry_info, catalog_names, spherical_region
-from mingauge.errors import DegenerateChartError, InvalidFrameError, MeshTopologyError
+from mingauge.errors import DegenerateChartError, MeshTopologyError
 from mingauge.geometry import (
     ImmersionChart,
     SimplicialSurface,
-    decompose_radial,
     icosphere,
     level_chords,
     mesh_from_chart,
     orthonormal_frame,
     polar_disk_mesh,
     radial_integrals,
+    tangent_part,
     triangle_areas,
 )
 from mingauge.geometry.meshing import _grid_triangles
@@ -28,7 +28,12 @@ from meshing_oracle import (
     unique_boundary,
     unique_edge_table,
 )
-from levels_oracle import curve_flux, level_polyline, polyline_segments
+from levels_oracle import (
+    curve_flux,
+    flux_oracle,
+    level_polyline,
+    polyline_segments,
+)
 from quadrature_oracle import (
     cut_cell_integrals,
     cut_cell_shells,
@@ -90,7 +95,7 @@ def flat_disk(radius=1.5, rings=64, sectors=96, z=0.0):
 # ---------------------------------------------------------------- frames
 
 
-def test_decompose_radial_pythagoras_randomized():
+def test_tangent_part_pythagoras_randomized():
     rng = np.random.default_rng(42)
     for _ in range(200):
         n = rng.choice([3, 4])
@@ -98,21 +103,18 @@ def test_decompose_radial_pythagoras_randomized():
         frame = orthonormal_frame(raw[0], raw[1])
         x = rng.normal(size=n) * rng.uniform(0.1, 50)
         a = rng.normal(size=n)
-        tang, norm = decompose_radial(x, a, frame)
-        assert np.allclose(tang + norm, x - a, atol=1e-12)
-        assert abs(np.dot(tang, norm)) < 1e-10 * (np.linalg.norm(x - a) ** 2 + 1)
-        lhs = np.linalg.norm(x - a) ** 2
+        tang = tangent_part(x - a, frame)
+        norm = (x - a) - tang
+        scale = np.linalg.norm(x - a)
+        assert np.allclose(tangent_part(tang, frame), tang, atol=1e-12 * scale)
+        assert np.allclose(frame @ norm, 0.0, atol=1e-12 * scale)
+        assert abs(np.dot(tang, norm)) < 1e-10 * (scale ** 2 + 1)
+        lhs = scale ** 2
         rhs = np.linalg.norm(tang) ** 2 + np.linalg.norm(norm) ** 2
         assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
 
 
-def test_decompose_radial_rejects_bad_frame():
-    frame = np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]])
-    with pytest.raises(InvalidFrameError):
-        decompose_radial(np.ones(3), np.zeros(3), frame)
-
-
-def test_decompose_radial_matches_finite_difference_frame():
+def test_tangent_part_matches_finite_difference_frame():
     # tangent plane from exact chart derivatives vs central differences
     ch = catenoid_chart()
     rng = np.random.default_rng(7)
@@ -126,11 +128,10 @@ def test_decompose_radial_matches_finite_difference_frame():
         fd_xv = (ch.points(u, v + h) - ch.points(u, v - h)) / (2 * h)
         fd_frame = orthonormal_frame(fd_xu, fd_xv)
         x = ch.points(u, v)
-        a = np.array([0.3, -0.2, 0.1])
-        t1, n1 = decompose_radial(x, a, frame)
-        t2, n2 = decompose_radial(x, a, fd_frame)
+        w = x - np.array([0.3, -0.2, 0.1])
+        t1 = tangent_part(w, frame)
+        t2 = tangent_part(w, fd_frame)
         assert np.linalg.norm(t1 - t2) < 1e-8
-        assert np.linalg.norm(n1 - n2) < 1e-8
 
 
 # ---------------------------------------------------------------- meshing
@@ -206,37 +207,28 @@ def test_centroids_are_the_corner_means(coarse, name):
 
 def test_mesh_validation_catches_bad_topology():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-    tris = np.array([[0, 1, 2], [1, 3, 2]])
-    with pytest.raises(MeshTopologyError):
-        # wrong boundary declaration: interior edge listed as boundary
-        SimplicialSurface(verts, tris, np.array([[1, 2]]))
     with pytest.raises(MeshTopologyError):
         # degenerate triangle
         SimplicialSurface(
             np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float),
             np.array([[0, 1, 2]]),
-            np.zeros((0, 2), dtype=int),
         )
     with pytest.raises(MeshTopologyError):
-        # one boundary edge left out
-        SimplicialSurface(verts, tris, np.array([[0, 1], [0, 2], [1, 3]]))
+        # the edge (1, 2) shared by three triangles
+        SimplicialSurface(np.vstack([verts, [[0, 0, 1]]]),
+                          np.array([[0, 1, 2], [1, 3, 2], [1, 2, 4]]))
     with pytest.raises(MeshTopologyError):
-        # right count, but one edge twice and another missing
-        SimplicialSurface(verts, tris,
-                          np.array([[0, 1], [0, 1], [1, 3], [2, 3]]))
+        # a vertex index past the end
+        SimplicialSurface(verts, np.array([[0, 1, 4]]))
 
 
-def test_boundary_is_derived_or_checked_and_kept_sorted():
+def test_boundary_is_derived_and_kept_sorted():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-    tris = np.array([[0, 1, 2], [1, 3, 2]])
-    derived = SimplicialSurface(verts, tris)
-    np.testing.assert_array_equal(derived.boundary_edges,
+    mesh = SimplicialSurface(verts, np.array([[0, 1, 2], [1, 3, 2]]))
+    np.testing.assert_array_equal(mesh.boundary_edges,
                                   [[0, 1], [0, 2], [1, 3], [2, 3]])
-    declared = SimplicialSurface(verts, tris,
-                                 np.array([[3, 2], [0, 1], [2, 0], [1, 3]]))
-    np.testing.assert_array_equal(declared.boundary_edges,
-                                  derived.boundary_edges)
-    assert derived.interior_edge_pairs() is derived.interior_edge_pairs()
+    assert mesh.boundary_edges.dtype == np.int64
+    assert mesh.interior_edge_pairs() is mesh.interior_edge_pairs()
 
 
 @pytest.mark.parametrize("nu, nv, wrap_v", [
@@ -411,7 +403,7 @@ def test_radial_integrals_one_triangle_against_fine_subdivision():
     # 65,536 subtriangles assigned by centroid agree to about 1e-4
     tri = SimplicialSurface(
         np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 0.1], [0.4, 1.7, -0.2]]),
-        np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]))
+        np.array([[0, 1, 2]]))
     a = np.array([0.5, 0.2, 0.6])
     radii = [0.7, 1.2, 3.0]
     for kind in KINDS:
@@ -650,10 +642,20 @@ def test_level_chords_equal_the_polyline_segments(request, name, preset, base):
         same = np.all(A == P, axis=1) & np.all(B == Q, axis=1)
         flipped = np.all(A == Q, axis=1) & np.all(B == P, axis=1)
         assert np.all(same | flipped), (level, np.count_nonzero(~(same | flipped)))
-        _, gauss, length = curve_flux(mesh, curve, base)
+        _, gauss = curve_flux(mesh, curve, base)
         assert profile.raw[k] == pytest.approx(gauss, rel=1e-14, abs=0.0)
-        assert profile.curve_lengths[k] == pytest.approx(length, rel=1e-14,
-                                                         abs=0.0)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_flux_bits_match_the_decompose_oracle(coarse, name):
+    # the flux integrand projects through tangent_part; summed over the
+    # same chords, the split it replaced gives the same bits
+    spec = coarse(name)
+    levels = report_levels(spec.mesh, spec.base_point)
+    profile = flux_profile(spec.mesh, spec.base_point, levels)
+    raw, errors = flux_oracle(spec.mesh, spec.base_point, levels)
+    assert profile.raw.tobytes() == raw.tobytes()
+    assert profile.errors.tobytes() == errors.tobytes()
 
 
 # ---------------------------------------------------------------- invariance
@@ -678,7 +680,6 @@ def test_rigid_motion_invariance_of_measure_and_levels():
         moved = SimplicialSurface(
             mesh.vertices @ q.T + shift,
             mesh.triangles,
-            mesh.boundary_edges,
             mesh.truncation_radius,
         )
         a2 = q @ a + shift

@@ -1,5 +1,6 @@
-"""Every keyword parameter with a default has a caller that sets it, and
-every function the package defines has a user in the package.
+"""Every keyword parameter with a default has a caller that sets it, in the
+program and not only in its unit tests, and every function the package
+defines has a user in the package.
 
 A default that no call ever overrides is a constant dressed as an option:
 it doubles the configurations a reader must consider without any caller
@@ -16,6 +17,10 @@ beside the one that ships.  The second scan lists every ``def`` in
 ``src/mingauge`` whose name no code in ``src/`` uses, as a name or an
 attribute, outside that def's own body.  Strings (``__all__``) do not count.
 Dunders and the functions the acceptance tests import are exempt.
+
+The third scan runs the first over the calls of the program alone: ``src/``,
+``perfbench/`` and the acceptance tests, which drive the program as a user
+does.  An option only unit tests set is a second path kept for the tests.
 """
 import ast
 from collections import defaultdict
@@ -150,6 +155,34 @@ def test_the_scan_lists_an_option_no_call_sets():
     calls = ast.parse("f(1, 2)\nK().m(3)\nD(1)\n")
     assert unset_options([("s", source)], [("c", calls)]) == [
         "s:10 D(b)", "s:2 f(c)", "s:5 m(y)"]
+
+
+def program_trees(trees):
+    """The ``(path, ast)`` pairs of ``trees`` that belong to the program:
+    those under ``src/`` or ``perfbench/``, and the acceptance tests."""
+    acceptance = ACCEPTANCE.relative_to(ROOT)
+    return [(path, tree) for path, tree in trees
+            if path.parts[0] in ("src", "perfbench") or path == acceptance]
+
+
+def test_every_option_has_a_caller_in_the_program():
+    unset = unset_options(_trees([PACKAGE]),
+                          program_trees(_trees(CALLER_DIRS)))
+    assert not unset, ("options only unit tests set; make them constants "
+                       "or derive them:\n  " + "\n  ".join(unset))
+
+
+def test_the_program_scan_ignores_unit_test_calls():
+    # calls in src/, perfbench/ and the acceptance tests count; a unit
+    # test's does not
+    source = ast.parse("def f(a, b=1, c=2, d=3, e=4):\n    pass\n")
+    calls = [(Path(where), ast.parse(code)) for where, code in [
+        ("src/mingauge/x.py", "f(0, c=1)\n"),
+        ("perfbench/run.py", "f(0, d=1)\n"),
+        ("tests/test_acceptance.py", "f(0, e=1)\n"),
+        ("tests/test_unit.py", "f(0, b=1)\n")]]
+    assert unset_options([("s", source)], program_trees(calls)) == ["s:1 f(b)"]
+    assert unset_options([("s", source)], calls) == []
 
 
 def unused_defs(trees, exempt=()):

@@ -661,6 +661,16 @@ def test_cli_crofton_cap_stdout_is_pinned():
         "passed\n")
 
 
+def test_cli_crofton_refinement_moves_no_printed_figure():
+    # the cap's geodesic area and each line's hits depend on the angle and
+    # the sectors alone; refinement only splits the rings more finely
+    out = [run_cli(["crofton", "--set", "cap", "--angle", "1.2",
+                    "--samples", "2000", "--seed", "0",
+                    "--refinement", level]) for level in ("0", "3")]
+    assert [proc.returncode for proc in out] == [0, 0]
+    assert out[0].stdout == out[1].stdout
+
+
 def test_cli_crofton_usage_errors():
     proc = run_cli(["crofton", "--set", "cap", "--samples", "500",
                     "--seed", "1"])
@@ -756,6 +766,14 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
     ({"surface": {"name": "sphere", "resolution": "coarse",
                   "params": {"center": [0, 0, 0]}}},
      "surface.params.center"),
+    # the outermost counting radius reaches no vertex: a radius whose
+    # square underflows to 0, and a ball inside the catenoid's neck
+    ({"surface": {"name": "catenoid", "resolution": "coarse"},
+      "mc": {"seed": 1, "radii": [1e-170]}},
+     "mc.radii"),
+    ({"surface": {"name": "catenoid", "resolution": "coarse"},
+      "mc": {"seed": 1, "radii": [0.5]}},
+     "mc.radii"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
     # each of these ended in a traceback (exit 1), blamed another field,
