@@ -614,16 +614,14 @@ def build_surface(name: str, params: dict | None = None,
 
 
 def spherical_region(kind: str, angle: float | None = None,
-                     refinement: int = 4, sectors: int = 256) -> SimplicialSurface:
-    """Subsets of the unit sphere used by the line-counting identities.
+                     sectors: int = 256) -> SimplicialSurface:
+    """Subsets of the unit sphere used by the line-counting identities: the
+    icosphere of 3 subdivisions, or a cap meshed with 36 rings.
 
     A ``ConfigError`` names the ``mingauge crofton`` flag at fault.
     """
-    if refinement < 0:
-        raise ConfigError("refinement", "must be at least 0")
     if kind == "full":
-        _check_budget({"subdivisions": refinement}, "refinement")
-        return icosphere(refinement, 1.0, (0.0, 0.0, 0.0), name="sphere_full")
+        return icosphere(3, 1.0, (0.0, 0.0, 0.0), name="sphere_full")
     if kind == "hemisphere":
         angle = np.pi / 2
     elif kind != "cap":
@@ -634,11 +632,9 @@ def spherical_region(kind: str, angle: float | None = None,
         raise ConfigError("angle", "must lie in (0, pi]")
     if sectors < 3:
         raise ConfigError("sectors", "must be at least 3")
-    rings = max(24, refinement * 12)
-    _check_budget({"rings": rings, "sectors": sectors},
-                  "refinement" if rings > sectors else "sectors")
+    _check_budget({"rings": 36, "sectors": sectors}, "sectors")
     try:
-        return spherical_cap_mesh(float(angle), rings=rings, sectors=sectors,
+        return spherical_cap_mesh(float(angle), rings=36, sectors=sectors,
                                   name=kind if kind == "hemisphere" else
                                   f"cap_{angle:.4f}")
     except MeshTopologyError as exc:  # a cap too narrow for its grid

@@ -76,11 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of random lines (default 100000)")
     cro.add_argument("--seed", type=int, required=True,
                      help="random seed (runs are reproducible)")
-    cro.add_argument("--refinement", type=int, default=3,
-                     help="how finely the region is triangulated; it "
-                          "sets the run time, not the printed result")
     cro.add_argument("--sectors", type=int, default=96,
-                     help="azimuthal sectors for hemisphere/cap regions")
+                     help="azimuthal sectors of the hemisphere and cap "
+                          "meshes, whose 36 rings are fixed (default 96)")
     return parser
 
 
@@ -154,7 +152,6 @@ def _cmd_crofton(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed", "must be at least 0")
     region = spherical_region(args.region, angle=args.angle,
-                              refinement=args.refinement,
                               sectors=args.sectors)
     result = crofton_verify(region, samples=args.samples, seed=args.seed)
     print(f"region          {args.region}"

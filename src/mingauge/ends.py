@@ -9,8 +9,9 @@ farthest vertex, the cut at r keeps the weights > r, so one maximum spanning
 forest (Boruvka's rounds in numpy) counts components at every radius, and a
 virtual node joined to the rim triangles tells the unbounded ones apart.
 Triangle and edge indices in the sweeps are int32, half the memory of
-int64: a catalog mesh has at most ``catalog.MAX_TRIANGLES`` = 2^20
-triangles, and any mesh that fits in memory has fewer than 2^31.
+int64, as the mesh keeps its ``interior_edges`` and ``interior_pairs``: a
+catalog mesh has at most ``catalog.MAX_TRIANGLES`` = 2^20 triangles, and
+any mesh that fits in memory has fewer than 2^31.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def triangle_components(mesh: SimplicialSurface, tri_mask: np.ndarray):
     sel = np.flatnonzero(tri_mask)
     if len(sel) == 0:
         return labels, 0
-    i, j = mesh.interior_edge_pairs()[1].T
+    i, j = mesh.interior_pairs.T
     keep = np.flatnonzero(tri_mask[i] & tri_mask[j])
     remap = np.full(T, -1, dtype=np.int32)
     remap[sel] = np.arange(len(sel), dtype=np.int32)
@@ -111,11 +112,6 @@ def rim_vertex_mask(mesh: SimplicialSurface) -> np.ndarray:
     return out
 
 
-def _int32_columns(pairs, order):
-    """The two columns of ``pairs[order]`` as int32 arrays."""
-    return [pairs[order, k].astype(np.int32) for k in (0, 1)]
-
-
 def _end_counts(mesh: SimplicialSurface, center: np.ndarray, radii):
     """``(unbounded, bounded, graph_edges, forest_rounds)`` outside each
     radius: a triangle is outside when any of its vertices is, and two
@@ -123,22 +119,23 @@ def _end_counts(mesh: SimplicialSurface, center: np.ndarray, radii):
     so pieces touching along the sphere are not merged."""
     dist = mesh.about(center)["distances"]
     tri_d = distance_index(mesh, center)[2]  # each triangle's farthest corner
-    edges, pairs = mesh.interior_edge_pairs()
+    edges, pairs = mesh.interior_edges, mesh.interior_pairs
     edge_d = dist[edges[:, 0]]
     np.maximum(edge_d, dist[edges[:, 1]], out=edge_d)
     order = np.argsort(-edge_d, kind="stable")
-    forest, rounds, _ = _max_forest(len(tri_d), *_int32_columns(pairs, order))
+    forest, rounds, _ = _max_forest(len(tri_d), *pairs[order].T)
     tree = order[forest]
     del order, forest
     # a maximum forest of G + rim lies in G's forest plus the rim edges
     on_rim = rim_vertex_mask(mesh)
     tri = mesh.triangles.T
-    rim = np.flatnonzero(on_rim[tri[0]] | on_rim[tri[1]] | on_rim[tri[2]])
+    rim = np.flatnonzero(on_rim[tri[0]] | on_rim[tri[1]]
+                         | on_rim[tri[2]]).astype(np.int32)
     w = np.concatenate([edge_d[tree], tri_d[rim]])
-    ij = np.concatenate([pairs[tree], np.c_[rim, np.full(len(rim), len(tri_d))]])
+    ij = np.concatenate([pairs[tree],
+                         np.c_[rim, np.full_like(rim, len(tri_d))]])
     order = np.argsort(-w, kind="stable")
-    rim_forest, rim_rounds, _ = _max_forest(len(tri_d) + 1,
-                                            *_int32_columns(ij, order))
+    rim_forest, rim_rounds, _ = _max_forest(len(tri_d) + 1, *ij[order].T)
 
     def above(weights):  # how many weights are > each radius (strictly)
         return len(weights) - np.searchsorted(np.sort(weights), radii,

@@ -2,6 +2,7 @@ from .types import (
     ImmersionChart,
     SimplicialSurface,
     on_surface_multiplicity,
+    on_surface_tolerance,
     orthonormal_frame,
     tangent_part,
     triangle_areas,
@@ -25,6 +26,7 @@ __all__ = [
     "level_chords",
     "mesh_from_chart",
     "on_surface_multiplicity",
+    "on_surface_tolerance",
     "orthonormal_frame",
     "polar_disk_mesh",
     "radial_integrals",

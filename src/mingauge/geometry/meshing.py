@@ -1,7 +1,8 @@
 """Mesh generators: chart grids, polar disks, tubes, icospheres.
 
 Grid and polar-disk triangles come from index arithmetic on the cells; the
-boundary is left to ``SimplicialSurface``, which takes it from its edge table.
+boundary is left to ``SimplicialSurface``, which derives its edges at
+construction.
 """
 from __future__ import annotations
 

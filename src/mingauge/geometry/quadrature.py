@@ -148,18 +148,19 @@ def _in_plane(mesh, center):
     """In-plane corners about the foot of ``center`` (T, 3, 2; positively
     oriented, as frames follow corner order), squared heights and squared
     nearest / farthest distances; kept in the mesh's store for ``center``.
-    Built ``_BLOCK_TRIANGLES`` triangles at a time into the four arrays."""
+    Built ``_BLOCK_TRIANGLES`` triangles at a time, corners gathered per
+    block, into the four arrays."""
     store = mesh.about(center)
     if "in_plane" in store:
         return store["in_plane"]
     T = len(mesh.triangles)
     P = np.empty((T, 3, 2))
     h2, near2, far2 = np.empty(T), np.empty(T), np.empty(T)
-    corners, frames, cen = mesh.corners(), mesh.frames(), mesh.centroids()
+    frames, cen = mesh.frames(), mesh.centroids()
     for lo in range(0, T, _BLOCK_TRIANGLES):
         sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        _in_plane_block(corners[sl] - center, frames[sl], cen[sl] - center,
-                        P[sl], h2[sl], near2[sl], far2[sl])
+        _in_plane_block(mesh.vertices[mesh.triangles[sl]] - center, frames[sl],
+                        cen[sl] - center, P[sl], h2[sl], near2[sl], far2[sl])
     store["in_plane"] = P, h2, near2, far2
     return store["in_plane"]
 

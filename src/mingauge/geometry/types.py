@@ -45,8 +45,15 @@ class SimplicialSurface:
     triangles        (T, 3) int vertex indices
     truncation_radius  |x| at which an unbounded surface was cut off, or None
     name             free-form label used in reports
-    boundary_edges   (B, 2) the edges used by one triangle, as sorted vertex
-                     pairs in lexicographic order, taken from the triangles
+    boundary_edges   (B, 2) int64, the edges used by one triangle, as sorted
+                     vertex pairs in lexicographic order
+    boundary_owner   (B,) the triangle of each boundary edge
+    interior_edges   (E, 2) int32, the edges two triangles share, as sorted
+                     vertex pairs in lexicographic order
+    interior_pairs   (E, 2) int32, the two triangles of each interior edge
+
+    The edge arrays, derived at construction, are the whole topology kept;
+    ``_cache`` holds only frames, centroids and one base point's store.
     """
 
     vertices: np.ndarray
@@ -54,6 +61,9 @@ class SimplicialSurface:
     truncation_radius: float | None = None
     name: str = ""
     boundary_edges: np.ndarray = field(init=False)
+    boundary_owner: np.ndarray = field(init=False)
+    interior_edges: np.ndarray = field(init=False)
+    interior_pairs: np.ndarray = field(init=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -70,7 +80,7 @@ class SimplicialSurface:
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
             raise MeshTopologyError("triangle vertex index out of range")
-        areas = self.areas()
+        areas = triangle_areas(self.corners())
         if areas.size and areas.min() <= MIN_TRIANGLE_AREA:
             k = int(np.argmin(areas))
             raise MeshTopologyError(
@@ -78,18 +88,11 @@ class SimplicialSurface:
             )
         self._check_edges()
 
-    # -- derived quantities, computed once ---------------------------------
+    # -- derived quantities ---------------------------------------------------
     def corners(self) -> np.ndarray:
-        """Vertex coordinates per triangle, shape (T, 3, n)."""
-        if "corners" not in self._cache:
-            self._cache["corners"] = self.vertices[self.triangles]
-        return self._cache["corners"]
-
-    def areas(self) -> np.ndarray:
-        if "areas" not in self._cache:
-            c = self.corners()
-            self._cache["areas"] = triangle_areas(c)
-        return self._cache["areas"]
+        """Vertex coordinates per triangle, shape (T, 3, n); gathered anew at
+        each call, not kept."""
+        return self.vertices[self.triangles]
 
     def centroids(self) -> np.ndarray:
         """Corner means, shape (T, n), summed in corner order as
@@ -120,56 +123,49 @@ class SimplicialSurface:
                                             "distances": dist}
         return store
 
-    def edge_table(self):
-        """``(keys, starts, counts, owner)``: the distinct edges as sorted
-        pairs in lexicographic order; edge k is used by the triangles
-        ``owner[starts[k]:starts[k] + counts[k]]``, in ascending order.
-        Edges are grouped by the int64 code lo * (V + 1) + hi.
-        """
-        if "edge_table" not in self._cache:
-            tri = self.triangles
-            nxt = np.roll(tri, -1, axis=1)  # sides (0, 1), (1, 2), (2, 0)
-            lo = np.minimum(tri, nxt).T.ravel()
-            hi = np.maximum(tri, nxt).T.ravel()
-            code = lo * (len(self.vertices) + 1) + hi
-            order = np.argsort(code, kind="stable")
-            starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-            keys = np.stack([lo[order[starts]], hi[order[starts]]], axis=1)
-            counts = np.diff(np.append(starts, len(code)))
-            owner = order % len(tri)
-            self._cache["edge_table"] = (keys, starts, counts, owner)
-        return self._cache["edge_table"]
-
-    def interior_edge_pairs(self):
-        """(E, 2) triangle index pairs sharing an interior edge, plus the edges."""
-        if "interior_edge_pairs" not in self._cache:
-            keys, starts, counts, owner = self.edge_table()
-            two = counts == 2
-            i0 = starts[two]
-            pairs = np.stack([owner[i0], owner[i0 + 1]], axis=1)
-            self._cache["interior_edge_pairs"] = (keys[two], pairs)
-        return self._cache["interior_edge_pairs"]
-
     def _check_edges(self):
-        """Reject an edge of more than two triangles; keep the boundary as
-        the edges used once."""
-        keys, _, counts, _ = self.edge_table()
+        """Group the 3T triangle sides by the int64 code lo * (V + 1) + hi
+        with one stable argsort, reject an edge of more than two triangles,
+        and keep the boundary and interior edges with their triangles."""
+        tri = self.triangles
+        nxt = np.roll(tri, -1, axis=1)  # sides (0, 1), (1, 2), (2, 0)
+        lo = np.minimum(tri, nxt).T.ravel()
+        hi = np.maximum(tri, nxt).T.ravel()
+        code = lo * (len(self.vertices) + 1) + hi
+        order = np.argsort(code, kind="stable")
+        starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+        counts = np.diff(np.append(starts, len(code)))
         if counts.size and counts.max() > 2:
             raise MeshTopologyError("an edge is shared by more than two triangles")
-        self.boundary_edges = keys[counts == 1]
+        owner = order % len(tri)  # side k belongs to triangle k mod T
+        side = order[starts]  # the first side of each edge
+        edges = np.stack([lo[side], hi[side]], axis=1)
+        once, twice = counts == 1, counts == 2
+        self.boundary_edges = edges[once]
+        self.boundary_owner = owner[starts[once]]
+        self.interior_edges = edges[twice].astype(np.int32)
+        i0 = starts[twice]
+        self.interior_pairs = np.stack([owner[i0], owner[i0 + 1]],
+                                       axis=1).astype(np.int32)
 
     @property
     def ambient_dim(self) -> int:
         return self.vertices.shape[1]
 
 
+def on_surface_tolerance(center) -> float:
+    """1e-9 (1 + |center|): a vertex this near ``center`` is ``center``."""
+    return 1e-9 * (1.0 + float(np.linalg.norm(center)))
+
+
 def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
-    """Number of mesh vertices within 1e-9 (1 + |center|) of ``center``:
-    zero for a base point off the surface, else one per sheet through it in
-    the catalog meshes.  The one test of whether a base lies on the surface.
+    """Number of mesh vertices within ``on_surface_tolerance(center)`` of
+    ``center``: zero for a base point off the surface, else one per sheet
+    through it in the catalog meshes.  The one test of whether a base lies
+    on the surface.
     """
     center = np.asarray(center, dtype=float)
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(center)))
+    tol = on_surface_tolerance(center)
     return int(np.count_nonzero(mesh.about(center)["distances"] <= tol))
 
 

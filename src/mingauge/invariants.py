@@ -254,10 +254,7 @@ def boundary_constant(mesh: SimplicialSurface, center,
     if len(edges) == 0:
         return {"value": 0.0, "error": 0.0, "num_edges": 0}
 
-    # owner triangle of each boundary edge: boundary_edges are the edge
-    # table's once-used keys, in its order
-    _, starts, counts, owner = mesh.edge_table()
-    owners = owner[starts[counts == 1][keep]]
+    owners = mesh.boundary_owner[keep]
 
     va = mesh.vertices[edges[:, 0]]
     vb = mesh.vertices[edges[:, 1]]

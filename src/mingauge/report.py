@@ -44,6 +44,7 @@ from . import __version__
 from .catalog import build_surface, catalog_names, verify_minimality
 from .ends import check_ends_bound, ends_estimate
 from .errors import ConfigError, IdentityNotApplicableError
+from .geometry import on_surface_tolerance
 from .intgeom import (
     MAX_MC_SAMPLES,
     check_defect_counting_bound,
@@ -412,14 +413,19 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             f"the ball of radius {r_hi:.6g} about the base point, the "
             f"largest the mesh covers, misses the surface: its nearest "
             f"vertex is {d_min:.6g} away")
-    if config.mc_radii and config.mc_radii[-1] <= d_min:
+    sheets = on_surface_multiplicity(mesh, base)
+    # a ball no wider than the on-surface tolerance about a base on the
+    # surface holds only the vertex the base is taken to be
+    reach = on_surface_tolerance(base) if sheets else d_min
+    if config.mc_radii and config.mc_radii[-1] <= reach:
         # the sections would meet nothing, and the flux at the outermost
         # counting radius reads 0 / 0 once its square underflows
+        what = ("the on-surface tolerance" if sheets else
+                "the distance to the nearest mesh vertex")
         raise ConfigError("mc.radii", f"the outermost radius "
-                          f"{config.mc_radii[-1]:.6g} reaches no mesh vertex: "
-                          f"the nearest is {d_min:.6g} away")
+                          f"{config.mc_radii[-1]:.6g} must exceed "
+                          f"{reach:.6g}, {what}")
     given = base
-    sheets = on_surface_multiplicity(mesh, base)
     if sheets:
         # a base within roundoff of a vertex is that vertex, as the
         # quadrature reads roundoff heights as zero

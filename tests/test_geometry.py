@@ -1,11 +1,13 @@
 """Core geometry: frame projection, chart meshing, measure, level curves."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from mingauge.catalog import catalog_entry_info, catalog_names, spherical_region
+from mingauge.catalog import (build_surface, catalog_entry_info, catalog_names,
+                              spherical_region)
 from mingauge.errors import DegenerateChartError, MeshTopologyError
 from mingauge.geometry import (
     ImmersionChart,
@@ -144,7 +146,7 @@ def test_mesh_from_chart_catenoid_area_converges_second_order():
     errs = []
     for k in (16, 32, 64):
         mesh = mesh_from_chart(catenoid_chart(c, u_max), (k, k))
-        errs.append(abs(mesh.areas().sum() - exact))
+        errs.append(abs(triangle_areas(mesh.corners()).sum() - exact))
     assert errs[1] / errs[0] < 0.35
     assert errs[2] / errs[1] < 0.35
     order = np.log2(errs[0] / errs[1])
@@ -186,8 +188,9 @@ def test_long_thin_triangles_keep_their_area():
 
     mesh = mesh_from_chart(ImmersionChart("thin", (0, 1, 0, 1), ev, de),
                            (4, 4))
-    np.testing.assert_allclose(mesh.areas(), 0.5 * 2.5e7 * 0.25, rtol=1e-12)
-    assert mesh.areas().sum() == pytest.approx(1e8, rel=1e-12)
+    areas = triangle_areas(mesh.corners())
+    np.testing.assert_allclose(areas, 0.5 * 2.5e7 * 0.25, rtol=1e-12)
+    assert areas.sum() == pytest.approx(1e8, rel=1e-12)
     # on well-shaped triangles in R^3 and R^4 both formulas agree
     corners = np.random.default_rng(3).normal(size=(2, 50, 3, 4))
     corners[0, ..., 3] = 0.0
@@ -227,8 +230,23 @@ def test_boundary_is_derived_and_kept_sorted():
     mesh = SimplicialSurface(verts, np.array([[0, 1, 2], [1, 3, 2]]))
     np.testing.assert_array_equal(mesh.boundary_edges,
                                   [[0, 1], [0, 2], [1, 3], [2, 3]])
-    assert mesh.boundary_edges.dtype == np.int64
-    assert mesh.interior_edge_pairs() is mesh.interior_edge_pairs()
+    np.testing.assert_array_equal(mesh.boundary_owner, [0, 0, 1, 1])
+    np.testing.assert_array_equal(mesh.interior_edges, [[1, 2]])
+    np.testing.assert_array_equal(mesh.interior_pairs, [[0, 1]])
+    _assert_topology_matches_oracle(mesh, None)
+
+
+def test_mesh_keeps_no_build_only_data():
+    # the edge grouping and the corner gather of the build are not kept: a
+    # default helicoid (131,072 triangles) holds its vertices, triangles and
+    # four edge arrays, 7.6 MiB
+    mesh = build_surface("helicoid").mesh
+    assert mesh._cache == {}
+    held = sum(value.nbytes for value in
+               [getattr(mesh, f.name) for f in dataclasses.fields(mesh)]
+               + list(mesh._cache.values())
+               if isinstance(value, np.ndarray))
+    assert held <= 10 * 2**20
 
 
 @pytest.mark.parametrize("nu, nv, wrap_v", [
@@ -253,9 +271,17 @@ def _assert_topology_matches_oracle(mesh, want_triangles):
         np.testing.assert_array_equal(mesh.triangles, want_triangles)
     np.testing.assert_array_equal(mesh.boundary_edges,
                                   unique_boundary(mesh.triangles))
-    for got, want in zip(mesh.edge_table(), unique_edge_table(mesh.triangles)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    keys, starts, counts, owner = unique_edge_table(mesh.triangles)
+    once, twice = starts[counts == 1], starts[counts == 2]
+    want = {"boundary_edges": keys[counts == 1],
+            "boundary_owner": owner[once],
+            "interior_edges": keys[counts == 2].astype(np.int32),
+            "interior_pairs": np.stack([owner[twice], owner[twice + 1]],
+                                       axis=1).astype(np.int32)}
+    for name, value in want.items():
+        got = getattr(mesh, name)
+        assert got.dtype == value.dtype, name
+        np.testing.assert_array_equal(got, value, err_msg=name)
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -290,7 +316,8 @@ def test_spherical_region_topology_matches_loop_oracle(kind, angle):
 def test_icosphere_area_and_closedness():
     mesh = icosphere(subdivisions=4, radius=2.0, center=(1.0, -1.0, 0.5))
     assert len(mesh.boundary_edges) == 0
-    assert mesh.areas().sum() == pytest.approx(4 * np.pi * 4.0, rel=2e-3)
+    area = triangle_areas(mesh.corners()).sum()
+    assert area == pytest.approx(4 * np.pi * 4.0, rel=2e-3)
     d = np.linalg.norm(mesh.vertices - np.array([1.0, -1.0, 0.5]), axis=1)
     assert np.allclose(d, 2.0, atol=1e-12)
 
@@ -309,7 +336,8 @@ def test_surface_measure_disk_region():
 def test_surface_measure_without_region_is_total_area():
     mesh = flat_disk(radius=1.0, rings=24, sectors=48)
     shells = radial_integrals(mesh, np.array([0.1, 0.2, 0.0]), [0.5, np.inf])
-    assert shells.sum() == pytest.approx(mesh.areas().sum(), rel=1e-12)
+    area = triangle_areas(mesh.corners()).sum()
+    assert shells.sum() == pytest.approx(area, rel=1e-12)
 
 
 def test_radial_integrals_one_pass_matches_one_ball_each():
@@ -467,7 +495,7 @@ def test_in_plane_memory_is_its_outputs_and_one_block(coarse):
     spec = coarse("helicoid")
     mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
                              truncation_radius=spec.mesh.truncation_radius)
-    mesh.corners(), mesh.frames(), mesh.centroids()
+    mesh.frames(), mesh.centroids()
     mesh.about(spec.base_point)
     tracemalloc.start()
     try:

@@ -496,11 +496,11 @@ def test_jacobian_counting_chain(catenoid_coarse):
 
 
 def test_geodesic_area_exact_cases():
-    full = spherical_region("full", refinement=3)
-    hemi = spherical_region("hemisphere", refinement=2, sectors=64)
+    full = spherical_region("full")
+    hemi = spherical_region("hemisphere", sectors=64)
     assert abs(ig.geodesic_area(full) - 4 * np.pi) < 1e-10
     assert abs(ig.geodesic_area(hemi) - 2 * np.pi) < 1e-10
-    cap = spherical_region("cap", np.pi / 3, refinement=2, sectors=64)
+    cap = spherical_region("cap", np.pi / 3, sectors=64)
     area = ig.geodesic_area(cap)
     exact = 2 * np.pi * (1 - np.cos(np.pi / 3))
     assert area < exact  # inscribed geodesic polygon
@@ -531,9 +531,9 @@ def _edge_plane_counts(region, U, eps=ig.EDGE_EPS):
     return ahead, behind, gray
 
 
-_REGIONS = {"full": {"refinement": 2},
-            "hemisphere": {"refinement": 2, "sectors": 64},
-            "cap": {"angle": 1.2, "refinement": 2, "sectors": 64}}
+_REGIONS = {"full": {},
+            "hemisphere": {"sectors": 64},
+            "cap": {"angle": 1.2, "sectors": 64}}
 
 
 @pytest.mark.parametrize("kind", _REGIONS)
@@ -559,8 +559,8 @@ def test_crofton_counts_match_edge_plane_oracle(kind):
 
 def test_crofton_full_and_hemisphere_exact():
     for kind, kw, expect in [
-        ("full", {"refinement": 3}, 4 * np.pi),
-        ("hemisphere", {"refinement": 2, "sectors": 64}, 2 * np.pi),
+        ("full", {}, 4 * np.pi),
+        ("hemisphere", {"sectors": 64}, 2 * np.pi),
     ]:
         reg = spherical_region(kind, **kw)
         out = ig.crofton_verify(reg, samples=20000, seed=5)
@@ -571,20 +571,20 @@ def test_crofton_full_and_hemisphere_exact():
 
 
 def test_crofton_cap(rng):
-    reg = spherical_region("cap", np.pi / 3, refinement=2, sectors=64)
+    reg = spherical_region("cap", np.pi / 3, sectors=64)
     out = ig.crofton_verify(reg, samples=40000, seed=0)
     assert out["passed"], out
     assert out["ci95"] <= 0.01 * out["lhs"]
 
 
 def test_crofton_requires_seed():
-    reg = spherical_region("full", refinement=2)
+    reg = spherical_region("full")
     with pytest.raises(ValueError, match="seed"):
         ig.crofton_verify(reg, samples=1000)
 
 
 def test_crofton_deterministic():
-    reg = spherical_region("cap", 0.8, refinement=2, sectors=64)
+    reg = spherical_region("cap", 0.8, sectors=64)
     a = ig.crofton_verify(reg, samples=5000, seed=21)
     b = ig.crofton_verify(reg, samples=5000, seed=21)
     assert a["rhs"] == b["rhs"] and a["ci95"] == b["ci95"]

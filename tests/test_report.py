@@ -661,16 +661,6 @@ def test_cli_crofton_cap_stdout_is_pinned():
         "passed\n")
 
 
-def test_cli_crofton_refinement_moves_no_printed_figure():
-    # the cap's geodesic area and each line's hits depend on the angle and
-    # the sectors alone; refinement only splits the rings more finely
-    out = [run_cli(["crofton", "--set", "cap", "--angle", "1.2",
-                    "--samples", "2000", "--seed", "0",
-                    "--refinement", level]) for level in ("0", "3")]
-    assert [proc.returncode for proc in out] == [0, 0]
-    assert out[0].stdout == out[1].stdout
-
-
 def test_cli_crofton_usage_errors():
     proc = run_cli(["crofton", "--set", "cap", "--samples", "500",
                     "--seed", "1"])
@@ -684,6 +674,11 @@ def test_cli_crofton_usage_errors():
     proc = run_cli(["crofton", "--set", "full", "--samples", "500"])
     assert proc.returncode == 2  # --seed is required
 
+    proc = run_cli(["crofton", "--set", "full", "--refinement", "3",
+                    "--samples", "500", "--seed", "1"])
+    assert proc.returncode == 2  # the region's mesh is fixed
+    assert "--refinement" in proc.stderr
+
 
 @pytest.mark.parametrize("args, flag", [
     (["--set", "cap", "--angle", "0"], "angle"),
@@ -695,11 +690,9 @@ def test_cli_crofton_usage_errors():
     (["--set", "hemisphere", "--sectors", "2"], "sectors"),
     (["--set", "hemisphere", "--sectors", "-4"], "sectors"),
     (["--set", "hemisphere", "--sectors", "100000"], "sectors"),  # budget
-    (["--set", "full", "--refinement", "9"], "refinement"),  # budget
+    (["--set", "full", "--samples", "99"], "samples"),
     (["--set", "full", "--samples", "1000001"], "samples"),
     (["--set", "full", "--seed", "-1"], "seed"),
-    (["--set", "full", "--refinement", "-1"], "refinement"),
-    (["--set", "hemisphere", "--refinement", "-1"], "refinement"),
 ])
 def test_cli_crofton_flags_exit_2(args, flag):
     # each of these ended in a traceback, with exit 1
@@ -773,6 +766,11 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
      "mc.radii"),
     ({"surface": {"name": "catenoid", "resolution": "coarse"},
       "mc": {"seed": 1, "radii": [0.5]}},
+     "mc.radii"),
+    # from a base on the surface the nearest vertex is 0 away, so the rule
+    # is the on-surface tolerance
+    ({"surface": {"name": "catenoid", "resolution": "coarse"},
+      "base_point": [1, 0, 0], "mc": {"seed": 1, "radii": [1e-170]}},
      "mc.radii"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):
