@@ -5,11 +5,6 @@ class MingaugeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidFrameError(MingaugeError):
-    """Section frames passed to the counter do not fit the mesh's ambient
-    dimension."""
-
-
 class DegenerateChartError(MingaugeError):
     """A chart's first fundamental form is singular somewhere on the grid."""
 

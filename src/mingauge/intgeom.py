@@ -28,14 +28,25 @@ the triangle, when the hit lies within EDGE_EPS of an edge in barycentric
 terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
 gray pair is jittered by ~1e-9 and recounted, which keeps seeded runs
 reproducible.  A triangle out of reach never jitters: it cannot change counts.
+A base on a mesh vertex or edge is gray for every section, so it is refused.
+
+Memory.  A count holds, per pruned triangle, its index, centroid offset and
+cull floor, the hit test's three Plucker coordinates and determinant scale,
+and the cull's caps or groups; and the (radii, sections) counts.  All else
+lives for one block: corner gathers for _BLOCK_TRIANGLES triangles, floor
+tests for _BLOCK_GATHER candidate pairs, and a block of sections with its
+frames, drawn and QR-factored as the count reaches them, its candidates and
+its jitters.
 """
+from copy import deepcopy
 from math import gamma, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdentityNotApplicableError, InvalidFrameError
-from .geometry import wedge
+from .errors import IdentityNotApplicableError
+from .geometry import on_surface_tolerance, wedge
+from .geometry.quadrature import _BLOCK_TRIANGLES
 from .invariants import on_surface_multiplicity, sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
@@ -44,6 +55,7 @@ _MAX_JITTER_ROUNDS = 12
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
 _BLOCK_FRAMES = 8192  # section frames QR-factored at a time
 _BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
+_BLOCK_GATHER = 8192  # candidate pairs whose coordinates are gathered at once
 # The cull keeps a pair when the centroid lies within reach of the section.
 # The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
 # its centroid, so any point the exact test can call a hit lies within that
@@ -58,7 +70,7 @@ _CAP_ROWS, _CAP_COLS = 64, 128
 _CAP_MAX_ANGLE = 0.25
 _CAP_MARGIN = 1e-9
 # the cap index is built this many listings (cap x cell) at a time
-_CAP_CHUNK = 1 << 16
+_CAP_CHUNK = 1 << 14
 # _group_cull's groups: a cell of the _GROUP_GRID-per-axis grid of [-1, 1]^n
 # over the unit centroid direction, and a power-of-_GROUP_CLASS_BASE class of
 # the cap half-angle.
@@ -124,27 +136,111 @@ def _signed_qr_frames(columns, k):
     return sections, complements
 
 
+class _SectionDraws:
+    """The ``count`` Haar-random (n-2)-plane frames of one count, drawn a
+    block at a time.
+
+    ``take(m)`` draws the next ``m`` frames (``sample_grassmann``) from a
+    copy of ``rng``.  The generator gives the same normals whether they are
+    drawn at once or in pieces, and QR factors matrix by matrix, so the
+    frames are those of one draw of all ``count``.  ``jitter_rng()`` returns
+    ``rng`` itself, advanced at its first call past the ``count n n``
+    section normals (drawn a block at a time and discarded): the jitter
+    draws follow the section draws, as after one whole draw, and a count
+    that never jitters never pays for the advance.
+    """
+
+    def __init__(self, n: int, count: int, rng):
+        self.count = count
+        self._n, self._rng, self._draws = n, rng, deepcopy(rng)
+        self._behind = True
+        self._drawn, self._ready = 0, (np.empty((0, n - 2, n)),
+                                       np.empty((0, 2, n)))
+
+    def take(self, m: int):
+        """The next ``m`` frames, drawn ``_BLOCK_FRAMES`` or more at a time
+        so that small blocks do not each pay for a draw."""
+        ready = self._ready
+        if len(ready[0]) < m:
+            more = min(max(m - len(ready[0]), _BLOCK_FRAMES),
+                       self.count - self._drawn)
+            self._drawn += more
+            ready = tuple(np.concatenate(pair) for pair in zip(
+                ready, sample_grassmann(self._n, 2, more, self._draws)))
+        self._ready = tuple(f[m:] for f in ready)
+        return tuple(f[:m] for f in ready)
+
+    def jitter_rng(self):
+        if self._behind:
+            for lo in range(0, self.count, _BLOCK_FRAMES):
+                self._rng.standard_normal(
+                    (min(_BLOCK_FRAMES, self.count - lo), self._n, self._n))
+            self._behind = False
+        return self._rng
+
+
 # --------------------------------------------------------------------------
 # section / mesh intersection counting
+
+
+def _corners(mesh, which):
+    """(m, 3, n) corners of the triangles ``which``, gathered anew."""
+    return np.take(mesh.vertices, np.take(mesh.triangles, which, axis=0),
+                   axis=0)
+
+
+def _triangle_sides(mesh, which):
+    """First corners ``A`` and sides ``e1 = B - A``, ``e2 = C - A`` of the
+    triangles ``which``, gathered from the vertices at each call."""
+    tri = _corners(mesh, which)
+    A = tri[:, 0]
+    return A, tri[:, 1] - A, tri[:, 2] - A
 
 
 def _pruned_triangles(mesh, base, r_max):
     """Triangles that can meet the ball |x - base| <= r_max.
 
-    Returns their first corners ``A``, edges ``e1``, ``e2``, centroid offsets
-    ``d = c - base`` and cull floors ``|d|^2 (1 - _CULL_ROUNDOFF) - reach^2``.
+    Returns their indices ``kept`` (int32), centroid offsets ``d = c - base``
+    and cull floors ``|d|^2 (1 - _CULL_ROUNDOFF) - reach^2``.  The corner
+    spreads are taken ``_BLOCK_TRIANGLES`` triangles at a time.
     """
     cen = mesh.centroids()
-    corners = mesh.corners()
-    spread = np.linalg.norm(corners - cen[:, None, :], axis=2).max(axis=1)
-    keep = np.linalg.norm(cen - base, axis=1) - spread <= r_max
-    tri = corners[keep]
-    offset = cen[keep] - base
+    spread = np.empty(len(cen))
+    keep = np.empty(len(cen), dtype=bool)
+    for lo in range(0, len(cen), _BLOCK_TRIANGLES):
+        sl = slice(lo, lo + _BLOCK_TRIANGLES)
+        corners = np.take(mesh.vertices, mesh.triangles[sl], axis=0)
+        spread[sl] = np.linalg.norm(corners - cen[sl, None, :],
+                                    axis=2).max(axis=1)
+        keep[sl] = np.linalg.norm(cen[sl] - base, axis=1) - spread[sl] <= r_max
+    kept = np.flatnonzero(keep).astype(np.int32)
+    offset = cen[kept] - base
     d2 = np.einsum("tn,tn->t", offset, offset)
-    reach = spread[keep] * (1.0 + _REACH_SLACK)
+    reach = spread[kept] * (1.0 + _REACH_SLACK)
     floor = d2 * (1.0 - _CULL_ROUNDOFF) - reach * reach
-    A = tri[:, 0]
-    return A, tri[:, 1] - A, tri[:, 2] - A, offset, floor
+    return kept, offset, floor
+
+
+def _reject_base_on_an_edge(mesh, base, near):
+    """Raise IdentityNotApplicableError when ``base`` lies within
+    ``on_surface_tolerance`` of a side of one of the triangles ``near``.
+
+    A section through such a base meets that side at the base itself, in
+    the gray zone, and a jittered section still passes through the base, so
+    no jitter clears it: the count is ill-posed, as from a vertex.
+    """
+    tri = _corners(mesh, near)
+    side = np.roll(tri, -1, axis=1) - tri
+    off = base - tri
+    along = np.einsum("tkn,tkn->tk", off, side) / np.maximum(
+        np.einsum("tkn,tkn->tk", side, side), 1e-300)
+    gap = off - np.clip(along, 0.0, 1.0)[..., None] * side
+    if np.any(np.linalg.norm(gap, axis=2) <= on_surface_tolerance(base)):
+        point = ", ".join(f"{float(c):.6g}" for c in base)
+        raise IdentityNotApplicableError(
+            f"base point [{point}] lies on a mesh edge: every section "
+            "through it meets the surface there, on the edge, so the count "
+            "is ill-posed; offset the base point")
 
 
 def _cull_pairs(offset, floor, sections):
@@ -191,6 +287,16 @@ def _ranges(starts, lengths):
     return pos, owner
 
 
+def _floor_test(pairs, test):
+    """Indices of the ``pairs`` candidate pairs that pass ``test(sl)``,
+    which gathers their coordinates ``_BLOCK_GATHER`` pairs at a time."""
+    keep = np.empty(pairs, dtype=bool)
+    for lo in range(0, pairs, _BLOCK_GATHER):
+        sl = slice(lo, min(lo + _BLOCK_GATHER, pairs))
+        keep[sl] = test(sl)
+    return np.flatnonzero(keep)
+
+
 def _cap_index(caps, row0, nrow, col0, ncol):
     """``(listed, start)``: the triangles ``caps`` listed cell by cell of
     the grid, cell ``c`` holding ``listed[start[c]:start[c + 1]]`` in the
@@ -198,9 +304,10 @@ def _cap_index(caps, row0, nrow, col0, ncol):
 
     Cap i covers ``nrow[i]`` rows from ``row0[i]`` and ``ncol[i]`` columns
     from ``col0[i]``, wrapped.  Its listings (cap x cell) are made in chunks
-    of about ``_CAP_CHUNK`` as int16 cells and int32 triangles; then each
-    chunk, sorted by cell stably, fills its cells' next free places.  So no
-    array as long as all the listings holds int64.
+    of about ``_CAP_CHUNK`` as int16 cells; then each chunk, sorted by cell
+    stably, puts its triangles in its cells' next free places.  So no array
+    as long as all the listings holds more than int32, and no int64
+    temporary is longer than a chunk.
     """
     size = nrow * ncol
     ends, total = np.cumsum(size), int(size.sum())
@@ -209,27 +316,55 @@ def _cap_index(caps, row0, nrow, col0, ncol):
     chunks = [(a, b, slice(ends[a] - size[a], ends[b - 1]))
               for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(size)]) if a < b]
     cells = np.empty(total, dtype=np.int16)
-    owner = np.empty(total, dtype=np.int32)
     start = np.zeros(_CAP_ROWS * _CAP_COLS + 1, dtype=np.intp)
     for a, b, at in chunks:
         k, cap = _ranges(np.zeros(b - a, dtype=np.intp), size[a:b])
         cap += a
-        cells[at] = ((row0[cap] + k // ncol[cap]) * _CAP_COLS
-                     + (col0[cap] + k % ncol[cap]) % _CAP_COLS)
-        owner[at] = caps[cap]
+        row, col = np.divmod(k, ncol[cap])
+        cells[at] = ((row0[cap] + row) * _CAP_COLS
+                     + (col0[cap] + col) % _CAP_COLS)
         start[1:] += np.bincount(cells[at], minlength=len(start) - 1)
     np.cumsum(start, out=start)
-    free, listed = start[:-1].copy(), np.empty_like(owner)
-    for _, _, at in chunks:
+    free, listed = start[:-1].copy(), np.empty(total, dtype=np.int32)
+    for a, b, at in chunks:
         # cell ids fit int16, for which numpy's stable sort is a radix sort
         order = np.argsort(cells[at], kind="stable")
         chunk_cells = cells[at][order]
         n = np.bincount(chunk_cells, minlength=len(free))
         first = np.cumsum(n) - n  # each cell's first place in the chunk
         listed[free[chunk_cells] + np.arange(len(order))
-               - first[chunk_cells]] = owner[at][order]
+               - first[chunk_cells]] = np.repeat(caps[a:b], size[a:b])[order]
         free += n
     return listed, start
+
+
+def _cap_extents(offset, floor):
+    """``(always, caps, (row0, nrow, col0, ncol))`` for ``_cap_cull``: the
+    triangles tested against every line, the capped ones, and each cap's
+    first row, row count, first column and column count on the grid, as
+    int32.  The per-cap angles die on return, before the index is built.
+    """
+    half = _half_angles(offset, floor) + _CAP_MARGIN
+    wide = half > _CAP_MAX_ANGLE  # as is every cap with floor <= 0
+    always = np.flatnonzero(wide).astype(np.int32)
+    caps = np.flatnonzero(~wide).astype(np.int32)
+    half = half[caps]
+    d = offset[caps]
+    theta = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
+    phi = np.arctan2(d[:, 1], d[:, 0])
+
+    row_h, col_w = pi / _CAP_ROWS, 2 * pi / _CAP_COLS
+    row0 = np.maximum(np.floor((theta - half) / row_h), 0).astype(np.int32)
+    nrow = np.minimum(np.floor((theta + half) / row_h),
+                      _CAP_ROWS - 1).astype(np.int32) - row0 + 1
+    polar = (theta <= half) | (theta + half >= pi)
+    spread = np.where(polar, pi, _CAP_MARGIN + np.arcsin(
+        np.sin(half) / np.maximum(np.sin(theta), np.sin(half))))
+    col0 = np.floor((phi - spread + pi) / col_w).astype(np.int32)
+    ncol = np.floor((phi + spread + pi) / col_w).astype(np.int32) - col0 + 1
+    ring = ncol >= _CAP_COLS
+    col0[ring], ncol[ring] = 0, _CAP_COLS
+    return always, caps, (row0, nrow, col0, ncol)
 
 
 def _cap_cull(offset, floor):
@@ -248,28 +383,8 @@ def _cap_cull(offset, floor):
     Returns ``cull(sections) -> (ti, si, candidates)`` and an estimate of
     the candidates per line, which sizes the section blocks.
     """
-    half = _half_angles(offset, floor) + _CAP_MARGIN
-    wide = half > _CAP_MAX_ANGLE  # as is every cap with floor <= 0
-    always = np.flatnonzero(wide).astype(np.int32)
-    caps = np.flatnonzero(~wide)
-    half = half[caps]
-    d = offset[caps]
-    theta = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
-    phi = np.arctan2(d[:, 1], d[:, 0])
-
-    row_h, col_w = pi / _CAP_ROWS, 2 * pi / _CAP_COLS
-    row0 = np.maximum(np.floor((theta - half) / row_h), 0).astype(np.intp)
-    row1 = np.minimum(np.floor((theta + half) / row_h),
-                      _CAP_ROWS - 1).astype(np.intp)
-    polar = (theta <= half) | (theta + half >= pi)
-    spread = np.where(polar, pi, _CAP_MARGIN + np.arcsin(
-        np.sin(half) / np.maximum(np.sin(theta), np.sin(half))))
-    col0 = np.floor((phi - spread + pi) / col_w).astype(np.intp)
-    ncol = np.floor((phi + spread + pi) / col_w).astype(np.intp) - col0 + 1
-    ring = ncol >= _CAP_COLS
-    col0[ring], ncol[ring] = 0, _CAP_COLS
-
-    listed, start = _cap_index(caps, row0, row1 - row0 + 1, col0, ncol)
+    always, caps, extents = _cap_extents(offset, floor)
+    listed, start = _cap_index(caps, *extents)
     wide_offset, wide_floor = offset[always], floor[always]
 
     def cull(sections):
@@ -280,9 +395,13 @@ def _cap_cull(offset, floor):
         lengths = start[cells + 1] - start[cells]
         pos, owner = _ranges(start[cells], lengths)
         ti = listed[pos]
-        dots = np.einsum("pn,pn->p", np.repeat(both, lengths, axis=0),
-                         np.take(offset, ti, axis=0))
-        keep = np.flatnonzero(dots * dots >= np.take(floor, ti))
+
+        def near(sl):
+            dots = np.einsum("pn,pn->p", np.take(both, owner[sl], axis=0),
+                             np.take(offset, ti[sl], axis=0))
+            return dots * dots >= np.take(floor, ti[sl])
+
+        keep = _floor_test(len(pos), near)
         k_w, si_w, wide_cells = _cull_pairs(wide_offset, wide_floor, sections)
         ti = np.concatenate([ti[keep], always[k_w]])
         si = np.concatenate([owner[keep] % m, si_w])
@@ -341,10 +460,14 @@ def _group_cull(offset, floor):
         gi, si, tests = _cull_pairs(center, rim, sections)
         pos, owner = _ranges(first[gi], size[gi])
         si = si[owner]
-        proj = np.einsum("pkn,pn->pk", np.take(sections, si, axis=0),
-                         np.take(member_offset, pos, axis=0))
-        keep = np.flatnonzero(np.einsum("pk,pk->p", proj, proj)
-                              >= np.take(member_floor, pos))
+
+        def near(sl):
+            proj = np.einsum("pkn,pn->pk", np.take(sections, si[sl], axis=0),
+                             np.take(member_offset, pos[sl], axis=0))
+            return (np.einsum("pk,pk->p", proj, proj)
+                    >= np.take(member_floor, pos[sl]))
+
+        keep = _floor_test(len(pos), near)
         return member[pos[keep]], si[keep], tests + len(pos)
 
     # |F c|^2 is uniform on [0, 1] for a Haar 2-plane in R^4: a group passes
@@ -353,17 +476,26 @@ def _group_cull(offset, floor):
     return cull, int(per_section) + 1
 
 
-def _hit_test(A, e1, e2, base):
-    """Exact pair test of (n-2)-plane sections against triangles, any n.
+def _hit_test(mesh, kept, base):
+    """Exact pair test of (n-2)-plane sections against the triangles
+    ``kept``, any n; the pairs' ``ti`` index ``kept``.
 
     A section meets triangle ``A + alpha e1 + beta e2`` where its complement
     rows ``c1``, ``c2`` annihilate ``alpha e1 + beta e2 - t`` (t = base - A),
     a 2 x 2 system whose Cramer determinants are dot products of 2-vectors:
     ``det = C.(e1^e2)``, ``alpha det = C.(t^e2)``, ``beta det = C.(e1^t)``
-    with ``C = c1^c2``.
+    with ``C = c1^c2``.  Per triangle it holds ``E = e1^e2``, ``Ea = t^e2``,
+    ``Eb = e1^t`` and ``det_scale``, built ``_BLOCK_TRIANGLES`` triangles at
+    a time; the sides and ``t`` of the few potential hits are gathered again
+    from the vertices, and the same subtractions give the same bits.
     """
-    t = base - A
-    E, Ea, Eb = wedge(e1, e2), wedge(t, e2), wedge(e1, t)
+    k = mesh.vertices.shape[1] * (mesh.vertices.shape[1] - 1) // 2
+    E, Ea, Eb = (np.empty((len(kept), k)) for _ in range(3))
+    for lo in range(0, len(kept), _BLOCK_TRIANGLES):
+        sl = slice(lo, lo + _BLOCK_TRIANGLES)
+        A, e1, e2 = _triangle_sides(mesh, kept[sl])
+        t = base - A
+        E[sl], Ea[sl], Eb[sl] = wedge(e1, e2), wedge(t, e2), wedge(e1, t)
     det_scale = np.linalg.norm(E, axis=1) + 1e-300
     eps = EDGE_EPS
 
@@ -376,10 +508,10 @@ def _hit_test(A, e1, e2, base):
         beta = np.einsum("pk,pk->p", np.take(Eb, ti, axis=0), C) / inv
         pot = np.flatnonzero(
             safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps))
-        a, b, tp = alpha[pot], beta[pot], ti[pot]
+        a, b = alpha[pot], beta[pot]
         inside = (a > eps) & (b > eps) & (a + b < 1.0 - eps)
-        w = (a[:, None] * np.take(e1, tp, axis=0)
-             + b[:, None] * np.take(e2, tp, axis=0) - np.take(t, tp, axis=0))
+        A, e1, e2 = _triangle_sides(mesh, kept[ti[pot]])
+        w = a[:, None] * e1 + b[:, None] * e2 - (base - A)
         rho2 = np.einsum("pn,pn->p", w, w)
         r2 = radii[:, None] * radii[:, None]
         hits = np.zeros((len(radii), len(ti)), dtype=bool)
@@ -417,9 +549,18 @@ class _SectionCounts(NamedTuple):
     pairs_tested: int     # culled pairs given the exact test, all rounds
 
 
-def _count_sections(mesh, base, sections, complements, radii,
-                    rng) -> _SectionCounts:
-    """(num_radii, S) intersection counts inside |x - base| <= r, jittered."""
+def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
+    """(num_radii, S) intersection counts inside |x - base| <= r, jittered.
+
+    ``draws`` hands out the S section frames: ``draws.count`` of them,
+    ``draws.take(m)`` the next ``m`` as (sections, complements), and
+    ``draws.jitter_rng()`` the generator the jitters draw from.  Held for
+    the whole count, per pruned triangle: its index, centroid offset and
+    cull floor, the hit test's Plucker coordinates, and the cull's caps or
+    groups; and the (num_radii, S) counts.  Everything else lives for one
+    block of triangles, candidate pairs or sections: the block's frames,
+    its candidates and tested pairs, and its jitters.
+    """
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0):
@@ -439,25 +580,22 @@ def _count_sections(mesh, base, sections, complements, radii,
             "is pinned to that vertex, so the count is ill-posed; offset "
             "the base point"
         )
-    n = mesh.vertices.shape[1]
-    if sections.shape[1:] != (n - 2, n) or complements.shape[1:] != (2, n):
-        raise InvalidFrameError("section frame shapes do not match the mesh")
-    A, e1, e2, offset, floor = _pruned_triangles(mesh, base, radii.max())
-    S = sections.shape[0]
+    kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
+    # a side through the base lies in the reach of its triangle's centroid
+    _reject_base_on_an_edge(mesh, base, kept[floor <= 0])
+    S = draws.count
     counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = candidates = pairs_tested = 0
-    if len(A) == 0:
+    if len(kept) == 0:
         return _SectionCounts(counts, jittered, 0, candidates, pairs_tested)
-    hit_test = _hit_test(A, e1, e2, base)
-    if n == 3:
+    hit_test = _hit_test(mesh, kept, base)
+    if mesh.vertices.shape[1] == 3:
         cull, cost = _cap_cull(offset, floor)
     else:
         cull, cost = _group_cull(offset, floor)
     block = max(32, _BLOCK_CANDIDATES // cost)
     for lo in range(0, S, block):
-        sl = slice(lo, min(lo + block, S))
-        sec = sections[sl].copy()
-        comp = complements[sl].copy()
+        sec, comp = draws.take(min(block, S - lo))
         for _ in range(_MAX_JITTER_ROUNDS):
             ti, si, proposed = cull(sec)
             candidates += proposed
@@ -468,11 +606,12 @@ def _count_sections(mesh, base, sections, complements, radii,
                 break
             idx = np.flatnonzero(gray)
             jittered += len(idx)
-            sec[idx], comp[idx] = _jitter_frames(sec[idx], comp[idx], rng)
+            sec[idx], comp[idx] = _jitter_frames(sec[idx], comp[idx],
+                                                 draws.jitter_rng())
         else:
             raise RuntimeError("section jitter failed to clear tangencies")
-        counts[:, sl] = c_blk
-    return _SectionCounts(counts, jittered, len(A) * S, candidates,
+        counts[:, lo:lo + len(sec)] = c_blk
+    return _SectionCounts(counts, jittered, len(kept) * S, candidates,
                           pairs_tested)
 
 
@@ -492,10 +631,9 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful average")
     radii = np.asarray(radii, dtype=float)
-    rng = np.random.default_rng(seed)
-    n = mesh.vertices.shape[1]
-    sections, complements = sample_grassmann(n, 2, samples, rng)
-    out = _count_sections(mesh, base, sections, complements, radii, rng)
+    draws = _SectionDraws(mesh.vertices.shape[1], samples,
+                          np.random.default_rng(seed))
+    out = _count_sections(mesh, base, draws, radii)
     counts = out.counts
     means = counts.mean(axis=1)
     sd = counts.std(axis=1, ddof=1)
@@ -550,10 +688,8 @@ def crofton_verify(region, samples: int = 100000,
     """
     if seed is None:
         raise ValueError("seed is required: the check is Monte-Carlo based")
-    rng = np.random.default_rng(seed)
-    sections, complements = sample_grassmann(3, 2, samples, rng)
-    out = _count_sections(region, np.zeros(3), sections, complements, [2.0],
-                          rng)
+    draws = _SectionDraws(3, samples, np.random.default_rng(seed))
+    out = _count_sections(region, np.zeros(3), draws, [2.0])
     values = out.counts[0].astype(float)
     lhs = geodesic_area(region)
     factor = 0.5 * sphere_area(3)

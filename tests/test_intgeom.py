@@ -20,6 +20,8 @@ Deterministic oracles:
   calls sections through a vertex, along an edge or parallel to a triangle
   gray
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,28 @@ def _frames(directions):
     return ig._signed_qr_frames(np.swapaxes(d, 1, 2), d.shape[1])
 
 
+class _GivenSections:
+    """Given (sections, complements) handed to ``_count_sections`` block by
+    block, as ``intgeom._SectionDraws`` hands out drawn ones; the jitters
+    draw from ``rng``."""
+
+    def __init__(self, sections, complements, rng):
+        self.count = len(sections)
+        self._frames, self._rng, self._at = (sections, complements), rng, 0
+
+    def take(self, m):
+        lo, self._at = self._at, self._at + m
+        return tuple(f[lo:self._at].copy() for f in self._frames)
+
+    def jitter_rng(self):
+        return self._rng
+
+
 def _count(mesh, base, directions, radius):
     """(counts (S,), jittered) of the sections through ``base`` along the
     (S, n-2, n) ``directions`` rows inside ``radius``."""
-    out = ig._count_sections(mesh, base, *_frames(directions), [radius],
-                             np.random.default_rng(0))
+    given = _GivenSections(*_frames(directions), np.random.default_rng(0))
+    out = ig._count_sections(mesh, base, given, [radius])
     return out.counts[0], out.jittered
 
 
@@ -188,6 +207,19 @@ def test_on_surface_base_rejected(parabola_coarse):
         _count_one(parabola_coarse.mesh, np.zeros(4), w_dirs, 10.0)
 
 
+@pytest.mark.parametrize("name", ["catenoid", "complex_parabola_r4"])
+def test_base_on_a_mesh_edge_rejected(coarse, name):
+    # every section through an edge's midpoint meets the edge there, in the
+    # gray zone, and a jittered section still does: rejected like a vertex
+    mesh = coarse(name).mesh
+    i, j = mesh.interior_edges[len(mesh.interior_edges) // 2]
+    base = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
+    assert inv.on_surface_multiplicity(mesh, base) == 0
+    radius = 0.5 * inv.max_safe_radius(mesh, base)
+    with pytest.raises(IdentityNotApplicableError, match="on a mesh edge"):
+        ig.counting_sweep(mesh, base, [radius], samples=200, seed=1)
+
+
 def test_counting_guards(catenoid_coarse):
     m, a = catenoid_coarse.mesh, catenoid_coarse.base_point
     with pytest.raises(ValueError, match="exceeds"):
@@ -225,7 +257,7 @@ def test_cap_index_equals_one_stable_sort(coarse, monkeypatch, name):
     # as one stable sort of every listing, across chunk edges
     spec = coarse(name)
     r_hi = inv.max_safe_radius(spec.mesh, spec.base_point)
-    offset, floor = ig._pruned_triangles(spec.mesh, spec.base_point, r_hi)[3:]
+    offset, floor = ig._pruned_triangles(spec.mesh, spec.base_point, r_hi)[1:]
     seen, build = [], ig._cap_index
     monkeypatch.setattr(ig, "_cap_index",
                         lambda *args: seen.append(args) or build(*args))
@@ -268,8 +300,8 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = mesh.vertices.shape[1]
     sec, comp = ig.sample_grassmann(n, 2, 256, np.random.default_rng(11))
-    A, e1, e2, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
-    hit_test = ig._hit_test(A, e1, e2, base)
+    kept, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
+    hit_test = ig._hit_test(mesh, kept, base)
     # the index (lines) or the groups (2-planes) propose a superset of the
     # flat cull's pairs; the floor test keeps the same pairs, each once
     if n == 3:
@@ -293,12 +325,12 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     ti, si, _ = ig._cull_pairs(offset, floor, sec)
     hits, gray = hit_test(comp, ti, si, radii)
     counts, gray = ig._per_section(si, hits, gray, len(sec))
-    dense_counts, dense_gray = _all_pairs_counts(hit_test, len(A), comp,
+    dense_counts, dense_gray = _all_pairs_counts(hit_test, len(kept), comp,
                                                  radii)
     assert np.array_equal(counts, dense_counts)
     assert np.array_equal(gray, dense_gray)
     assert counts[-1].sum() > 0
-    assert len(ti) < 0.05 * len(A) * len(sec)  # the cull does drop pairs
+    assert len(ti) < 0.05 * len(kept) * len(sec)  # the cull does drop pairs
 
 
 def test_plane_counting_work_on_the_benchmark_config(default):
@@ -339,7 +371,8 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
     r_hi = inv.max_safe_radius(spec.mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = len(base)
-    A, e1, e2, _, _ = ig._pruned_triangles(spec.mesh, base, r_hi)
+    kept = ig._pruned_triangles(spec.mesh, base, r_hi)[0]
+    A, e1, e2 = ig._triangle_sides(spec.mesh, kept)
     frames = [ig.sample_grassmann(n, 2, 256, np.random.default_rng(11)),
               _planted_edge_cases(A, e1, e2, base)]
     if n == 3:
@@ -348,7 +381,7 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
     else:
         old = counting_oracle._plane_hit_test(A, e1, e2, base)
     sec, comp = (np.concatenate(f) for f in zip(*frames))
-    new = ig._hit_test(A, e1, e2, base)
+    new = ig._hit_test(spec.mesh, kept, base)
     S, T = len(sec), len(A)
     counts = np.empty((2, len(radii), S), dtype=np.int64)
     gray = np.empty((2, S), dtype=bool)
@@ -417,11 +450,81 @@ def test_counting_rotation_invariance(catenoid_coarse, rng):
     rot = _rotz(0.37) @ np.array([[1, 0, 0], [0, np.cos(0.9), -np.sin(0.9)],
                                   [0, np.sin(0.9), np.cos(0.9)]])
     counts, counts_r = (
-        ig._count_sections(m, a, s, c, [20.0],
-                           np.random.default_rng(0)).counts[0]
+        ig._count_sections(
+            m, a, _GivenSections(s, c, np.random.default_rng(0)), [20.0]
+        ).counts[0]
         for s, c in [(sec, comp), (sec @ rot.T, comp @ rot.T)])
     se = np.hypot(counts.std(ddof=1), counts_r.std(ddof=1)) / np.sqrt(len(sec))
     assert abs(counts.mean() - counts_r.mean()) <= 5 * se
+
+
+@pytest.mark.parametrize("name", ["catenoid", "complex_parabola_r4"])
+def test_sections_drawn_per_block_count_like_one_draw(coarse, monkeypatch,
+                                                      name):
+    # the planted sections (through a vertex, along an edge, parallel to a
+    # triangle) replace drawn ones in different blocks of 32 sections; with
+    # the frames drawn 50 at a time as the count reaches them, the counts,
+    # the jitters and the generator's final state are those of frames drawn
+    # in one call
+    spec = coarse(name)
+    mesh, base = spec.mesh, spec.base_point
+    r_hi = inv.max_safe_radius(mesh, base)
+    radii = np.geomspace(0.3 * r_hi, r_hi, 5)
+    n, S = len(base), 300
+    kept = ig._pruned_triangles(mesh, base, r_hi)[0]
+    planted = _planted_edge_cases(*ig._triangle_sides(mesh, kept), base)
+    at = [5, 40, 77, 150, 230, 299]  # in blocks 0, 1, 2, 4, 7 and 9
+
+    def plant(sec, comp, lo):
+        for k, i in enumerate(at):
+            if lo <= i < lo + len(sec):
+                sec[i - lo], comp[i - lo] = (f[k % 3] for f in planted)
+        return sec, comp
+
+    monkeypatch.setattr(ig, "_BLOCK_CANDIDATES", 1)  # blocks of 32
+    rng = np.random.default_rng(23)
+    sec, comp = plant(*ig.sample_grassmann(n, 2, S, rng), 0)
+    want = ig._count_sections(mesh, base, _GivenSections(sec, comp, rng),
+                              radii)
+
+    monkeypatch.setattr(ig, "_BLOCK_FRAMES", 50)
+    draw, drawn = ig.sample_grassmann, []
+
+    def planting(n, p, m, g):
+        drawn.append(m)
+        return plant(*draw(n, p, m, g), sum(drawn) - m)
+
+    monkeypatch.setattr(ig, "sample_grassmann", planting)
+    streamed = np.random.default_rng(23)
+    draws, taken = ig._SectionDraws(n, S, streamed), []
+    take = draws.take
+    draws.take = lambda m: taken.append(m) or take(m)
+    got = ig._count_sections(mesh, base, draws, radii)
+    assert taken == [32] * 9 + [12] and drawn == [50] * 6
+    assert got.jittered == want.jittered >= len(at)
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.counts.max() == want.counts.max()
+    assert got[2:] == want[2:]
+    assert streamed.bit_generator.state == rng.bit_generator.state
+
+
+def test_counting_memory_is_bounded_by_its_blocks(default):
+    # catenoid `default` at the report's counting config (1,000 samples,
+    # seed 11, radii 0.3 r .. r): counting needs under 12 MiB of numpy
+    # memory (9.5 measured); holding the whole-mesh corner gathers, the
+    # triangle sides and the cap geometry through the count took 20.1
+    spec = default("catenoid")
+    mesh, base = spec.mesh, spec.base_point
+    r_hi = inv.max_safe_radius(mesh, base)
+    radii = np.geomspace(0.3 * r_hi, r_hi, 5)
+    mesh.centroids(), mesh.about(base)
+    tracemalloc.start()
+    try:
+        ig.counting_sweep(mesh, base, radii, samples=1000, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # --------------------------------------------------------------------------
@@ -544,8 +647,8 @@ def test_crofton_counts_match_edge_plane_oracle(kind):
     planted = _planted_lines()
     sec = np.concatenate([sec, planted[0]])
     comp = np.concatenate([comp, planted[1]])
-    (total,) = ig._count_sections(region, np.zeros(3), sec, comp, [2.0],
-                                  rng).counts
+    (total,) = ig._count_sections(region, np.zeros(3),
+                                  _GivenSections(sec, comp, rng), [2.0]).counts
     u = sec[:, 0, :]
     want_ahead, want_behind, gray = _edge_plane_counts(region, u)
     clear = ~gray

@@ -390,6 +390,32 @@ def test_base_point_on_surface_skips_counting_only(tmp_path):
     assert ident["detail"]["on_surface_multiplicity"] == 1
 
 
+def test_cli_base_on_a_mesh_edge_skips_counting_without_a_traceback(
+        tmp_path):
+    # the midpoint of an interior edge of the catenoid `coarse` mesh: every
+    # section through it meets the edge at the base, in the gray zone, where
+    # no jitter clears it; the counting checks read "not applicable" and name
+    # the base point, and no traceback is printed
+    mesh = build_surface("catenoid", resolution="coarse").mesh
+    i, j = mesh.interior_edges[1000]
+    base = [-5.445996429171874, 78.1944925835395, -5.054914212975492]
+    assert list(0.5 * (mesh.vertices[i] + mesh.vertices[j])) == base
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps({
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": base, "mc": {"samples": 1000, "seed": 11}}))
+    proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.returncode in (0, 1), proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counting"] is None
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("defect_counting_bound", "ends_counting_bound"):
+        assert not by_name[name]["applicable"]
+        assert "[-5.446, 78.1945, -5.05491] lies on a mesh edge" in (
+            by_name[name]["note"])
+
+
 def test_enneper_matches_three_sheet_targets(tmp_path):
     # the catalog targets count all three sheets of the one end (6 pi, 3 pi)
     config = parse_config({
