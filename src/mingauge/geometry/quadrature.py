@@ -18,15 +18,18 @@ Whole-triangle integrals are kept in the mesh's store for the base point,
 per kind, and filled in only out to the largest ball a call asks for, so a
 later, larger ball computes just the triangles it adds.  They, and the
 in-plane data of the base point that they start from, are computed
-``_BLOCK_TRIANGLES`` triangles at a time, so the per-edge temporaries stay
-in cache and no whole-mesh temporary is made; shells are differences of
-balls taken in place.  Every step is elementwise or matrix by matrix and
-each Gauss rule sums its nodes in one fixed order, so the values do not
-depend on the blocks or on the order in which balls were asked for.
+``_BLOCK_TRIANGLES`` triangles at a time, frames and centroids from each
+block's one corner gather, so the per-edge temporaries stay in cache and no
+whole-mesh temporary is made; shells are differences of balls taken in
+place.  Every step is elementwise or matrix by matrix and each Gauss rule
+sums its nodes in one fixed order, so the values do not depend on the
+blocks or on the order in which balls were asked for.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .types import _BLOCK_TRIANGLES, triangle_centroids, triangle_frames
 
 KINDS = ("area", "inverse_power", "defect")
 # heights below this fraction of the corners' distance are roundoff
@@ -35,9 +38,6 @@ _FLAT = 1e-12
 _ROUNDOFF = 1e-14
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
-# in-plane data and whole-triangle integrals run this many triangles at a
-# time, so that each (block, 3) temporary stays in cache
-_BLOCK_TRIANGLES = 4096
 
 
 def _cross(x, y):
@@ -148,30 +148,31 @@ def _in_plane(mesh, center):
     """In-plane corners about the foot of ``center`` (T, 3, 2; positively
     oriented, as frames follow corner order), squared heights and squared
     nearest / farthest distances; kept in the mesh's store for ``center``.
-    Built ``_BLOCK_TRIANGLES`` triangles at a time, corners gathered per
-    block, into the four arrays."""
+    Built ``_BLOCK_TRIANGLES`` triangles at a time into the four arrays,
+    each block's frames and centroids taken from its one corner gather."""
     store = mesh.about(center)
     if "in_plane" in store:
         return store["in_plane"]
     T = len(mesh.triangles)
     P = np.empty((T, 3, 2))
     h2, near2, far2 = np.empty(T), np.empty(T), np.empty(T)
-    frames, cen = mesh.frames(), mesh.centroids()
     for lo in range(0, T, _BLOCK_TRIANGLES):
         sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        _in_plane_block(mesh.vertices[mesh.triangles[sl]] - center, frames[sl],
-                        cen[sl] - center, P[sl], h2[sl], near2[sl], far2[sl])
+        _in_plane_block(mesh.corners(sl), center, P[sl], h2[sl], near2[sl],
+                        far2[sl])
     store["in_plane"] = P, h2, near2, far2
     return store["in_plane"]
 
 
-def _in_plane_block(x, frames, centroid, P, h2, near2, far2):
-    """``_in_plane`` on one block of corners ``x`` and centroids taken about
-    the center, written into the block's rows of the four outputs.  A stacked
-    matmul multiplies matrix by matrix, so the blocks leave the bits alone."""
+def _in_plane_block(corners, center, P, h2, near2, far2):
+    """``_in_plane`` on one block of ``corners``, written into the block's
+    rows of the four outputs.  A stacked matmul multiplies matrix by matrix,
+    so the blocks leave the bits alone."""
+    x, frames = corners - center, triangle_frames(corners)
+    centroid = triangle_centroids(corners) - center
     np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)), out=P)
     X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
-    foot = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
+    foot = triangle_centroids(P)
     normal = centroid - foot[:, :1] * frames[:, 0] - foot[:, 1:] * frames[:, 1]
     h2[:] = _dot(normal, normal)
     d2 = _dot(x, x)

@@ -14,6 +14,9 @@ import numpy as np
 from ..errors import MeshTopologyError
 
 MIN_TRIANGLE_AREA = 1e-14
+# per-triangle passes run this many triangles at a time, so that each
+# (block, 3) temporary stays in cache and none spans the whole mesh
+_BLOCK_TRIANGLES = 4096
 
 
 def orthonormal_frame(xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
@@ -53,7 +56,8 @@ class SimplicialSurface:
     interior_pairs   (E, 2) int32, the two triangles of each interior edge
 
     The edge arrays, derived at construction, are the whole topology kept;
-    ``_cache`` holds only frames, centroids and one base point's store.
+    ``_cache`` holds only one base point's store: each pass gathers the
+    corners it needs, per block or selection, with ``corners(which)``.
     """
 
     vertices: np.ndarray
@@ -80,7 +84,10 @@ class SimplicialSurface:
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
             raise MeshTopologyError("triangle vertex index out of range")
-        areas = triangle_areas(self.corners())
+        areas = np.empty(len(self.triangles))
+        for lo in range(0, len(areas), _BLOCK_TRIANGLES):
+            sl = slice(lo, lo + _BLOCK_TRIANGLES)
+            areas[sl] = triangle_areas(self.corners(sl))
         if areas.size and areas.min() <= MIN_TRIANGLE_AREA:
             k = int(np.argmin(areas))
             raise MeshTopologyError(
@@ -89,27 +96,10 @@ class SimplicialSurface:
         self._check_edges()
 
     # -- derived quantities ---------------------------------------------------
-    def corners(self) -> np.ndarray:
-        """Vertex coordinates per triangle, shape (T, 3, n); gathered anew at
-        each call, not kept."""
-        return self.vertices[self.triangles]
-
-    def centroids(self) -> np.ndarray:
-        """Corner means, shape (T, n), summed in corner order as
-        ``mean(axis=1)`` does, without its strided reduction."""
-        if "centroids" not in self._cache:
-            c = self.corners()
-            self._cache["centroids"] = (c[:, 0] + c[:, 1] + c[:, 2]) / 3.0
-        return self._cache["centroids"]
-
-    def frames(self) -> np.ndarray:
-        """Per-triangle orthonormal tangent frames, shape (T, 2, n)."""
-        if "frames" not in self._cache:
-            c = self.corners()
-            self._cache["frames"] = orthonormal_frame(
-                c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
-            )
-        return self._cache["frames"]
+    def corners(self, which) -> np.ndarray:
+        """Vertex coordinates of the triangles ``which`` (a slice or an index
+        array), shape (m, 3, n); gathered anew at each call, not kept."""
+        return np.take(self.vertices, self.triangles[which], axis=0)
 
     def about(self, center) -> dict:
         """Values kept for ``center``, such as its ``"distances"`` |vertex -
@@ -126,27 +116,39 @@ class SimplicialSurface:
     def _check_edges(self):
         """Group the 3T triangle sides by the int64 code lo * (V + 1) + hi
         with one stable argsort, reject an edge of more than two triangles,
-        and keep the boundary and interior edges with their triangles."""
-        tri = self.triangles
-        nxt = np.roll(tri, -1, axis=1)  # sides (0, 1), (1, 2), (2, 0)
-        lo = np.minimum(tri, nxt).T.ravel()
-        hi = np.maximum(tri, nxt).T.ravel()
-        code = lo * (len(self.vertices) + 1) + hi
-        order = np.argsort(code, kind="stable")
-        starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-        counts = np.diff(np.append(starts, len(code)))
-        if counts.size and counts.max() > 2:
+        and keep the boundary and interior edges with their triangles.  The
+        codes are built a column of sides at a time; vertex pairs and owning
+        triangles are decoded at the edge starts only."""
+        tri, T, V1 = self.triangles, len(self.triangles), len(self.vertices) + 1
+        code = np.empty((3, T), dtype=np.int64)  # row k: the sides (k, k + 1)
+        for k in range(3):
+            a, b = tri[:, k], tri[:, (k + 1) % 3]
+            np.minimum(a, b, out=code[k])
+            code[k] *= V1
+            code[k] += np.maximum(a, b)
+        order = np.argsort(code.ravel(), kind="stable")  # side k T + t
+        code = code.ravel()[order]
+        if np.any(code[2:] == code[:-2]):
             raise MeshTopologyError("an edge is shared by more than two triangles")
-        owner = order % len(tri)  # side k belongs to triangle k mod T
-        side = order[starts]  # the first side of each edge
-        edges = np.stack([lo[side], hi[side]], axis=1)
-        once, twice = counts == 1, counts == 2
-        self.boundary_edges = edges[once]
-        self.boundary_owner = owner[starts[once]]
-        self.interior_edges = edges[twice].astype(np.int32)
-        i0 = starts[twice]
-        self.interior_pairs = np.stack([owner[i0], owner[i0 + 1]],
-                                       axis=1).astype(np.int32)
+        # new[i]: sorted side i starts an edge; new[3T] closes the last one
+        new = np.ones(len(code) + 1, dtype=bool)
+        np.not_equal(code[1:], code[:-1], out=new[1:-1])
+        starts = np.flatnonzero(new[:-1])
+        twice = ~new[1:][starts]  # the next side continues the edge
+        key = code[starts]
+        del code
+        # the triangles of each edge's first and each interior one's second side
+        second = order[1:][starts[twice]]
+        owner = order[starts]
+        del order, starts
+        owner %= T
+        second %= T
+        self.boundary_edges = np.stack(np.divmod(key[~twice], V1), axis=1)
+        self.boundary_owner = owner[~twice]
+        edges = self.interior_edges = np.empty((len(second), 2), dtype=np.int32)
+        np.divmod(key[twice], V1, out=(edges[:, 0], edges[:, 1]))
+        pairs = self.interior_pairs = np.empty_like(edges)
+        pairs[:, 0], pairs[:, 1] = owner[twice], second
 
     @property
     def ambient_dim(self) -> int:
@@ -175,6 +177,19 @@ def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     parallelogram its pair of vectors spans."""
     i, j = np.triu_indices(a.shape[-1], 1)
     return np.ascontiguousarray(a[..., i] * b[..., j] - a[..., j] * b[..., i])
+
+
+def triangle_frames(corners: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (..., 2, n) of triangles given as (..., 3,
+    n) corner arrays: ``orthonormal_frame`` of the sides from corner 0."""
+    return orthonormal_frame(corners[..., 1, :] - corners[..., 0, :],
+                             corners[..., 2, :] - corners[..., 0, :])
+
+
+def triangle_centroids(corners: np.ndarray) -> np.ndarray:
+    """Corner means (..., n) of (..., 3, n) corner arrays, summed in corner
+    order as ``mean(axis=-2)`` does, without its strided reduction."""
+    return (corners[..., 0, :] + corners[..., 1, :] + corners[..., 2, :]) / 3.0
 
 
 def triangle_areas(corners: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ the triangle, when the hit lies within EDGE_EPS of an edge in barycentric
 terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
 gray pair is jittered by ~1e-9 and recounted, which keeps seeded runs
 reproducible.  A triangle out of reach never jitters: it cannot change counts.
-A base on a mesh vertex or edge is gray for every section, so it is refused.
+A base on a mesh vertex, edge or triangle is in every section: refused.
 
 Memory.  A count holds, per pruned triangle, its index, centroid offset and
 cull floor, the hit test's three Plucker coordinates and determinant scale,
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import IdentityNotApplicableError
 from .geometry import on_surface_tolerance, wedge
-from .geometry.quadrature import _BLOCK_TRIANGLES
+from .geometry.types import _BLOCK_TRIANGLES, triangle_centroids
 from .invariants import on_surface_multiplicity, sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
@@ -183,64 +183,60 @@ class _SectionDraws:
 # section / mesh intersection counting
 
 
-def _corners(mesh, which):
-    """(m, 3, n) corners of the triangles ``which``, gathered anew."""
-    return np.take(mesh.vertices, np.take(mesh.triangles, which, axis=0),
-                   axis=0)
-
-
-def _triangle_sides(mesh, which):
-    """First corners ``A`` and sides ``e1 = B - A``, ``e2 = C - A`` of the
-    triangles ``which``, gathered from the vertices at each call."""
-    tri = _corners(mesh, which)
-    A = tri[:, 0]
-    return A, tri[:, 1] - A, tri[:, 2] - A
-
-
 def _pruned_triangles(mesh, base, r_max):
     """Triangles that can meet the ball |x - base| <= r_max.
 
     Returns their indices ``kept`` (int32), centroid offsets ``d = c - base``
-    and cull floors ``|d|^2 (1 - _CULL_ROUNDOFF) - reach^2``.  The corner
-    spreads are taken ``_BLOCK_TRIANGLES`` triangles at a time.
+    and cull floors ``|d|^2 (1 - _CULL_ROUNDOFF) - reach^2``.  Centroids and
+    corner spreads are taken ``_BLOCK_TRIANGLES`` triangles at a time.
     """
-    cen = mesh.centroids()
-    spread = np.empty(len(cen))
-    keep = np.empty(len(cen), dtype=bool)
-    for lo in range(0, len(cen), _BLOCK_TRIANGLES):
-        sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        corners = np.take(mesh.vertices, mesh.triangles[sl], axis=0)
-        spread[sl] = np.linalg.norm(corners - cen[sl, None, :],
-                                    axis=2).max(axis=1)
-        keep[sl] = np.linalg.norm(cen[sl] - base, axis=1) - spread[sl] <= r_max
-    kept = np.flatnonzero(keep).astype(np.int32)
-    offset = cen[kept] - base
+    parts = []  # one empty block for an empty mesh
+    for lo in range(0, max(len(mesh.triangles), 1), _BLOCK_TRIANGLES):
+        corners = mesh.corners(slice(lo, lo + _BLOCK_TRIANGLES))
+        cen = triangle_centroids(corners)
+        spread = np.linalg.norm(corners - cen[:, None, :], axis=2).max(axis=1)
+        keep = np.flatnonzero(np.linalg.norm(cen - base, axis=1) - spread
+                              <= r_max)
+        parts.append(((keep + lo).astype(np.int32), cen[keep] - base,
+                      spread[keep]))
+    kept, offset, spread = (np.concatenate(p) for p in zip(*parts))
     d2 = np.einsum("tn,tn->t", offset, offset)
-    reach = spread[kept] * (1.0 + _REACH_SLACK)
+    reach = spread * (1.0 + _REACH_SLACK)
     floor = d2 * (1.0 - _CULL_ROUNDOFF) - reach * reach
     return kept, offset, floor
 
 
-def _reject_base_on_an_edge(mesh, base, near):
+def _reject_base_on_the_mesh(mesh, base, near):
     """Raise IdentityNotApplicableError when ``base`` lies within
-    ``on_surface_tolerance`` of a side of one of the triangles ``near``.
+    ``on_surface_tolerance`` of one of the closed triangles ``near``.
 
-    A section through such a base meets that side at the base itself, in
-    the gray zone, and a jittered section still passes through the base, so
-    no jitter clears it: the count is ill-posed, as from a vertex.
+    Every section meets the surface at such a base: on a side in the gray
+    zone, which no jitter clears as jittered sections still pass through
+    the base, and inside as a hit each one counts; ill-posed, as a vertex.
     """
-    tri = _corners(mesh, near)
+    tri = mesh.corners(near)
     side = np.roll(tri, -1, axis=1) - tri
     off = base - tri
     along = np.einsum("tkn,tkn->tk", off, side) / np.maximum(
         np.einsum("tkn,tkn->tk", side, side), 1e-300)
-    gap = off - np.clip(along, 0.0, 1.0)[..., None] * side
-    if np.any(np.linalg.norm(gap, axis=2) <= on_surface_tolerance(base)):
+    gap = np.linalg.norm(off - np.clip(along, 0.0, 1.0)[..., None] * side,
+                         axis=2)
+    # the foot of the base on the plane, alpha e1 + beta e2 from corner 0
+    e1, e2, t = side[:, 0], -side[:, 2], off[:, 0]
+    E = wedge(e1, e2)
+    EE = np.einsum("tk,tk->t", E, E)
+    alpha = np.einsum("tk,tk->t", wedge(t, e2), E) / EE
+    beta = np.einsum("tk,tk->t", wedge(e1, t), E) / EE
+    inside = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
+    height = np.linalg.norm(t - alpha[:, None] * e1 - beta[:, None] * e2,
+                            axis=1)
+    tol = on_surface_tolerance(base)
+    if np.any(gap <= tol) or np.any(inside & (height <= tol)):
         point = ", ".join(f"{float(c):.6g}" for c in base)
         raise IdentityNotApplicableError(
-            f"base point [{point}] lies on a mesh edge: every section "
-            "through it meets the surface there, on the edge, so the count "
-            "is ill-posed; offset the base point")
+            f"base point [{point}] lies on a mesh edge or inside a mesh "
+            "triangle: every section through it meets the surface at the "
+            "base itself, so the count is ill-posed; offset the base point")
 
 
 def _cull_pairs(offset, floor, sections):
@@ -489,11 +485,15 @@ def _hit_test(mesh, kept, base):
     a time; the sides and ``t`` of the few potential hits are gathered again
     from the vertices, and the same subtractions give the same bits.
     """
+    def sides(which):  # first corners A and sides B - A, C - A
+        tri = mesh.corners(which)
+        return tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+
     k = mesh.vertices.shape[1] * (mesh.vertices.shape[1] - 1) // 2
     E, Ea, Eb = (np.empty((len(kept), k)) for _ in range(3))
     for lo in range(0, len(kept), _BLOCK_TRIANGLES):
         sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        A, e1, e2 = _triangle_sides(mesh, kept[sl])
+        A, e1, e2 = sides(kept[sl])
         t = base - A
         E[sl], Ea[sl], Eb[sl] = wedge(e1, e2), wedge(t, e2), wedge(e1, t)
     det_scale = np.linalg.norm(E, axis=1) + 1e-300
@@ -510,7 +510,7 @@ def _hit_test(mesh, kept, base):
             safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps))
         a, b = alpha[pot], beta[pot]
         inside = (a > eps) & (b > eps) & (a + b < 1.0 - eps)
-        A, e1, e2 = _triangle_sides(mesh, kept[ti[pot]])
+        A, e1, e2 = sides(kept[ti[pot]])
         w = a[:, None] * e1 + b[:, None] * e2 - (base - A)
         rho2 = np.einsum("pn,pn->p", w, w)
         r2 = radii[:, None] * radii[:, None]
@@ -581,8 +581,8 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
             "the base point"
         )
     kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
-    # a side through the base lies in the reach of its triangle's centroid
-    _reject_base_on_an_edge(mesh, base, kept[floor <= 0])
+    # a triangle through the base has the base in its centroid's reach
+    _reject_base_on_the_mesh(mesh, base, kept[floor <= 0])
     S = draws.count
     counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = candidates = pairs_tested = 0

@@ -38,6 +38,7 @@ from .geometry import (
     radial_integrals,
     tangent_part,
 )
+from .geometry.types import triangle_centroids, triangle_frames
 from .ends import rim_vertex_mask, triangle_components
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss nodes on a segment
@@ -112,7 +113,7 @@ def flux_profile(mesh: SimplicialSurface, center, levels) -> FluxProfile:
         tris, ends, _ = level_chords(mesh, center, t)
         if len(tris) == 0:
             continue
-        frames = mesh.frames()[tris]
+        frames = triangle_frames(mesh.corners(tris))
 
         def tang_norm(points):
             return np.linalg.norm(tangent_part(points - center, frames), axis=1)
@@ -260,7 +261,7 @@ def boundary_constant(mesh: SimplicialSurface, center,
     vb = mesh.vertices[edges[:, 1]]
     d = vb - va
     ehat = d / np.linalg.norm(d, axis=1)[:, None]
-    w = 0.5 * (va + vb) - mesh.centroids()[owners]
+    w = 0.5 * (va + vb) - triangle_centroids(mesh.corners(owners))
     w -= np.sum(w * ehat, axis=1)[:, None] * ehat
     nu = w / np.linalg.norm(w, axis=1)[:, None]
 

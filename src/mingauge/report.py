@@ -458,6 +458,9 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     add("minimal_surface", lambda: verify_minimality(spec.chart),
         "mean curvature of the exact chart vanishes to tolerance")
 
+    # the end sweep first: its temporaries then never meet the quadrature store
+    ends = ends_estimate(mesh, base)
+
     # -- flux sweep and monotonicity ---------------------------------------
     # every level any estimate or check reads the flux at is traced once:
     # the sweep, the defect's tail level r_hi / 2, the density levels, the
@@ -547,7 +550,6 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
         "area of every crossing component >= half-width bound")
 
     # -- ends ---------------------------------------------------------------
-    ends = ends_estimate(mesh, base)
     estimates.append({
         "quantity": "ends",
         "value": float(ends.stable_count),

@@ -15,6 +15,7 @@ from mingauge.errors import MeshTopologyError
 from mingauge.geometry import level_chords
 from mingauge.geometry.levels import SNAP_REL
 from mingauge.invariants import GAUSS_OFFSET, _segment_rule
+from meshing_oracle import whole_frames
 
 
 def decompose_radial(point, a, frame):
@@ -34,11 +35,12 @@ def flux_oracle(mesh, center, levels):
     integral of |tangential part| with ``decompose_radial`` as integrand."""
     c = np.asarray(center, dtype=float)
     raw, errors = np.zeros(len(levels)), np.zeros(len(levels))
+    all_frames = whole_frames(mesh)
     for k, t in enumerate(levels):
         tris, ends, _ = level_chords(mesh, c, t)
         if len(tris) == 0:
             continue
-        frames = mesh.frames()[tris]
+        frames = all_frames[tris]
 
         def tang_norm(points):
             return np.linalg.norm(decompose_radial(points, c, frames)[0],
@@ -159,8 +161,10 @@ def curve_flux(mesh, curve, center):
     c = np.asarray(center, dtype=float)
     mid_total = gauss_total = 0.0
 
+    frames = whole_frames(mesh)
+
     def tang_norm(points, owners):
-        tang, _ = decompose_radial(points, c, mesh.frames()[owners])
+        tang, _ = decompose_radial(points, c, frames[owners])
         return np.linalg.norm(tang, axis=1)
 
     polylines, closed, seg_tris, _ = curve

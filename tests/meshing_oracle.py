@@ -1,16 +1,37 @@
 """Slow reference mesh topology: loop triangulations, row-wise edge grouping,
-scipy's connected components and end counts relabelled at each radius.
+scipy's connected components and end counts relabelled at each radius; and
+the whole-mesh corner gather, frames and centroids.
 
 These are the implementations the index-arithmetic triangulations, the
-int64-coded edge grouping, the numpy component labelling and the one-pass
-spanning-forest end sweep replaced, kept as the oracles they must match
-exactly.
+int64-coded edge grouping, the numpy component labelling, the one-pass
+spanning-forest end sweep and the per-block and per-selection frames and
+centroids replaced, kept as the oracles they must match exactly.
 """
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from mingauge.ends import rim_vertex_mask
+from mingauge.geometry import orthonormal_frame
+
+
+def whole_corners(mesh):
+    """(T, 3, n) corners of every triangle, in one gather."""
+    return mesh.vertices[mesh.triangles]
+
+
+def whole_frames(mesh):
+    """(T, 2, n) tangent frames of every triangle, in one pass, as the mesh
+    once cached them."""
+    c = whole_corners(mesh)
+    return orthonormal_frame(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+
+
+def whole_centroids(mesh):
+    """(T, n) corner means of every triangle, in one pass, as the mesh once
+    cached them."""
+    c = whole_corners(mesh)
+    return (c[:, 0] + c[:, 1] + c[:, 2]) / 3.0
 
 
 def loop_grid_triangles(nu, nv, wrap_v):

@@ -19,6 +19,7 @@ import numpy as np
 from mingauge.geometry import triangle_areas
 from mingauge.geometry.quadrature import _GL_U, _GL_W, _FLAT, _cross, _dot
 from levels_oracle import decompose_radial
+from meshing_oracle import whole_corners, whole_frames
 
 # 6-point symmetric triangle rule, barycentric nodes / weights (sum 1).
 _A1, _W1 = 0.445948490915965, 0.223381589678011
@@ -69,7 +70,7 @@ def cut_cell_integrals(mesh, center, radii, integrand=None, cut_depth=6,
 
     T = len(mesh.triangles)
     out = np.zeros((K, T))
-    corners, owners = mesh.corners(), np.arange(T)
+    corners, owners = whole_corners(mesh), np.arange(T)
     for _ in range(refine):
         corners, owners = split4(corners, owners)
     for level in range(cut_depth + 1):
@@ -101,9 +102,10 @@ def cut_cell_shells(mesh, center, radii, integrand=None, cut_depth=6):
 def defect_integrand(mesh, center):
     """|normal part|^2 / |x - center|^4, pointwise."""
     c = np.asarray(center, dtype=float)
+    frames = whole_frames(mesh)
 
     def f(points, owners):
-        _, nor = decompose_radial(points, c, mesh.frames()[owners])
+        _, nor = decompose_radial(points, c, frames[owners])
         r2 = np.sum((points - c) ** 2, axis=1)
         return np.sum(nor * nor, axis=1) / r2**2
 
@@ -179,12 +181,12 @@ def _fan_integrals(kind, P, h2, sigma2=None):
 
 def in_plane_one_pass(mesh, center):
     """``_in_plane``'s (P, h2, near2, far2), every triangle at once."""
-    x = mesh.corners() - center
-    frames = mesh.frames()
+    x = whole_corners(mesh) - center
+    frames = whole_frames(mesh)
     P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))
     X, Y = P, np.roll(P, -1, axis=1)
     foot = (P[:, 0] + P[:, 1] + P[:, 2]) / 3.0
-    normal = (mesh.corners().mean(axis=1) - center
+    normal = (whole_corners(mesh).mean(axis=1) - center
               - foot[:, :1] * frames[:, 0] - foot[:, 1:] * frames[:, 1])
     h2 = _dot(normal, normal)
     d2 = _dot(x, x)

@@ -21,6 +21,7 @@ from mingauge.geometry import (
     tangent_part,
     triangle_areas,
 )
+from mingauge.geometry.types import triangle_centroids, triangle_frames
 from mingauge.geometry.meshing import _grid_triangles
 from mingauge.geometry.quadrature import _BLOCK_TRIANGLES, KINDS, _in_plane
 from mingauge.invariants import flux_profile, level_grid, max_safe_radius
@@ -29,6 +30,9 @@ from meshing_oracle import (
     loop_polar_triangles,
     unique_boundary,
     unique_edge_table,
+    whole_centroids,
+    whole_corners,
+    whole_frames,
 )
 from levels_oracle import (
     curve_flux,
@@ -146,7 +150,7 @@ def test_mesh_from_chart_catenoid_area_converges_second_order():
     errs = []
     for k in (16, 32, 64):
         mesh = mesh_from_chart(catenoid_chart(c, u_max), (k, k))
-        errs.append(abs(triangle_areas(mesh.corners()).sum() - exact))
+        errs.append(abs(triangle_areas(whole_corners(mesh)).sum() - exact))
     assert errs[1] / errs[0] < 0.35
     assert errs[2] / errs[1] < 0.35
     order = np.log2(errs[0] / errs[1])
@@ -188,7 +192,7 @@ def test_long_thin_triangles_keep_their_area():
 
     mesh = mesh_from_chart(ImmersionChart("thin", (0, 1, 0, 1), ev, de),
                            (4, 4))
-    areas = triangle_areas(mesh.corners())
+    areas = triangle_areas(whole_corners(mesh))
     np.testing.assert_allclose(areas, 0.5 * 2.5e7 * 0.25, rtol=1e-12)
     assert areas.sum() == pytest.approx(1e8, rel=1e-12)
     # on well-shaped triangles in R^3 and R^4 both formulas agree
@@ -204,8 +208,38 @@ def test_long_thin_triangles_keep_their_area():
 @pytest.mark.parametrize("name", catalog_names())
 def test_centroids_are_the_corner_means(coarse, name):
     mesh = coarse(name).mesh
-    assert (mesh.centroids().tobytes()
-            == mesh.corners().mean(axis=1).tobytes())
+    assert (triangle_centroids(mesh.corners(slice(None))).tobytes()
+            == whole_corners(mesh).mean(axis=1).tobytes())
+
+
+@pytest.mark.parametrize("case", [
+    *(f"{name}-{res}" for res in ("coarse", "default")
+      for name in catalog_names()),
+    "crofton-full", "crofton-hemisphere", "crofton-cap", "ragged"])
+def test_block_and_selection_forms_match_the_whole_mesh(coarse, default, case):
+    # frames, centroids and areas taken per block of _BLOCK_TRIANGLES, and
+    # per selection of triangles, as the passes take them from their own
+    # corner gathers, equal the whole-mesh forms byte for byte
+    if case.startswith("crofton-"):
+        kind = case.split("-")[1]
+        mesh = spherical_region(kind, angle=1.2 if kind == "cap" else None)
+    elif case == "ragged":  # one block and 418 triangles
+        mesh = mesh_from_chart(catenoid_chart(1.0, 1.5), (37, 61))
+        assert len(mesh.triangles) % _BLOCK_TRIANGLES == 418
+    else:
+        name, res = case.rsplit("-", 1)
+        mesh = (coarse if res == "coarse" else default)(name).mesh
+    T = len(mesh.triangles)
+    frames, centroids = whole_frames(mesh), whole_centroids(mesh)
+    areas = triangle_areas(whole_corners(mesh))
+    picked = np.random.default_rng(5).choice(T, min(T, 1000), replace=False)
+    for which in [*(slice(lo, lo + _BLOCK_TRIANGLES)
+                    for lo in range(0, T, _BLOCK_TRIANGLES)),
+                  picked, picked.astype(np.int32)]:
+        c = mesh.corners(which)
+        assert triangle_frames(c).tobytes() == frames[which].tobytes()
+        assert triangle_centroids(c).tobytes() == centroids[which].tobytes()
+        assert triangle_areas(c).tobytes() == areas[which].tobytes()
 
 
 def test_mesh_validation_catches_bad_topology():
@@ -316,7 +350,7 @@ def test_spherical_region_topology_matches_loop_oracle(kind, angle):
 def test_icosphere_area_and_closedness():
     mesh = icosphere(subdivisions=4, radius=2.0, center=(1.0, -1.0, 0.5))
     assert len(mesh.boundary_edges) == 0
-    area = triangle_areas(mesh.corners()).sum()
+    area = triangle_areas(whole_corners(mesh)).sum()
     assert area == pytest.approx(4 * np.pi * 4.0, rel=2e-3)
     d = np.linalg.norm(mesh.vertices - np.array([1.0, -1.0, 0.5]), axis=1)
     assert np.allclose(d, 2.0, atol=1e-12)
@@ -336,7 +370,7 @@ def test_surface_measure_disk_region():
 def test_surface_measure_without_region_is_total_area():
     mesh = flat_disk(radius=1.0, rings=24, sectors=48)
     shells = radial_integrals(mesh, np.array([0.1, 0.2, 0.0]), [0.5, np.inf])
-    area = triangle_areas(mesh.corners()).sum()
+    area = triangle_areas(whole_corners(mesh)).sum()
     assert shells.sum() == pytest.approx(area, rel=1e-12)
 
 
@@ -490,12 +524,12 @@ def test_in_plane_bitwise_matches_the_one_pass_form(coarse, name, center):
 
 def test_in_plane_memory_is_its_outputs_and_one_block(coarse):
     # helicoid `coarse`, 24,576 triangles in six blocks: beyond its outputs
-    # the blocked pass needs under 3 MiB of numpy memory (1.6 measured); the
-    # one-pass form needs 8.4 MiB more than its outputs
+    # the blocked pass, frames and centroids included, needs under 3 MiB of
+    # numpy memory (2.1 measured); the one-pass form needs 8.4 MiB more than
+    # its outputs
     spec = coarse("helicoid")
     mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
                              truncation_radius=spec.mesh.truncation_radius)
-    mesh.frames(), mesh.centroids()
     mesh.about(spec.base_point)
     tracemalloc.start()
     try:
@@ -602,7 +636,7 @@ def test_level_polyline_segment_owners_are_crossing_triangles():
         (np.linalg.norm(mesh.vertices, axis=1)[mesh.triangles] > t).sum(axis=1)
         % 3 != 0)
     # each chord lies in the plane of its triangle
-    corners = mesh.corners()[tris]
+    corners = mesh.corners(tris)
     normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     offset = np.einsum("mkn,mn->mk", ends - corners[:, :1], normal)
     assert np.max(np.abs(offset)) <= 1e-12

@@ -30,7 +30,9 @@ from mingauge import invariants as inv
 from mingauge.catalog import build_surface, catalog_names, spherical_region
 from mingauge.errors import IdentityNotApplicableError
 from mingauge.geometry import orthonormal_frame, tangent_part
+from mingauge.geometry.types import triangle_centroids, triangle_frames
 import counting_oracle
+from meshing_oracle import whole_centroids, whole_corners, whole_frames
 from quadrature_oracle import cut_cell_shells, defect_integrand
 
 
@@ -74,8 +76,16 @@ def _count_one(mesh, base, directions, radius):
 
 def _jacobian_integrand(mesh, center):
     """``radial_jacobian`` as a mesh integrand (points, owners) -> values."""
+    frames = whole_frames(mesh)
     return lambda points, owners: ig.radial_jacobian(
-        points, mesh.frames()[owners], center)
+        points, frames[owners], center)
+
+
+def _sides(mesh, which):
+    """First corners ``A`` and sides ``B - A``, ``C - A`` of the triangles
+    ``which``."""
+    tri = mesh.corners(which)
+    return tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
 
 
 def _rotz(angle):
@@ -210,14 +220,20 @@ def test_on_surface_base_rejected(parabola_coarse):
 @pytest.mark.parametrize("name", ["catenoid", "complex_parabola_r4"])
 def test_base_on_a_mesh_edge_rejected(coarse, name):
     # every section through an edge's midpoint meets the edge there, in the
-    # gray zone, and a jittered section still does: rejected like a vertex
+    # gray zone, and a jittered section still does: rejected like a vertex.
+    # Every section through a triangle's centroid meets the triangle there,
+    # a hit each section counts (mean 1 at any small radius): rejected too
     mesh = coarse(name).mesh
     i, j = mesh.interior_edges[len(mesh.interior_edges) // 2]
-    base = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-    assert inv.on_surface_multiplicity(mesh, base) == 0
-    radius = 0.5 * inv.max_safe_radius(mesh, base)
-    with pytest.raises(IdentityNotApplicableError, match="on a mesh edge"):
-        ig.counting_sweep(mesh, base, [radius], samples=200, seed=1)
+    tri = mesh.vertices[mesh.triangles[{"catenoid": 5000,
+                                        "complex_parabola_r4": 3000}[name]]]
+    for base in (0.5 * (mesh.vertices[i] + mesh.vertices[j]),
+                 (tri[0] + tri[1] + tri[2]) / 3.0):
+        assert inv.on_surface_multiplicity(mesh, base) == 0
+        radius = 0.5 * inv.max_safe_radius(mesh, base)
+        with pytest.raises(IdentityNotApplicableError,
+                           match="on a mesh edge or inside a mesh triangle"):
+            ig.counting_sweep(mesh, base, [radius], samples=200, seed=1)
 
 
 def test_counting_guards(catenoid_coarse):
@@ -372,7 +388,7 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = len(base)
     kept = ig._pruned_triangles(spec.mesh, base, r_hi)[0]
-    A, e1, e2 = ig._triangle_sides(spec.mesh, kept)
+    A, e1, e2 = _sides(spec.mesh, kept)
     frames = [ig.sample_grassmann(n, 2, 256, np.random.default_rng(11)),
               _planted_edge_cases(A, e1, e2, base)]
     if n == 3:
@@ -472,7 +488,7 @@ def test_sections_drawn_per_block_count_like_one_draw(coarse, monkeypatch,
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n, S = len(base), 300
     kept = ig._pruned_triangles(mesh, base, r_hi)[0]
-    planted = _planted_edge_cases(*ig._triangle_sides(mesh, kept), base)
+    planted = _planted_edge_cases(*_sides(mesh, kept), base)
     at = [5, 40, 77, 150, 230, 299]  # in blocks 0, 1, 2, 4, 7 and 9
 
     def plant(sec, comp, lo):
@@ -517,7 +533,7 @@ def test_counting_memory_is_bounded_by_its_blocks(default):
     mesh, base = spec.mesh, spec.base_point
     r_hi = inv.max_safe_radius(mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
-    mesh.centroids(), mesh.about(base)
+    mesh.about(base)
     tracemalloc.start()
     try:
         ig.counting_sweep(mesh, base, radii, samples=1000, seed=11)
@@ -534,8 +550,8 @@ def test_counting_memory_is_bounded_by_its_blocks(default):
 def test_radial_jacobian_matches_decomposition(catenoid_coarse, rng):
     m = catenoid_coarse.mesh
     idx = rng.integers(0, len(m.triangles), 64)
-    pts = m.centroids()[idx]
-    frames = m.frames()[idx]
+    corners = m.corners(idx)
+    pts, frames = triangle_centroids(corners), triangle_frames(corners)
     jac = ig.radial_jacobian(pts, frames, np.zeros(3))
     nor = pts - tangent_part(pts, frames)
     r = np.linalg.norm(pts, axis=1)
@@ -571,7 +587,7 @@ def test_radial_jacobian_fd_oracle(coarse, name, rng):
 def test_defect_integrand_dominated_by_jacobian(catenoid_coarse):
     # |x_n|^2/|x|^4 <= |x_n|/|x|^3 pointwise since |x_n| <= |x|
     m, a = catenoid_coarse.mesh, catenoid_coarse.base_point
-    pts = np.concatenate([m.centroids(), m.corners().reshape(-1, 3)])
+    pts = np.concatenate([whole_centroids(m), whole_corners(m).reshape(-1, 3)])
     owners = np.concatenate([
         np.arange(len(m.triangles)),
         np.repeat(np.arange(len(m.triangles)), 3),

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -25,6 +26,7 @@ import pytest
 import mingauge.report as report_module
 from mingauge.catalog import build_surface, catalog_names
 from mingauge.errors import ConfigError
+from mingauge.geometry.types import triangle_frames
 from mingauge.report import (
     _conforms,
     compute_report,
@@ -865,8 +867,8 @@ def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
     mesh = coarse("catenoid").mesh
     k = np.argmin(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 10.0))
     around = np.flatnonzero((mesh.triangles == k).any(axis=1))
-    normal = np.cross(mesh.frames()[around, 0],
-                      mesh.frames()[around, 1]).sum(axis=0)
+    frames = triangle_frames(mesh.corners(around))
+    normal = np.cross(frames[:, 0], frames[:, 1]).sum(axis=0)
     normal /= np.linalg.norm(normal)
 
     def verdicts(base):
@@ -968,3 +970,26 @@ def test_no_cli_path_imports_scipy(tmp_path, args, config, exits, threads,
         log = dict(line.split(" ", 1) for line in
                    (tmp_path / "out" / "run.log").read_text().splitlines())
         assert log["threads"] == cap
+
+
+def test_helicoid_report_memory_is_bounded_and_keeps_only_the_base_store(
+        monkeypatch):
+    # helicoid `default` (131,072 triangles), no mc block: the report needs
+    # under 36 MiB of numpy memory (30.4 measured, at the band bound); with
+    # whole-mesh frames, centroids and edge-grouping temporaries, and the
+    # end sweep after the quadrature store, it took 45.4, at the end sweep
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_surface(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(report_module, "build_surface", build)
+    tracemalloc.start()
+    try:
+        compute_report(parse_config({"surface": {"name": "helicoid"}}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
+    assert list(built[0].mesh._cache) == ["about"]
