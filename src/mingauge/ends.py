@@ -20,8 +20,7 @@ from math import pi
 
 import numpy as np
 
-from .geometry import (SimplicialSurface, distance_index,
-                       on_surface_multiplicity)
+from .geometry import SimplicialSurface, distance_index, sweep_start
 
 RIM_FRACTION = 0.999
 
@@ -164,21 +163,19 @@ class EndCount:
 def ends_estimate(mesh: SimplicialSurface, center) -> EndCount:
     """Count ends by sweeping the cut radius and requiring stabilization.
 
-    The sweep stops at 0.8x the radius the truncated mesh covers, so
-    truncation artifacts cannot merge or split components.  The estimate is
-    trusted when the count is constant over the last 30% of the sweep.
+    The sweep starts at ``sweep_start``, as ``level_grid`` does: 1e-9 past
+    1.3x the nearest vertex distance, or at 0.02 of its end from a base on
+    the surface or near it.  It stops at 0.8x the radius the truncated mesh
+    covers, so truncation artifacts cannot merge or split components.  The
+    estimate is trusted when the count is constant over the last 30% of the
+    sweep.
     """
     center = np.asarray(center, dtype=float)
-    dist = mesh.about(center)["distances"]
     if mesh.truncation_radius is not None:
         hi = 0.8 * (mesh.truncation_radius - np.linalg.norm(center))
     else:
-        hi = 0.9 * dist.max()
-    # from a base on the surface 1.3 x dmin is ~0 and would crowd the
-    # geometric sweep near the base; start where level_grid does
-    lo = (0.02 * hi if on_surface_multiplicity(mesh, center)
-          else 1.3 * dist.min() + 1e-9)
-    radii = np.geomspace(min(lo, 0.5 * hi), hi, 12)
+        hi = 0.9 * mesh.about(center)["distances"].max()
+    radii = np.geomspace(sweep_start(mesh, center, hi, pad=1e-9), hi, 12)
     counts, bounded, edges, rounds = _end_counts(mesh, center, radii)
     tail = max(1, int(np.ceil(0.3 * len(radii))))
     stabilized = bool(np.all(counts[-tail:] == counts[-1]))

@@ -1,9 +1,11 @@
 from .types import (
     ImmersionChart,
     SimplicialSurface,
+    max_safe_radius,
     on_surface_multiplicity,
     on_surface_tolerance,
     orthonormal_frame,
+    sweep_start,
     tangent_part,
     triangle_areas,
     wedge,
@@ -24,6 +26,7 @@ __all__ = [
     "icosphere",
     "integrate_with_error",
     "level_chords",
+    "max_safe_radius",
     "mesh_from_chart",
     "on_surface_multiplicity",
     "on_surface_tolerance",
@@ -31,6 +34,7 @@ __all__ = [
     "polar_disk_mesh",
     "radial_integrals",
     "spherical_cap_mesh",
+    "sweep_start",
     "tangent_part",
     "triangle_areas",
     "wedge",

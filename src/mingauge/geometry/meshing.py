@@ -62,10 +62,14 @@ def mesh_from_chart(
             f"({u_values[i]:.6g}, {v_values[j]:.6g})"
         )
 
+    # the grid's temporaries go before the mesh groups its edges
+    del E, F, G, det, scale, bad
     pts = chart.points(uu, vv)
+    del uu, vv
     if chart.periodic_v:
         pts = pts[:, :-1, :]  # last v-column duplicates the first
     verts = pts.reshape(-1, pts.shape[-1])
+    del pts
     tris = _grid_triangles(nu, nv, chart.periodic_v)
     return SimplicialSurface(
         vertices=verts,

@@ -17,6 +17,10 @@ MIN_TRIANGLE_AREA = 1e-14
 # per-triangle passes run this many triangles at a time, so that each
 # (block, 3) temporary stays in cache and none spans the whole mesh
 _BLOCK_TRIANGLES = 4096
+_SAFE_MARGIN = 0.98  # share of the covered radius max_safe_radius returns
+# a base this share of max_safe_radius from its nearest vertex sweeps as one
+# on the surface does
+_NEAR_SURFACE = 1e-3
 
 
 def orthonormal_frame(xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
@@ -93,6 +97,7 @@ class SimplicialSurface:
             raise MeshTopologyError(
                 f"triangle {k} is degenerate (area {areas.min():.3e})"
             )
+        del areas
         self._check_edges()
 
     # -- derived quantities ---------------------------------------------------
@@ -163,12 +168,43 @@ def on_surface_tolerance(center) -> float:
 def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
     """Number of mesh vertices within ``on_surface_tolerance(center)`` of
     ``center``: zero for a base point off the surface, else one per sheet
-    through it in the catalog meshes.  The one test of whether a base lies
-    on the surface.
+    through it in the catalog meshes: the identities' on-surface density
+    term, and the test for a base on a vertex.  Counting also refuses a base
+    within the same tolerance of an edge or a triangle, by the quadrature's
+    point-to-triangle distance; ``sweep_start`` decides where radius sweeps
+    begin.
     """
     center = np.asarray(center, dtype=float)
     tol = on_surface_tolerance(center)
     return int(np.count_nonzero(mesh.about(center)["distances"] <= tol))
+
+
+def max_safe_radius(mesh: SimplicialSurface, center) -> float:
+    """Largest |x - center| radius guaranteed covered by the truncated mesh,
+    with a 2% margin."""
+    center = np.asarray(center, dtype=float)
+    with np.errstate(over="ignore"):  # a center past 1e154 is +inf away
+        if mesh.truncation_radius is None:
+            return _SAFE_MARGIN * float(mesh.about(center)["distances"].max())
+        return _SAFE_MARGIN * (mesh.truncation_radius
+                               - float(np.linalg.norm(center)))
+
+
+def sweep_start(mesh: SimplicialSurface, center, end: float,
+                pad: float = 0.0) -> float:
+    """First radius of a geometric sweep about ``center`` out to ``end``.
+
+    A base whose nearest vertex lies within ``_NEAR_SURFACE`` times
+    ``max_safe_radius``, as a base on the surface does, starts at
+    ``0.02 end``: 1.3 times that distance would be ~0, or a near-critical
+    radius of the restricted distance function (level curves run almost
+    tangent to the spheres there).  Any other base starts at 1.3 times the
+    distance plus ``pad``.  The start is at most ``0.5 end``.
+    """
+    near = float(mesh.about(center)["distances"].min())
+    if near <= _NEAR_SURFACE * max_safe_radius(mesh, center):
+        return 0.02 * end
+    return min(1.3 * near + pad, 0.5 * end)
 
 
 def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

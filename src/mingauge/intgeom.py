@@ -28,7 +28,9 @@ the triangle, when the hit lies within EDGE_EPS of an edge in barycentric
 terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
 gray pair is jittered by ~1e-9 and recounted, which keeps seeded runs
 reproducible.  A triangle out of reach never jitters: it cannot change counts.
-A base on a mesh vertex, edge or triangle is in every section: refused.
+A base on a mesh vertex, edge or triangle is in every section: refused, when
+a vertex or, by the quadrature's exact point-to-triangle distance, a closed
+triangle lies within on_surface_tolerance of it.
 
 Memory.  A count holds, per pruned triangle, its index, centroid offset and
 cull floor, the hit test's three Plucker coordinates and determinant scale,
@@ -45,9 +47,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IdentityNotApplicableError
-from .geometry import on_surface_tolerance, wedge
+from .geometry import on_surface_multiplicity, on_surface_tolerance, wedge
+from .geometry.quadrature import _in_plane_block
 from .geometry.types import _BLOCK_TRIANGLES, triangle_centroids
-from .invariants import on_surface_multiplicity, sphere_area
+from .invariants import sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 JITTER_SCALE = 1e-9
@@ -204,39 +207,6 @@ def _pruned_triangles(mesh, base, r_max):
     reach = spread * (1.0 + _REACH_SLACK)
     floor = d2 * (1.0 - _CULL_ROUNDOFF) - reach * reach
     return kept, offset, floor
-
-
-def _reject_base_on_the_mesh(mesh, base, near):
-    """Raise IdentityNotApplicableError when ``base`` lies within
-    ``on_surface_tolerance`` of one of the closed triangles ``near``.
-
-    Every section meets the surface at such a base: on a side in the gray
-    zone, which no jitter clears as jittered sections still pass through
-    the base, and inside as a hit each one counts; ill-posed, as a vertex.
-    """
-    tri = mesh.corners(near)
-    side = np.roll(tri, -1, axis=1) - tri
-    off = base - tri
-    along = np.einsum("tkn,tkn->tk", off, side) / np.maximum(
-        np.einsum("tkn,tkn->tk", side, side), 1e-300)
-    gap = np.linalg.norm(off - np.clip(along, 0.0, 1.0)[..., None] * side,
-                         axis=2)
-    # the foot of the base on the plane, alpha e1 + beta e2 from corner 0
-    e1, e2, t = side[:, 0], -side[:, 2], off[:, 0]
-    E = wedge(e1, e2)
-    EE = np.einsum("tk,tk->t", E, E)
-    alpha = np.einsum("tk,tk->t", wedge(t, e2), E) / EE
-    beta = np.einsum("tk,tk->t", wedge(e1, t), E) / EE
-    inside = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
-    height = np.linalg.norm(t - alpha[:, None] * e1 - beta[:, None] * e2,
-                            axis=1)
-    tol = on_surface_tolerance(base)
-    if np.any(gap <= tol) or np.any(inside & (height <= tol)):
-        point = ", ".join(f"{float(c):.6g}" for c in base)
-        raise IdentityNotApplicableError(
-            f"base point [{point}] lies on a mesh edge or inside a mesh "
-            "triangle: every section through it meets the surface at the "
-            "base itself, so the count is ill-posed; offset the base point")
 
 
 def _cull_pairs(offset, floor, sections):
@@ -581,8 +551,22 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
             "the base point"
         )
     kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
-    # a triangle through the base has the base in its centroid's reach
-    _reject_base_on_the_mesh(mesh, base, kept[floor <= 0])
+    # Every section meets the surface at a base on an edge, in the gray
+    # zone, which no jitter clears as jittered sections still pass through
+    # the base; and at a base inside a triangle, as a hit each one counts.
+    # A triangle through the base has the base in its centroid's reach:
+    # near2 is the quadrature's squared distance to each such closed one
+    reach = mesh.corners(kept[floor <= 0])
+    m = len(reach)
+    near2 = np.empty(m)
+    _in_plane_block(reach, base, np.empty((m, 3, 2)), np.empty(m), near2,
+                    np.empty(m))
+    if np.any(near2 <= on_surface_tolerance(base) ** 2):
+        point = ", ".join(f"{float(c):.6g}" for c in base)
+        raise IdentityNotApplicableError(
+            f"base point [{point}] lies on a mesh edge or inside a mesh "
+            "triangle: every section through it meets the surface at the "
+            "base itself, so the count is ill-posed; offset the base point")
     S = draws.count
     counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = candidates = pairs_tested = 0

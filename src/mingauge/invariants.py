@@ -34,15 +34,15 @@ from .geometry import (
     distance_index,
     integrate_with_error,
     level_chords,
-    on_surface_multiplicity,
+    max_safe_radius,
     radial_integrals,
+    sweep_start,
     tangent_part,
 )
 from .geometry.types import triangle_centroids, triangle_frames
 from .ends import rim_vertex_mask, triangle_components
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss nodes on a segment
-_SAFE_MARGIN = 0.98  # share of the covered radius max_safe_radius returns
 
 
 def sphere_area(p: int) -> float:
@@ -130,24 +130,13 @@ def _flux_at(mesh, center, levels, profile: FluxProfile | None):
     return profile.at(levels)
 
 
-def max_safe_radius(mesh: SimplicialSurface, center) -> float:
-    """Largest |x - center| radius guaranteed covered by the truncated mesh,
-    with a 2% margin."""
-    center = np.asarray(center, dtype=float)
-    with np.errstate(over="ignore"):  # a center past 1e154 is +inf away
-        if mesh.truncation_radius is None:
-            return _SAFE_MARGIN * float(mesh.about(center)["distances"].max())
-        return _SAFE_MARGIN * (mesh.truncation_radius
-                               - float(np.linalg.norm(center)))
-
-
 def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
-    """Geometric radius sweep from just outside the surface to the rim."""
+    """Geometric radius sweep from ``sweep_start`` to ``max_safe_radius``:
+    from past the nearest vertex, or from 0.02 of the way out when the base
+    lies on the surface or near it."""
     center = np.asarray(center, dtype=float)
     hi = max_safe_radius(mesh, center)
-    lo = (0.02 * hi if on_surface_multiplicity(mesh, center)
-          else 1.3 * float(mesh.about(center)["distances"].min()))
-    return np.geomspace(min(lo, 0.5 * hi), hi, count)
+    return np.geomspace(sweep_start(mesh, center, hi), hi, count)
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,8 @@ from . import __version__
 from .catalog import build_surface, catalog_names, verify_minimality
 from .ends import check_ends_bound, ends_estimate
 from .errors import ConfigError, IdentityNotApplicableError
-from .geometry import on_surface_tolerance
+from .geometry import (max_safe_radius, on_surface_multiplicity,
+                       on_surface_tolerance)
 from .intgeom import (
     MAX_MC_SAMPLES,
     check_defect_counting_bound,
@@ -61,8 +62,6 @@ from .invariants import (
     check_monotonicity,
     flux_profile,
     level_grid,
-    max_safe_radius,
-    on_surface_multiplicity,
     projective_volume,
     radial_defect,
 )
@@ -526,15 +525,14 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
 
     # anchor the shell at an inner sweep level: flat ends make the flux
     # increment across any outer shell vanish, which would turn the relative
-    # gap into a ratio of roundoff-sized numbers.  When the base point sits
-    # off the surface, levels near the closest-approach distance are
-    # near-critical for the restricted distance function (level curves run
-    # almost tangent to the spheres there), so skip past them.
-    shell_lo = float(levels[0])
-    if not sheets:
-        cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
-        if cleared.size:
-            shell_lo = float(cleared[0])
+    # gap into a ratio of roundoff-sized numbers.  When the sweep starts past
+    # the nearest vertex (sweep_start), levels near the closest-approach
+    # distance are near-critical for the restricted distance function (level
+    # curves run almost tangent to the spheres there), so skip past them.
+    # From a base on the surface or near it the sweep starts at 0.02 r_hi,
+    # already past 2 d_min, so the anchor is its first level.
+    cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
+    shell_lo = float(cleared[0] if cleared.size else levels[0])
     add("flux_shell_identity",
         lambda: check_flux_shell_identity(mesh, base, shell_lo, shell_hi,
                                           profile=flux))

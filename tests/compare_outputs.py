@@ -1,0 +1,118 @@
+"""Compare the outputs of two ``src`` trees on a fixed list of runs.
+
+    python tests/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
+
+Each run goes through the command line (``python -m mingauge.cli``) once
+per tree, with ``PYTHONPATH`` set to that tree and ``MINGAUGE_THREADS=1``.
+For reports it compares ``report.json``, ``sweeps.csv``, stdout with the
+output directory masked, the exit code and the ``run.log`` lines other than
+``wall_time_s`` and ``peak_rss_mb``; for crofton, stdout and the exit code.
+It prints one line per run and exits 1 when any output differs.  The runs:
+the six catalog surfaces at ``coarse`` and ``default`` with ``mc {seed 11}``,
+the catenoid ``coarse`` from its vertex ``[1, 0, 0]`` with the same mc
+block, the one-sided catenoid (``u_min: -2``), and crofton on the full
+sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed 0.
+
+Not a test module: pytest collects ``test_*.py`` only.
+"""
+import argparse
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SURFACES = ("catenoid", "complex_parabola_r4", "enneper", "helicoid",
+            "plane", "sphere")
+MC = {"seed": 11}
+REPORTS = [
+    *((f"{name}-{res}", {"surface": {"name": name, "resolution": res},
+                         "mc": MC})
+      for name in SURFACES for res in ("coarse", "default")),
+    ("catenoid-coarse-vertex", {
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": [1, 0, 0], "mc": MC}),
+    ("catenoid-u_min-2", {
+        "surface": {"name": "catenoid", "params": {"u_min": -2}}}),
+]
+CROFTON = [
+    ("crofton-full", ["--set", "full"]),
+    ("crofton-hemisphere", ["--set", "hemisphere"]),
+    ("crofton-cap-1.2", ["--set", "cap", "--angle", "1.2"]),
+]
+UNTIMED = ("wall_time_s ", "peak_rss_mb ")
+
+
+def _run(src, args, out):
+    """``{name: text}`` of one command-line run from tree ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), MINGAUGE_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "mingauge.cli", *args],
+                          capture_output=True, text=True, env=env)
+    got = {"exit code": f"{proc.returncode}\n",
+           "stdout": proc.stdout.replace(str(out), "<out>"),
+           "stderr": proc.stderr.replace(str(out), "<out>")}
+    for name in ("report.json", "sweeps.csv", "run.log"):
+        path = out / name
+        if path.exists():
+            text = path.read_text()
+            if name == "run.log":
+                text = "".join(line for line in text.splitlines(True)
+                               if not line.startswith(UNTIMED))
+            got[name] = text
+    return got
+
+
+def _diff(old, new):
+    """Unified diffs of the outputs that differ, as one string."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name), new.get(name)
+        if a != b:
+            lines += difflib.unified_diff(
+                (a or "").splitlines(True), (b or "").splitlines(True),
+                f"old/{name}" if a is not None else "(missing)",
+                f"new/{name}" if b is not None else "(missing)", n=1)
+    return "".join(lines)
+
+
+def _args(run, out):
+    """Command-line arguments of ``run``, writing its config into ``out``."""
+    spec = run[1]
+    if isinstance(spec, dict):
+        (out / "config.json").write_text(json.dumps(spec))
+        return ["report", "--config", str(out / "config.json"),
+                "--out", str(out)]
+    return ["crofton", *spec, "--samples", "50000", "--seed", "0"]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="directory for the runs' outputs (default: a "
+                             "temporary one, removed afterwards)")
+    args = parser.parse_args()
+    trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
+    differ = 0
+    with tempfile.TemporaryDirectory(dir=args.work) as work:
+        for run in REPORTS + CROFTON:
+            outputs = []
+            for tree, src in trees.items():
+                out = Path(work) / tree / run[0]
+                out.mkdir(parents=True)
+                outputs.append(_run(src, _args(run, out), out))
+            diff = _diff(*outputs)
+            differ += bool(diff)
+            print(f"{run[0]:28s} exit {outputs[1]['exit code'].strip()}  "
+                  f"{'DIFFERS' if diff else 'identical'}", flush=True)
+            print(diff, end="")
+    runs = len(REPORTS) + len(CROFTON)
+    print(f"{runs - differ} of {runs} runs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,8 @@ from mingauge import intgeom as ig
 from mingauge import invariants as inv
 from mingauge.catalog import build_surface, catalog_names, spherical_region
 from mingauge.errors import IdentityNotApplicableError
-from mingauge.geometry import orthonormal_frame, tangent_part
+from mingauge.geometry import (on_surface_multiplicity, on_surface_tolerance,
+                                orthonormal_frame, tangent_part)
 from mingauge.geometry.types import triangle_centroids, triangle_frames
 import counting_oracle
 from meshing_oracle import whole_centroids, whole_corners, whole_frames
@@ -222,14 +223,20 @@ def test_base_on_a_mesh_edge_rejected(coarse, name):
     # every section through an edge's midpoint meets the edge there, in the
     # gray zone, and a jittered section still does: rejected like a vertex.
     # Every section through a triangle's centroid meets the triangle there,
-    # a hit each section counts (mean 1 at any small radius): rejected too
+    # a hit each section counts (mean 1 at any small radius): rejected too,
+    # and so is the centroid moved half the on-surface tolerance off the
+    # triangle's plane
     mesh = coarse(name).mesh
     i, j = mesh.interior_edges[len(mesh.interior_edges) // 2]
     tri = mesh.vertices[mesh.triangles[{"catenoid": 5000,
                                         "complex_parabola_r4": 3000}[name]]]
-    for base in (0.5 * (mesh.vertices[i] + mesh.vertices[j]),
-                 (tri[0] + tri[1] + tri[2]) / 3.0):
-        assert inv.on_surface_multiplicity(mesh, base) == 0
+    centroid = (tri[0] + tri[1] + tri[2]) / 3.0
+    x = np.ones(len(centroid))
+    normal = x - tangent_part(x, triangle_frames(tri))
+    normal /= np.linalg.norm(normal)
+    off = centroid + 0.5 * on_surface_tolerance(centroid) * normal
+    for base in (0.5 * (mesh.vertices[i] + mesh.vertices[j]), centroid, off):
+        assert on_surface_multiplicity(mesh, base) == 0
         radius = 0.5 * inv.max_safe_radius(mesh, base)
         with pytest.raises(IdentityNotApplicableError,
                            match="on a mesh edge or inside a mesh triangle"):
@@ -311,7 +318,7 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     spec = coarse(name)
     mesh = spec.mesh
     base = spec.base_point if base is None else np.asarray(base)
-    assert inv.on_surface_multiplicity(mesh, base) == 0
+    assert on_surface_multiplicity(mesh, base) == 0
     r_hi = inv.max_safe_radius(mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = mesh.vertices.shape[1]

@@ -19,6 +19,7 @@ from mingauge.geometry import (
     ImmersionChart,
     SimplicialSurface,
     mesh_from_chart,
+    on_surface_multiplicity,
     radial_integrals,
 )
 
@@ -117,7 +118,7 @@ def defect_volume_identity(mesh, center):
         inv.radial_defect(mesh, center, r),
         inv.flux_profile(mesh, center, [r]).normalized[0],
         inv.boundary_constant(mesh, center, within_radius=r),
-        inv.on_surface_multiplicity(mesh, center),
+        on_surface_multiplicity(mesh, center),
     )
 
 

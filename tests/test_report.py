@@ -25,8 +25,11 @@ import pytest
 
 import mingauge.report as report_module
 from mingauge.catalog import build_surface, catalog_names
+from mingauge.ends import ends_estimate
 from mingauge.errors import ConfigError
+from mingauge.geometry import on_surface_multiplicity
 from mingauge.geometry.types import triangle_frames
+from mingauge.invariants import level_grid
 from mingauge.report import (
     _conforms,
     compute_report,
@@ -860,16 +863,21 @@ def test_report_probes_name_their_field(config, field):
     assert err.value.field == field
 
 
-def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
-    # a base 5e-10 or 5e-9 off a catenoid vertex along its normal lies on
-    # the surface by the one on-surface rule; the report computes with the
-    # vertex, so the quadrature and the identities agree on the sheet there
+def _off_catenoid_vertex(coarse, offset):
+    """The catenoid ``coarse`` vertex nearest |x| = 10, moved ``offset``
+    along its normal (the sum of its triangles' normals)."""
     mesh = coarse("catenoid").mesh
     k = np.argmin(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 10.0))
     around = np.flatnonzero((mesh.triangles == k).any(axis=1))
     frames = triangle_frames(mesh.corners(around))
     normal = np.cross(frames[:, 0], frames[:, 1]).sum(axis=0)
-    normal /= np.linalg.norm(normal)
+    return mesh.vertices[k] + offset * normal / np.linalg.norm(normal)
+
+
+def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
+    # a base 5e-10 or 5e-9 off a catenoid vertex along its normal lies on
+    # the surface by the one on-surface rule; the report computes with the
+    # vertex, so the quadrature and the identities agree on the sheet there
 
     def verdicts(base):
         report = compute_report(parse_config({
@@ -879,10 +887,34 @@ def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
         return [(c["name"], c["applicable"], c["passed"])
                 for c in report["checks"]]
 
-    want = verdicts(mesh.vertices[k])
+    want = verdicts(_off_catenoid_vertex(coarse, 0.0))
     assert all(passed for _, applicable, passed in want if applicable)
     for offset in (5e-10, 5e-9):
-        assert verdicts(mesh.vertices[k] + offset * normal) == want, offset
+        assert verdicts(_off_catenoid_vertex(coarse, offset)) == want, offset
+
+
+@pytest.mark.parametrize("offset", [5e-8, 5e-5, 0.05])
+def test_base_near_a_vertex_sweeps_as_on_the_surface(tmp_path, coarse,
+                                                     offset):
+    # past the on-surface tolerance but within 1e-3 max_safe_radius of a
+    # vertex, 1.3 times the nearest distance is a near-critical radius: the
+    # sweeps start at 0.02 of their end, as from the vertex, and every check
+    # passes (each of these exited 1 when they started at 1.3 d_min)
+    base = _off_catenoid_vertex(coarse, offset)
+    report = run_report(parse_config({
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": base.tolist()}), tmp_path)
+    failed = [c["name"] for c in report["checks"]
+              if c["applicable"] and not c["passed"]]
+    assert report["exit_code"] == 0, failed
+
+
+def test_near_surface_sweeps_start_at_a_share_of_their_end(coarse):
+    mesh = coarse("catenoid").mesh
+    base = _off_catenoid_vertex(coarse, 5e-8)
+    assert on_surface_multiplicity(mesh, base) == 0
+    for radii in (level_grid(mesh, base), ends_estimate(mesh, base).radii):
+        assert radii[0] == pytest.approx(0.02 * radii[-1], rel=1e-12)
 
 
 # Runs the CLI in a fresh interpreter, recording which mingauge function
