@@ -10,26 +10,15 @@ projection x -> x/|x|: the projection compresses area by a factor
 so section-count averages, projected sphere measure, and the defect integral
 can all be compared against one another.
 
-Counting culls before it tests: a (triangle, section) pair gets the exact
-hit test only when the section passes within the triangle's corner spread of
-its centroid, which it does when its angle to the centroid direction is at
-most the triangle's cap half-angle.  For lines in R^3 the caps are indexed on
-a lat-long grid of S^2, so a line tests only the triangles listed under its
-own and its opposite direction's cells.  crofton_verify is the same line
-count with base 0 on a region of the unit sphere: its mean, times half the
-sphere's area, is the region's area.  For 2-planes in R^4 the triangles are
-grouped by centroid direction and cap half-angle, so a 2-plane tests each
-group's cap and only then its members.  One test serves every n: the hit's
-barycentric coordinates are ratios of dot products between the Plucker
-coordinates of the triangle and of the section's complement, and the hit
-counts inside radius r when its offset w from the base has |w| <= r.
-A pair is gray, its count not trusted, when the section is near-parallel to
-the triangle, when the hit lies within EDGE_EPS of an edge in barycentric
-terms, or when |w|^2 lies within 3 EDGE_EPS r^2 of r^2.  A section with a
-gray pair is jittered by ~1e-9 and recounted, which keeps seeded runs
-reproducible.  A triangle out of reach never jitters: it cannot change counts.
-A base on a mesh vertex, edge or triangle is in every section: refused, when
-a vertex or, by the quadrature's exact point-to-triangle distance, a closed
+Counting culls before it tests: a (triangle, section) pair is hit-tested only
+when the section passes within the triangle's corner spread of its centroid,
+found through an angular cap index for lines in R^3 (_cap_cull) and through
+triangle groups for 2-planes in R^4 (_group_cull).  One float hit test serves
+every n (_hit_test); the pairs it calls gray are settled exactly (_settle).
+crofton_verify is the same line count with base 0 on a region of the unit
+sphere: its mean, times half the sphere's area, is the region's area.  A base
+on a mesh vertex, edge or triangle is in every section: refused, when a
+vertex or, by the quadrature's exact point-to-triangle distance, a closed
 triangle lies within on_surface_tolerance of it.
 
 Memory.  A count holds, per pruned triangle, its index, centroid offset and
@@ -37,10 +26,8 @@ cull floor, the hit test's three Plucker coordinates and determinant scale,
 and the cull's caps or groups; and the (radii, sections) counts.  All else
 lives for one block: corner gathers for _BLOCK_TRIANGLES triangles, floor
 tests for _BLOCK_GATHER candidate pairs, and a block of sections with its
-frames, drawn and QR-factored as the count reaches them, its candidates and
-its jitters.
+frames, drawn and QR-factored as the count reaches them, and its candidates.
 """
-from copy import deepcopy
 from math import gamma, pi, sqrt
 from typing import NamedTuple
 
@@ -53,15 +40,13 @@ from .geometry.types import _BLOCK_TRIANGLES, triangle_centroids
 from .invariants import sphere_area
 
 EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
-JITTER_SCALE = 1e-9
-_MAX_JITTER_ROUNDS = 12
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
 _BLOCK_FRAMES = 8192  # section frames QR-factored at a time
 _BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
 _BLOCK_GATHER = 8192  # candidate pairs whose coordinates are gathered at once
 # The cull keeps a pair when the centroid lies within reach of the section.
 # The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
-# its centroid, so any point the exact test can call a hit lies within that
+# its centroid, so any point the hit test can call a hit lies within that
 # factor of the corner spread; _REACH_SLACK widens the spread far beyond it.
 # _CULL_ROUNDOFF (times |d|^2) covers the cancellation in |d|^2 - |F d|^2 for
 # a far centroid close to the section.
@@ -140,23 +125,13 @@ def _signed_qr_frames(columns, k):
 
 
 class _SectionDraws:
-    """The ``count`` Haar-random (n-2)-plane frames of one count, drawn a
-    block at a time.
-
-    ``take(m)`` draws the next ``m`` frames (``sample_grassmann``) from a
-    copy of ``rng``.  The generator gives the same normals whether they are
-    drawn at once or in pieces, and QR factors matrix by matrix, so the
-    frames are those of one draw of all ``count``.  ``jitter_rng()`` returns
-    ``rng`` itself, advanced at its first call past the ``count n n``
-    section normals (drawn a block at a time and discarded): the jitter
-    draws follow the section draws, as after one whole draw, and a count
-    that never jitters never pays for the advance.
-    """
+    """The ``count`` Haar-random (n-2)-plane frames of one count, drawn from
+    ``rng`` a block at a time by ``take(m)`` (``sample_grassmann``).  The
+    generator gives the same normals drawn at once or in pieces, and QR
+    factors matrix by matrix, so the frames are those of one whole draw."""
 
     def __init__(self, n: int, count: int, rng):
-        self.count = count
-        self._n, self._rng, self._draws = n, rng, deepcopy(rng)
-        self._behind = True
+        self.count, self._n, self._rng = count, n, rng
         self._drawn, self._ready = 0, (np.empty((0, n - 2, n)),
                                        np.empty((0, 2, n)))
 
@@ -169,17 +144,9 @@ class _SectionDraws:
                        self.count - self._drawn)
             self._drawn += more
             ready = tuple(np.concatenate(pair) for pair in zip(
-                ready, sample_grassmann(self._n, 2, more, self._draws)))
+                ready, sample_grassmann(self._n, 2, more, self._rng)))
         self._ready = tuple(f[m:] for f in ready)
         return tuple(f[:m] for f in ready)
-
-    def jitter_rng(self):
-        if self._behind:
-            for lo in range(0, self.count, _BLOCK_FRAMES):
-                self._rng.standard_normal(
-                    (min(_BLOCK_FRAMES, self.count - lo), self._n, self._n))
-            self._behind = False
-        return self._rng
 
 
 # --------------------------------------------------------------------------
@@ -443,8 +410,11 @@ def _group_cull(offset, floor):
 
 
 def _hit_test(mesh, kept, base):
-    """Exact pair test of (n-2)-plane sections against the triangles
-    ``kept``, any n; the pairs' ``ti`` index ``kept``.
+    """Float pair test of (n-2)-plane sections against the triangles
+    ``kept``, any n, the pairs' ``ti`` indexing ``kept``: ``(hits, gray)``,
+    gray where the section is near-parallel to the triangle, the hit lies
+    within ``EDGE_EPS`` of an edge in barycentric terms, or its offset w from
+    the base has ``|w|^2`` within ``3 EDGE_EPS r^2`` of ``r^2``.
 
     A section meets triangle ``A + alpha e1 + beta e2`` where its complement
     rows ``c1``, ``c2`` annihilate ``alpha e1 + beta e2 - t`` (t = base - A),
@@ -502,34 +472,71 @@ def _per_section(si, hits, gray, S):
     return counts, np.bincount(si[gray], minlength=S) > 0
 
 
-def _jitter_frames(sections, complements, rng):
-    k = sections.shape[1]
-    basis = np.concatenate([sections, complements], axis=1)
-    basis = basis + JITTER_SCALE * rng.standard_normal(basis.shape)
-    return _signed_qr_frames(np.swapaxes(basis, 1, 2), k)
+def _weights(d, c, radii, minus=1):
+    """``(a, b, C, G)`` of pairs with corner offsets ``d = P - base`` (g,
+    3, n) and complement rows ``c`` (g, 2, n): ``a_i, b_i = q_(i+1),
+    q_(i+2)`` of the projected corners ``q_i = (c1 . d_i, c2 . d_i)``; ``C_i
+    = a_i x b_i``, the origin's barycentric weights times ``D = sum C``; and
+    ``G = |sum C_i d_i|^2 - r^2 D^2`` per radius, <= 0 for a hit in the ball.
+    ``minus=-1`` makes every minus a plus."""
+    q = d @ np.swapaxes(c, 1, 2)
+    a, b = q[:, [1, 2, 0]], q[:, [2, 0, 1]]
+    C = a[..., 0] * b[..., 1] - minus * (a[..., 1] * b[..., 0])
+    W, D = (C[..., None] * d).sum(axis=1), C.sum(axis=1)
+    return a, b, C, (W * W).sum(axis=1) - minus * (radii[:, None] * D) ** 2
+
+
+def _settle(corners, base, rows, radii):
+    """Exact hits (num_radii, g) of gray pairs: triangles with ``corners`` (g,
+    3, n) against the sections through ``base`` with the float complement
+    ``rows`` (g, 2, n).  Filter: C and G (``_weights``) are sums of products of
+    the float P, base, c, r with at most 5n + 17 roundings on any product, so
+    each is off by at most (5n + 18) 2^-53 times the same sums over |P - base|,
+    |c|, r with every minus a plus (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1); ``err`` doubles that for their own rounding.  The rest,
+    and sums that overflow or underflow (< 1e-200), are decided in rationals,
+    the origin moved by (eps, eps^2) for every triangle (Simulation of
+    Simplicity, Edelsbrunner and Muecke 1990): a crossing at a vertex or an
+    edge counts once, a D = 0 triangle never."""
+    d, err = corners - base, 2 * (5 * corners.shape[2] + 18) * 2.0 ** -53
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, C, G = _weights(d, rows, radii)
+        *_, Cp, Gp = _weights(np.abs(d), np.abs(rows), radii, -1)
+        sign = np.where((np.abs(C) > err * Cp) & (Cp > 1e-200), np.sign(C), 0)
+        inside = np.abs(sign.sum(axis=1)) == 3
+        hits = inside & (G < 0)
+        sure = inside & ((np.abs(G) > err * Gp) & (Gp > 1e-200)).all(axis=0)
+    rest = np.flatnonzero((np.ptp(sign, axis=1) < 2) & ~sure)
+    if len(rest) == 0:
+        return hits
+    from fractions import Fraction  # only such pairs pay for the import
+    F = np.vectorize(Fraction, otypes=[object])
+    a, b, C, G = _weights(F(corners[rest]) - F(base), F(rows[rest]), F(radii))
+    # C_i + (a_y - b_y) eps + (b_x - a_x) eps^2 has the sign of its lead term
+    sign = np.zeros(C.shape, dtype=int)
+    for key in (C, a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]):
+        sign = np.where(sign != 0, sign, (key > 0).astype(int) - (key < 0))
+    hits[:, rest] = (np.abs(sign.sum(axis=1)) == 3) & (G <= 0)
+    return hits
 
 
 class _SectionCounts(NamedTuple):
     """Section counts and the work that produced them."""
 
     counts: np.ndarray    # (num_radii, S) intersection counts
-    jittered: int         # section recounts forced by the gray zone
+    jittered: int         # sections with a gray pair, settled exactly
     cells: int            # pruned triangles x sections
     candidates: int       # pairs the cull proposed to its floor test
-    pairs_tested: int     # culled pairs given the exact test, all rounds
+    pairs_tested: int     # culled pairs given the hit test
 
 
 def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
-    """(num_radii, S) intersection counts inside |x - base| <= r, jittered.
+    """(num_radii, S) intersection counts inside |x - base| <= r.
 
-    ``draws`` hands out the S section frames: ``draws.count`` of them,
-    ``draws.take(m)`` the next ``m`` as (sections, complements), and
-    ``draws.jitter_rng()`` the generator the jitters draw from.  Held for
-    the whole count, per pruned triangle: its index, centroid offset and
-    cull floor, the hit test's Plucker coordinates, and the cull's caps or
-    groups; and the (num_radii, S) counts.  Everything else lives for one
-    block of triangles, candidate pairs or sections: the block's frames,
-    its candidates and tested pairs, and its jitters.
+    ``draws`` hands out the S section frames: ``draws.count`` of them and
+    ``draws.take(m)`` the next ``m`` as (sections, complements).  Each block
+    of sections is culled and hit-tested once, and its gray pairs settled
+    exactly (``_settle``); what the count holds is in the module docstring.
     """
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -551,10 +558,8 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
             "the base point"
         )
     kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
-    # Every section meets the surface at a base on an edge, in the gray
-    # zone, which no jitter clears as jittered sections still pass through
-    # the base; and at a base inside a triangle, as a hit each one counts.
-    # A triangle through the base has the base in its centroid's reach:
+    # A base on an edge or inside a triangle is a hit of every section.  A
+    # triangle through the base has the base in its centroid's reach:
     # near2 is the quadrature's squared distance to each such closed one
     reach = mesh.corners(kept[floor <= 0])
     m = len(reach)
@@ -580,21 +585,16 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
     block = max(32, _BLOCK_CANDIDATES // cost)
     for lo in range(0, S, block):
         sec, comp = draws.take(min(block, S - lo))
-        for _ in range(_MAX_JITTER_ROUNDS):
-            ti, si, proposed = cull(sec)
-            candidates += proposed
-            pairs_tested += len(ti)
-            hits, pair_gray = hit_test(comp, ti, si, radii)
-            c_blk, gray = _per_section(si, hits, pair_gray, len(sec))
-            if not gray.any():
-                break
-            idx = np.flatnonzero(gray)
-            jittered += len(idx)
-            sec[idx], comp[idx] = _jitter_frames(sec[idx], comp[idx],
-                                                 draws.jitter_rng())
-        else:
-            raise RuntimeError("section jitter failed to clear tangencies")
-        counts[:, lo:lo + len(sec)] = c_blk
+        ti, si, proposed = cull(sec)
+        candidates += proposed
+        pairs_tested += len(ti)
+        hits, gray = hit_test(comp, ti, si, radii)
+        if len(g := np.flatnonzero(gray)):
+            hits[:, g] = _settle(mesh.corners(kept[ti[g]]), base, comp[si[g]],
+                                 radii)
+        counts[:, lo:lo + len(sec)], gray = _per_section(si, hits, gray,
+                                                         len(sec))
+        jittered += int(gray.sum())
     return _SectionCounts(counts, jittered, len(kept) * S, candidates,
                           pairs_tested)
 
@@ -607,8 +607,8 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
     exactly nondecreasing in the cut radius.  ``cells`` (pruned triangles x
     samples), ``candidates`` (pairs the cull proposed to its floor test; for
     n = 4 the group tests plus the member floor tests) and ``pairs_tested``
-    (pairs left by the cull), the last two summed over jitter rounds, say how
-    much of the counting work the cull saved.
+    (pairs left by the cull) say how much of the counting work the cull
+    saved.  ``jittered`` counts the sections with a gray pair (settled).
     """
     if seed is None:
         raise ValueError("seed is required: counting is Monte-Carlo based")

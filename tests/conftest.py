@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from mingauge.catalog import build_surface
+from mingauge.geometry.types import triangle_frames
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +70,19 @@ def parabola_coarse(coarse):
 @pytest.fixture(scope="session")
 def helicoid_coarse(coarse):
     return coarse("helicoid")
+
+
+@pytest.fixture(scope="session")
+def off_catenoid_vertex(catenoid_coarse):
+    """``base(offset)``: the catenoid ``coarse`` vertex nearest |x| = 10,
+    moved ``offset`` along its normal (the sum of its triangles' normals)."""
+    mesh = catenoid_coarse.mesh
+    k = np.argmin(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 10.0))
+    around = np.flatnonzero((mesh.triangles == k).any(axis=1))
+    frames = triangle_frames(mesh.corners(around))
+    normal = np.cross(frames[:, 0], frames[:, 1]).sum(axis=0)
+    return lambda offset: (mesh.vertices[k]
+                           + offset * normal / np.linalg.norm(normal))
 
 
 @pytest.fixture(scope="session")

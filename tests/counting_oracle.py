@@ -6,9 +6,15 @@ cross products and measure the hit along the line; (n-2)-planes project the
 triangle onto the section's complement and measure the hit in the section.
 Hits must agree on every pair that neither test calls gray.
 
+``rational_hits`` decides one pair in ``Fraction`` arithmetic only, the
+reference for ``intgeom._settle``'s float filter and exact step on gray
+pairs.
+
 ``cap_index_one_sort`` is the cap index ``intgeom._cap_index`` builds in
 chunks, made from every listing at once with one stable sort.
 """
+from fractions import Fraction
+
 import numpy as np
 
 from mingauge.intgeom import _CAP_COLS, _CAP_ROWS, _ranges
@@ -95,6 +101,42 @@ def _plane_hit_test(A, e1, e2, base):
         return hits, gray
 
     return test
+
+
+def rational_hits(corners, base, rows, radii):
+    """Hits (one per radius) of the triangle ``corners`` (3, n) by the
+    section through ``base`` that the complement ``rows`` (2, n) define,
+    in rationals on the float inputs.
+
+    The section meets ``A + alpha e1 + beta e2`` where the rows map it to
+    the base's image: ``alpha u + beta v = t`` with ``u, v, t`` the images
+    of ``e1``, ``e2`` and ``base - A``.  Ties are broken by solving for the
+    image moved by ``(eps, eps^2)`` instead: ``alpha det``, ``beta det`` and
+    ``(1 - alpha - beta) det`` are then polynomials in eps, positive times
+    ``det`` when their first nonzero coefficient is.  A hit counts inside
+    radius r when the unmoved hit lies within r of the base.
+    """
+    A, B, C = ([Fraction(x) for x in corner] for corner in corners)
+    rows = [[Fraction(x) for x in row] for row in rows]
+    e1 = [y - x for x, y in zip(A, B)]
+    e2 = [y - x for x, y in zip(A, C)]
+    t0 = [Fraction(y) - x for x, y in zip(A, base)]
+    u, v, t = ([sum(c * x for c, x in zip(row, vec)) for row in rows]
+               for vec in (e1, e2, t0))
+
+    def cross(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    det = cross(u, v)
+    a_det = (cross(t, v), v[1], -v[0])
+    b_det = (cross(u, t), -u[1], u[0])
+    g_det = (det - a_det[0] - b_det[0], u[1] - v[1], v[0] - u[0])
+    if det == 0 or not all(next((c for c in poly if c != 0), 0) * det > 0
+                           for poly in (a_det, b_det, g_det)):
+        return [False] * len(radii)
+    alpha, beta = a_det[0] / det, b_det[0] / det
+    w = [alpha * x + beta * y - z for x, y, z in zip(e1, e2, t0)]
+    return [sum(x * x for x in w) <= Fraction(r) ** 2 for r in radii]
 
 
 def cap_index_one_sort(caps, row0, nrow, col0, ncol):

@@ -28,7 +28,6 @@ from mingauge.catalog import build_surface, catalog_names
 from mingauge.ends import ends_estimate
 from mingauge.errors import ConfigError
 from mingauge.geometry import on_surface_multiplicity
-from mingauge.geometry.types import triangle_frames
 from mingauge.invariants import level_grid
 from mingauge.report import (
     _conforms,
@@ -398,9 +397,9 @@ def test_base_point_on_surface_skips_counting_only(tmp_path):
 def test_cli_base_on_a_mesh_edge_skips_counting_without_a_traceback(
         tmp_path):
     # the midpoint of an interior edge of the catenoid `coarse` mesh: every
-    # section through it meets the edge at the base, in the gray zone, where
-    # no jitter clears it; the counting checks read "not applicable" and name
-    # the base point, and no traceback is printed
+    # section through it meets the edge at the base itself, a hit each one
+    # counts, so the count is ill-posed; the counting checks read "not
+    # applicable" and name the base point, and no traceback is printed
     mesh = build_surface("catenoid", resolution="coarse").mesh
     i, j = mesh.interior_edges[1000]
     base = [-5.445996429171874, 78.1944925835395, -5.054914212975492]
@@ -863,18 +862,8 @@ def test_report_probes_name_their_field(config, field):
     assert err.value.field == field
 
 
-def _off_catenoid_vertex(coarse, offset):
-    """The catenoid ``coarse`` vertex nearest |x| = 10, moved ``offset``
-    along its normal (the sum of its triangles' normals)."""
-    mesh = coarse("catenoid").mesh
-    k = np.argmin(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 10.0))
-    around = np.flatnonzero((mesh.triangles == k).any(axis=1))
-    frames = triangle_frames(mesh.corners(around))
-    normal = np.cross(frames[:, 0], frames[:, 1]).sum(axis=0)
-    return mesh.vertices[k] + offset * normal / np.linalg.norm(normal)
-
-
-def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
+def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(
+        off_catenoid_vertex):
     # a base 5e-10 or 5e-9 off a catenoid vertex along its normal lies on
     # the surface by the one on-surface rule; the report computes with the
     # vertex, so the quadrature and the identities agree on the sheet there
@@ -887,20 +876,21 @@ def test_base_within_roundoff_of_a_vertex_gets_the_vertex_verdicts(coarse):
         return [(c["name"], c["applicable"], c["passed"])
                 for c in report["checks"]]
 
-    want = verdicts(_off_catenoid_vertex(coarse, 0.0))
+    want = verdicts(off_catenoid_vertex(0.0))
     assert all(passed for _, applicable, passed in want if applicable)
     for offset in (5e-10, 5e-9):
-        assert verdicts(_off_catenoid_vertex(coarse, offset)) == want, offset
+        assert verdicts(off_catenoid_vertex(offset)) == want, offset
 
 
 @pytest.mark.parametrize("offset", [5e-8, 5e-5, 0.05])
-def test_base_near_a_vertex_sweeps_as_on_the_surface(tmp_path, coarse,
+def test_base_near_a_vertex_sweeps_as_on_the_surface(tmp_path,
+                                                     off_catenoid_vertex,
                                                      offset):
     # past the on-surface tolerance but within 1e-3 max_safe_radius of a
     # vertex, 1.3 times the nearest distance is a near-critical radius: the
     # sweeps start at 0.02 of their end, as from the vertex, and every check
     # passes (each of these exited 1 when they started at 1.3 d_min)
-    base = _off_catenoid_vertex(coarse, offset)
+    base = off_catenoid_vertex(offset)
     report = run_report(parse_config({
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": base.tolist()}), tmp_path)
@@ -909,9 +899,33 @@ def test_base_near_a_vertex_sweeps_as_on_the_surface(tmp_path, coarse,
     assert report["exit_code"] == 0, failed
 
 
-def test_near_surface_sweeps_start_at_a_share_of_their_end(coarse):
+@pytest.mark.parametrize("offset", [5e-8, 5e-6, 5e-5])
+def test_cli_counts_near_a_vertex_without_a_traceback(tmp_path,
+                                                      off_catenoid_vertex,
+                                                      offset):
+    # sections through a base 5e-8 or 5e-6 off a vertex meet its triangles
+    # in the gray zone; settled exactly, they count as from 5e-5, where no
+    # pair is gray, and the run ends by its checks, not in a traceback
+    cfg = tmp_path / "near.json"
+    cfg.write_text(json.dumps({
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": off_catenoid_vertex(offset).tolist(),
+        "mc": {"seed": 11, "samples": 2000}}))
+    proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "Traceback" not in proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = [c["name"] for c in report["checks"]
+              if c["applicable"] and not c["passed"]]
+    assert proc.returncode == (1 if failed else 0), proc.stderr
+    counting = report["counting"]
+    assert counting["means"] == [1.9545, 1.9915, 2.0195, 2.0435, 2.065]
+    assert (counting["jittered"] > 0) == (offset < 5e-5)
+
+
+def test_near_surface_sweeps_start_at_a_share_of_their_end(
+        coarse, off_catenoid_vertex):
     mesh = coarse("catenoid").mesh
-    base = _off_catenoid_vertex(coarse, 5e-8)
+    base = off_catenoid_vertex(5e-8)
     assert on_surface_multiplicity(mesh, base) == 0
     for radii in (level_grid(mesh, base), ends_estimate(mesh, base).radii):
         assert radii[0] == pytest.approx(0.02 * radii[-1], rel=1e-12)
