@@ -14,16 +14,17 @@ Gauss-Legendre for the inverse power).  Only triangles straddling a sphere
 are clipped.  Roundoff heights (a base on the surface) read as h = 0: the
 defect vanishes there and the inverse power's first ball diverges (``inf``).
 
-Whole-triangle integrals are kept in the mesh's store for the base point,
-per kind, and filled in only out to the largest ball a call asks for, so a
-later, larger ball computes just the triangles it adds.  They, and the
-in-plane data of the base point that they start from, are computed
-``_BLOCK_TRIANGLES`` triangles at a time, frames and centroids from each
-block's one corner gather, so the per-edge temporaries stay in cache and no
-whole-mesh temporary is made; shells are differences of balls taken in
-place.  Every step is elementwise or matrix by matrix and each Gauss rule
-sums its nodes in one fixed order, so the values do not depend on the
-blocks or on the order in which balls were asked for.
+Each base point has one table in the mesh's store: every triangle's squared
+height and squared nearest / farthest distance, its whole integral of each
+kind and one fill mask, no in-plane corners.  One sweep of
+``_BLOCK_TRIANGLES`` blocks makes each block's in-plane corners once, from
+its one corner gather, and the edge terms once for all kinds, filling the
+triangles inside the largest ball asked for; a later, larger ball computes
+just the triangles it adds, and a straddling triangle's corners are made
+anew for each sphere that clips it.  Shells are differences of balls taken
+in place.  Every step is elementwise or matrix by matrix and each Gauss
+rule sums its nodes in one fixed order, so the values do not depend on the
+blocks, the selections or the order in which kinds and balls were asked for.
 """
 from __future__ import annotations
 
@@ -100,19 +101,19 @@ def _edge(kind, cross, A, b, xx, h2, flat, lo, hi):
     return 0.5 * cross * (hi - lo) * total
 
 
-def _fan_integrals(kind, P, h2, sigma2=None):
-    """Each triangle's integral over the disk rho^2 < sigma2 (all of it when
-    ``sigma2`` is None), from in-plane corners P (m, 3, 2) about the foot.
-    A whole triangle's edges run over u in [0, 1] as scalars, so each Gauss
-    node is the node itself."""
+def _fan_integrals(kinds, P, h2, sigma2=None):
+    """Each triangle's integral of every kind in ``kinds`` (a row each) over
+    the disk rho^2 < sigma2 (all of it when ``sigma2`` is None), from
+    in-plane corners P (m, 3, 2) about the foot; the edge terms are made
+    once for all kinds.  A whole triangle's edges run over u in [0, 1] as
+    scalars, so each Gauss node is the node itself."""
     X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
     D = Y - X
     cross, A, b, xx = _cross(X, Y), _dot(D, D), _dot(X, D), _dot(X, X)
     flat = np.flatnonzero(h2 == 0.0)
     h2 = np.broadcast_to(h2[:, None], cross.shape)
     if sigma2 is None:
-        lo, hi = 0.0, 1.0
-        outside = 0.0
+        lo, hi, angle = 0.0, 1.0, None
     else:
         s2 = sigma2[:, None]
         disc = b * b - A * (xx - s2)
@@ -122,61 +123,69 @@ def _fan_integrals(kind, P, h2, sigma2=None):
         Xa, Xb = X + lo[..., None] * D, X + hi[..., None] * D
         angle = (np.arctan2(_cross(X, Xa), _dot(X, Xa))
                  + np.arctan2(_cross(Xb, Y), _dot(Xb, Y)))
-        outside = _antiderivative(kind, s2, h2, flat) * angle
-    return (_edge(kind, cross, A, b, xx, h2, flat, lo, hi) + outside).sum(axis=1)
+    out = np.empty((len(kinds), len(P)))
+    for row, kind in zip(out, kinds):
+        outside = 0.0 if angle is None else (
+            _antiderivative(kind, s2, h2, flat) * angle)
+        row[:] = (_edge(kind, cross, A, b, xx, h2, flat, lo, hi)
+                  + outside).sum(axis=1)
+    return out
 
 
-def _whole_integrals(mesh, center, kind, P, h2, far2, r2):
-    """Whole-triangle integrals of ``kind``, filled in ``_BLOCK_TRIANGLES``
-    at a time for the triangles the ball of squared radius ``r2`` holds.
-    They are kept in the mesh's store for ``center`` as (values, computed),
-    so a larger ball later computes only the triangles it adds."""
+def _table(mesh, center, r2):
+    """The base point's table, kept in the mesh's store for ``center``:
+    squared heights and squared nearest / farthest distances of every
+    triangle, its whole integral of each of ``KINDS`` (a (K, T) array) and
+    the mask of the triangles whose whole integrals are filled in.  One
+    sweep of ``_BLOCK_TRIANGLES`` blocks makes the in-plane corners of each
+    block once and fills the triangles the ball of squared radius ``r2``
+    holds; a larger ball later gathers the corners of what it adds anew."""
     store = mesh.about(center)
-    key = f"whole_{kind}"
-    if key not in store:
-        store[key] = np.zeros(len(P)), np.zeros(len(P), dtype=bool)
-    values, computed = store[key]
-    todo = np.flatnonzero((far2 <= r2) & ~computed)
+    if "table" not in store:
+        T = len(mesh.triangles)
+        h2, near2, far2 = np.empty(T), np.empty(T), np.empty(T)
+        whole, filled = np.zeros((len(KINDS), T)), np.zeros(T, dtype=bool)
+        for lo in range(0, T, _BLOCK_TRIANGLES):
+            sl = slice(lo, lo + _BLOCK_TRIANGLES)
+            P, h2[sl], near2[sl], far2[sl] = _in_plane_block(mesh.corners(sl),
+                                                             center)
+            take = np.flatnonzero(far2[sl] <= r2)
+            whole[:, lo + take] = _fan_integrals(KINDS, P[take], h2[lo + take])
+            filled[lo + take] = True
+        store["table"] = h2, near2, far2, whole, filled
+    h2, near2, far2, whole, filled = store["table"]
+    todo = np.flatnonzero((far2 <= r2) & ~filled)
     for i in range(0, len(todo), _BLOCK_TRIANGLES):
         block = todo[i:i + _BLOCK_TRIANGLES]
-        values[block] = _fan_integrals(kind, P[block], h2[block])
-    computed[todo] = True
-    return values
+        P = _corners_in_plane(mesh.corners(block), center)[0]
+        whole[:, block] = _fan_integrals(KINDS, P, h2[block])
+    filled[todo] = True
+    return store["table"]
 
 
-def _in_plane(mesh, center):
-    """In-plane corners about the foot of ``center`` (T, 3, 2; positively
-    oriented, as frames follow corner order), squared heights and squared
-    nearest / farthest distances; kept in the mesh's store for ``center``.
-    Built ``_BLOCK_TRIANGLES`` triangles at a time into the four arrays,
-    each block's frames and centroids taken from its one corner gather."""
-    store = mesh.about(center)
-    if "in_plane" in store:
-        return store["in_plane"]
-    T = len(mesh.triangles)
-    P = np.empty((T, 3, 2))
-    h2, near2, far2 = np.empty(T), np.empty(T), np.empty(T)
-    for lo in range(0, T, _BLOCK_TRIANGLES):
-        sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        _in_plane_block(mesh.corners(sl), center, P[sl], h2[sl], near2[sl],
-                        far2[sl])
-    store["in_plane"] = P, h2, near2, far2
-    return store["in_plane"]
-
-
-def _in_plane_block(corners, center, P, h2, near2, far2):
-    """``_in_plane`` on one block of ``corners``, written into the block's
-    rows of the four outputs.  A stacked matmul multiplies matrix by matrix,
-    so the blocks leave the bits alone."""
+def _corners_in_plane(corners, center):
+    """In-plane corners (m, 3, 2; positively oriented, as frames follow
+    corner order) of ``corners`` about the foot of ``center``, with the
+    offsets ``corners - center`` and the frames.  The stacked matmul
+    multiplies matrix by matrix, so a block or any selection of triangles
+    gets the bits of the whole mesh."""
     x, frames = corners - center, triangle_frames(corners)
+    return (np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1))),
+            x, frames)
+
+
+def _in_plane_block(corners, center):
+    """``_corners_in_plane``'s in-plane corners, squared heights and squared
+    nearest / farthest distances of ``corners`` about ``center``, each step
+    elementwise."""
+    P, x, frames = _corners_in_plane(corners, center)
     centroid = triangle_centroids(corners) - center
-    np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)), out=P)
     X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
     foot = triangle_centroids(P)
     normal = centroid - foot[:, :1] * frames[:, 0] - foot[:, 1:] * frames[:, 1]
-    h2[:] = _dot(normal, normal)
+    h2 = _dot(normal, normal)
     d2 = _dot(x, x)
-    np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2], out=far2)
+    far2 = np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2])
     flat2 = _FLAT * _FLAT * far2
     h2[h2 <= flat2] = 0.0
     # in-plane distance from the foot to the closed triangle
@@ -186,7 +195,7 @@ def _in_plane_block(corners, center, P, h2, near2, far2):
     foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
     inside = _cross(X, Y) >= 0.0
     foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
-    np.add(h2, foot2, out=near2)
+    return P, h2, h2 + foot2, far2
 
 
 def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
@@ -208,15 +217,17 @@ def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
             or not np.all(np.diff(radii) > 0)):
         raise ValueError("radii must be a nonempty, strictly increasing "
                          "sequence of nonnegative radii")
-    P, h2, near2, far2 = _in_plane(mesh, c)
     radii2 = radii**2
-    whole = _whole_integrals(mesh, c, kind, P, h2, far2, radii2[-1])
-    balls = np.zeros((len(radii), len(P)))
+    h2, near2, far2, whole, _ = _table(mesh, c, radii2[-1])
+    whole = whole[KINDS.index(kind)]
+    balls = np.zeros((len(radii), len(far2)))
     for k, r2 in enumerate(radii2):
         inside = far2 <= r2
         np.copyto(balls[k], whole, where=inside)
+        # straddling triangles: their in-plane corners are made anew
         cut = np.flatnonzero((near2 < r2) & ~inside)
-        balls[k, cut] = _fan_integrals(kind, P[cut], h2[cut], r2 - h2[cut])
+        P = _corners_in_plane(mesh.corners(cut), c)[0]
+        balls[k, cut] = _fan_integrals((kind,), P, h2[cut], r2 - h2[cut])[0]
     # balls are finite, so a triangle inside two of them adds exactly 0 to
     # the shell between; the inverse power diverges only in the first ball.
     # Rows turn into shells in place, from the last one down.

@@ -561,11 +561,7 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
     # A base on an edge or inside a triangle is a hit of every section.  A
     # triangle through the base has the base in its centroid's reach:
     # near2 is the quadrature's squared distance to each such closed one
-    reach = mesh.corners(kept[floor <= 0])
-    m = len(reach)
-    near2 = np.empty(m)
-    _in_plane_block(reach, base, np.empty((m, 3, 2)), np.empty(m), near2,
-                    np.empty(m))
+    near2 = _in_plane_block(mesh.corners(kept[floor <= 0]), base)[2]
     if np.any(near2 <= on_surface_tolerance(base) ** 2):
         point = ", ".join(f"{float(c):.6g}" for c in base)
         raise IdentityNotApplicableError(

@@ -12,7 +12,8 @@ leaf takes a symmetric 6-node rule.  Integrands are pointwise callables
 triangle's whole integral at once, both logarithms on every Gauss node and
 per-node ``u`` arrays on whole edges, on the in-plane data of
 ``in_plane_one_pass``, which builds it for the whole mesh in one pass.
-``radial_integrals`` and ``_in_plane`` must match them byte for byte.
+``radial_integrals``, the base point's table and the in-plane corners
+made anew for any selection must match them byte for byte.
 """
 import numpy as np
 
@@ -180,7 +181,7 @@ def _fan_integrals(kind, P, h2, sigma2=None):
 
 
 def in_plane_one_pass(mesh, center):
-    """``_in_plane``'s (P, h2, near2, far2), every triangle at once."""
+    """``_in_plane_block``'s (P, h2, near2, far2), every triangle at once."""
     x = whole_corners(mesh) - center
     frames = whole_frames(mesh)
     P = np.matmul(x, np.ascontiguousarray(frames.transpose(0, 2, 1)))

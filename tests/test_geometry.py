@@ -23,7 +23,8 @@ from mingauge.geometry import (
 )
 from mingauge.geometry.types import triangle_centroids, triangle_frames
 from mingauge.geometry.meshing import _grid_triangles
-from mingauge.geometry.quadrature import _BLOCK_TRIANGLES, KINDS, _in_plane
+from mingauge.geometry.quadrature import (_BLOCK_TRIANGLES, KINDS,
+                                          _in_plane_block, _table)
 from mingauge.invariants import flux_profile, level_grid, max_safe_radius
 from meshing_oracle import (
     loop_grid_triangles,
@@ -409,9 +410,10 @@ def test_radial_integrals_fill_only_the_triangles_a_ball_holds(coarse, kind):
     c = spec.base_point
     r = 0.5 * max_safe_radius(mesh, c)
     radial_integrals(mesh, c, [r], kind)
-    far2 = _in_plane(mesh, c)[3]
-    computed = mesh.about(c)[f"whole_{kind}"][1]
-    assert computed.sum() == (far2 <= r**2).sum() < len(far2)
+    _, _, far2, whole, filled = mesh.about(c)["table"]
+    assert np.array_equal(filled, far2 <= r**2) and filled.sum() < len(far2)
+    # every kind is filled by the one sweep, and nothing past the ball
+    assert np.all(whole[:, ~filled] == 0.0) and np.all(whole[:, filled] != 0.0)
 
 
 @pytest.mark.parametrize("radii", [[1.0, 1.0], [2.0, 1.0], []])
@@ -505,39 +507,50 @@ def test_radial_integrals_bitwise_match_the_one_pass_form(coarse, name,
     mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
                              truncation_radius=spec.mesh.truncation_radius)
     r = max_safe_radius(mesh, a)
-    for kind in KINDS:
-        # a partial fill first, then the rest of the mesh from the store
-        for radii in ([0.3 * r, 0.6 * r, r], [0.45 * r, np.inf]):
-            got = radial_integrals(mesh, a, radii, kind)
-            want = fan_radial_integrals(mesh, a, radii, kind)
-            assert got.tobytes() == want.tobytes(), (kind, radii)
+    # kinds interleave on one mesh: each reads the table another kind's call
+    # filled, a partial fill first, then the rest of the mesh from the store
+    steps = [("defect", [0.3 * r]), ("area", [0.3 * r, 0.6 * r, r]),
+             ("inverse_power", [0.45 * r, np.inf])]
+    steps += [(kind, radii) for kind in KINDS
+              for radii in ([0.3 * r, 0.6 * r, r], [0.45 * r, np.inf])]
+    for kind, radii in steps:
+        got = radial_integrals(mesh, a, radii, kind)
+        want = fan_radial_integrals(mesh, a, radii, kind)
+        assert got.tobytes() == want.tobytes(), (kind, radii)
 
 
 @pytest.mark.parametrize("name,center", FAN_CASES)
 def test_in_plane_bitwise_matches_the_one_pass_form(coarse, name, center):
+    # the table's heights and distances, and the in-plane corners made anew
+    # for a scattered selection, as straddling triangles are
     spec = coarse(name)
     a = spec.base_point if center is None else np.array(center)
-    for got, want in zip(_in_plane(spec.mesh, a),
-                         in_plane_one_pass(spec.mesh, a)):
-        assert got.tobytes() == want.tobytes()
+    mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
+                             truncation_radius=spec.mesh.truncation_radius)
+    P, *want = in_plane_one_pass(mesh, a)
+    for got, wanted in zip(_table(mesh, a, 0.0)[:3], want):
+        assert got.tobytes() == wanted.tobytes()
+    pick = np.arange(len(P) - 1, 0, -7)
+    assert _in_plane_block(mesh.corners(pick), a)[0].tobytes() \
+        == P[pick].tobytes()
 
 
 def test_in_plane_memory_is_its_outputs_and_one_block(coarse):
     # helicoid `coarse`, 24,576 triangles in six blocks: beyond its outputs
-    # the blocked pass, frames and centroids included, needs under 3 MiB of
-    # numpy memory (2.1 measured); the one-pass form needs 8.4 MiB more than
-    # its outputs
+    # the sweep that fills the whole table, frames, centroids and the edge
+    # terms of all three kinds included, needs under 3 MiB of numpy memory
+    # (2.6 measured)
     spec = coarse("helicoid")
     mesh = SimplicialSurface(spec.mesh.vertices, spec.mesh.triangles,
                              truncation_radius=spec.mesh.truncation_radius)
     mesh.about(spec.base_point)
     tracemalloc.start()
     try:
-        out = _in_plane(mesh, spec.base_point)
+        out = _table(mesh, spec.base_point, np.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(mesh.triangles) > 4 * _BLOCK_TRIANGLES
+    assert len(mesh.triangles) > 4 * _BLOCK_TRIANGLES and out[4].all()
     assert peak < sum(a.nbytes for a in out) + 3 * 2**20
 
 
