@@ -2,10 +2,8 @@ from .types import (
     ImmersionChart,
     SimplicialSurface,
     max_safe_radius,
-    on_surface_multiplicity,
     on_surface_tolerance,
     orthonormal_frame,
-    sweep_start,
     tangent_part,
     triangle_areas,
     wedge,
@@ -16,7 +14,8 @@ from .meshing import (
     polar_disk_mesh,
     spherical_cap_mesh,
 )
-from .quadrature import integrate_with_error, radial_integrals
+from .quadrature import (integrate_with_error, on_mesh, radial_integrals,
+                         sweep_start)
 from .levels import distance_index, level_chords
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "level_chords",
     "max_safe_radius",
     "mesh_from_chart",
-    "on_surface_multiplicity",
+    "on_mesh",
     "on_surface_tolerance",
     "orthonormal_frame",
     "polar_disk_mesh",

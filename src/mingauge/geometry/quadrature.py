@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import _BLOCK_TRIANGLES, triangle_centroids, triangle_frames
+from .levels import distance_index
+from .types import (_BLOCK_TRIANGLES, _NEAR_SURFACE, max_safe_radius,
+                    on_surface_tolerance, triangle_centroids, triangle_frames,
+                    wedge)
 
 KINDS = ("area", "inverse_power", "defect")
 # heights below this fraction of the corners' distance are roundoff
@@ -196,6 +199,43 @@ def _in_plane_block(corners, center):
     inside = _cross(X, Y) >= 0.0
     foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
     return P, h2, h2 + foot2, far2
+
+
+def on_mesh(mesh, center) -> tuple[float, int]:
+    """``(distance, sheets)`` of ``center``, kept in the mesh's store: the
+    distance to the closed triangles (``_in_plane_block``'s) within the reach
+    ``_NEAR_SURFACE * max_safe_radius`` or the on-surface tolerance, else
+    ``inf``; and ``round(theta / 2 pi)``, theta the angles at ``center`` of the
+    triangles within the tolerance: a corner's, pi on a side, else 2 pi."""
+    store = mesh.about(center)
+    if "on_mesh" not in store:
+        c = store["center"]
+        tol2 = on_surface_tolerance(c) ** 2
+        reach = max(_NEAR_SURFACE * max_safe_radius(mesh, c), np.sqrt(tol2))
+        # a point of a triangle lies within its longest side of each corner
+        corners = mesh.corners(distance_index(mesh, c)[1] - mesh.sides <= reach)
+        near2 = _in_plane_block(corners, c)[2]
+        d = float(np.sqrt(near2.min(initial=np.inf)))
+        x = corners[near2 <= tol2] - c
+        D = x.take([1, 2, 0], axis=1) - x  # side k leaves corner k
+        e = x + np.clip(-_dot(x, D) / _dot(D, D), 0.0, 1.0)[..., None] * D
+        v = D.take([2, 0, 1], axis=1)  # the side into corner k
+        angle = np.arctan2(np.linalg.norm(wedge(D, v), axis=-1), -_dot(D, v))
+        angle[_dot(x, x) > tol2] = np.inf
+        side = np.where(_dot(e, e).min(axis=1) <= tol2, np.pi, 2.0 * np.pi)
+        theta = float(np.minimum(angle.min(axis=1), side).sum())
+        store["on_mesh"] = (d if d <= reach else np.inf, round(theta / 2 / np.pi))
+    return store["on_mesh"]
+
+
+def sweep_start(mesh, center, end: float, pad: float = 0.0) -> float:
+    """First radius of a geometric sweep out to ``end``: ``0.02 end`` within
+    ``on_mesh``'s reach, where 1.3 times the distance would be ~0 or a
+    near-critical radius (level curves almost tangent to the spheres), else
+    1.3 times the nearest vertex distance plus ``pad``; at most ``0.5 end``."""
+    if on_mesh(mesh, center)[0] < np.inf:
+        return 0.02 * end
+    return min(1.3 * mesh.about(center)["distances"].min() + pad, 0.5 * end)
 
 
 def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:

@@ -18,8 +18,7 @@ MIN_TRIANGLE_AREA = 1e-14
 # (block, 3) temporary stays in cache and none spans the whole mesh
 _BLOCK_TRIANGLES = 4096
 _SAFE_MARGIN = 0.98  # share of the covered radius max_safe_radius returns
-# a base this share of max_safe_radius from its nearest vertex sweeps as one
-# on the surface does
+# a base within this share of max_safe_radius of the mesh sweeps as on it
 _NEAR_SURFACE = 1e-3
 
 
@@ -58,6 +57,7 @@ class SimplicialSurface:
     interior_edges   (E, 2) int32, the edges two triangles share, as sorted
                      vertex pairs in lexicographic order
     interior_pairs   (E, 2) int32, the two triangles of each interior edge
+    sides            (T,) each triangle's longest side
 
     The edge arrays, derived at construction, are the whole topology kept;
     ``_cache`` holds only one base point's store: each pass gathers the
@@ -72,6 +72,7 @@ class SimplicialSurface:
     boundary_owner: np.ndarray = field(init=False)
     interior_edges: np.ndarray = field(init=False)
     interior_pairs: np.ndarray = field(init=False)
+    sides: np.ndarray = field(init=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -89,9 +90,15 @@ class SimplicialSurface:
         ):
             raise MeshTopologyError("triangle vertex index out of range")
         areas = np.empty(len(self.triangles))
+        self.sides = np.empty(len(areas))
         for lo in range(0, len(areas), _BLOCK_TRIANGLES):
             sl = slice(lo, lo + _BLOCK_TRIANGLES)
-            areas[sl] = triangle_areas(self.corners(sl))
+            c = self.corners(sl)
+            areas[sl] = triangle_areas(c)
+            d = c.take([1, 2, 0], axis=1) - c
+            d = np.einsum("tkn,tkn->tk", d, d)
+            np.sqrt(np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2]),
+                    out=self.sides[sl])
         if areas.size and areas.min() <= MIN_TRIANGLE_AREA:
             k = int(np.argmin(areas))
             raise MeshTopologyError(
@@ -102,8 +109,8 @@ class SimplicialSurface:
 
     # -- derived quantities ---------------------------------------------------
     def corners(self, which) -> np.ndarray:
-        """Vertex coordinates of the triangles ``which`` (a slice or an index
-        array), shape (m, 3, n); gathered anew at each call, not kept."""
+        """Vertex coordinates of the triangles ``which`` (a slice, an index
+        array or a mask), shape (m, 3, n); gathered anew at each call."""
         return np.take(self.vertices, self.triangles[which], axis=0)
 
     def about(self, center) -> dict:
@@ -165,20 +172,6 @@ def on_surface_tolerance(center) -> float:
     return 1e-9 * (1.0 + float(np.linalg.norm(center)))
 
 
-def on_surface_multiplicity(mesh: SimplicialSurface, center) -> int:
-    """Number of mesh vertices within ``on_surface_tolerance(center)`` of
-    ``center``: zero for a base point off the surface, else one per sheet
-    through it in the catalog meshes: the identities' on-surface density
-    term, and the test for a base on a vertex.  Counting also refuses a base
-    within the same tolerance of an edge or a triangle, by the quadrature's
-    point-to-triangle distance; ``sweep_start`` decides where radius sweeps
-    begin.
-    """
-    center = np.asarray(center, dtype=float)
-    tol = on_surface_tolerance(center)
-    return int(np.count_nonzero(mesh.about(center)["distances"] <= tol))
-
-
 def max_safe_radius(mesh: SimplicialSurface, center) -> float:
     """Largest |x - center| radius guaranteed covered by the truncated mesh,
     with a 2% margin."""
@@ -188,23 +181,6 @@ def max_safe_radius(mesh: SimplicialSurface, center) -> float:
             return _SAFE_MARGIN * float(mesh.about(center)["distances"].max())
         return _SAFE_MARGIN * (mesh.truncation_radius
                                - float(np.linalg.norm(center)))
-
-
-def sweep_start(mesh: SimplicialSurface, center, end: float,
-                pad: float = 0.0) -> float:
-    """First radius of a geometric sweep about ``center`` out to ``end``.
-
-    A base whose nearest vertex lies within ``_NEAR_SURFACE`` times
-    ``max_safe_radius``, as a base on the surface does, starts at
-    ``0.02 end``: 1.3 times that distance would be ~0, or a near-critical
-    radius of the restricted distance function (level curves run almost
-    tangent to the spheres there).  Any other base starts at 1.3 times the
-    distance plus ``pad``.  The start is at most ``0.5 end``.
-    """
-    near = float(mesh.about(center)["distances"].min())
-    if near <= _NEAR_SURFACE * max_safe_radius(mesh, center):
-        return 0.02 * end
-    return min(1.3 * near + pad, 0.5 * end)
 
 
 def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,9 +17,7 @@ triangle groups for 2-planes in R^4 (_group_cull).  One float hit test serves
 every n (_hit_test); the pairs it calls gray are settled exactly (_settle).
 crofton_verify is the same line count with base 0 on a region of the unit
 sphere: its mean, times half the sphere's area, is the region's area.  A base
-on a mesh vertex, edge or triangle is in every section: refused, when a
-vertex or, by the quadrature's exact point-to-triangle distance, a closed
-triangle lies within on_surface_tolerance of it.
+on the mesh (geometry.on_mesh) is in every section: counting refuses it.
 
 Memory.  A count holds, per pruned triangle, its index, centroid offset and
 cull floor, the hit test's three Plucker coordinates and determinant scale,
@@ -34,8 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IdentityNotApplicableError
-from .geometry import on_surface_multiplicity, on_surface_tolerance, wedge
-from .geometry.quadrature import _in_plane_block
+from .geometry import on_mesh, on_surface_tolerance, wedge
 from .geometry.types import _BLOCK_TRIANGLES, triangle_centroids
 from .invariants import sphere_area
 
@@ -551,23 +548,16 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
                 f"counting radius {radii.max():.6g} exceeds the region "
                 f"covered by the truncated mesh ({room:.6g})"
             )
-    if on_surface_multiplicity(mesh, base):
-        raise IdentityNotApplicableError(
-            "base point lies on the surface mesh: every section through it "
-            "is pinned to that vertex, so the count is ill-posed; offset "
-            "the base point"
-        )
-    kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
-    # A base on an edge or inside a triangle is a hit of every section.  A
-    # triangle through the base has the base in its centroid's reach:
-    # near2 is the quadrature's squared distance to each such closed one
-    near2 = _in_plane_block(mesh.corners(kept[floor <= 0]), base)[2]
-    if np.any(near2 <= on_surface_tolerance(base) ** 2):
+    tol = on_surface_tolerance(base)
+    if on_mesh(mesh, base)[0] <= tol:
         point = ", ".join(f"{float(c):.6g}" for c in base)
-        raise IdentityNotApplicableError(
-            f"base point [{point}] lies on a mesh edge or inside a mesh "
-            "triangle: every section through it meets the surface at the "
-            "base itself, so the count is ill-posed; offset the base point")
+        why = ("lies on the surface mesh: every section through it is pinned "
+               "to that vertex" if mesh.about(base)["distances"].min() <= tol
+               else f"[{point}] lies on a mesh edge or inside a mesh triangle: "
+               "every section through it meets the surface at the base itself")
+        raise IdentityNotApplicableError(f"base point {why}, so the count is "
+                                         "ill-posed; offset the base point")
+    kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
     S = draws.count
     counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = candidates = pairs_tested = 0

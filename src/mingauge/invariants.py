@@ -132,8 +132,8 @@ def _flux_at(mesh, center, levels, profile: FluxProfile | None):
 
 def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
     """Geometric radius sweep from ``sweep_start`` to ``max_safe_radius``:
-    from past the nearest vertex, or from 0.02 of the way out when the base
-    lies on the surface or near it."""
+    from past the nearest vertex, or from 0.02 of the way out when the mesh
+    passes through the base or near it."""
     center = np.asarray(center, dtype=float)
     hi = max_safe_radius(mesh, center)
     return np.geomspace(sweep_start(mesh, center, hi), hi, count)
@@ -316,7 +316,7 @@ def check_defect_volume_identity(defect: dict, flux_normalized: float,
 
     Pure arithmetic on estimates taken at one radius: ``defect`` from
     ``radial_defect``, the normalized flux from ``flux_profile``, ``boundary``
-    from ``boundary_constant`` and ``sheets`` from ``on_surface_multiplicity``.
+    from ``boundary_constant`` and ``sheets`` from ``geometry.on_mesh``.
     With the radius sent to infinity the flux term becomes the projective
     volume; at finite truncation the identity is exact, so any gap measures
     pure discretization error.

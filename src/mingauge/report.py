@@ -44,8 +44,7 @@ from . import __version__
 from .catalog import build_surface, catalog_names, verify_minimality
 from .ends import check_ends_bound, ends_estimate
 from .errors import ConfigError, IdentityNotApplicableError
-from .geometry import (max_safe_radius, on_surface_multiplicity,
-                       on_surface_tolerance)
+from .geometry import max_safe_radius, on_mesh, on_surface_tolerance
 from .intgeom import (
     MAX_MC_SAMPLES,
     check_defect_counting_bound,
@@ -412,24 +411,20 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
             f"the ball of radius {r_hi:.6g} about the base point, the "
             f"largest the mesh covers, misses the surface: its nearest "
             f"vertex is {d_min:.6g} away")
-    sheets = on_surface_multiplicity(mesh, base)
-    # a ball no wider than the on-surface tolerance about a base on the
-    # surface holds only the vertex the base is taken to be
-    reach = on_surface_tolerance(base) if sheets else d_min
-    if config.mc_radii and config.mc_radii[-1] <= reach:
-        # the sections would meet nothing, and the flux at the outermost
-        # counting radius reads 0 / 0 once its square underflows
-        what = ("the on-surface tolerance" if sheets else
-                "the distance to the nearest mesh vertex")
+    tol = on_surface_tolerance(base)
+    if config.mc_radii and config.mc_radii[-1] <= max(d_min, tol):
+        # the sections would meet nothing but a vertex base, and the flux at
+        # the outermost counting radius reads 0 / 0 once its square underflows
         raise ConfigError("mc.radii", f"the outermost radius "
                           f"{config.mc_radii[-1]:.6g} must exceed "
-                          f"{reach:.6g}, {what}")
+                          f"{max(d_min, tol):.6g}, the larger of the nearest "
+                          "vertex's distance and the on-surface tolerance")
     given = base
-    if sheets:
+    if d_min <= tol:
         # a base within roundoff of a vertex is that vertex, as the
         # quadrature reads roundoff heights as zero
-        vertex = mesh.vertices[np.argmin(mesh.about(base)["distances"])]
-        base = base if np.array_equal(vertex, base) else vertex
+        base = mesh.vertices[np.argmin(mesh.about(base)["distances"])]
+    sheets = on_mesh(mesh, base)[1]
     control = spec.control
     warnings: list[str] = []
     checks: list[dict] = []
@@ -530,7 +525,7 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # distance are near-critical for the restricted distance function (level
     # curves run almost tangent to the spheres there), so skip past them.
     # From a base on the surface or near it the sweep starts at 0.02 r_hi,
-    # already past 2 d_min, so the anchor is its first level.
+    # so the anchor is its first level past 2 d_min.
     cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
     shell_lo = float(cleared[0] if cleared.size else levels[0])
     add("flux_shell_identity",

@@ -9,10 +9,11 @@ output directory masked, the exit code and the ``run.log`` lines other than
 ``wall_time_s`` and ``peak_rss_mb``; for crofton, stdout and the exit code.
 It prints one line per run and exits 1 when any output differs.  The runs:
 the six catalog surfaces at ``coarse`` and ``default`` with ``mc {seed 11}``,
-the catenoid ``coarse`` from its vertex ``[1, 0, 0]`` and from 5e-5 off its
-vertex nearest |x| = 10 with the same mc block, the one-sided catenoid
-(``u_min: -2``), and crofton on the full sphere, the hemisphere and the cap
-of angle 1.2 at 50,000 lines, seed 0.
+the catenoid ``coarse`` from its vertex ``[1, 0, 0]``, from 5e-5 off its
+vertex nearest |x| = 10 and from the centroid of its triangle 2309 with the
+same mc block, the one-sided catenoid (``u_min: -2``), and crofton on the
+full sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed
+0.
 
 Not a test module: pytest collects ``test_*.py`` only.
 """
@@ -41,6 +42,10 @@ REPORTS = [
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": [9.936979600536601, 1.3082281828856464,
                        -2.9955544686673896], "mc": MC}),
+    ("catenoid-coarse-triangle", {
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": [9.040021026087006, 3.272493750788428,
+                       -2.953900486594732], "mc": MC}),
     ("catenoid-u_min-2", {
         "surface": {"name": "catenoid", "params": {"u_min": -2}}}),
 ]

@@ -32,12 +32,13 @@ from mingauge import intgeom as ig
 from mingauge import invariants as inv
 from mingauge.catalog import build_surface, catalog_names, spherical_region
 from mingauge.errors import IdentityNotApplicableError
-from mingauge.geometry import (on_surface_multiplicity, on_surface_tolerance,
-                                orthonormal_frame, tangent_part)
+from mingauge.geometry import (on_mesh, on_surface_tolerance, orthonormal_frame,
+                               tangent_part)
 from mingauge.geometry.types import triangle_centroids, triangle_frames
 import counting_oracle
 from meshing_oracle import whole_centroids, whole_corners, whole_frames
-from quadrature_oracle import cut_cell_shells, defect_integrand
+from quadrature_oracle import (cut_cell_shells, defect_integrand,
+                               in_plane_one_pass)
 
 
 def _frames(directions):
@@ -225,7 +226,7 @@ def test_base_on_a_mesh_edge_rejected(coarse, name):
     # Every section through a triangle's centroid meets the triangle there,
     # a hit each section counts (mean 1 at any small radius): rejected too,
     # and so is the centroid moved half the on-surface tolerance off the
-    # triangle's plane
+    # triangle's plane.  The mesh's density reads one sheet at each
     mesh = coarse(name).mesh
     i, j = mesh.interior_edges[len(mesh.interior_edges) // 2]
     tri = mesh.vertices[mesh.triangles[{"catenoid": 5000,
@@ -236,7 +237,7 @@ def test_base_on_a_mesh_edge_rejected(coarse, name):
     normal /= np.linalg.norm(normal)
     off = centroid + 0.5 * on_surface_tolerance(centroid) * normal
     for base in (0.5 * (mesh.vertices[i] + mesh.vertices[j]), centroid, off):
-        assert on_surface_multiplicity(mesh, base) == 0
+        assert on_mesh(mesh, base)[1] == 1
         radius = 0.5 * inv.max_safe_radius(mesh, base)
         with pytest.raises(IdentityNotApplicableError,
                            match="on a mesh edge or inside a mesh triangle"):
@@ -313,12 +314,34 @@ _NEAR_SURFACE = {
 
 
 @pytest.mark.parametrize("case", [*catalog_names(), *_NEAR_SURFACE])
+def test_on_mesh_matches_the_whole_mesh_distance(coarse, case):
+    # on_mesh examines only the triangles its side bound keeps; the least
+    # near2 of the whole mesh (the one-pass oracle) gives the same distance
+    # wherever that lies within reach.  The density reads no sheet at the
+    # base and one at a vertex, an edge midpoint and a centroid of a
+    # triangle at the base's nearest vertex
+    name, base = _NEAR_SURFACE.get(case, (case, None))
+    spec = coarse(name)
+    mesh = spec.mesh
+    base = spec.base_point if base is None else np.asarray(base, dtype=float)
+    k = np.argmin(np.linalg.norm(mesh.vertices - base, axis=1))
+    tri = mesh.vertices[mesh.triangles[np.any(mesh.triangles == k, axis=1)][0]]
+    for b, sheets in ((base, 0), (tri[0], 1), (0.5 * (tri[0] + tri[1]), 1),
+                      ((tri[0] + tri[1] + tri[2]) / 3.0, 1)):
+        want = np.sqrt(in_plane_one_pass(mesh, b)[2].min())
+        reach = max(1e-3 * inv.max_safe_radius(mesh, b),
+                    on_surface_tolerance(b))
+        assert on_mesh(mesh, b) == (want if want <= reach else np.inf, sheets)
+    assert case not in _NEAR_SURFACE or on_mesh(mesh, base)[0] < np.inf
+
+
+@pytest.mark.parametrize("case", [*catalog_names(), *_NEAR_SURFACE])
 def test_cull_keeps_every_pair_that_counts(coarse, case):
     name, base = _NEAR_SURFACE.get(case, (case, None))
     spec = coarse(name)
     mesh = spec.mesh
     base = spec.base_point if base is None else np.asarray(base)
-    assert on_surface_multiplicity(mesh, base) == 0
+    assert on_mesh(mesh, base)[1] == 0
     r_hi = inv.max_safe_radius(mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = mesh.vertices.shape[1]

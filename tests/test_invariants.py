@@ -19,7 +19,7 @@ from mingauge.geometry import (
     ImmersionChart,
     SimplicialSurface,
     mesh_from_chart,
-    on_surface_multiplicity,
+    on_mesh,
     radial_integrals,
 )
 
@@ -118,7 +118,7 @@ def defect_volume_identity(mesh, center):
         inv.radial_defect(mesh, center, r),
         inv.flux_profile(mesh, center, [r]).normalized[0],
         inv.boundary_constant(mesh, center, within_radius=r),
-        on_surface_multiplicity(mesh, center),
+        on_mesh(mesh, center)[1],
     )
 
 

@@ -27,7 +27,7 @@ import mingauge.report as report_module
 from mingauge.catalog import build_surface, catalog_names
 from mingauge.ends import ends_estimate
 from mingauge.errors import ConfigError
-from mingauge.geometry import on_surface_multiplicity
+from mingauge.geometry import on_mesh
 from mingauge.invariants import level_grid
 from mingauge.report import (
     _conforms,
@@ -418,6 +418,62 @@ def test_cli_base_on_a_mesh_edge_skips_counting_without_a_traceback(
         assert not by_name[name]["applicable"]
         assert "[-5.446, 78.1945, -5.05491] lies on a mesh edge" in (
             by_name[name]["note"])
+
+
+@pytest.mark.parametrize("where", ["triangle", "edge"])
+def test_base_inside_a_triangle_or_on_an_edge_counts_its_sheet(tmp_path,
+                                                              where):
+    # the centroid of triangle 2309 and the midpoint of interior edge 10184
+    # of the catenoid `coarse` mesh, both near |x| = 10: the mesh's density
+    # there is one sheet, which the defect identity subtracts (a vertex
+    # count read 0 and missed by rel_gap 0.50), and the sweeps start as on
+    # the surface.  From the edge flux_monotone still reads a 1.26e-3
+    # violation against its 1e-3 tolerance: the chord flux's error
+    mesh = build_surface("catenoid", resolution="coarse").mesh
+    if where == "triangle":
+        tri = mesh.vertices[mesh.triangles[2309]]
+        base = (tri[0] + tri[1] + tri[2]) / 3.0
+    else:
+        i, j = mesh.interior_edges[10184]
+        base = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
+    config = parse_config({
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": base.tolist()})
+    report = run_report(config, tmp_path)
+    by_name = {c["name"]: c for c in report["checks"]}
+    ident = by_name["defect_volume_identity"]
+    assert ident["detail"]["on_surface_multiplicity"] == 1
+    assert ident["passed"] and by_name["flux_shell_identity"]["passed"]
+    if where == "triangle":
+        assert report["exit_code"] == 0
+
+
+def test_base_on_the_mesh_boundary_counts_no_whole_sheet(tmp_path):
+    # a vertex of the one-sided catenoid's inner rim (u_min -2): the angles
+    # of its triangles there sum to 0.48 of 2 pi, which rounds to 0 sheets
+    # (a vertex count read 1).  No whole number closes the defect identity
+    # at a boundary point, whose gap is that 0.48 sheet of normalized flux,
+    # and the shell identity has no boundary term: the run exits 1, by its
+    # checks
+    params = {"u_min": -2}
+    mesh = build_surface("catenoid", params, resolution="coarse").mesh
+    rim = mesh.boundary_edges.ravel()
+    base = mesh.vertices[rim[np.argmin(np.linalg.norm(mesh.vertices[rim],
+                                                      axis=1))]]
+    cfg = tmp_path / "rim.json"
+    cfg.write_text(json.dumps({
+        "surface": {"name": "catenoid", "params": params,
+                    "resolution": "coarse"},
+        "base_point": base.tolist()}))
+    proc = run_cli(["report", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    ident = {c["name"]: c for c in report["checks"]}["defect_volume_identity"]
+    detail = ident["detail"]
+    assert detail["on_surface_multiplicity"] == 0 and not ident["passed"]
+    half = (detail["rhs"] - detail["lhs"]) / (2 * np.pi)
+    assert 0.45 < half < 0.5
 
 
 def test_enneper_matches_three_sheet_targets(tmp_path):
@@ -926,7 +982,7 @@ def test_near_surface_sweeps_start_at_a_share_of_their_end(
         coarse, off_catenoid_vertex):
     mesh = coarse("catenoid").mesh
     base = off_catenoid_vertex(5e-8)
-    assert on_surface_multiplicity(mesh, base) == 0
+    assert on_mesh(mesh, base)[1] == 0
     for radii in (level_grid(mesh, base), ends_estimate(mesh, base).radii):
         assert radii[0] == pytest.approx(0.02 * radii[-1], rel=1e-12)
 
