@@ -14,8 +14,7 @@ from .meshing import (
     polar_disk_mesh,
     spherical_cap_mesh,
 )
-from .quadrature import (integrate_with_error, on_mesh, radial_integrals,
-                         sweep_start)
+from .quadrature import on_mesh, radial_integrals, sweep_start
 from .levels import distance_index, level_chords
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "SimplicialSurface",
     "distance_index",
     "icosphere",
-    "integrate_with_error",
     "level_chords",
     "max_safe_radius",
     "mesh_from_chart",

@@ -38,8 +38,6 @@ from .types import (_BLOCK_TRIANGLES, _NEAR_SURFACE, max_safe_radius,
 KINDS = ("area", "inverse_power", "defect")
 # heights below this fraction of the corners' distance are roundoff
 _FLAT = 1e-12
-# relative roundoff allowance on an exact integral
-_ROUNDOFF = 1e-14
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
@@ -276,10 +274,3 @@ def radial_integrals(mesh, center, radii, kind: str = "area") -> np.ndarray:
     if kind == "inverse_power":
         balls[0, near2 == 0.0] = np.inf
     return balls
-
-
-def integrate_with_error(mesh, center, radius: float, kind: str):
-    """(value, roundoff error) of ``kind`` over the ball |x - center| <
-    radius; ``radius = np.inf`` integrates over the whole mesh."""
-    value = float(radial_integrals(mesh, center, [radius], kind).sum())
-    return value, _ROUNDOFF * abs(value)

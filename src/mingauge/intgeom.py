@@ -14,17 +14,20 @@ Counting culls before it tests: a (triangle, section) pair is hit-tested only
 when the section passes within the triangle's corner spread of its centroid,
 found through an angular cap index for lines in R^3 (_cap_cull) and through
 triangle groups for 2-planes in R^4 (_group_cull).  One float hit test serves
-every n (_hit_test); the pairs it calls gray are settled exactly (_settle).
+every n (_hit_test): it takes the signs of the base's barycentric weights in
+the section's complement, and then the radius test, each under a stated error
+bound; the few pairs the bounds leave undecided are decided in rationals with
+a symbolic tie-break (_settle).  So every count is exact on the float mesh.
 crofton_verify is the same line count with base 0 on a region of the unit
 sphere: its mean, times half the sphere's area, is the region's area.  A base
 on the mesh (geometry.on_mesh) is in every section: counting refuses it.
 
 Memory.  A count holds, per pruned triangle, its index, centroid offset and
-cull floor, the hit test's three Plucker coordinates and determinant scale,
-and the cull's caps or groups; and the (radii, sections) counts.  All else
-lives for one block: corner gathers for _BLOCK_TRIANGLES triangles, floor
-tests for _BLOCK_GATHER candidate pairs, and a block of sections with its
-frames, drawn and QR-factored as the count reaches them, and its candidates.
+cull floor, the hit test's three Plucker vectors and error bound, and the
+cull's caps or groups; and the (radii, sections) counts.  All else lives for
+one block: corner gathers for _BLOCK_TRIANGLES triangles, floor tests for
+_BLOCK_GATHER candidate pairs, and a block of sections with its frames, drawn
+and QR-factored as the count reaches them, and its candidates.
 """
 from math import gamma, pi, sqrt
 from typing import NamedTuple
@@ -36,15 +39,14 @@ from .geometry import on_mesh, on_surface_tolerance, wedge
 from .geometry.types import _BLOCK_TRIANGLES, triangle_centroids
 from .invariants import sphere_area
 
-EDGE_EPS = 1e-9          # barycentric half-width of the tangency gray zone
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
 _BLOCK_FRAMES = 8192  # section frames QR-factored at a time
 _BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
 _BLOCK_GATHER = 8192  # candidate pairs whose coordinates are gathered at once
 # The cull keeps a pair when the centroid lies within reach of the section.
-# The EDGE_EPS-widened triangle is the triangle scaled by 1 + 3 EDGE_EPS about
-# its centroid, so any point the hit test can call a hit lies within that
-# factor of the corner spread; _REACH_SLACK widens the spread far beyond it.
+# A hit is a point of the closed triangle (a tie broken by _settle is a corner
+# or a point of a side), so it lies within the corner spread of the centroid;
+# _REACH_SLACK widens the spread far beyond the roundoff in the spread.
 # _CULL_ROUNDOFF (times |d|^2) covers the cancellation in |d|^2 - |F d|^2 for
 # a far centroid close to the section.
 _REACH_SLACK = 1e-6
@@ -408,120 +410,110 @@ def _group_cull(offset, floor):
 
 def _hit_test(mesh, kept, base):
     """Float pair test of (n-2)-plane sections against the triangles
-    ``kept``, any n, the pairs' ``ti`` indexing ``kept``: ``(hits, gray)``,
-    gray where the section is near-parallel to the triangle, the hit lies
-    within ``EDGE_EPS`` of an edge in barycentric terms, or its offset w from
-    the base has ``|w|^2`` within ``3 EDGE_EPS r^2`` of ``r^2``.
+    ``kept``, any n, the pairs' ``ti`` indexing ``kept``: ``(hits, rest)``,
+    ``rest`` marking the pairs its error bounds leave undecided, which
+    ``_settle`` decides in rationals.
 
-    A section meets triangle ``A + alpha e1 + beta e2`` where its complement
-    rows ``c1``, ``c2`` annihilate ``alpha e1 + beta e2 - t`` (t = base - A),
-    a 2 x 2 system whose Cramer determinants are dot products of 2-vectors:
-    ``det = C.(e1^e2)``, ``alpha det = C.(t^e2)``, ``beta det = C.(e1^t)``
-    with ``C = c1^c2``.  Per triangle it holds ``E = e1^e2``, ``Ea = t^e2``,
-    ``Eb = e1^t`` and ``det_scale``, built ``_BLOCK_TRIANGLES`` triangles at
-    a time; the sides and ``t`` of the few potential hits are gathered again
-    from the vertices, and the same subtractions give the same bits.
+    With corner offsets ``d_i = P_i - base`` and complement rows ``c1, c2``,
+    the section meets the triangle where the base's image is a convex
+    combination of the projected corners ``q_i = (c1 . d_i, c2 . d_i)``,
+    with weights ``C_i / D``: ``C_i = q_(i+1) x q_(i+2) = (c1^c2) . W_i``
+    (Cauchy-Binet), ``W_i = d_(i+1)^d_(i+2)`` and ``D = sum C_i``.  Two C_i
+    surely of opposite signs miss; three surely of one sign meet the
+    triangle at ``V / D``, ``V = sum C_i d_i``, from the base, inside radius
+    r when ``G = |V|^2 - r^2 D^2 <= 0``.  Per triangle it holds the W_i and
+    the bound ``e`` on the C_i's error, built ``_BLOCK_TRIANGLES`` triangles
+    at a time; the corners of the few pairs inside are gathered again.
+
+    The bounds (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1; u = 2^-53) double the first-order error for the rounding of the
+    bound and |c| = 1 + O(u), and are floored at 1e-200, far above the
+    error of subnormal rounding.  C_i: each product in the expansion of
+    (c1^c2) . (d^d') of the float P, base and c takes at most k + 6
+    roundings (k = n(n-1)/2: both P - base, a product and a difference in
+    each wedge, the product and k - 1 sums of the dot), so C_i is off by at
+    most (k + 6) u |c1^+c2| . |d^+d'| <= 2 (k + 6) u |d| |d'| (^+: the
+    wedge with a plus): ``e = 4 (k + 6) u s^2``, s the largest |d_i|.  G,
+    with a = |D| and the C_i one sign: D and V are off by at most h = 3e +
+    4ua and hs (the C_i's errors, the rounding of d and of the three-term
+    sums), and |V| <= as, so by |x^2 - y^2| = |x - y| |x + y| and n + 1
+    roundings of G itself, G is off by at most (s^2 + r^2) (h (2a + h) +
+    (n + 1) u a^2), taken at the largest r.
     """
-    def sides(which):  # first corners A and sides B - A, C - A
-        tri = mesh.corners(which)
-        return tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-
-    k = mesh.vertices.shape[1] * (mesh.vertices.shape[1] - 1) // 2
-    E, Ea, Eb = (np.empty((len(kept), k)) for _ in range(3))
+    n = mesh.vertices.shape[1]
+    k, u = n * (n - 1) // 2, 2.0 ** -53
+    W = [np.empty((len(kept), k)) for _ in range(3)]
+    err = np.empty(len(kept))
     for lo in range(0, len(kept), _BLOCK_TRIANGLES):
         sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        A, e1, e2 = sides(kept[sl])
-        t = base - A
-        E[sl], Ea[sl], Eb[sl] = wedge(e1, e2), wedge(t, e2), wedge(e1, t)
-    det_scale = np.linalg.norm(E, axis=1) + 1e-300
-    eps = EDGE_EPS
+        d = mesh.corners(kept[sl]) - base
+        for i in range(3):
+            W[i][sl] = wedge(d[:, (i + 1) % 3], d[:, (i + 2) % 3])
+        err[sl] = np.einsum("tin,tin->ti", d, d).max(axis=1)
+    err = np.maximum(4 * (k + 6) * u * err, 1e-200)
 
     def test(complements, ti, si, radii):
-        C = np.take(wedge(complements[:, 0], complements[:, 1]), si, axis=0)
-        det = np.einsum("pk,pk->p", np.take(E, ti, axis=0), C)
-        safe = np.abs(det) > 1e-13 * np.take(det_scale, ti)
-        inv = np.where(safe, det, 1.0)
-        alpha = np.einsum("pk,pk->p", np.take(Ea, ti, axis=0), C) / inv
-        beta = np.einsum("pk,pk->p", np.take(Eb, ti, axis=0), C) / inv
-        pot = np.flatnonzero(
-            safe & (alpha > -eps) & (beta > -eps) & (alpha + beta < 1.0 + eps))
-        a, b = alpha[pot], beta[pot]
-        inside = (a > eps) & (b > eps) & (a + b < 1.0 - eps)
-        A, e1, e2 = sides(kept[ti[pot]])
-        w = a[:, None] * e1 + b[:, None] * e2 - (base - A)
-        rho2 = np.einsum("pn,pn->p", w, w)
-        r2 = radii[:, None] * radii[:, None]
+        cw = np.take(wedge(complements[:, 0], complements[:, 1]), si, axis=0)
+        C = np.empty((3, len(ti)))
+        for w, c in zip(W, C):
+            np.einsum("pk,pk->p", np.take(w, ti, axis=0), cw, out=c)
+        e = np.take(err, ti)
+        hi, lo = C.max(axis=0), C.min(axis=0)
+        rest = ~((hi > e) & (lo < -e))  # not surely opposite signs, or NaN
+        inside = np.flatnonzero((lo > e) | (hi < -e))
+        C, e = C[:, inside], e[inside]
+        d = mesh.corners(kept[ti[inside]]) - base
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.abs(C.sum(axis=0))
+            V = np.einsum("ip,pin->pn", C, d)
+            h = 3 * e + 4 * u * a
+            bound = 2 * (e / (4 * (k + 6) * u) + radii.max() ** 2) * (
+                h * (2 * a + h) + (n + 1) * u * a * a)
+            G = np.einsum("pn,pn->p", V, V) - np.square(radii[:, None] * a)
+            rest[inside] = ~np.all(np.abs(G) > np.maximum(bound, 1e-200),
+                                   axis=0)
         hits = np.zeros((len(radii), len(ti)), dtype=bool)
-        hits[:, pot] = inside & (rho2 <= r2)
-        gray = ~safe
-        gray[pot] = ~inside | np.any(np.abs(rho2 - r2) <= 3.0 * eps * r2,
-                                     axis=0)
-        return hits, gray
+        hits[:, inside] = G < 0
+        return hits, rest
 
     return test
 
 
-def _per_section(si, hits, gray, S):
-    """Pair hits summed into (num_radii, S) counts, gray flags into (S,)."""
+def _per_section(si, hits, rest, S):
+    """Pair hits summed into (num_radii, S) counts, ``rest`` into (S,)."""
     counts = np.empty((len(hits), S), dtype=np.int64)
     for k, h in enumerate(hits):
         counts[k] = np.bincount(si[h], minlength=S)
-    return counts, np.bincount(si[gray], minlength=S) > 0
-
-
-def _weights(d, c, radii, minus=1):
-    """``(a, b, C, G)`` of pairs with corner offsets ``d = P - base`` (g,
-    3, n) and complement rows ``c`` (g, 2, n): ``a_i, b_i = q_(i+1),
-    q_(i+2)`` of the projected corners ``q_i = (c1 . d_i, c2 . d_i)``; ``C_i
-    = a_i x b_i``, the origin's barycentric weights times ``D = sum C``; and
-    ``G = |sum C_i d_i|^2 - r^2 D^2`` per radius, <= 0 for a hit in the ball.
-    ``minus=-1`` makes every minus a plus."""
-    q = d @ np.swapaxes(c, 1, 2)
-    a, b = q[:, [1, 2, 0]], q[:, [2, 0, 1]]
-    C = a[..., 0] * b[..., 1] - minus * (a[..., 1] * b[..., 0])
-    W, D = (C[..., None] * d).sum(axis=1), C.sum(axis=1)
-    return a, b, C, (W * W).sum(axis=1) - minus * (radii[:, None] * D) ** 2
+    return counts, np.bincount(si[rest], minlength=S) > 0
 
 
 def _settle(corners, base, rows, radii):
-    """Exact hits (num_radii, g) of gray pairs: triangles with ``corners`` (g,
-    3, n) against the sections through ``base`` with the float complement
-    ``rows`` (g, 2, n).  Filter: C and G (``_weights``) are sums of products of
-    the float P, base, c, r with at most 5n + 17 roundings on any product, so
-    each is off by at most (5n + 18) 2^-53 times the same sums over |P - base|,
-    |c|, r with every minus a plus (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1); ``err`` doubles that for their own rounding.  The rest,
-    and sums that overflow or underflow (< 1e-200), are decided in rationals,
-    the origin moved by (eps, eps^2) for every triangle (Simulation of
-    Simplicity, Edelsbrunner and Muecke 1990): a crossing at a vertex or an
-    edge counts once, a D = 0 triangle never."""
-    d, err = corners - base, 2 * (5 * corners.shape[2] + 18) * 2.0 ** -53
-    with np.errstate(over="ignore", invalid="ignore"):
-        *_, C, G = _weights(d, rows, radii)
-        *_, Cp, Gp = _weights(np.abs(d), np.abs(rows), radii, -1)
-        sign = np.where((np.abs(C) > err * Cp) & (Cp > 1e-200), np.sign(C), 0)
-        inside = np.abs(sign.sum(axis=1)) == 3
-        hits = inside & (G < 0)
-        sure = inside & ((np.abs(G) > err * Gp) & (Gp > 1e-200)).all(axis=0)
-    rest = np.flatnonzero((np.ptp(sign, axis=1) < 2) & ~sure)
-    if len(rest) == 0:
-        return hits
+    """Exact hits (num_radii, g) of triangles with ``corners`` (g, 3, n)
+    against the sections through ``base`` with the float complement ``rows``
+    (g, 2, n), in rationals on the float inputs: ``_hit_test``'s ``C_i =
+    q_(i+1) x q_(i+2)`` and ``G``, the origin moved by (eps, eps^2) for
+    every triangle (Simulation of Simplicity, Edelsbrunner and Muecke 1990):
+    a crossing at a vertex or an edge counts once, a D = 0 triangle never."""
     from fractions import Fraction  # only such pairs pay for the import
     F = np.vectorize(Fraction, otypes=[object])
-    a, b, C, G = _weights(F(corners[rest]) - F(base), F(rows[rest]), F(radii))
+    d = F(corners) - F(base)
+    q = d @ np.swapaxes(F(rows), 1, 2)
+    a, b = q[:, [1, 2, 0]], q[:, [2, 0, 1]]
+    C = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    V, D = (C[..., None] * d).sum(axis=1), C.sum(axis=1)
+    G = (V * V).sum(axis=1) - (F(radii)[:, None] * D) ** 2
     # C_i + (a_y - b_y) eps + (b_x - a_x) eps^2 has the sign of its lead term
     sign = np.zeros(C.shape, dtype=int)
     for key in (C, a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]):
         sign = np.where(sign != 0, sign, (key > 0).astype(int) - (key < 0))
-    hits[:, rest] = (np.abs(sign.sum(axis=1)) == 3) & (G <= 0)
-    return hits
+    return (np.abs(sign.sum(axis=1)) == 3) & (G <= 0)
 
 
 class _SectionCounts(NamedTuple):
     """Section counts and the work that produced them."""
 
     counts: np.ndarray    # (num_radii, S) intersection counts
-    jittered: int         # sections with a gray pair, settled exactly
+    jittered: int         # sections with a pair decided in rationals
     cells: int            # pruned triangles x sections
     candidates: int       # pairs the cull proposed to its floor test
     pairs_tested: int     # culled pairs given the hit test
@@ -532,8 +524,9 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
 
     ``draws`` hands out the S section frames: ``draws.count`` of them and
     ``draws.take(m)`` the next ``m`` as (sections, complements).  Each block
-    of sections is culled and hit-tested once, and its gray pairs settled
-    exactly (``_settle``); what the count holds is in the module docstring.
+    of sections is culled and hit-tested once, and the pairs the float
+    test leaves undecided are decided in rationals (``_settle``); what the
+    count holds is in the module docstring.
     """
     base = np.asarray(base, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -574,13 +567,13 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
         ti, si, proposed = cull(sec)
         candidates += proposed
         pairs_tested += len(ti)
-        hits, gray = hit_test(comp, ti, si, radii)
-        if len(g := np.flatnonzero(gray)):
+        hits, rest = hit_test(comp, ti, si, radii)
+        if len(g := np.flatnonzero(rest)):
             hits[:, g] = _settle(mesh.corners(kept[ti[g]]), base, comp[si[g]],
                                  radii)
-        counts[:, lo:lo + len(sec)], gray = _per_section(si, hits, gray,
+        counts[:, lo:lo + len(sec)], rest = _per_section(si, hits, rest,
                                                          len(sec))
-        jittered += int(gray.sum())
+        jittered += int(rest.sum())
     return _SectionCounts(counts, jittered, len(kept) * S, candidates,
                           pairs_tested)
 
@@ -594,7 +587,8 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
     samples), ``candidates`` (pairs the cull proposed to its floor test; for
     n = 4 the group tests plus the member floor tests) and ``pairs_tested``
     (pairs left by the cull) say how much of the counting work the cull
-    saved.  ``jittered`` counts the sections with a gray pair (settled).
+    saved.  ``jittered`` counts the sections with a pair that the float
+    test's error bounds left undecided, decided in rationals.
     """
     if seed is None:
         raise ValueError("seed is required: counting is Monte-Carlo based")

@@ -63,6 +63,7 @@ from .invariants import (
     level_grid,
     projective_volume,
     radial_defect,
+    require_no_boundary,
 )
 
 SCHEMA_VERSION = "1"
@@ -472,7 +473,11 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
         sweeps.append(("flux_normalized", float(t), float(raw / t**2),
                        float(err / t**2)))
-    add("flux_monotone", lambda: check_monotonicity(profile))
+    # the flux checks follow from the area-flux identity, which a genuine
+    # boundary inside the ball breaks, as for the density identity below
+    bnd = boundary_constant(mesh, base, within_radius=r_hi)
+    add("flux_monotone",
+        lambda: require_no_boundary(bnd) or check_monotonicity(profile))
 
     # -- projective volume (both routes) -----------------------------------
     for method, value in (("flux_limit", vol["value"]),
@@ -502,7 +507,6 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
 
     # -- radial defect and boundary term ------------------------------------
     q = radial_defect(mesh, base, r_hi, profile=flux)
-    bnd = boundary_constant(mesh, base, within_radius=r_hi)
     for quantity, est, method in (
             ("radial_defect", q, "region_quadrature"),
             ("boundary_flux_constant", bnd, "edge_quadrature")):
@@ -529,8 +533,8 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
     shell_lo = float(cleared[0] if cleared.size else levels[0])
     add("flux_shell_identity",
-        lambda: check_flux_shell_identity(mesh, base, shell_lo, shell_hi,
-                                          profile=flux))
+        lambda: require_no_boundary(bnd) or check_flux_shell_identity(
+            mesh, base, shell_lo, shell_hi, profile=flux))
 
     # outer-band levels (density_levels above): at small spheres the (tiny)
     # area and flux values being compared are swamped by discretization error

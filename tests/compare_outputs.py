@@ -11,9 +11,9 @@ It prints one line per run and exits 1 when any output differs.  The runs:
 the six catalog surfaces at ``coarse`` and ``default`` with ``mc {seed 11}``,
 the catenoid ``coarse`` from its vertex ``[1, 0, 0]``, from 5e-5 off its
 vertex nearest |x| = 10 and from the centroid of its triangle 2309 with the
-same mc block, the one-sided catenoid (``u_min: -2``), and crofton on the
-full sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed
-0.
+same mc block, and from 5e-8 off that vertex with ``mc {seed 11, samples
+2000}``, the one-sided catenoid (``u_min: -2``), and crofton on the full
+sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed 0.
 
 Not a test module: pytest collects ``test_*.py`` only.
 """
@@ -42,6 +42,13 @@ REPORTS = [
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": [9.936979600536601, 1.3082281828856464,
                        -2.9955544686673896], "mc": MC}),
+    # the same vertex moved 5e-8, with the 2,000 sections of
+    # tests/test_report.py test_cli_counts_near_a_vertex_without_a_traceback
+    ("catenoid-coarse-vertex-5e-8", {
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": [9.93698454792069, 1.3082288342211186,
+                       -2.9955047685501586],
+        "mc": {"seed": 11, "samples": 2000}}),
     ("catenoid-coarse-triangle", {
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": [9.040021026087006, 3.272493750788428,

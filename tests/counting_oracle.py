@@ -4,11 +4,16 @@ These are the pair tests the single Plücker-coordinate ``intgeom._hit_test``
 replaced, kept as the oracle it is tested against.  Lines in R^3 solve by
 cross products and measure the hit along the line; (n-2)-planes project the
 triangle onto the section's complement and measure the hit in the section.
-Hits must agree on every pair that neither test calls gray.
+Their gray zone, ``EDGE_EPS`` wide in barycentric terms, is their own.  The
+pairs ``_hit_test`` leaves undecided lie in it, but for a triangle parallel
+to a 2-plane, whose projected sides, the scale of the plane test's
+near-parallel rule, are roundoff.  Hits agree on every pair that the Cramer
+tests do not call gray and ``_hit_test`` decides.
 
-``rational_hits`` decides one pair in ``Fraction`` arithmetic only, the
-reference for ``intgeom._settle``'s float filter and exact step on gray
-pairs.
+``rational_hits`` decides one pair in ``Fraction`` arithmetic only, by a
+Cramer solve with the same symbolic tie-break: the reference for every pair
+``_hit_test``'s error bounds decide and for ``intgeom._settle``, which
+decides the rest.
 
 ``cap_index_one_sort`` is the cap index ``intgeom._cap_index`` builds in
 chunks, made from every listing at once with one stable sort.
@@ -18,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from mingauge.intgeom import _CAP_COLS, _CAP_ROWS, _ranges
+
+EDGE_EPS = 1e-9  # barycentric half-width of the Cramer tests' gray zone
 
 
 def _barycentric_zones(det, det_scale, a_num, b_num, eps):
