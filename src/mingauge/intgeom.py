@@ -11,7 +11,8 @@ so section-count averages, projected sphere measure, and the defect integral
 can all be compared against one another.
 
 Counting culls before it tests: a (triangle, section) pair is hit-tested only
-when the section passes within the triangle's corner spread of its centroid,
+when the section meets the triangle's corner cap, the cap about the summed
+unit directions from the base to its corners that holds them all.  Caps are
 found through an angular cap index for lines in R^3 (_cap_cull) and through
 triangle groups for 2-planes in R^4 (_group_cull).  One float hit test serves
 every n (_hit_test): it takes the signs of the base's barycentric weights in
@@ -22,12 +23,12 @@ crofton_verify is the same line count with base 0 on a region of the unit
 sphere: its mean, times half the sphere's area, is the region's area.  A base
 on the mesh (geometry.on_mesh) is in every section: counting refuses it.
 
-Memory.  A count holds, per pruned triangle, its index, centroid offset and
-cull floor, the hit test's three Plucker vectors and error bound, and the
-cull's caps or groups; and the (radii, sections) counts.  All else lives for
-one block: corner gathers for _BLOCK_TRIANGLES triangles, floor tests for
-_BLOCK_GATHER candidate pairs, and a block of sections with its frames, drawn
-and QR-factored as the count reaches them, and its candidates.
+Memory.  A count holds, per pruned triangle, what one corner pass gives (its
+index, the hit test's Plucker vectors and largest corner distance, its corner
+cap), the cull's rims and index or groups, and the (radii, sections) counts.
+All else lives for one block: corner gathers for _BLOCK_TRIANGLES triangles,
+cap tests for _BLOCK_GATHER candidate pairs, and a block of sections with its
+frames, drawn and QR-factored as the count reaches them, and its candidates.
 """
 from math import gamma, pi, sqrt
 from typing import NamedTuple
@@ -35,32 +36,37 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IdentityNotApplicableError
-from .geometry import on_mesh, on_surface_tolerance, wedge
-from .geometry.types import _BLOCK_TRIANGLES, triangle_centroids
+from .geometry import distance_index, on_mesh, on_surface_tolerance, wedge
+from .geometry.types import _BLOCK_TRIANGLES
 from .invariants import sphere_area
 
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
 _BLOCK_FRAMES = 8192  # section frames QR-factored at a time
 _BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
 _BLOCK_GATHER = 8192  # candidate pairs whose coordinates are gathered at once
-# The cull keeps a pair when the centroid lies within reach of the section.
-# A hit is a point of the closed triangle (a tie broken by _settle is a corner
-# or a point of a side), so it lies within the corner spread of the centroid;
-# _REACH_SLACK widens the spread far beyond the roundoff in the spread.
-# _CULL_ROUNDOFF (times |d|^2) covers the cancellation in |d|^2 - |F d|^2 for
-# a far centroid close to the section.
-_REACH_SLACK = 1e-6
-_CULL_ROUNDOFF = 1e-10
+# A triangle's corner cap: the unit center c of the sum of its unit corner
+# directions u_i, and the radius rho, the largest 2 asin(|u_i - c| / 2) plus
+# _CAP_MARGIN rad.  A hit's direction is a positive combination of the u_i,
+# and a cap narrower than pi/2 is convex, so every hit lies m = _CAP_MARGIN -
+# 1e-14 inside the rim, the corner angles, the group radii and the tilt of a
+# section's rows from the section its complement rows define being a few ulps
+# off.  For every rho from _CAP_MARGIN to pi/2 that room covers the few ulps
+# of the cap index's theta, phi and asin(sin rho / sin theta) argument, which
+# m moves by over cos(_CAP_MAX_ANGLE) m > 0.96 m, and the ~1e-15 error of
+# (F . c)^2 >= cos^2 rho, as cos^2 grows by sin m sin(2 rho - m) >= sin^2 m ~
+# 1e-14 from rho to rho - m.  Caps from pi/2 on pass every section.  The index
+# and the groups keep the test's pairs, but for directions ~1e-15 / rho rad
+# outside a rim, where no hit lies.
+_CAP_MARGIN = 1e-7
 # _cap_cull's lat-long grid on S^2; caps wider than _CAP_MAX_ANGLE would fill
-# many cells, and _CAP_MARGIN (radians) covers the roundoff in the angles.
+# many cells
 _CAP_ROWS, _CAP_COLS = 64, 128
 _CAP_MAX_ANGLE = 0.25
-_CAP_MARGIN = 1e-9
 # the cap index is built this many listings (cap x cell) at a time
 _CAP_CHUNK = 1 << 14
 # _group_cull's groups: a cell of the _GROUP_GRID-per-axis grid of [-1, 1]^n
-# over the unit centroid direction, and a power-of-_GROUP_CLASS_BASE class of
-# the cap half-angle.
+# over the cap center, and a power-of-_GROUP_CLASS_BASE class of the cap
+# radius.
 _GROUP_GRID = 12
 _GROUP_CLASS_BASE = 2.0
 
@@ -152,54 +158,69 @@ class _SectionDraws:
 # section / mesh intersection counting
 
 
-def _pruned_triangles(mesh, base, r_max):
-    """Triangles that can meet the ball |x - base| <= r_max.
+class _Triangles(NamedTuple):
+    """What a count keeps of the triangles that can meet its ball."""
 
-    Returns their indices ``kept`` (int32), centroid offsets ``d = c - base``
-    and cull floors ``|d|^2 (1 - _CULL_ROUNDOFF) - reach^2``.  Centroids and
-    corner spreads are taken ``_BLOCK_TRIANGLES`` triangles at a time.
+    kept: np.ndarray     # (T,) int32 mesh indices
+    W: list              # _hit_test's three (T, k) Plucker vectors
+    s2: np.ndarray       # (T,) largest squared corner distance
+    center: np.ndarray   # (T, n) unit corner-cap centers
+    radius: np.ndarray   # (T,) corner-cap radii, _CAP_MARGIN included
+
+
+def _angle(u, v):
+    """Angles between the unit directions ``u`` and ``v``, rows paired."""
+    return 2.0 * np.arcsin(np.minimum(
+        0.5 * np.linalg.norm(u - v, axis=-1), 1.0))
+
+
+def _pruned_triangles(mesh, base, r_max) -> _Triangles:
+    """The triangles that can meet the ball |x - base| <= r_max (a point of
+    a triangle lies within its longest side of each corner), with their
+    ``_hit_test`` Plucker vectors and largest squared corner distance and
+    their corner caps (``_CAP_MARGIN``), from one pass over their corners.
+    The base is off every closed triangle, so a plane through it has each
+    triangle's corners strictly on one side: their directions' sum is not 0."""
+    n = len(base)
+    kept = np.flatnonzero(distance_index(mesh, base)[1] - mesh.sides
+                          <= r_max).astype(np.int32)
+    W = [np.empty((len(kept), n * (n - 1) // 2)) for _ in range(3)]
+    center = np.empty((len(kept), n))
+    s2, radius = np.empty(len(kept)), np.empty(len(kept))
+    for lo in range(0, len(kept), _BLOCK_TRIANGLES):
+        sl = slice(lo, lo + _BLOCK_TRIANGLES)
+        d = mesh.corners(kept[sl]) - base
+        for i in range(3):
+            W[i][sl] = wedge(d[:, (i + 1) % 3], d[:, (i + 2) % 3])
+        d2 = np.einsum("tin,tin->ti", d, d)
+        s2[sl] = d2.max(axis=1)
+        d /= np.sqrt(d2)[..., None]
+        c = d.sum(axis=1)
+        center[sl] = c = c / np.linalg.norm(c, axis=1)[:, None]
+        radius[sl] = _angle(d, c[:, None]).max(axis=1)
+    return _Triangles(kept, W, s2, center, radius + _CAP_MARGIN)
+
+
+def _rims(radius):
+    """``cos^2`` of the cap radii, -1 (every section) from pi/2 on."""
+    return np.where(radius < pi / 2, np.cos(radius) ** 2, -1.0)
+
+
+def _cull_pairs(center, rim, sections):
+    """(cap, section) index pairs whose section meets the cap.
+
+    The angle from the unit ``center`` c to a section through the base with
+    orthonormal rows ``F_j`` has ``cos^2 = sum_j (F_j . c)^2``, so a pair
+    survives when that is at least the cap's ``rim`` (``_rims``).  Each row
+    is one contiguous (S, T) product.  Returns (ti, si, candidates = S x T).
     """
-    parts = []  # one empty block for an empty mesh
-    for lo in range(0, max(len(mesh.triangles), 1), _BLOCK_TRIANGLES):
-        corners = mesh.corners(slice(lo, lo + _BLOCK_TRIANGLES))
-        cen = triangle_centroids(corners)
-        spread = np.linalg.norm(corners - cen[:, None, :], axis=2).max(axis=1)
-        keep = np.flatnonzero(np.linalg.norm(cen - base, axis=1) - spread
-                              <= r_max)
-        parts.append(((keep + lo).astype(np.int32), cen[keep] - base,
-                      spread[keep]))
-    kept, offset, spread = (np.concatenate(p) for p in zip(*parts))
-    d2 = np.einsum("tn,tn->t", offset, offset)
-    reach = spread * (1.0 + _REACH_SLACK)
-    floor = d2 * (1.0 - _CULL_ROUNDOFF) - reach * reach
-    return kept, offset, floor
-
-
-def _cull_pairs(offset, floor, sections):
-    """(triangle, section) index pairs whose centroid is within reach.
-
-    The squared distance from centroid offset ``d`` to a section through
-    ``base`` with orthonormal rows ``F_j`` is ``|d|^2 - sum_j (F_j . d)^2``,
-    so a pair survives when ``sum_j (F_j . d)^2 >= floor``.  Each row is one
-    contiguous (S, T) product.  Returns (ti, si, candidates = S x T).
-    ``_group_cull`` passes unit group centers with floors ``cos^2 rho``.
-    """
-    near = sections[:, 0, :] @ offset.T
+    near = sections[:, 0, :] @ center.T
     np.square(near, out=near)
     for j in range(1, sections.shape[1]):
-        proj = sections[:, j, :] @ offset.T
+        proj = sections[:, j, :] @ center.T
         near += np.square(proj, out=proj)
-    si, ti = np.divmod(np.flatnonzero(near >= floor), len(floor))
+    si, ti = np.divmod(np.flatnonzero(near >= rim), len(rim))
     return ti, si, near.size
-
-
-def _half_angles(offset, floor):
-    """Cap half-angles: a section through the base passes within reach of
-    centroid offset ``d`` when its angle to ``d/|d|`` is at most
-    ``atan2(sqrt(|d|^2 - floor), sqrt(floor))``, pi/2 when ``floor <= 0``."""
-    d2 = np.einsum("tn,tn->t", offset, offset)
-    return np.arctan2(np.sqrt(np.maximum(d2 - floor, 0.0)),
-                      np.sqrt(np.maximum(floor, 0.0)))
 
 
 def _sphere_cells(u):
@@ -219,7 +240,7 @@ def _ranges(starts, lengths):
     return pos, owner
 
 
-def _floor_test(pairs, test):
+def _cap_test(pairs, test):
     """Indices of the ``pairs`` candidate pairs that pass ``test(sl)``,
     which gathers their coordinates ``_BLOCK_GATHER`` pairs at a time."""
     keep = np.empty(pairs, dtype=bool)
@@ -270,27 +291,25 @@ def _cap_index(caps, row0, nrow, col0, ncol):
     return listed, start
 
 
-def _cap_extents(offset, floor):
+def _cap_extents(center, radius):
     """``(always, caps, (row0, nrow, col0, ncol))`` for ``_cap_cull``: the
     triangles tested against every line, the capped ones, and each cap's
     first row, row count, first column and column count on the grid, as
     int32.  The per-cap angles die on return, before the index is built.
     """
-    half = _half_angles(offset, floor) + _CAP_MARGIN
-    wide = half > _CAP_MAX_ANGLE  # as is every cap with floor <= 0
+    wide = radius > _CAP_MAX_ANGLE
     always = np.flatnonzero(wide).astype(np.int32)
     caps = np.flatnonzero(~wide).astype(np.int32)
-    half = half[caps]
-    d = offset[caps]
-    theta = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
-    phi = np.arctan2(d[:, 1], d[:, 0])
+    half, c = radius[caps], center[caps]
+    theta = np.arctan2(np.hypot(c[:, 0], c[:, 1]), c[:, 2])
+    phi = np.arctan2(c[:, 1], c[:, 0])
 
     row_h, col_w = pi / _CAP_ROWS, 2 * pi / _CAP_COLS
     row0 = np.maximum(np.floor((theta - half) / row_h), 0).astype(np.int32)
     nrow = np.minimum(np.floor((theta + half) / row_h),
                       _CAP_ROWS - 1).astype(np.int32) - row0 + 1
     polar = (theta <= half) | (theta + half >= pi)
-    spread = np.where(polar, pi, _CAP_MARGIN + np.arcsin(
+    spread = np.where(polar, pi, np.arcsin(
         np.sin(half) / np.maximum(np.sin(theta), np.sin(half))))
     col0 = np.floor((phi - spread + pi) / col_w).astype(np.int32)
     ncol = np.floor((phi + spread + pi) / col_w).astype(np.int32) - col0 + 1
@@ -299,25 +318,25 @@ def _cap_extents(offset, floor):
     return always, caps, (row0, nrow, col0, ncol)
 
 
-def _cap_cull(offset, floor):
+def _cap_cull(center, radius):
     """The ``_cull_pairs`` pairs for lines in R^3, through an angular index.
 
-    A line along the unit vector ``u`` passes within reach of centroid offset
-    ``d`` when ``(u . d)^2 >= floor``: when ``u`` or ``-u`` lies in the cap of
-    half-angle ``atan2(sqrt(|d|^2 - floor), sqrt(floor))`` about ``d/|d|``.
+    A line along the unit vector ``u`` meets the corner cap about ``c`` when
+    ``(u . c)^2`` is at least its rim: when ``u`` or ``-u`` lies in the cap.
     Each cap is listed under the grid cells of its rows and of the columns
-    within ``asin(sin(half) / sin(polar angle))`` of its azimuth, wrapped
-    across phi = +-pi; a cap over a pole takes whole rings.  Caps with
-    ``floor <= 0`` or wider than ``_CAP_MAX_ANGLE`` are tested against every
-    line.  The floor test on a line's candidates (the lists of the cells of
-    ``u`` and ``-u``, and the always-test caps) keeps ``_cull_pairs``' pairs.
+    within ``asin(sin(radius) / sin(polar angle))`` of its azimuth, wrapped
+    across phi = +-pi; a cap over a pole takes whole rings.  Caps wider than
+    ``_CAP_MAX_ANGLE`` are tested against every line.  The cap test on a
+    line's candidates (the lists of the cells of ``u`` and ``-u``, and the
+    always-test caps) keeps ``_cull_pairs``' pairs.
 
     Returns ``cull(sections) -> (ti, si, candidates)`` and an estimate of
     the candidates per line, which sizes the section blocks.
     """
-    always, caps, extents = _cap_extents(offset, floor)
+    always, caps, extents = _cap_extents(center, radius)
     listed, start = _cap_index(caps, *extents)
-    wide_offset, wide_floor = offset[always], floor[always]
+    rim = _rims(radius)
+    wide_center, wide_rim = center[always], rim[always]
 
     def cull(sections):
         u = sections[:, 0, :]
@@ -330,11 +349,11 @@ def _cap_cull(offset, floor):
 
         def near(sl):
             dots = np.einsum("pn,pn->p", np.take(both, owner[sl], axis=0),
-                             np.take(offset, ti[sl], axis=0))
-            return dots * dots >= np.take(floor, ti[sl])
+                             np.take(center, ti[sl], axis=0))
+            return dots * dots >= np.take(rim, ti[sl])
 
-        keep = _floor_test(len(pos), near)
-        k_w, si_w, wide_cells = _cull_pairs(wide_offset, wide_floor, sections)
+        keep = _cap_test(len(pos), near)
+        k_w, si_w, wide_cells = _cull_pairs(wide_center, wide_rim, sections)
         ti = np.concatenate([ti[keep], always[k_w]])
         si = np.concatenate([owner[keep] % m, si_w])
         return ti, si, len(pos) + wide_cells
@@ -343,30 +362,26 @@ def _cap_cull(offset, floor):
     return cull, per_line
 
 
-def _group_cull(offset, floor):
+def _group_cull(center, radius):
     """The ``_cull_pairs`` pairs for 2-planes in R^4, through triangle groups.
 
-    A section passes within reach of centroid offset ``d`` when its angle to
-    ``d/|d|`` is at most the cap half-angle ``beta`` (``_half_angles``).  The
-    triangles are grouped by the grid cell of ``d/|d|`` on [-1, 1]^n and by
-    the power-of-``_GROUP_CLASS_BASE`` class of ``beta``.  A group with unit
-    center ``c`` and radius ``rho = max(angle(c, d/|d|) + beta)`` holds every
-    member's cap, and the angle to a section is 1-Lipschitz on the sphere, so
-    a section passes within reach of a member only if its angle to ``c`` is
-    at most ``rho``: if ``sum_j (F_j . c)^2 >= cos^2 rho``.  Groups with
-    ``rho >= pi/2`` (as is every one holding a ``floor <= 0``) pass every
-    section.  The floor test on the members of a section's passed groups
-    keeps ``_cull_pairs``' pairs.
+    The triangles are grouped by the grid cell of their cap center on
+    [-1, 1]^n and by the power-of-``_GROUP_CLASS_BASE`` class of their cap
+    radius.  A group with unit center ``g`` and radius ``rho = max(angle(g,
+    c) + radius)`` over its members' caps about ``c`` holds every member's
+    cap, and the angle to a section is 1-Lipschitz on the sphere, so a
+    section meets a member's cap only if its angle to ``g`` is at most
+    ``rho``: if ``sum_j (F_j . g)^2 >= cos^2 rho``.  Groups with ``rho >=
+    pi/2`` pass every section.  The cap test on the members of a section's
+    passed groups keeps ``_cull_pairs``' pairs.
 
     Returns ``cull(sections) -> (ti, si, candidates)``, the candidates being
-    the group tests plus the member floor tests, and the expected candidates
+    the group tests plus the member cap tests, and the expected candidates
     per Haar-random 2-plane in R^4, which sizes the section blocks.
     """
-    half = _half_angles(offset, floor)
-    u = offset / np.maximum(np.linalg.norm(offset, axis=1), 1e-300)[:, None]
-    cell = np.minimum(((u + 1.0) * (_GROUP_GRID / 2)).astype(np.intp),
+    cell = np.minimum(((center + 1.0) * (_GROUP_GRID / 2)).astype(np.intp),
                       _GROUP_GRID - 1)
-    level = np.floor(np.log(half) / np.log(_GROUP_CLASS_BASE)).astype(np.intp)
+    level = np.floor(np.log(radius) / np.log(_GROUP_CLASS_BASE)).astype(np.intp)
     level -= level.min()
     key = np.ravel_multi_index((*cell.T, level), (_GROUP_GRID,) * len(cell.T)
                                + (level.max() + 1,))
@@ -374,45 +389,39 @@ def _group_cull(offset, floor):
     key = key[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     size = np.diff(np.r_[first, len(key)])
-    u = u[order]
-    center = np.add.reduceat(u, first, axis=0)
-    center /= np.maximum(np.linalg.norm(center, axis=1), 1e-300)[:, None]
-    apart = 2.0 * np.arcsin(np.minimum(
-        0.5 * np.linalg.norm(u - np.repeat(center, size, axis=0), axis=1),
-        1.0))
-    # _CULL_ROUNDOFF keeps every half-angle above ~1e-5 rad, where
-    # _CAP_MARGIN moves cos^2 rho by far more than its roundoff
-    rho = np.maximum.reduceat(apart + half[order], first) + _CAP_MARGIN
-    wide = rho >= pi / 2
-    rim = np.where(wide, -1.0, np.cos(rho) ** 2)
     member = order.astype(np.int32)
-    member_offset, member_floor = offset[order], floor[order]
+    member_center, member_rim = center[order], _rims(radius[order])
+    group = np.add.reduceat(member_center, first, axis=0)
+    group /= np.linalg.norm(group, axis=1)[:, None]
+    rho = np.maximum.reduceat(_angle(member_center, np.repeat(
+        group, size, axis=0)) + radius[order], first)
+    rim = _rims(rho)
 
     def cull(sections):
-        gi, si, tests = _cull_pairs(center, rim, sections)
+        gi, si, tests = _cull_pairs(group, rim, sections)
         pos, owner = _ranges(first[gi], size[gi])
         si = si[owner]
 
         def near(sl):
             proj = np.einsum("pkn,pn->pk", np.take(sections, si[sl], axis=0),
-                             np.take(member_offset, pos[sl], axis=0))
+                             np.take(member_center, pos[sl], axis=0))
             return (np.einsum("pk,pk->p", proj, proj)
-                    >= np.take(member_floor, pos[sl]))
+                    >= np.take(member_rim, pos[sl]))
 
-        keep = _floor_test(len(pos), near)
+        keep = _cap_test(len(pos), near)
         return member[pos[keep]], si[keep], tests + len(pos)
 
-    # |F c|^2 is uniform on [0, 1] for a Haar 2-plane in R^4: a group passes
-    # with probability sin^2 rho
-    per_section = len(first) + size @ np.where(wide, 1.0, np.sin(rho) ** 2)
+    # |F g|^2 is uniform on [0, 1] for a Haar 2-plane in R^4: a group passes
+    # with probability 1 - cos^2 rho, or 1 from rho = pi/2 (rim -1) on
+    per_section = len(first) + size @ np.minimum(1.0 - rim, 1.0)
     return cull, int(per_section) + 1
 
 
-def _hit_test(mesh, kept, base):
-    """Float pair test of (n-2)-plane sections against the triangles
-    ``kept``, any n, the pairs' ``ti`` indexing ``kept``: ``(hits, rest)``,
-    ``rest`` marking the pairs its error bounds leave undecided, which
-    ``_settle`` decides in rationals.
+def _hit_test(mesh, base, tri):
+    """Float pair test of (n-2)-plane sections against the pruned triangles
+    ``tri`` (``_pruned_triangles``), any n, the pairs' ``ti`` indexing
+    ``tri.kept``: ``(hits, rest)``, ``rest`` marking the pairs its error
+    bounds leave undecided, which ``_settle`` decides in rationals.
 
     With corner offsets ``d_i = P_i - base`` and complement rows ``c1, c2``,
     the section meets the triangle where the base's image is a convex
@@ -421,9 +430,9 @@ def _hit_test(mesh, kept, base):
     (Cauchy-Binet), ``W_i = d_(i+1)^d_(i+2)`` and ``D = sum C_i``.  Two C_i
     surely of opposite signs miss; three surely of one sign meet the
     triangle at ``V / D``, ``V = sum C_i d_i``, from the base, inside radius
-    r when ``G = |V|^2 - r^2 D^2 <= 0``.  Per triangle it holds the W_i and
-    the bound ``e`` on the C_i's error, built ``_BLOCK_TRIANGLES`` triangles
-    at a time; the corners of the few pairs inside are gathered again.
+    r when ``G = |V|^2 - r^2 D^2 <= 0``.  It reads each triangle's W_i and
+    largest ``|d_i|^2`` from the corner pass that gives its cap; the corners
+    of the few pairs inside are gathered again.
 
     The bounds (Higham, Accuracy and Stability of Numerical Algorithms,
     3.1; u = 2^-53) double the first-order error for the rounding of the
@@ -442,32 +451,24 @@ def _hit_test(mesh, kept, base):
     """
     n = mesh.vertices.shape[1]
     k, u = n * (n - 1) // 2, 2.0 ** -53
-    W = [np.empty((len(kept), k)) for _ in range(3)]
-    err = np.empty(len(kept))
-    for lo in range(0, len(kept), _BLOCK_TRIANGLES):
-        sl = slice(lo, lo + _BLOCK_TRIANGLES)
-        d = mesh.corners(kept[sl]) - base
-        for i in range(3):
-            W[i][sl] = wedge(d[:, (i + 1) % 3], d[:, (i + 2) % 3])
-        err[sl] = np.einsum("tin,tin->ti", d, d).max(axis=1)
-    err = np.maximum(4 * (k + 6) * u * err, 1e-200)
 
     def test(complements, ti, si, radii):
         cw = np.take(wedge(complements[:, 0], complements[:, 1]), si, axis=0)
         C = np.empty((3, len(ti)))
-        for w, c in zip(W, C):
+        for w, c in zip(tri.W, C):
             np.einsum("pk,pk->p", np.take(w, ti, axis=0), cw, out=c)
-        e = np.take(err, ti)
+        s2 = np.take(tri.s2, ti)
+        e = np.maximum(4 * (k + 6) * u * s2, 1e-200)
         hi, lo = C.max(axis=0), C.min(axis=0)
         rest = ~((hi > e) & (lo < -e))  # not surely opposite signs, or NaN
         inside = np.flatnonzero((lo > e) | (hi < -e))
-        C, e = C[:, inside], e[inside]
-        d = mesh.corners(kept[ti[inside]]) - base
+        C, e, s2 = C[:, inside], e[inside], s2[inside]
+        d = mesh.corners(tri.kept[ti[inside]]) - base
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.abs(C.sum(axis=0))
             V = np.einsum("ip,pin->pn", C, d)
             h = 3 * e + 4 * u * a
-            bound = 2 * (e / (4 * (k + 6) * u) + radii.max() ** 2) * (
+            bound = 2 * (s2 + radii.max() ** 2) * (
                 h * (2 * a + h) + (n + 1) * u * a * a)
             G = np.einsum("pn,pn->p", V, V) - np.square(radii[:, None] * a)
             rest[inside] = ~np.all(np.abs(G) > np.maximum(bound, 1e-200),
@@ -515,7 +516,7 @@ class _SectionCounts(NamedTuple):
     counts: np.ndarray    # (num_radii, S) intersection counts
     jittered: int         # sections with a pair decided in rationals
     cells: int            # pruned triangles x sections
-    candidates: int       # pairs the cull proposed to its floor test
+    candidates: int       # pairs the cull proposed to its cap test
     pairs_tested: int     # culled pairs given the hit test
 
 
@@ -550,17 +551,15 @@ def _count_sections(mesh, base, draws, radii) -> _SectionCounts:
                "every section through it meets the surface at the base itself")
         raise IdentityNotApplicableError(f"base point {why}, so the count is "
                                          "ill-posed; offset the base point")
-    kept, offset, floor = _pruned_triangles(mesh, base, radii.max())
-    S = draws.count
+    tri = _pruned_triangles(mesh, base, radii.max())
+    kept, S = tri.kept, draws.count
     counts = np.zeros((len(radii), S), dtype=np.int64)
     jittered = candidates = pairs_tested = 0
     if len(kept) == 0:
         return _SectionCounts(counts, jittered, 0, candidates, pairs_tested)
-    hit_test = _hit_test(mesh, kept, base)
-    if mesh.vertices.shape[1] == 3:
-        cull, cost = _cap_cull(offset, floor)
-    else:
-        cull, cost = _group_cull(offset, floor)
+    hit_test = _hit_test(mesh, base, tri)
+    cull, cost = (_cap_cull if len(base) == 3 else _group_cull)(tri.center,
+                                                                 tri.radius)
     block = max(32, _BLOCK_CANDIDATES // cost)
     for lo in range(0, S, block):
         sec, comp = draws.take(min(block, S - lo))
@@ -584,8 +583,8 @@ def counting_sweep(mesh, base, radii, samples: int = 20000,
 
     Because every radius is evaluated on the same sections, the means are
     exactly nondecreasing in the cut radius.  ``cells`` (pruned triangles x
-    samples), ``candidates`` (pairs the cull proposed to its floor test; for
-    n = 4 the group tests plus the member floor tests) and ``pairs_tested``
+    samples), ``candidates`` (pairs the cull proposed to its cap test; for
+    n = 4 the group tests plus the member cap tests) and ``pairs_tested``
     (pairs left by the cull) say how much of the counting work the cull
     saved.  ``jittered`` counts the sections with a pair that the float
     test's error bounds left undecided, decided in rationals.

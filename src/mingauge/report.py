@@ -15,7 +15,7 @@ into the output directory:
   end count (``ends_graph_edges``: interior plus rim edges of its graph;
   ``ends_forest_rounds``: Boruvka rounds of its two forests) and, when
   counting ran, of counting (``counting_cells``: pruned triangles x samples;
-  ``counting_candidates``: pairs the cull proposed to its floor test;
+  ``counting_candidates``: pairs the cull proposed to its cap test;
   ``counting_pairs_tested``: pairs left by the cull).  Timing and memory
   make this the one file that is allowed to differ between identical runs.
 

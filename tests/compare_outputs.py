@@ -12,8 +12,10 @@ the six catalog surfaces at ``coarse`` and ``default`` with ``mc {seed 11}``,
 the catenoid ``coarse`` from its vertex ``[1, 0, 0]``, from 5e-5 off its
 vertex nearest |x| = 10 and from the centroid of its triangle 2309 with the
 same mc block, and from 5e-8 off that vertex with ``mc {seed 11, samples
-2000}``, the one-sided catenoid (``u_min: -2``), and crofton on the full
-sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed 0.
+2000}``, the catenoid ``coarse`` from ``[0.98, 0, 0]`` and
+``complex_parabola_r4`` ``coarse`` from ``[0.5, 0, 0.27, 0]``, both with
+``mc {seed 11}``, the one-sided catenoid (``u_min: -2``), and crofton on the
+full sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed 0.
 
 Not a test module: pytest collects ``test_*.py`` only.
 """
@@ -53,6 +55,14 @@ REPORTS = [
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": [9.040021026087006, 3.272493750788428,
                        -2.953900486594732], "mc": MC}),
+    # bases near the surface, as tests/test_intgeom.py _NEAR_SURFACE: corner
+    # caps tested against every line, and triangle groups passing every 2-plane
+    ("catenoid-coarse-near-surface", {
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": [0.98, 0, 0], "mc": MC}),
+    ("parabola-coarse-near-surface", {
+        "surface": {"name": "complex_parabola_r4", "resolution": "coarse"},
+        "base_point": [0.5, 0, 0.27, 0], "mc": MC}),
     ("catenoid-u_min-2", {
         "surface": {"name": "catenoid", "params": {"u_min": -2}}}),
 ]

@@ -5,10 +5,8 @@ replaced, kept as the oracle it is tested against.  Lines in R^3 solve by
 cross products and measure the hit along the line; (n-2)-planes project the
 triangle onto the section's complement and measure the hit in the section.
 Their gray zone, ``EDGE_EPS`` wide in barycentric terms, is their own.  The
-pairs ``_hit_test`` leaves undecided lie in it, but for a triangle parallel
-to a 2-plane, whose projected sides, the scale of the plane test's
-near-parallel rule, are roundoff.  Hits agree on every pair that the Cramer
-tests do not call gray and ``_hit_test`` decides.
+pairs ``_hit_test`` leaves undecided lie in it, and hits agree on every pair
+that the Cramer tests do not call gray and ``_hit_test`` decides.
 
 ``rational_hits`` decides one pair in ``Fraction`` arithmetic only, by a
 Cramer solve with the same symbolic tie-break: the reference for every pair
@@ -22,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from mingauge.geometry import wedge
 from mingauge.intgeom import _CAP_COLS, _CAP_ROWS, _ranges
 
 EDGE_EPS = 1e-9  # barycentric half-width of the Cramer tests' gray zone
@@ -80,8 +79,13 @@ def _line_hit_test(A, e1, e2, base):
 
 
 def _plane_hit_test(A, e1, e2, base):
-    """Pair test for (n-2)-plane sections via Cramer solves on projections."""
+    """Pair test for (n-2)-plane sections via Cramer solves on projections.
+
+    By Cauchy-Binet ``det = (c1^c2) . (e1^e2)``, so the near-parallel rule
+    scales it by ``|e1^e2|``, as the line test scales by ``|e2 x e1|``.
+    """
     t0 = base - A
+    w_scale = np.linalg.norm(wedge(e1, e2), axis=1) + 1e-300
 
     def test(sections, complements, ti, si, radii, eps):
         comp = complements[si]
@@ -89,11 +93,10 @@ def _plane_hit_test(A, e1, e2, base):
         m2 = np.einsum("pn,pin->pi", e2[ti], comp)
         tt = np.einsum("pn,pin->pi", t0[ti], comp)
         det = m1[:, 0] * m2[:, 1] - m2[:, 0] * m1[:, 1]
-        det_scale = (np.abs(m1) + np.abs(m2)).sum(axis=1) ** 2 / 4.0 + 1e-300
         a_num = tt[:, 0] * m2[:, 1] - m2[:, 0] * tt[:, 1]
         b_num = m1[:, 0] * tt[:, 1] - tt[:, 0] * m1[:, 1]
         alpha, beta, inside, potential, gray = _barycentric_zones(
-            det, det_scale, a_num, b_num, eps)
+            det, w_scale[ti], a_num, b_num, eps)
 
         sec = sections[si]
         b0 = np.einsum("pn,pkn->pk", A[ti] - base, sec)

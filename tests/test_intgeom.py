@@ -8,10 +8,12 @@ Deterministic oracles:
   z-directed section at w = c != 0 sees both square roots
 * random lines from the origin hit the plane {z = h} inside |x| < R with
   probability 1 - h/R
-* the centroid-reach cull drops no pair that counts: the pair test on all
+* the corner-cap cull drops no pair that counts: the pair test on all
   (triangle, section) pairs gives the same counts and undecided flags, and
   the angular cap index for lines and the triangle groups for 2-planes
   propose every pair the flat cull keeps
+* a section along a corner direction of a triangle, turned up to 1e-13 rad,
+  meets that triangle's corner cap in every cull
 * a line through the origin meets a spherical region's flat triangle exactly
   when its direction, or the opposite one, lies on the positive side of all
   three edge planes
@@ -195,17 +197,17 @@ def test_vertex_hit_settled_exactly(catenoid_coarse):
 
 def test_unreachable_parallel_triangles_are_not_settled(plane_coarse):
     # the line lies in z = 0, parallel to every triangle of the plane z = 1;
-    # inside radius 5 no triangle is within reach, so none is tested, while
-    # at radius 196 the large outer triangles reach the line.  Their weights
-    # C_i sum to D ~ 0 but lie far from 0, of both signs, so each of those
-    # near-parallel pairs is a sure miss and no section is settled
+    # inside radius 5 no triangle's corner cap reaches it, so none is
+    # tested, while at radius 196 the caps of the large outer triangles do.
+    # Their weights C_i sum to D ~ 0 but lie far from 0, of both signs, so
+    # each of those near-parallel pairs is a sure miss and none is settled
     given = _GivenSections(*_frames([[[np.cos(0.23), np.sin(0.23), 0.0]]]))
     out = ig._count_sections(plane_coarse.mesh, np.zeros(3), given, [5.0])
     assert out.counts[0, 0] == 0 and out.jittered == out.pairs_tested == 0
     given = _GivenSections(*_frames([[[np.cos(0.23), np.sin(0.23), 0.0]]]))
     out = ig._count_sections(plane_coarse.mesh, np.zeros(3), given, [196.0])
     assert out.counts[0, 0] == 0 and out.jittered == 0
-    assert out.pairs_tested == 114
+    assert out.pairs_tested == 102
 
 
 def test_parabola_plane_sections_exact(parabola_coarse):
@@ -285,11 +287,11 @@ def test_cap_index_equals_one_stable_sort(coarse, monkeypatch, name):
     # as one stable sort of every listing, across chunk edges
     spec = coarse(name)
     r_hi = inv.max_safe_radius(spec.mesh, spec.base_point)
-    offset, floor = ig._pruned_triangles(spec.mesh, spec.base_point, r_hi)[1:]
+    tri = ig._pruned_triangles(spec.mesh, spec.base_point, r_hi)
     seen, build = [], ig._cap_index
     monkeypatch.setattr(ig, "_cap_index",
                         lambda *args: seen.append(args) or build(*args))
-    ig._cap_cull(offset, floor)
+    ig._cap_cull(tri.center, tri.radius)
     (args,) = seen
     got, want = build(*args), counting_oracle.cap_index_one_sort(*args)
     assert len(got[0]) > 2 * ig._CAP_CHUNK
@@ -350,37 +352,76 @@ def test_cull_keeps_every_pair_that_counts(coarse, case):
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = mesh.vertices.shape[1]
     sec, comp = ig.sample_grassmann(n, 2, 256, np.random.default_rng(11))
-    kept, offset, floor = ig._pruned_triangles(mesh, base, r_hi)
-    hit_test = ig._hit_test(mesh, kept, base)
+    tri = ig._pruned_triangles(mesh, base, r_hi)
+    rim = ig._rims(tri.radius)
+    hit_test = ig._hit_test(mesh, base, tri)
     # the index (lines) or the groups (2-planes) propose a superset of the
-    # flat cull's pairs; the floor test keeps the same pairs, each once
+    # flat cull's pairs; the cap test keeps the same pairs, each once
     if n == 3:
         culled = np.concatenate([sec, _planted_lines()[0]])
-        cull, _ = ig._cap_cull(offset, floor)
+        cull, _ = ig._cap_cull(tri.center, tri.radius)
         share = 0.05
     else:
         culled = sec
-        cull, _ = ig._group_cull(offset, floor)
+        cull, _ = ig._group_cull(tri.center, tri.radius)
         share = 0.25  # the group tests dominate on a coarse mesh
     ci, cs, proposed = cull(culled)
-    flat_ti, flat_si, cells = ig._cull_pairs(offset, floor, culled)
+    flat_ti, flat_si, cells = ig._cull_pairs(tri.center, rim, culled)
     keys = ci.astype(np.int64) * len(culled) + cs
     assert len(np.unique(keys)) == len(keys)
     assert np.array_equal(np.sort(keys),
                           np.sort(flat_ti.astype(np.int64) * len(culled)
                                   + flat_si))
     assert len(ci) <= proposed < share * cells
-    assert case not in _NEAR_SURFACE or np.any(floor <= 0)
+    assert (case not in _NEAR_SURFACE
+            or np.any(tri.radius > ig._CAP_MAX_ANGLE))
 
-    ti, si, _ = ig._cull_pairs(offset, floor, sec)
+    ti, si, _ = ig._cull_pairs(tri.center, rim, sec)
     hits, gray = hit_test(comp, ti, si, radii)
     counts, gray = ig._per_section(si, hits, gray, len(sec))
-    dense_counts, dense_gray = _all_pairs_counts(hit_test, len(kept), comp,
-                                                 radii)
+    dense_counts, dense_gray = _all_pairs_counts(hit_test, len(tri.kept),
+                                                 comp, radii)
     assert np.array_equal(counts, dense_counts)
     assert np.array_equal(gray, dense_gray)
     assert counts[-1].sum() > 0
-    assert len(ti) < 0.05 * len(kept) * len(sec)  # the cull does drop pairs
+    assert len(ti) < 0.05 * len(tri.kept) * len(sec)  # the cull drops pairs
+
+
+@pytest.mark.parametrize("case", [*catalog_names(), *_NEAR_SURFACE])
+def test_sections_through_a_corner_survive_every_cull(coarse, case):
+    # lines along each corner direction of every pruned triangle, and in R^4
+    # 2-planes holding one and square to the triangle's cap center there (so
+    # their angle to the center is the corner's), each also turned 1e-16 and
+    # 1e-13 rad: the cap index or the groups propose each such section with
+    # its own triangle, and the cap test on that pair alone keeps it.
+    # Without _CAP_MARGIN thousands of them fall outside their own cap
+    name, base = _NEAR_SURFACE.get(case, (case, None))
+    spec = coarse(name)
+    mesh = spec.mesh
+    base = spec.base_point if base is None else np.asarray(base, dtype=float)
+    tri = ig._pruned_triangles(mesh, base, inv.max_safe_radius(mesh, base))
+    n, rim = len(base), ig._rims(tri.radius)
+    cull = (ig._cap_cull if n == 3 else ig._group_cull)(tri.center,
+                                                         tri.radius)[0]
+    for lo in range(0, len(tri.kept), 512):
+        d = mesh.corners(tri.kept[lo:lo + 512]) - base
+        rows = d.reshape(-1, 1, n)
+        if n == 4:
+            v = rows[:, 0] / np.linalg.norm(rows[:, 0], axis=1)[:, None]
+            c = np.repeat(tri.center[lo:lo + 512], 3, axis=0)
+            c -= np.einsum("sn,sn->s", c, v)[:, None] * v
+            c /= np.linalg.norm(c, axis=1)[:, None]
+            w = np.array([0.3, -0.5, 0.7, 0.2])
+            w = w - (v @ w)[:, None] * v - (c @ w)[:, None] * c
+            rows = np.stack([v, w], axis=1)
+        sec = _frames(np.concatenate([_turned(rows, angle) for angle in
+                                      (0.0, 1e-16, 1e-13)]))[0]
+        own = np.tile(np.repeat(np.arange(len(d)), 3), 3)
+        ti, si, _ = cull(sec)
+        assert np.bincount(si[ti == lo + own[si]], minlength=len(sec)).all()
+        ti, si, _ = ig._cull_pairs(tri.center[lo:lo + 512], rim[lo:lo + 512],
+                                   sec)
+        assert np.bincount(si[ti == own[si]], minlength=len(sec)).all()
 
 
 def test_plane_counting_work_on_the_benchmark_config(default):
@@ -393,7 +434,7 @@ def test_plane_counting_work_on_the_benchmark_config(default):
     out = ig.counting_sweep(spec.mesh, spec.base_point,
                             np.geomspace(0.3 * r_hi, r_hi, 5), samples=1000,
                             seed=11)
-    assert out["pairs_tested"] == 56_180
+    assert out["pairs_tested"] == 44_754
     assert out["candidates"] <= 0.1 * out["cells"]
 
 
@@ -417,17 +458,15 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
     # on every (triangle, section) pair and every radius row: the two agree
     # on every pair that neither leaves undecided or calls gray, and the
     # pairs the Plucker test leaves undecided lie in the Cramer tests' gray
-    # zone, but for one: the Cramer plane test scales its near-parallel rule
-    # by the projected sides, which are roundoff for the triangle that the
-    # planted 2-plane is parallel to, and so calls that pair clear
+    # zone
     name, base = _NEAR_SURFACE.get(case, (case, None))
     spec = coarse(name)
     base = spec.base_point if base is None else np.asarray(base)
     r_hi = inv.max_safe_radius(spec.mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n = len(base)
-    kept = ig._pruned_triangles(spec.mesh, base, r_hi)[0]
-    A, e1, e2 = _sides(spec.mesh, kept)
+    tri = ig._pruned_triangles(spec.mesh, base, r_hi)
+    A, e1, e2 = _sides(spec.mesh, tri.kept)
     frames = [ig.sample_grassmann(n, 2, 256, np.random.default_rng(11)),
               _planted_edge_cases(A, e1, e2, base)]
     if n == 3:
@@ -436,7 +475,7 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
     else:
         old = counting_oracle._plane_hit_test(A, e1, e2, base)
     sec, comp = (np.concatenate(f) for f in zip(*frames))
-    new = ig._hit_test(spec.mesh, kept, base)
+    new = ig._hit_test(spec.mesh, base, tri)
     S, T = len(sec), len(A)
     counts = np.empty((2, len(radii), S), dtype=np.int64)
     gray = np.empty((2, S), dtype=bool)
@@ -457,7 +496,7 @@ def test_hit_test_matches_the_cramer_oracle(coarse, case):
             counts[j, :, sl], gray[j, sl] = ig._per_section(si, hits, g,
                                                             len(sec[sl]))
     assert compared > 0.9 * S * T
-    assert odd == ([] if n == 3 else [(258, T // 2)])
+    assert odd == []
     assert np.array_equal(counts[0, :, :256], counts[1, :, :256])
     assert not gray[:, :256].any()
     assert counts[0, -1, :256].sum() > 0
@@ -504,7 +543,8 @@ def test_settled_gray_pairs_match_the_rational_oracle(
     base = spec.base_point if base is None else np.asarray(base)
     r_hi = inv.max_safe_radius(mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
-    kept = ig._pruned_triangles(mesh, base, r_hi)[0]
+    tri = ig._pruned_triangles(mesh, base, r_hi)
+    kept = tri.kept
     if case in _NEAR_VERTEX:
         frames = [ig.sample_grassmann(3, 2, 2000, np.random.default_rng(11))]
     else:
@@ -532,7 +572,7 @@ def test_settled_gray_pairs_match_the_rational_oracle(
     around = np.flatnonzero(np.isin(kept, np.flatnonzero(
         (mesh.triangles == k).any(axis=1))))
     ti, si = (a.ravel() for a in np.meshgrid(around, np.arange(len(sec))))
-    hits, rest = ig._hit_test(mesh, kept, base)(comp, ti, si, radii)
+    hits, rest = ig._hit_test(mesh, base, tri)(comp, ti, si, radii)
     assert len(around) == 4 and not rest.any()
     assert np.array_equal(hits, _rational_hits(mesh, kept, base, comp, ti,
                                                si, radii))
@@ -565,7 +605,7 @@ def test_float_bounds_decide_only_what_rationals_confirm(coarse, case):
     mesh = spec.mesh
     base = spec.base_point if base is None else np.asarray(base, dtype=float)
     r_hi = inv.max_safe_radius(mesh, base)
-    A, e1, e2 = _sides(mesh, ig._pruned_triangles(mesh, base, r_hi)[0])
+    A, e1, e2 = _sides(mesh, ig._pruned_triangles(mesh, base, r_hi).kept)
     k, n = len(A) // 2, len(base)
     marks = np.array([A[k], A[k] + 0.5 * e1[k], A[k] + (e1[k] + e2[k]) / 3])
     vertex, edge, centroid = marks - base
@@ -579,13 +619,13 @@ def test_float_bounds_decide_only_what_rationals_confirm(coarse, case):
                                         (0.0, 1e-16, 1e-13, 1e-10)]))
     cuts = np.linalg.norm(marks - base, axis=1)
     radii = np.unique(np.r_[cuts, 2 * cuts.max()])
-    kept, offset, floor = ig._pruned_triangles(mesh, base, radii[-1])
-    ti, si, _ = ig._cull_pairs(offset, floor, sec)
-    hits, rest = ig._hit_test(mesh, kept, base)(comp, ti, si, radii)
+    tri = ig._pruned_triangles(mesh, base, radii[-1])
+    ti, si, _ = ig._cull_pairs(tri.center, ig._rims(tri.radius), sec)
+    hits, rest = ig._hit_test(mesh, base, tri)(comp, ti, si, radii)
     decided = np.flatnonzero(~rest)
     assert rest.any() and hits[:, decided].any()
     assert np.array_equal(hits[:, decided], _rational_hits(
-        mesh, kept, base, comp, ti[decided], si[decided], radii))
+        mesh, tri.kept, base, comp, ti[decided], si[decided], radii))
 
 
 # --------------------------------------------------------------------------
@@ -657,7 +697,7 @@ def test_sections_drawn_per_block_count_like_one_draw(coarse, monkeypatch,
     r_hi = inv.max_safe_radius(mesh, base)
     radii = np.geomspace(0.3 * r_hi, r_hi, 5)
     n, S = len(base), 300
-    kept = ig._pruned_triangles(mesh, base, r_hi)[0]
+    kept = ig._pruned_triangles(mesh, base, r_hi).kept
     planted = _planted_edge_cases(*_sides(mesh, kept), base)
     at = [5, 40, 77, 150, 230, 299]  # in blocks 0, 1, 2, 4, 7 and 9
 
