@@ -4,6 +4,7 @@ Exit codes:
   0  requested checks all passed
   1  at least one applicable check failed
   2  invalid configuration or usage (diagnostic names the offending field)
+  3  internal error: an unexpected exception, reported in one line
 
 ``MINGAUGE_THREADS=k`` caps the BLAS/OpenMP thread pools at k.  Unset, each
 pool defaults to 1 thread unless its own variable (``OPENBLAS_NUM_THREADS``
@@ -184,6 +185,9 @@ def main(argv=None) -> int:
         print(f"config error at {exc.field}: "
               f"{str(exc).removeprefix(exc.field + ': ')}", file=sys.stderr)
         return 2
+    except Exception as exc:  # no input may end in a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

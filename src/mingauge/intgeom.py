@@ -137,21 +137,10 @@ class _SectionDraws:
 
     def __init__(self, n: int, count: int, rng):
         self.count, self._n, self._rng = count, n, rng
-        self._drawn, self._ready = 0, (np.empty((0, n - 2, n)),
-                                       np.empty((0, 2, n)))
 
     def take(self, m: int):
-        """The next ``m`` frames, drawn ``_BLOCK_FRAMES`` or more at a time
-        so that small blocks do not each pay for a draw."""
-        ready = self._ready
-        if len(ready[0]) < m:
-            more = min(max(m - len(ready[0]), _BLOCK_FRAMES),
-                       self.count - self._drawn)
-            self._drawn += more
-            ready = tuple(np.concatenate(pair) for pair in zip(
-                ready, sample_grassmann(self._n, 2, more, self._rng)))
-        self._ready = tuple(f[m:] for f in ready)
-        return tuple(f[:m] for f in ready)
+        """The next ``m`` frames."""
+        return sample_grassmann(self._n, 2, m, self._rng)
 
 
 # --------------------------------------------------------------------------

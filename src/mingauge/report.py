@@ -1,9 +1,10 @@
 """End-to-end invariant report for one catalog surface.
 
-``run_report`` builds the surface, sweeps the flux, estimates projective
-volume, radial defect, boundary term, end count and section-count averages,
-runs every identity/inequality check that applies, and writes three files
-into the output directory:
+``run_report`` runs the stages of ``compute_report`` in order: ``surface``
+(build, base placement, minimality), ``ends``, ``flux`` (sweep, boundary
+term, monotonicity), ``volume``, ``defect`` (defect, identities), ``bounds``
+(end checks, catalog targets), ``counting`` and ``assemble``; then ``write``
+validates the report and writes three files into the output directory:
 
 * ``report.json``  -- estimates and check verdicts, schema-validated;
   byte-identical across runs with the same config (and seed).
@@ -16,7 +17,8 @@ into the output directory:
   ``ends_forest_rounds``: Boruvka rounds of its two forests) and, when
   counting ran, of counting (``counting_cells``: pruned triangles x samples;
   ``counting_candidates``: pairs the cull proposed to its cap test;
-  ``counting_pairs_tested``: pairs left by the cull).  Timing and memory
+  ``counting_pairs_tested``: pairs left by the cull), then one line
+  ``stage_s <name> <seconds>`` per stage, its wall time.  Timing and memory
   make this the one file that is allowed to differ between identical runs.
 
 Checks that need a hypothesis the surface does not satisfy (the non-minimal
@@ -260,14 +262,8 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
+    if isinstance(value, (np.ndarray, np.generic)):  # to Python scalars
+        return value.tolist()
     return value
 
 
@@ -348,7 +344,7 @@ def validate_report(report: dict) -> None:
 
 
 # --------------------------------------------------------------------------
-# the pipeline
+# the pipeline: stage functions run in order on one _Run record
 
 
 # why a check that needs vanishing mean curvature does not apply to the
@@ -361,30 +357,51 @@ _CONTROL_REASONS = {
 }
 
 
-def _entry(name: str, checked: dict, note: str, applicable: bool) -> dict:
-    """The report entry of check ``name``; ``checked`` is what its check
-    function returned (``passed``, ``margin``, ``detail``)."""
-    passed, margin = checked["passed"], checked.get("margin")
-    entry = {
-        "name": name,
-        "applicable": bool(applicable),
-        "passed": None if passed is None else bool(passed),
+class _Run:
+    """What the stages of one report share.  ``compute_report`` sets
+    ``config`` and ``strict``; each stage reads what earlier stages set and
+    adds checks, estimates, sweep rows, warnings and run.log lines, and
+    ``stage_s`` pairs each stage's name with its wall time."""
+
+    def __init__(self):
+        self.checks, self.estimates, self.sweeps = [], [], []
+        self.warnings, self.log, self.stage_s = [], [], []
+
+
+def _add(run, name, check, note="", why=None, minimal=True):
+    """Append the entry of check ``name`` from what ``check()`` returns
+    (``passed``, ``margin``, ``detail``).
+
+    ``why`` names a failed hypothesis: the verdict is kept but does not
+    count, as on the control for a check needing vanishing mean curvature
+    (``minimal``).  A check that cannot apply at all raises
+    IdentityNotApplicableError and has no verdict."""
+    try:
+        checked = check()
+    except IdentityNotApplicableError as exc:
+        checked, why = {"passed": None}, str(exc)
+    else:
+        if minimal and run.spec.control:
+            why = _CONTROL_REASONS.get(name, _MINIMAL)
+    margin = checked.get("margin")
+    note = note if why is None else f"not applicable: {why}"
+    run.checks.append({
+        "name": name, "applicable": why is None, "passed": checked["passed"],
         "margin": None if margin is None else float(margin),
-    }
-    if note:
-        entry["note"] = note
-    if checked.get("detail"):
-        entry["detail"] = _jsonify(checked["detail"])
-    return entry
+        **({"note": note} if note else {}),
+        **({"detail": checked["detail"]} if checked.get("detail") else {})})
 
 
-def compute_report(config: RunConfig, strict: bool = False) -> dict:
-    """Run every estimator and check for one surface; return the report dict.
+def _estimate(run, quantity, value, error, method, **extra):
+    run.estimates.append({"quantity": quantity, "value": value,
+                          "error": error, "method": method, **extra})
 
-    Pure computation: no files are touched (``run_report`` adds the I/O).
-    """
-    spec = build_surface(config.surface_name, config.surface_params,
-                         config.resolution)
+
+def _surface(run):
+    """Build the surface, place the base point on it and check minimality."""
+    config = run.config
+    run.spec = spec = build_surface(config.surface_name, config.surface_params,
+                                    config.resolution)
     mesh = spec.mesh
     if config.base_point is not None:
         base = np.asarray(config.base_point, dtype=float)
@@ -420,107 +437,89 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
                           f"{config.mc_radii[-1]:.6g} must exceed "
                           f"{max(d_min, tol):.6g}, the larger of the nearest "
                           "vertex's distance and the on-surface tolerance")
-    given = base
+    run.given, run.r_hi, run.d_min = base, r_hi, d_min
     if d_min <= tol:
         # a base within roundoff of a vertex is that vertex, as the
         # quadrature reads roundoff heights as zero
         base = mesh.vertices[np.argmin(mesh.about(base)["distances"])]
-    sheets = on_mesh(mesh, base)[1]
-    control = spec.control
-    warnings: list[str] = []
-    checks: list[dict] = []
-    estimates: list[dict] = []
-    sweeps: list[tuple[str, float, float, float]] = []
+    run.base, run.sheets = base, on_mesh(mesh, base)[1]
+    _add(run, "minimal_surface", lambda: verify_minimality(spec.chart),
+         "mean curvature of the exact chart vanishes to tolerance")
 
-    def add(name, run, note="", why=None, minimal=True):
-        """Append check ``name`` with the entry ``run()`` returns.
 
-        ``why`` names a failed hypothesis: the verdict is kept but does not
-        count, as on the control for a check needing vanishing mean
-        curvature (``minimal``).  A check that cannot apply at all raises
-        IdentityNotApplicableError and has no verdict."""
-        try:
-            checked = run()
-        except IdentityNotApplicableError as exc:
-            checked, why = {"passed": None}, str(exc)
-        else:
-            if minimal and control:
-                why = _CONTROL_REASONS.get(name, _MINIMAL)
-        checks.append(_entry(name, checked, note if why is None else
-                             f"not applicable: {why}", why is None))
+def _ends(run):
+    """The end count, before the flux: its temporaries then never meet the
+    quadrature store."""
+    run.ends = ends_estimate(run.spec.mesh, run.base)
+    run.log += [f"ends_{key} {getattr(run.ends, key)}"
+                for key in ("graph_edges", "forest_rounds")]
 
-    # -- minimality -------------------------------------------------------
-    add("minimal_surface", lambda: verify_minimality(spec.chart),
-        "mean curvature of the exact chart vanishes to tolerance")
 
-    # the end sweep first: its temporaries then never meet the quadrature store
-    ends = ends_estimate(mesh, base)
-
-    # -- flux sweep and monotonicity ---------------------------------------
-    # every level any estimate or check reads the flux at is traced once:
-    # the sweep, the defect's tail level r_hi / 2, the density levels, the
-    # shell's outer level and the outermost counting radius with its half
-    levels = level_grid(mesh, base, config.num_levels)
-    density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
-    shell_hi = 0.7 * r_hi
-    r_count = config.mc_radii[-1] if config.mc_radii else r_hi
+def _flux(run):
+    """Trace the flux at every level any estimate or check reads it at: the
+    sweep, the defect's tail level r_hi / 2, the density levels, the shell's
+    outer level and the outermost counting radius with its half.  Check
+    its monotonicity, which the area-flux identity gives and a genuine
+    boundary inside the ball breaks, so the boundary term is taken here."""
+    mesh, base, r_hi, config = run.spec.mesh, run.base, run.r_hi, run.config
+    run.levels = level_grid(mesh, base, config.num_levels)
+    run.density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
+    run.shell_hi = 0.7 * r_hi
+    run.r_count = config.mc_radii[-1] if config.mc_radii else r_hi
     # return_index keeps np.unique from importing numpy.ma
-    flux = flux_profile(mesh, base, np.unique(np.concatenate([levels, [
-        0.5 * r_hi, *density_levels, shell_hi, 0.5 * r_count, r_count]]),
-        return_index=True)[0])
-    profile = flux.at(levels)
-    vol = projective_volume(mesh, base, profile=profile)
+    run.flux = flux_profile(mesh, base, np.unique(np.concatenate([
+        run.levels, [0.5 * r_hi, *run.density_levels, run.shell_hi,
+                     0.5 * run.r_count, run.r_count]]), return_index=True)[0])
+    run.profile = profile = run.flux.at(run.levels)
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
-        sweeps.append(("flux_normalized", float(t), float(raw / t**2),
-                       float(err / t**2)))
-    # the flux checks follow from the area-flux identity, which a genuine
-    # boundary inside the ball breaks, as for the density identity below
-    bnd = boundary_constant(mesh, base, within_radius=r_hi)
-    add("flux_monotone",
-        lambda: require_no_boundary(bnd) or check_monotonicity(profile))
+        run.sweeps.append(("flux_normalized", t, raw / t**2, err / t**2))
+    run.bnd = bnd = boundary_constant(mesh, base, within_radius=r_hi)
+    _add(run, "flux_monotone",
+         lambda: require_no_boundary(bnd) or check_monotonicity(profile))
 
-    # -- projective volume (both routes) -----------------------------------
+
+def _volume(run):
+    """Projective volume by both routes, and whether they agree."""
+    vol = run.vol = projective_volume(run.spec.mesh, run.base,
+                                      profile=run.profile)
     for method, value in (("flux_limit", vol["value"]),
                           ("log_slope", vol["slope_estimate"])):
-        estimates.append({"quantity": "projective_volume", "value": value,
-                          "error": vol["error"], "method": method,
-                          "flags": list(vol["flags"])})
+        _estimate(run, "projective_volume", value, vol["error"], method,
+                  flags=vol["flags"])
     for R, I in zip(vol["fit_levels"], vol["log_integrals"]):
-        sweeps.append(("inverse_power_over_log", float(R),
-                       float(I / np.log(R)), 0.0))
-    volume_reliable = not vol["flags"]
-    if not volume_reliable:
-        warnings.append(
+        run.sweeps.append(("inverse_power_over_log", R, I / np.log(R), 0.0))
+    if vol["flags"]:
+        run.warnings.append(
             "projective-volume estimators disagree past tolerance "
             f"(flags: {', '.join(vol['flags'])}); the truncated mesh does "
             "not reach the asymptotic regime"
         )
-    checks.append(_entry(
-        "volume_estimate_reliable",
-        {"passed": volume_reliable,
-         "detail": {"flags": list(vol["flags"]), "flux_limit": vol["value"],
-                    "log_slope": vol["slope_estimate"]}},
-        "" if strict else
-        "warning only; rerun with --strict to make this failing",
-        strict,
-    ))
+    run.checks.append({
+        "name": "volume_estimate_reliable", "applicable": run.strict,
+        "passed": not vol["flags"], "margin": None,
+        "detail": {"flags": vol["flags"], "flux_limit": vol["value"],
+                   "log_slope": vol["slope_estimate"]},
+        **({} if run.strict else {"note": "warning only; rerun with --strict "
+                                          "to make this failing"})})
 
-    # -- radial defect and boundary term ------------------------------------
-    q = radial_defect(mesh, base, r_hi, profile=flux)
+
+def _defect(run):
+    """The radial defect at the cut radius, its estimate and the boundary
+    term's, and the identities that tie them to the flux."""
+    mesh, base, r_hi, bnd, flux = (run.spec.mesh, run.base, run.r_hi,
+                                   run.bnd, run.flux)
+    run.q = q = radial_defect(mesh, base, r_hi, profile=flux)
     for quantity, est, method in (
             ("radial_defect", q, "region_quadrature"),
             ("boundary_flux_constant", bnd, "edge_quadrature")):
-        estimates.append({"quantity": quantity, "value": est["value"],
-                          "error": est["error"], "method": method,
-                          "radius": float(r_hi)})
-
-    # -- identities ---------------------------------------------------------
+        _estimate(run, quantity, est["value"], est["error"], method,
+                  radius=r_hi)
     # levels[-1] is r_hi, so the sweep's last flux is the one at the cut
-    add("defect_volume_identity",
-        lambda: check_defect_volume_identity(q, profile.normalized[-1], bnd,
-                                             sheets),
-        "2 x defect = normalized flux + boundary term - on-surface density, "
-        "at the cut radius")
+    _add(run, "defect_volume_identity",
+         lambda: check_defect_volume_identity(
+             q, run.profile.normalized[-1], bnd, run.sheets),
+         "2 x defect = normalized flux + boundary term - on-surface density, "
+         "at the cut radius")
 
     # anchor the shell at an inner sweep level: flat ends make the flux
     # increment across any outer shell vanish, which would turn the relative
@@ -530,222 +529,225 @@ def compute_report(config: RunConfig, strict: bool = False) -> dict:
     # curves run almost tangent to the spheres there), so skip past them.
     # From a base on the surface or near it the sweep starts at 0.02 r_hi,
     # so the anchor is its first level past 2 d_min.
-    cleared = levels[(levels >= 2.0 * d_min) & (levels <= 0.5 * shell_hi)]
+    levels = run.levels
+    cleared = levels[(levels >= 2.0 * run.d_min)
+                     & (levels <= 0.5 * run.shell_hi)]
     shell_lo = float(cleared[0] if cleared.size else levels[0])
-    add("flux_shell_identity",
-        lambda: require_no_boundary(bnd) or check_flux_shell_identity(
-            mesh, base, shell_lo, shell_hi, profile=flux))
+    _add(run, "flux_shell_identity",
+         lambda: require_no_boundary(bnd) or check_flux_shell_identity(
+             mesh, base, shell_lo, run.shell_hi, profile=flux))
 
     # outer-band levels (density_levels above): at small spheres the (tiny)
     # area and flux values being compared are swamped by discretization error
-    add("density_identity",
-        lambda: check_density_identity(mesh, base, density_levels, bnd,
-                                       profile=flux))
-    add("band_area_bound",
-        lambda: check_band_area_bound(mesh, base, [
-            (0.30 * r_hi, 0.55 * r_hi), (0.55 * r_hi, 0.85 * r_hi)]),
-        "area of every crossing component >= half-width bound")
+    _add(run, "density_identity",
+         lambda: check_density_identity(mesh, base, run.density_levels, bnd,
+                                        profile=flux))
+    _add(run, "band_area_bound",
+         lambda: check_band_area_bound(mesh, base, [
+             (0.30 * r_hi, 0.55 * r_hi), (0.55 * r_hi, 0.85 * r_hi)]),
+         "area of every crossing component >= half-width bound")
 
-    # -- ends ---------------------------------------------------------------
-    estimates.append({
-        "quantity": "ends",
-        "value": float(ends.stable_count),
-        "error": 0.0 if ends.stabilized else 1.0,
-        "method": "component_sweep",
-    })
-    for r, n in zip(ends.radii, ends.counts):
-        sweeps.append(("ends_count", float(r), float(n), 0.0))
-    add("ends_stabilized",
-        lambda: {"passed": ends.stabilized,
-                 "detail": {"counts": ends.counts, "radii": ends.radii}},
-        "count constant over the outer third of the sweep", minimal=False)
-    if not ends.stabilized:
-        warnings.append("end count did not stabilize over the radius sweep")
 
-    if "ends" in spec.targets:
-        expected = int(spec.targets["ends"])
-        add("ends_match_expected",
-            lambda: {"passed": ends.stable_count == expected,
-                     "margin": -abs(ends.stable_count - expected),
-                     "detail": {"expected": expected,
-                                "measured": ends.stable_count}},
-            minimal=False)
-
+def _ends_volume_bound(run):
     # the end bounds are not run on the control at all
-    def ends_volume_bound():
-        if control:
-            raise IdentityNotApplicableError(_MINIMAL)
-        if not volume_reliable:
-            raise IdentityNotApplicableError(
-                "projective volume is truncation-limited; the bound would "
-                "be vacuous")
-        return check_ends_bound(ends.stable_count, vol["value"])
+    if run.spec.control:
+        raise IdentityNotApplicableError(_MINIMAL)
+    if run.vol["flags"]:
+        raise IdentityNotApplicableError(
+            "projective volume is truncation-limited; the bound would be "
+            "vacuous")
+    return check_ends_bound(run.ends.stable_count, run.vol["value"])
 
-    add("ends_volume_bound", ends_volume_bound,
-        "ends <= (4 / sphere area) x projective volume")
 
-    # -- closed-form / derived target comparison ----------------------------
-    def invariants_match_expected():
-        # catalog targets are stated for the suggested base point only (the
-        # defect depends on the base), so another base cannot be checked
-        if not np.array_equal(base, spec.base_point):
-            def fmt(point):
-                return "[" + ", ".join(f"{float(c):g}" for c in point) + "]"
+def _targets_match(run, keys):
+    spec = run.spec
+    # catalog targets are stated for the suggested base point only (the
+    # defect depends on the base), so another base cannot be checked
+    if not np.array_equal(run.base, spec.base_point):
+        suggested, base = ("[" + ", ".join(f"{float(c):g}" for c in point)
+                           + "]" for point in (spec.base_point, run.base))
+        raise IdentityNotApplicableError(
+            f"catalog values hold for the suggested base point "
+            f"{suggested}, not for {base}")
+    if spec.targets.get("provenance") not in ("closed-form", "derived",
+                                              "literature"):
+        raise IdentityNotApplicableError(
+            "catalog values for this entry have no trusted provenance")
+    gaps, ok = {}, True
+    for key in keys:
+        tgt = float(spec.targets[key])
+        est = run.vol if key == "projective_volume" else run.q
+        val, err = est["value"], est["error"]
+        tol = max(5.0 * err, 0.03 * abs(tgt))
+        gaps[key] = {"target": tgt, "measured": val, "tolerance": tol}
+        ok &= abs(val - tgt) <= tol
+    return {"passed": ok, "detail": gaps}
 
-            raise IdentityNotApplicableError(
-                f"catalog values hold for the suggested base point "
-                f"{fmt(spec.base_point)}, not for {fmt(base)}")
-        if spec.targets.get("provenance") not in ("closed-form", "derived",
-                                                  "literature"):
-            raise IdentityNotApplicableError(
-                "catalog values for this entry have no trusted provenance")
-        measured = {"projective_volume": (vol["value"], vol["error"]),
-                    "radial_defect": (q["value"], q["error"])}
-        gaps = {}
-        ok = True
-        for key in target_keys:
-            tgt = float(spec.targets[key])
-            val, err = measured[key]
-            tol = max(5.0 * err, 0.03 * abs(tgt))
-            gaps[key] = {"target": tgt, "measured": float(val),
-                         "tolerance": float(tol)}
-            ok &= abs(val - tgt) <= tol
-        return {"passed": ok, "detail": gaps}
 
-    target_keys = [k for k in ("projective_volume", "radial_defect")
-                   if k in spec.targets]
-    if target_keys:
-        add("invariants_match_expected", invariants_match_expected,
-            why=None if volume_reliable else
-            "volume estimate is truncation-limited", minimal=False)
+def _bounds(run):
+    """The end checks and the comparison with the catalog's values."""
+    ends, targets = run.ends, run.spec.targets
+    _estimate(run, "ends", float(ends.stable_count),
+              0.0 if ends.stabilized else 1.0, "component_sweep")
+    for r, n in zip(ends.radii, ends.counts):
+        run.sweeps.append(("ends_count", r, n, 0.0))
+    _add(run, "ends_stabilized",
+         lambda: {"passed": ends.stabilized,
+                  "detail": {"counts": ends.counts, "radii": ends.radii}},
+         "count constant over the outer third of the sweep", minimal=False)
+    if not ends.stabilized:
+        run.warnings.append("end count did not stabilize over the radius "
+                            "sweep")
+    if "ends" in targets:
+        expected = int(targets["ends"])
+        _add(run, "ends_match_expected",
+             lambda: {"passed": ends.stable_count == expected,
+                      "margin": -abs(ends.stable_count - expected),
+                      "detail": {"expected": expected,
+                                 "measured": ends.stable_count}},
+             minimal=False)
+    _add(run, "ends_volume_bound", lambda: _ends_volume_bound(run),
+         "ends <= (4 / sphere area) x projective volume")
+    keys = [k for k in ("projective_volume", "radial_defect") if k in targets]
+    if keys:
+        _add(run, "invariants_match_expected",
+             lambda: _targets_match(run, keys),
+             why="volume estimate is truncation-limited" if run.vol["flags"]
+             else None, minimal=False)
 
-    # -- Monte-Carlo section counting ---------------------------------------
-    counting = None
-    skipped = IdentityNotApplicableError(
+
+def _defect_counting_bound(run):
+    # the defect at the outermost counting radius, against half the sphere
+    # area times the mean count there
+    if run.counting is None:
+        raise run.skipped
+    r_hi, r_count = run.r_hi, run.r_count
+    return check_defect_counting_bound(
+        run.q if abs(r_count - r_hi) <= 1e-12 * max(1.0, r_hi)
+        else radial_defect(run.spec.mesh, run.base, r_count,
+                           profile=run.flux), run.counting)
+
+
+def _ends_counting_bound(run):
+    if run.counting is None:
+        raise run.skipped
+    if run.spec.control:
+        raise IdentityNotApplicableError(_MINIMAL)
+    return check_ends_counting_bound(run.ends.stable_count,
+                                     run.counting["max_observed"])
+
+
+def _counting(run):
+    """Monte-Carlo section counts, when the config has an mc block, and
+    the bounds they give."""
+    config, run.counting = run.config, None
+    run.skipped = IdentityNotApplicableError(
         "no mc block in the config; add one with a seed to enable "
         "Monte-Carlo counting")
     if config.counting_enabled:
         try:
-            counting = counting_sweep(
-                mesh, base, config.mc_radii or np.geomspace(0.3 * r_hi, r_hi, 5),
+            run.counting = counting_sweep(
+                run.spec.mesh, run.base,
+                config.mc_radii or np.geomspace(0.3 * run.r_hi, run.r_hi, 5),
                 samples=config.mc_samples, seed=config.mc_seed)
         except IdentityNotApplicableError as exc:
             # a base point on the surface pins every section through it, so
             # the count is ill-posed there; that invalidates only the
             # counting checks, not the rest of the report
-            skipped = exc
+            run.skipped = exc
         except ValueError as exc:
             raise ConfigError("mc.radii", str(exc)) from exc
+    counting = run.counting
     if counting is not None:
-        for r, m, c in zip(counting["radii"], counting["means"],
-                           counting["ci95"]):
-            sweeps.append(("section_count_mean", float(r), float(m),
-                           float(c)))
-        estimates.append({
-            "quantity": "section_count_mean",
-            "value": float(counting["means"][-1]),
-            "error": float(counting["ci95"][-1]),
-            "method": "monte_carlo",
-            "radius": float(counting["radii"][-1]),
-            "samples": int(counting["samples"]),
-            "seed": int(counting["seed"]),
-        })
-
-    def defect_counting_bound():
-        # the defect at the outermost counting radius, against half the
-        # sphere area times the mean count there
-        if counting is None:
-            raise skipped
-        return check_defect_counting_bound(
-            q if abs(r_count - r_hi) <= 1e-12 * max(1.0, r_hi)
-            else radial_defect(mesh, base, r_count, profile=flux), counting)
-
-    def ends_counting_bound():
-        if counting is None:
-            raise skipped
-        if control:
-            raise IdentityNotApplicableError(_MINIMAL)
-        return check_ends_counting_bound(ends.stable_count,
-                                         counting["max_observed"])
-
-    add("defect_counting_bound", defect_counting_bound,
-        "defect <= half the 2-sphere area x mean section count",
-        minimal=False)
-    add("ends_counting_bound", ends_counting_bound,
-        "ends <= constant x max observed section count",
-        why=None if ends.stabilized else "end count did not stabilize")
-
+        for row in zip(counting["radii"], counting["means"],
+                       counting["ci95"]):
+            run.sweeps.append(("section_count_mean", *row))
+        _estimate(run, "section_count_mean", counting["means"][-1],
+                  counting["ci95"][-1], "monte_carlo",
+                  radius=counting["radii"][-1], samples=counting["samples"],
+                  seed=counting["seed"])
+        run.log += [f"counting_{key} {counting[key]}"
+                    for key in ("cells", "candidates", "pairs_tested")]
+    _add(run, "defect_counting_bound", lambda: _defect_counting_bound(run),
+         "defect <= half the 2-sphere area x mean section count",
+         minimal=False)
+    _add(run, "ends_counting_bound", lambda: _ends_counting_bound(run),
+         "ends <= constant x max observed section count",
+         why=None if run.ends.stabilized else "end count did not stabilize")
     for quantity, factor in (("ends_counting_constant", 1.0),
                              ("ends_counting_constant_nonstarlike", 2.0)):
-        estimates.append({"quantity": quantity,
-                          "value": factor * counting_bound_constant(2),
-                          "error": 0.0, "method": "closed_form"})
+        _estimate(run, quantity, factor * counting_bound_constant(2), 0.0,
+                  "closed_form")
 
-    # -- assemble -----------------------------------------------------------
-    passed = all(c["passed"] for c in checks if c["applicable"])
-    report = {
+
+def _assemble(run):
+    """The report dict, converted to JSON types in one pass."""
+    config, spec, mesh, ends = run.config, run.spec, run.spec.mesh, run.ends
+    run.report = _jsonify({
         "version": SCHEMA_VERSION,
         "generator": {"name": "mingauge", "version": __version__},
-        "config": _jsonify({
+        "config": {
             "surface": {"name": config.surface_name,
                         "params": config.surface_params,
                         "resolution": config.resolution},
-            "base_point": [float(c) for c in given],
+            "base_point": run.given,
             "levels": {"count": config.num_levels},
             "mc": None if not config.counting_enabled else {
                 "seed": config.mc_seed,
                 "samples": config.mc_samples,
                 "radii": config.mc_radii,
             },
-            "strict": bool(strict),
-        }),
+            "strict": run.strict,
+        },
         "surface": {
             "name": spec.name,
-            "params": _jsonify(spec.params),
-            "resolution": _jsonify(
-                config.resolution if isinstance(config.resolution, dict)
-                else {"preset": config.resolution}),
-            "ambient_dim": int(spec.ambient_dim),
-            "vertices": int(len(mesh.vertices)),
-            "triangles": int(len(mesh.triangles)),
+            "params": spec.params,
+            "resolution": (config.resolution
+                           if isinstance(config.resolution, dict)
+                           else {"preset": config.resolution}),
+            "ambient_dim": spec.ambient_dim,
+            "vertices": len(mesh.vertices),
+            "triangles": len(mesh.triangles),
             "truncation_radius": (None if mesh.truncation_radius is None
                                   else float(mesh.truncation_radius)),
-            "control": bool(control),
+            "control": spec.control,
             "notes": spec.notes,
-            "targets": _jsonify(spec.targets),
+            "targets": spec.targets,
         },
-        "base_point": [float(c) for c in base],
-        "estimates": _jsonify(estimates),
-        "ends": {
-            "radii": _jsonify(ends.radii),
-            "counts": _jsonify(ends.counts),
-            "bounded_counts": _jsonify(ends.bounded_counts),
-            "estimate": int(ends.stable_count),
-            "stabilized": bool(ends.stabilized),
-        },
-        "counting": None if counting is None else {
-            "radii": _jsonify(counting["radii"]),
-            "means": _jsonify(counting["means"]),
-            "ci95": _jsonify(counting["ci95"]),
-            "max_observed": int(counting["max_observed"]),
-            "samples": int(counting["samples"]),
-            "seed": int(counting["seed"]),
-            "jittered": int(counting["jittered"]),
-        },
-        "checks": checks,
-        "warnings": warnings,
-        "passed": bool(passed),
-    }
-    report["_sweeps"] = sweeps
-    report["_log_lines"] = [
-        f"ends_graph_edges {ends.graph_edges}",
-        f"ends_forest_rounds {ends.forest_rounds}",
-    ] + ([] if counting is None else [
-        f"counting_cells {counting['cells']}",
-        f"counting_candidates {counting['candidates']}",
-        f"counting_pairs_tested {counting['pairs_tested']}",
-    ])
-    return report
+        "base_point": run.base,
+        "estimates": run.estimates,
+        "ends": {"radii": ends.radii, "counts": ends.counts,
+                 "bounded_counts": ends.bounded_counts,
+                 "estimate": ends.stable_count,
+                 "stabilized": ends.stabilized},
+        "counting": None if run.counting is None else {
+            key: run.counting[key] for key in (
+                "radii", "means", "ci95", "max_observed", "samples", "seed",
+                "jittered")},
+        "checks": run.checks,
+        "warnings": run.warnings,
+        "passed": all(c["passed"] for c in run.checks if c["applicable"]),
+    })
+
+
+_STAGES = (_surface, _ends, _flux, _volume, _defect, _bounds, _counting,
+           _assemble)
+
+
+def compute_report(config: RunConfig, strict: bool = False,
+                   run: _Run | None = None) -> dict:
+    """Run every estimator and check for one surface; return the report dict.
+
+    Pure computation: no files are touched.  ``run_report`` passes a
+    ``run`` to keep the sweep rows, run.log lines and stage times.
+    """
+    run = run or _Run()
+    run.config, run.strict = config, strict
+    for stage in _STAGES:
+        start = time.perf_counter()
+        stage(run)
+        run.stage_s.append((stage.__name__[1:], time.perf_counter() - start))
+    return run.report
 
 
 def write_sweeps(rows, path) -> None:
@@ -753,32 +755,32 @@ def write_sweeps(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["quantity", "R_or_t", "value", "error"])
-        for quantity, r, value, error in rows:
-            writer.writerow([quantity, repr(float(r)), repr(float(value)),
-                             repr(float(error))])
+        for quantity, *values in rows:
+            writer.writerow([quantity, *(repr(float(v)) for v in values)])
 
 
 def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
     """Compute the report and write report.json / sweeps.csv / run.log.
 
     Returns the report dict with an added ``exit_code`` key: 0 when every
-    applicable check passed, 1 otherwise.
+    applicable check passed, 1 otherwise.  Validating and writing the
+    report is the last stage, ``write``.
     """
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = compute_report(config, strict=strict)
-    sweeps = report.pop("_sweeps")
-    work_lines = report.pop("_log_lines")
+    run = _Run()
+    report = compute_report(config, strict, run)
+    start = time.perf_counter()
     validate_report(report)
-
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_sweeps(sweeps, out_dir / "sweeps.csv")
+    write_sweeps(run.sweeps, out_dir / "sweeps.csv")
 
-    wall = time.perf_counter() - t0
+    end = time.perf_counter()
+    run.stage_s.append(("write", end - start))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     log_lines = [
         f"mingauge {__version__}",
@@ -788,9 +790,10 @@ def run_report(config: RunConfig, out_dir, strict: bool = False) -> dict:
         f"surface {config.surface_name}",
         f"seed {config.mc_seed if config.counting_enabled else 'none'}",
         f"strict {strict}",
-        f"wall_time_s {wall:.3f}",
+        f"wall_time_s {end - t0:.3f}",
         f"peak_rss_mb {rss_mb:.1f}",
-        *work_lines,
+        *run.log,
+        *(f"stage_s {name} {seconds:.6f}" for name, seconds in run.stage_s),
     ]
     (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")
 

@@ -6,7 +6,9 @@ Each run goes through the command line (``python -m mingauge.cli``) once
 per tree, with ``PYTHONPATH`` set to that tree and ``MINGAUGE_THREADS=1``.
 For reports it compares ``report.json``, ``sweeps.csv``, stdout with the
 output directory masked, the exit code and the ``run.log`` lines other than
-``wall_time_s`` and ``peak_rss_mb``; for crofton, stdout and the exit code.
+``wall_time_s`` and ``peak_rss_mb``, with the seconds of each ``stage_s
+<name> <seconds>`` line masked, so both trees must run the same stages in
+the same order; for crofton, stdout and the exit code.
 It prints one line per run and exits 1 when any output differs.  The runs:
 the six catalog surfaces at ``coarse`` and ``default`` with ``mc {seed 11}``,
 the catenoid ``coarse`` from its vertex ``[1, 0, 0]``, from 5e-5 off its
@@ -72,6 +74,7 @@ CROFTON = [
     ("crofton-cap-1.2", ["--set", "cap", "--angle", "1.2"]),
 ]
 UNTIMED = ("wall_time_s ", "peak_rss_mb ")
+STAGE = "stage_s "  # its seconds are masked, its stage name kept
 
 
 def _run(src, args, out):
@@ -87,8 +90,10 @@ def _run(src, args, out):
         if path.exists():
             text = path.read_text()
             if name == "run.log":
-                text = "".join(line for line in text.splitlines(True)
-                               if not line.startswith(UNTIMED))
+                text = "".join(
+                    line.rsplit(" ", 1)[0] + "\n" if line.startswith(STAGE)
+                    else line for line in text.splitlines(True)
+                    if not line.startswith(UNTIMED))
             got[name] = text
     return got
 

@@ -686,7 +686,7 @@ def test_sections_drawn_per_block_count_like_one_draw(coarse, monkeypatch,
                                                       name):
     # the planted sections (through a vertex, along an edge, parallel to a
     # triangle) replace drawn ones in different blocks of 32 sections; with
-    # the frames drawn 50 at a time as the count reaches them, the counts,
+    # the frames drawn block by block as the count reaches them, the counts,
     # the sections with undecided pairs and the generator's final state are
     # those of frames drawn in one call.  Each planted section through a
     # vertex or along an edge has undecided pairs; on the catenoid the two
@@ -725,7 +725,7 @@ def test_sections_drawn_per_block_count_like_one_draw(coarse, monkeypatch,
     take = draws.take
     draws.take = lambda m: taken.append(m) or take(m)
     got = ig._count_sections(mesh, base, draws, radii)
-    assert taken == [32] * 9 + [12] and drawn == [50] * 6
+    assert taken == [32] * 9 + [12] and drawn == [32] * 9 + [12]
     assert got.jittered == want.jittered == {"catenoid": 4,
                                              "complex_parabola_r4": 6}[name]
     assert got.counts.tobytes() == want.counts.tobytes()

@@ -199,6 +199,23 @@ def test_reports_are_byte_identical(plane_runs):
     assert "forest_rounds" not in report_text
 
 
+def test_run_log_times_each_stage(plane_runs):
+    # one stage_s line per stage, in the order they ran; together they
+    # cover the run's wall time, and report.json holds none of them
+    for out in plane_runs:
+        lines = (out / "run.log").read_text().splitlines()
+        stages = [line.split(" ")[1:] for line in lines
+                  if line.startswith("stage_s ")]
+        assert [name for name, _ in stages] == [
+            "surface", "ends", "flux", "volume", "defect", "bounds",
+            "counting", "assemble", "write"]
+        seconds = [float(value) for _, value in stages]
+        assert min(seconds) >= 0
+        wall = float(dict(line.split(" ", 1) for line in lines)["wall_time_s"])
+        assert 0.95 * wall <= sum(seconds) <= wall + 0.001
+        assert "stage_s" not in (out / "report.json").read_text()
+
+
 def test_report_validates_against_shipped_schema(plane_runs):
     report = json.loads((plane_runs[0] / "report.json").read_text())
     jsonschema.validate(report, report_schema())
@@ -807,6 +824,30 @@ def test_cli_crofton_flags_exit_2(args, flag):
     assert proc.returncode == 2
     assert f"config error at {flag}:" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_cli_unexpected_error_exits_3_without_a_traceback(
+        tmp_path, monkeypatch, capsys):
+    # exit 1 means a failed check, so an exception no input check foresaw
+    # ends in exit 3 and one line on stderr
+    from mingauge.cli import _THREAD_VARS, main
+
+    for var in ("MINGAUGE_THREADS", *_THREAD_VARS):  # main sets them
+        monkeypatch.setenv(var, "1")
+
+    def broken(*args):
+        raise RuntimeError("end sweep broke")
+
+    monkeypatch.setattr(report_module, "ends_estimate", broken)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"surface": {"name": "plane",
+                                           "resolution": "coarse"}}))
+    code = main(["report", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "internal error: RuntimeError: end sweep broke\n"
+    assert "Traceback" not in err
 
 
 def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
