@@ -4,6 +4,7 @@ from .types import (
     max_safe_radius,
     on_surface_tolerance,
     orthonormal_frame,
+    sphere_area,
     tangent_part,
     triangle_areas,
     wedge,
@@ -30,6 +31,7 @@ __all__ = [
     "orthonormal_frame",
     "polar_disk_mesh",
     "radial_integrals",
+    "sphere_area",
     "spherical_cap_mesh",
     "sweep_start",
     "tangent_part",

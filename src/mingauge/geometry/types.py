@@ -7,6 +7,7 @@ ambient dimension (3 or 4 in practice).  Tangent frames are arrays of shape
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gamma, pi
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,8 +61,9 @@ class SimplicialSurface:
     sides            (T,) each triangle's longest side
 
     The edge arrays, derived at construction, are the whole topology kept;
-    ``_cache`` holds only one base point's store: each pass gathers the
-    corners it needs, per block or selection, with ``corners(which)``.
+    ``_cache`` holds only one base point's store (see ``about``): each pass
+    gathers the corners it needs, per block or selection, with
+    ``corners(which)``.
     """
 
     vertices: np.ndarray
@@ -114,8 +116,12 @@ class SimplicialSurface:
         return np.take(self.vertices, self.triangles[which], axis=0)
 
     def about(self, center) -> dict:
-        """Values kept for ``center``, such as its ``"distances"`` |vertex -
-        center|; another center empties the store."""
+        """The store of values kept for the base point ``center``:
+        ``"center"``, its ``"distances"`` |vertex - center|, and as they are
+        first asked for, the ``"distance_index"`` (``levels.distance_index``),
+        the quadrature ``"table"`` (``quadrature``), ``"on_mesh"`` and the
+        ``"flux"`` traced at each level (``invariants.flux_profile``).
+        Another center empties the store."""
         center = np.asarray(center, dtype=float)
         store = self._cache.get("about")
         if store is None or not np.array_equal(store["center"], center):
@@ -165,6 +171,13 @@ class SimplicialSurface:
     @property
     def ambient_dim(self) -> int:
         return self.vertices.shape[1]
+
+
+def sphere_area(p: int) -> float:
+    """Measure of the unit sphere S^(p-1) in R^p (2, 2*pi, 4*pi, ...)."""
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    return 2.0 * pi ** (p / 2.0) / gamma(p / 2.0)
 
 
 def on_surface_tolerance(center) -> float:

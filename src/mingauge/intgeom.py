@@ -36,9 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IdentityNotApplicableError
-from .geometry import distance_index, on_mesh, on_surface_tolerance, wedge
+from .geometry import (distance_index, on_mesh, on_surface_tolerance,
+                       sphere_area, wedge)
 from .geometry.types import _BLOCK_TRIANGLES
-from .invariants import sphere_area
 
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
 _BLOCK_FRAMES = 8192  # section frames QR-factored at a time

@@ -14,7 +14,10 @@ surface point, split into its components tangent and normal to the surface:
 
 The divergence theorem ties these together.  Each estimate is computed once;
 the identity check takes the estimates themselves and does only arithmetic
-on them, so a report never re-runs an estimator to check it.  The remaining
+on them, so a report never re-runs an estimator to check it.  The flux is
+kept per level and per base point: ``flux_profile`` stores each level it
+traces in ``mesh.about(center)``, so every function here asks it for the
+levels it reads and none is traced twice from one base.  The remaining
 check_* functions compare two independent discretization routes on a concrete
 mesh (chord sums vs region integrals), so agreement is evidence of
 correctness rather than of a shared bug.  Every check_* returns the entry a
@@ -24,7 +27,6 @@ raises IdentityNotApplicableError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .geometry import (
     level_chords,
     max_safe_radius,
     radial_integrals,
+    sphere_area,
     sweep_start,
     tangent_part,
 )
@@ -42,13 +45,6 @@ from .geometry.types import triangle_centroids, triangle_frames
 from .ends import rim_vertex_mask, triangle_components
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss nodes on a segment
-
-
-def sphere_area(p: int) -> float:
-    """Measure of the unit sphere S^(p-1) in R^p (2, 2*pi, 4*pi, ...)."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    return 2.0 * pi ** (p / 2.0) / gamma(p / 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -63,6 +59,11 @@ class FluxProfile:
     chords where the sphere |x - base| = levels[k] crosses the mesh
     triangles, one per crossed triangle; errors[k] the quadrature error
     estimate for it (midpoint vs 2-point Gauss on each chord).
+
+    ``levels`` are the levels requested.  A level through a mesh vertex is
+    traced just above it (``level_chords`` snaps it up by 2.5e-9 relative,
+    again only if that lands on another vertex), so the flux there is its
+    right-hand limit.
     """
 
     levels: np.ndarray
@@ -73,15 +74,6 @@ class FluxProfile:
     def normalized(self) -> np.ndarray:
         """raw / t^2: the monotone quantity converging to projective volume."""
         return self.raw / self.levels**2
-
-    def at(self, levels) -> "FluxProfile":
-        """The profile restricted to ``levels``, each one traced here."""
-        levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        idx = np.minimum(np.searchsorted(self.levels, levels),
-                         len(self.levels) - 1)
-        if not np.array_equal(self.levels[idx], levels):
-            raise ValueError("flux profile lacks a requested level")
-        return FluxProfile(levels, self.raw[idx], self.errors[idx])
 
 
 def _segment_rule(A, B, integrand):
@@ -101,32 +93,32 @@ def _segment_rule(A, B, integrand):
 
 
 def flux_profile(mesh: SimplicialSurface, center, levels) -> FluxProfile:
-    """Sweep the sphere flux over the given radii."""
+    """Sweep the sphere flux over the given radii.
+
+    Each level is traced once per base point: its ``(raw, error)`` pair is
+    kept in ``mesh.about(center)["flux"]``, keyed by the level's value, and
+    read from there when any later call asks for it again.
+    """
     center = np.asarray(center, dtype=float)
-    levels = np.asarray(levels, dtype=float)
+    levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if len(levels) > 1 and np.any(np.diff(levels) <= 0):
         raise ValueError("flux levels must be strictly increasing")
-    raw = np.zeros(len(levels))
-    errors = np.zeros(len(levels))
-    for k, t in enumerate(levels):
+    traced = mesh.about(center).setdefault("flux", {})
+    for t in map(float, levels):
+        if t in traced:
+            continue
         tris, ends, _ = level_chords(mesh, center, t)
         if len(tris) == 0:
+            traced[t] = 0.0, 0.0
             continue
         frames = triangle_frames(mesh.corners(tris))
 
         def tang_norm(points):
             return np.linalg.norm(tangent_part(points - center, frames), axis=1)
 
-        raw[k], errors[k] = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
-    return FluxProfile(levels, raw, errors)
-
-
-def _flux_at(mesh, center, levels, profile: FluxProfile | None):
-    """The flux at ``levels``: looked up in ``profile`` when one is given,
-    so a report traces each level once, else traced here."""
-    if profile is None:
-        return flux_profile(mesh, center, levels)
-    return profile.at(levels)
+        traced[t] = _segment_rule(ends[:, 0], ends[:, 1], tang_norm)
+    pairs = np.array([traced[t] for t in map(float, levels)]).reshape(-1, 2)
+    return FluxProfile(levels, pairs[:, 0], pairs[:, 1])
 
 
 def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
@@ -142,8 +134,7 @@ def level_grid(mesh: SimplicialSurface, center, count: int = 24) -> np.ndarray:
 # headline invariants
 
 
-def projective_volume(mesh: SimplicialSurface, center,
-                      profile: FluxProfile | None = None) -> dict:
+def projective_volume(mesh: SimplicialSurface, center, count: int = 24) -> dict:
     """Projective volume via two routes: flux limit and log-growth slope.
 
     Route one extrapolates the normalized flux to infinite radius with the
@@ -151,15 +142,14 @@ def projective_volume(mesh: SimplicialSurface, center,
     (plane-like ends decay as 1/t^2, curved graphs as 1/t).  Route two fits
     integral(|x - a|^(-2)) against log(radius) and reads off the slope; from
     a base on the surface that integral diverges, so it is anchored at the
-    first fit level instead (the slope ignores the constant).  ``profile`` is
-    a flux sweep already traced; without one ``level_grid`` is traced here.
-    Disagreement between the routes, or a bad tail fit, folds into the error;
-    past 10% the estimate is flagged as truncation-limited (the surface may
-    have unbounded density, or the mesh may simply be cut too soon).
+    first fit level instead (the slope ignores the constant).  The flux is
+    swept over ``level_grid(mesh, center, count)``.  Disagreement between
+    the routes, or a bad tail fit, folds into the error; past 10% the
+    estimate is flagged as truncation-limited (the surface may have
+    unbounded density, or the mesh may simply be cut too soon).
     """
     center = np.asarray(center, dtype=float)
-    if profile is None:
-        profile = flux_profile(mesh, center, level_grid(mesh, center))
+    profile = flux_profile(mesh, center, level_grid(mesh, center, count))
     levels = profile.levels
     flux_at_rim = float(profile.normalized[-1])
     quad_err = float(profile.errors[-1] / levels[-1] ** 2)
@@ -198,21 +188,21 @@ def projective_volume(mesh: SimplicialSurface, center,
     }
 
 
-def radial_defect(mesh: SimplicialSurface, center, radius: float | None = None,
-                  profile: FluxProfile | None = None) -> dict:
+def radial_defect(mesh: SimplicialSurface, center,
+                  radius: float | None = None) -> dict:
     """Defect integral over the ball |x - center| < radius, with error bar.
 
     The integral is exact on the flat mesh, so the error is a tail proxy plus
     roundoff: the measured drop of the normalized flux over the outer half of
     the range, which scales like the part of the integral lost to
-    truncation.  ``profile`` supplies that flux when it is already traced.
+    truncation.
     """
     center = np.asarray(center, dtype=float)
     if radius is None:
         radius = max_safe_radius(mesh, center)
     value = float(radial_integrals(mesh, center, [radius], "defect").sum())
     err = 1e-14 * abs(value)  # roundoff allowance on an exact integral
-    prof = _flux_at(mesh, center, [radius / 2.0, radius], profile)
+    prof = flux_profile(mesh, center, [radius / 2.0, radius])
     tail = abs(prof.normalized[1] - prof.normalized[0]) / 2
     return {
         "value": float(value),
@@ -304,16 +294,15 @@ def check_monotonicity(profile: FluxProfile) -> dict:
 
 
 def check_flux_shell_identity(mesh: SimplicialSurface, center, t_lo: float,
-                              t_hi: float,
-                              profile: FluxProfile | None = None) -> dict:
+                              t_hi: float) -> dict:
     """Flux increment across a shell equals twice the defect inside it.
 
-    Left side: chord sums on the two spheres (looked up in ``profile``
-    when given).  Right side: the defect integral over the shell.  These
-    share no discretization machinery beyond the mesh itself.
+    Left side: chord sums on the two spheres.  Right side: the defect
+    integral over the shell.  These share no discretization machinery
+    beyond the mesh itself.
     """
     center = np.asarray(center, dtype=float)
-    prof = _flux_at(mesh, center, [t_lo, t_hi], profile)
+    prof = flux_profile(mesh, center, [t_lo, t_hi])
     lhs = float(prof.normalized[1] - prof.normalized[0])
     rhs = float(2 * radial_integrals(mesh, center, [t_lo, t_hi], "defect")[1]
                 .sum())
@@ -406,20 +395,18 @@ def check_band_area_bound(mesh: SimplicialSurface, center, bands) -> dict:
 
 
 def check_density_identity(mesh: SimplicialSurface, center, levels,
-                           boundary: dict,
-                           profile: FluxProfile | None = None) -> dict:
+                           boundary: dict) -> dict:
     """2 * area inside each sphere equals the raw flux through it.
 
     Holds for any base point provided the surface has no genuine boundary
     inside the largest ball; ``boundary`` is the ``boundary_constant``
     estimate within that ball, and if it counts any edge the check refuses
-    to run.  Reports the worst relative residual over the level sweep;
-    ``profile`` supplies the flux when it is already traced.
+    to run.  Reports the worst relative residual over the level sweep.
     """
     center = np.asarray(center, dtype=float)
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
     require_no_boundary(boundary)
-    prof = _flux_at(mesh, center, levels, profile)
+    prof = flux_profile(mesh, center, levels)
+    levels = prof.levels
     areas = np.cumsum(radial_integrals(mesh, center, levels).sum(axis=1))
     residuals = [_gap(2 * area, float(raw)) for area, raw in zip(areas, prof.raw)]
     worst = int(np.argmax(residuals))

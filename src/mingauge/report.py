@@ -456,21 +456,14 @@ def _ends(run):
 
 
 def _flux(run):
-    """Trace the flux at every level any estimate or check reads it at: the
-    sweep, the defect's tail level r_hi / 2, the density levels, the shell's
-    outer level and the outermost counting radius with its half.  Check
-    its monotonicity, which the area-flux identity gives and a genuine
-    boundary inside the ball breaks, so the boundary term is taken here."""
-    mesh, base, r_hi, config = run.spec.mesh, run.base, run.r_hi, run.config
-    run.levels = level_grid(mesh, base, config.num_levels)
-    run.density_levels = np.geomspace(0.5 * r_hi, r_hi, 4)
-    run.shell_hi = 0.7 * r_hi
-    run.r_count = config.mc_radii[-1] if config.mc_radii else r_hi
-    # return_index keeps np.unique from importing numpy.ma
-    run.flux = flux_profile(mesh, base, np.unique(np.concatenate([
-        run.levels, [0.5 * r_hi, *run.density_levels, run.shell_hi,
-                     0.5 * run.r_count, run.r_count]]), return_index=True)[0])
-    run.profile = profile = run.flux.at(run.levels)
+    """Trace the flux over the sweep; the estimators and checks that read
+    it at other levels trace those themselves, each level once per base
+    (``flux_profile`` keeps them in the mesh's store).  Check its
+    monotonicity, which the area-flux identity gives and a genuine boundary
+    inside the ball breaks, so the boundary term is taken here."""
+    mesh, base, r_hi = run.spec.mesh, run.base, run.r_hi
+    run.levels = level_grid(mesh, base, run.config.num_levels)
+    run.profile = profile = flux_profile(mesh, base, run.levels)
     for t, raw, err in zip(profile.levels, profile.raw, profile.errors):
         run.sweeps.append(("flux_normalized", t, raw / t**2, err / t**2))
     run.bnd = bnd = boundary_constant(mesh, base, within_radius=r_hi)
@@ -481,7 +474,7 @@ def _flux(run):
 def _volume(run):
     """Projective volume by both routes, and whether they agree."""
     vol = run.vol = projective_volume(run.spec.mesh, run.base,
-                                      profile=run.profile)
+                                      run.config.num_levels)
     for method, value in (("flux_limit", vol["value"]),
                           ("log_slope", vol["slope_estimate"])):
         _estimate(run, "projective_volume", value, vol["error"], method,
@@ -506,9 +499,8 @@ def _volume(run):
 def _defect(run):
     """The radial defect at the cut radius, its estimate and the boundary
     term's, and the identities that tie them to the flux."""
-    mesh, base, r_hi, bnd, flux = (run.spec.mesh, run.base, run.r_hi,
-                                   run.bnd, run.flux)
-    run.q = q = radial_defect(mesh, base, r_hi, profile=flux)
+    mesh, base, r_hi, bnd = run.spec.mesh, run.base, run.r_hi, run.bnd
+    run.q = q = radial_defect(mesh, base, r_hi)
     for quantity, est, method in (
             ("radial_defect", q, "region_quadrature"),
             ("boundary_flux_constant", bnd, "edge_quadrature")):
@@ -529,19 +521,19 @@ def _defect(run):
     # curves run almost tangent to the spheres there), so skip past them.
     # From a base on the surface or near it the sweep starts at 0.02 r_hi,
     # so the anchor is its first level past 2 d_min.
-    levels = run.levels
+    levels, shell_hi = run.levels, 0.7 * r_hi
     cleared = levels[(levels >= 2.0 * run.d_min)
-                     & (levels <= 0.5 * run.shell_hi)]
+                     & (levels <= 0.5 * shell_hi)]
     shell_lo = float(cleared[0] if cleared.size else levels[0])
     _add(run, "flux_shell_identity",
          lambda: require_no_boundary(bnd) or check_flux_shell_identity(
-             mesh, base, shell_lo, run.shell_hi, profile=flux))
+             mesh, base, shell_lo, shell_hi))
 
-    # outer-band levels (density_levels above): at small spheres the (tiny)
-    # area and flux values being compared are swamped by discretization error
+    # outer-band levels: at small spheres the (tiny) area and flux values
+    # being compared are swamped by discretization error
     _add(run, "density_identity",
-         lambda: check_density_identity(mesh, base, run.density_levels, bnd,
-                                        profile=flux))
+         lambda: check_density_identity(
+             mesh, base, np.geomspace(0.5 * r_hi, r_hi, 4), bnd))
     _add(run, "band_area_bound",
          lambda: check_band_area_bound(mesh, base, [
              (0.30 * r_hi, 0.55 * r_hi), (0.55 * r_hi, 0.85 * r_hi)]),
@@ -621,11 +613,10 @@ def _defect_counting_bound(run):
     # area times the mean count there
     if run.counting is None:
         raise run.skipped
-    r_hi, r_count = run.r_hi, run.r_count
+    r_hi, r_count = run.r_hi, run.counting["radii"][-1]
     return check_defect_counting_bound(
         run.q if abs(r_count - r_hi) <= 1e-12 * max(1.0, r_hi)
-        else radial_defect(run.spec.mesh, run.base, r_count,
-                           profile=run.flux), run.counting)
+        else radial_defect(run.spec.mesh, run.base, r_count), run.counting)
 
 
 def _ends_counting_bound(run):

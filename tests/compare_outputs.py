@@ -16,8 +16,10 @@ vertex nearest |x| = 10 and from the centroid of its triangle 2309 with the
 same mc block, and from 5e-8 off that vertex with ``mc {seed 11, samples
 2000}``, the catenoid ``coarse`` from ``[0.98, 0, 0]`` and
 ``complex_parabola_r4`` ``coarse`` from ``[0.5, 0, 0.27, 0]``, both with
-``mc {seed 11}``, the one-sided catenoid (``u_min: -2``), and crofton on the
-full sphere, the hemisphere and the cap of angle 1.2 at 50,000 lines, seed 0.
+``mc {seed 11}``, the one-sided catenoid (``u_min: -2``), the catenoid
+``coarse`` with ``mc {seed 11, samples 2000, radii [5.0, 20.0]}``, and
+crofton on the full sphere, the hemisphere and the cap of angle 1.2 at
+50,000 lines, seed 0.
 
 Not a test module: pytest collects ``test_*.py`` only.
 """
@@ -67,6 +69,11 @@ REPORTS = [
         "base_point": [0.5, 0, 0.27, 0], "mc": MC}),
     ("catenoid-u_min-2", {
         "surface": {"name": "catenoid", "params": {"u_min": -2}}}),
+    # explicit counting radii: the defect at the outermost one reads the
+    # flux at two levels off the sweep
+    ("catenoid-coarse-mc-radii", {
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "mc": {"seed": 11, "samples": 2000, "radii": [5.0, 20.0]}}),
 ]
 CROFTON = [
     ("crofton-full", ["--set", "full"]),

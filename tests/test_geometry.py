@@ -684,7 +684,9 @@ def test_level_chords_snap_like_a_scan_of_every_vertex(coarse):
 
 
 def report_levels(mesh, base):
-    """Every level a report traces the flux at (see compute_report)."""
+    """Every level a report without mc.radii traces the flux at: the sweep,
+    the density levels (the first is the defect's tail level) and the
+    shell's outer level (see report._flux and report._defect)."""
     r_hi = max_safe_radius(mesh, base)
     return np.union1d(level_grid(mesh, base, 24),
                       [*np.geomspace(0.5 * r_hi, r_hi, 4), 0.7 * r_hi])

@@ -26,6 +26,8 @@ Deterministic oracles:
   a count settles, gets the hits of a Cramer solve in rationals alone, ties
   broken by the same symbolic shift (counting_oracle.py)
 """
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,6 +112,16 @@ def test_counting_bound_constant_two_routes():
         assert abs(a - b) <= 1e-12 * abs(a)
     with pytest.raises(ValueError):
         ig.counting_bound_constant(2, route="volume")
+
+
+def test_intgeom_loads_neither_invariants_nor_ends():
+    # crofton imports intgeom alone; the radial invariants and the end count
+    # are not on its path
+    code = ("import sys, mingauge.intgeom; print(sorted(m for m in ("
+            "'mingauge.invariants', 'mingauge.ends') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("n,p", [(3, 2), (4, 2)])

@@ -65,6 +65,47 @@ def test_flux_below_surface_is_flagged_empty(catenoid_coarse):
                          [2.0, 1.0])
 
 
+def test_flux_at_a_vertex_ring_is_its_right_hand_limit(catenoid_coarse):
+    # a whole ring of vertices lies at one distance, and the chord flux jumps
+    # across it; the snap in level_chords traces just above the ring, so the
+    # flux there is the right-hand limit, not a value set by rounding
+    mesh, base = catenoid_coarse.mesh, catenoid_coarse.base_point
+    f = mesh.about(base)["distances"]
+    t = float(f[np.argmin(np.abs(f - 1.8365))])
+    assert np.count_nonzero(np.abs(f - t) <= 1e-9 * t) == 96
+    at, above, below = (inv.flux_profile(mesh, base, [t * s]).raw[0]
+                        for s in (1.0, 1 + 5e-9, 1 - 5e-9))
+    assert abs(at - above) <= 1e-8 * abs(above)
+    assert abs(at - below) > 1e-3 * abs(at)
+
+
+def fresh(mesh):
+    """A copy of ``mesh`` with an empty store."""
+    return SimplicialSurface(mesh.vertices, mesh.triangles,
+                             mesh.truncation_radius, mesh.name)
+
+
+def test_flux_store_never_returns_a_stale_center(catenoid_coarse):
+    mesh = fresh(catenoid_coarse.mesh)
+    levels = [2.0, 3.0, 5.0, 12.0]
+    centers = [np.zeros(3), np.array([1.0, 0.0, 0.0])]
+    for center in [*centers, centers[0]]:
+        got = inv.flux_profile(mesh, center, levels)
+        want = inv.flux_profile(fresh(mesh), center, levels)
+        assert got.raw.tobytes() == want.raw.tobytes()
+        assert got.errors.tobytes() == want.errors.tobytes()
+
+
+def test_radial_defect_bits_do_not_depend_on_the_sweep(catenoid_coarse):
+    # before or after the report's sweep, the defect reads the same flux
+    mesh, base = catenoid_coarse.mesh, catenoid_coarse.base_point
+    first = inv.radial_defect(fresh(mesh), base)
+    after = fresh(mesh)
+    inv.flux_profile(after, base, inv.level_grid(after, base))
+    inv.projective_volume(after, base)
+    assert inv.radial_defect(after, base) == first
+
+
 def test_plane_volume_to_1e3(plane_default):
     out = inv.projective_volume(plane_default.mesh, plane_default.base_point)
     assert out["method"] == "flux_limit"
@@ -327,8 +368,8 @@ def test_scaling_invariance(catenoid_coarse):
     p0 = inv.flux_profile(m, a, levels)
     p1 = inv.flux_profile(doubled, 2.0 * a, 2.0 * levels)
     np.testing.assert_allclose(p1.normalized, p0.normalized, rtol=1e-10)
-    v0 = inv.projective_volume(m, a, profile=p0)
-    v1 = inv.projective_volume(doubled, 2.0 * a, profile=p1)
+    v0 = inv.projective_volume(m, a, 12)
+    v1 = inv.projective_volume(doubled, 2.0 * a, 12)
     assert v1["value"] == pytest.approx(v0["value"], rel=1e-10)
     q0 = inv.radial_defect(m, a, radius=float(levels[-1]))
     q1 = inv.radial_defect(doubled, 2.0 * a, radius=2.0 * float(levels[-1]))

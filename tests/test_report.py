@@ -556,9 +556,32 @@ def test_on_surface_base_ends_sweep_clears_the_neck(neck_report):
     assert ends["applicable"] and ends["passed"]
 
 
+def traced_levels(monkeypatch):
+    """The levels ``invariants.level_chords`` is asked for, in call order."""
+    from mingauge import invariants
+
+    levels, trace = [], invariants.level_chords
+
+    def recorded(mesh, center, level):
+        levels.append(float(level))
+        return trace(mesh, center, level)
+
+    monkeypatch.setattr(invariants, "level_chords", recorded)
+    return levels
+
+
+def report_sweep(config):
+    """The report's flux sweep of ``config`` and its cut radius r_hi."""
+    spec = build_surface(config.surface_name, config.surface_params,
+                         config.resolution)
+    levels = level_grid(spec.mesh, spec.base_point, config.num_levels)
+    return levels, float(levels[-1])
+
+
 def test_report_estimates_each_quantity_once(monkeypatch):
     # the identity and bound checks are arithmetic on the report's own
-    # estimates, so no estimator runs again to check them
+    # estimates, so no estimator runs again to check them, and the flux is
+    # traced once at each level the estimators and checks read
     from mingauge import intgeom, invariants, report as report_module
 
     calls = {}
@@ -569,29 +592,36 @@ def test_report_estimates_each_quantity_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("radial_defect", "flux_profile", "boundary_constant"):
+    for name in ("radial_defect", "boundary_constant"):
         original = getattr(invariants, name)
         for module in (invariants, intgeom, report_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, original))
-    report = compute_report(parse_config({
+    traced = traced_levels(monkeypatch)
+    config = parse_config({
         "surface": {"name": "catenoid", "resolution": "coarse"},
-    }))
+    })
+    report = compute_report(config)
     assert calls["radial_defect"] == 1
-    assert calls["flux_profile"] == 1
     assert calls["boundary_constant"] == 1
+    # the sweep, the defect's tail level, the density levels and the
+    # shell's outer level
+    sweep, r_hi = report_sweep(config)
+    assert len(traced) == len(set(traced))
+    assert set(traced) == {*map(float, sweep), 0.5 * r_hi, 0.7 * r_hi,
+                           *map(float, np.geomspace(0.5 * r_hi, r_hi, 4))}
     defect = next(e for e in report["estimates"]
                   if e["quantity"] == "radial_defect")
     ident = {c["name"]: c for c in report["checks"]}["defect_volume_identity"]
     assert ident["detail"]["lhs"] == 2 * defect["value"]
 
 
-def test_counting_defect_reads_the_report_sweep(monkeypatch):
+def test_counting_defect_traces_only_its_tail_level(monkeypatch):
     # with explicit mc.radii the defect at the outermost counting radius
-    # takes its tail flux from the one sweep instead of tracing it again
+    # traces the flux there and at its half, and no level twice
     from mingauge import invariants, report as report_module
 
-    calls = {"flux_profile": 0, "radial_defect": 0}
+    calls = {"radial_defect": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -603,12 +633,19 @@ def test_counting_defect_reads_the_report_sweep(monkeypatch):
         wrapper = counted(name, getattr(invariants, name))
         for module in (invariants, report_module):
             monkeypatch.setattr(module, name, wrapper)
-    report = compute_report(parse_config({
+    traced = traced_levels(monkeypatch)
+    config = parse_config({
         "surface": {"name": "catenoid", "params": {"u_min": -2.0},
                     "resolution": "coarse"},
         "mc": {"seed": 11, "samples": 200, "radii": [5.0, 20.0]},
-    }))
-    assert calls == {"flux_profile": 1, "radial_defect": 2}
+    })
+    report = compute_report(config)
+    assert calls == {"radial_defect": 2}
+    # the genuine boundary refuses the shell and density identities before
+    # they trace their levels
+    sweep, r_hi = report_sweep(config)
+    assert len(traced) == len(set(traced))
+    assert set(traced) == {*map(float, sweep), 0.5 * r_hi, 10.0, 20.0}
     bound = {c["name"]: c for c in report["checks"]}["defect_counting_bound"]
     assert bound["detail"]["radius"] == 20.0
 
