@@ -620,6 +620,10 @@ def spherical_region(kind: str, angle: float | None = None,
 
     A ``ConfigError`` names the ``mingauge crofton`` flag at fault.
     """
+    if angle is not None and kind in ("full", "hemisphere"):
+        raise ConfigError("angle", f"only a cap takes an angle, not {kind}")
+    if sectors < 3:
+        raise ConfigError("sectors", "must be at least 3")
     if kind == "full":
         return icosphere(3, 1.0, (0.0, 0.0, 0.0), name="sphere_full")
     if kind == "hemisphere":
@@ -630,8 +634,6 @@ def spherical_region(kind: str, angle: float | None = None,
         raise ConfigError("angle", "cap requires an angle")
     elif not 0 < angle <= np.pi:
         raise ConfigError("angle", "must lie in (0, pi]")
-    if sectors < 3:
-        raise ConfigError("sectors", "must be at least 3")
     _check_budget({"rings": 36, "sectors": sectors}, "sectors")
     try:
         return spherical_cap_mesh(float(angle), rings=36, sectors=sectors,

@@ -11,7 +11,8 @@ G(min(rho_edge, sigma)), G the radial antiderivative: G(sigma) times the
 angle at the foot (an atan2) where the outer edge leaves the disk, an edge
 integral where it stays inside (closed form for area and defect, 12-point
 Gauss-Legendre for the inverse power).  Only triangles straddling a sphere
-are clipped.  Roundoff heights (a base on the surface) read as h = 0: the
+are clipped.  A height or in-plane distance within ``on_surface_tolerance``
+of the base (a base on the surface, as ``on_mesh`` reads it) reads as 0: the
 defect vanishes there and the inverse power's first ball diverges (``inf``).
 
 Each base point has one table in the mesh's store: every triangle's squared
@@ -36,8 +37,6 @@ from .types import (_BLOCK_TRIANGLES, _NEAR_SURFACE, max_safe_radius,
                     wedge)
 
 KINDS = ("area", "inverse_power", "defect")
-# heights below this fraction of the corners' distance are roundoff
-_FLAT = 1e-12
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
@@ -178,7 +177,8 @@ def _corners_in_plane(corners, center):
 def _in_plane_block(corners, center):
     """``_corners_in_plane``'s in-plane corners, squared heights and squared
     nearest / farthest distances of ``corners`` about ``center``, each step
-    elementwise."""
+    elementwise.  A height or in-plane distance to the triangle at most the
+    on-surface tolerance reads as 0, so a nearest distance is 0 or past it."""
     P, x, frames = _corners_in_plane(corners, center)
     centroid = triangle_centroids(corners) - center
     X, Y = P, P.take([1, 2, 0], axis=1)  # the next corner, as np.roll(P, -1)
@@ -187,21 +187,22 @@ def _in_plane_block(corners, center):
     h2 = _dot(normal, normal)
     d2 = _dot(x, x)
     far2 = np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2])
-    flat2 = _FLAT * _FLAT * far2
-    h2[h2 <= flat2] = 0.0
+    tol2 = on_surface_tolerance(center) ** 2
+    h2[h2 <= tol2] = 0.0
     # in-plane distance from the foot to the closed triangle
     D = Y - X
     near = X + np.clip(-_dot(X, D) / _dot(D, D), 0.0, 1.0)[..., None] * D
     e2 = _dot(near, near)
     foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
     inside = _cross(X, Y) >= 0.0
-    foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
+    foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= tol2)] = 0.0
     return P, h2, h2 + foot2, far2
 
 
 def on_mesh(mesh, center) -> tuple[float, int]:
     """``(distance, sheets)`` of ``center``, kept in the mesh's store: the
-    distance to the closed triangles (``_in_plane_block``'s) within the reach
+    distance to the closed triangles (``_in_plane_block``'s, 0 within the
+    on-surface tolerance) within the reach
     ``_NEAR_SURFACE * max_safe_radius`` or the on-surface tolerance, else
     ``inf``; and ``round(theta / 2 pi)``, theta the angles at ``center`` of the
     triangles within the tolerance: a corner's, pi on a side, else 2 pi."""

@@ -181,7 +181,11 @@ def sphere_area(p: int) -> float:
 
 
 def on_surface_tolerance(center) -> float:
-    """1e-9 (1 + |center|): a vertex this near ``center`` is ``center``."""
+    """1e-9 (1 + |center|), the one roundoff bound on where the base sits.
+    The quadrature reads heights and in-plane distances within it as 0,
+    ``on_mesh`` counts the sheets within it, counting refuses a base that
+    near the mesh, and the report's outermost counting radius must pass
+    it."""
     return 1e-9 * (1.0 + float(np.linalg.norm(center)))
 
 

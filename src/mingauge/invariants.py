@@ -336,17 +336,6 @@ def check_defect_volume_identity(defect: dict, flux_normalized: float,
             "boundary_constant": boundary}
 
 
-def preimage_count_residual(volume: float, defect: float,
-                            preimages: int) -> float:
-    """Residual of volume = 2 * defect + preimages * sphere_area(2).
-
-    Pure arithmetic on already-known values; use with closed-form inputs
-    (e.g. a flat plane through the base point: volume 2*pi, defect 0, one
-    preimage) or with independently estimated ones.
-    """
-    return abs(volume - 2 * defect - preimages * sphere_area(2))
-
-
 def check_band_area_bound(mesh: SimplicialSurface, center, bands) -> dict:
     """Any component crossing a whole shell has area >= the width bound.
 

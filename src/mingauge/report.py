@@ -398,7 +398,9 @@ def _estimate(run, quantity, value, error, method, **extra):
 
 
 def _surface(run):
-    """Build the surface, place the base point on it and check minimality."""
+    """Build the surface, check the base point against it, count the
+    sheets through the base and check minimality.  The base is used as
+    given."""
     config = run.config
     run.spec = spec = build_surface(config.surface_name, config.surface_params,
                                     config.resolution)
@@ -437,12 +439,8 @@ def _surface(run):
                           f"{config.mc_radii[-1]:.6g} must exceed "
                           f"{max(d_min, tol):.6g}, the larger of the nearest "
                           "vertex's distance and the on-surface tolerance")
-    run.given, run.r_hi, run.d_min = base, r_hi, d_min
-    if d_min <= tol:
-        # a base within roundoff of a vertex is that vertex, as the
-        # quadrature reads roundoff heights as zero
-        base = mesh.vertices[np.argmin(mesh.about(base)["distances"])]
-    run.base, run.sheets = base, on_mesh(mesh, base)[1]
+    run.base, run.r_hi, run.d_min = base, r_hi, d_min
+    run.sheets = on_mesh(mesh, base)[1]
     _add(run, "minimal_surface", lambda: verify_minimality(spec.chart),
          "mean curvature of the exact chart vanishes to tolerance")
 
@@ -681,7 +679,7 @@ def _assemble(run):
             "surface": {"name": config.surface_name,
                         "params": config.surface_params,
                         "resolution": config.resolution},
-            "base_point": run.given,
+            "base_point": run.base,
             "levels": {"count": config.num_levels},
             "mc": None if not config.counting_enabled else {
                 "seed": config.mc_seed,

@@ -12,14 +12,16 @@ the same order; for crofton, stdout and the exit code.
 It prints one line per run and exits 1 when any output differs.  The runs:
 the six catalog surfaces at ``coarse`` and ``default`` with ``mc {seed 11}``,
 the catenoid ``coarse`` from its vertex ``[1, 0, 0]``, from 5e-5 off its
-vertex nearest |x| = 10 and from the centroid of its triangle 2309 with the
-same mc block, and from 5e-8 off that vertex with ``mc {seed 11, samples
-2000}``, the catenoid ``coarse`` from ``[0.98, 0, 0]`` and
-``complex_parabola_r4`` ``coarse`` from ``[0.5, 0, 0.27, 0]``, both with
-``mc {seed 11}``, the one-sided catenoid (``u_min: -2``), the catenoid
-``coarse`` with ``mc {seed 11, samples 2000, radii [5.0, 20.0]}``, and
-crofton on the full sphere, the hemisphere and the cap of angle 1.2 at
-50,000 lines, seed 0.
+vertex nearest |x| = 10, from the centroid of its triangle 2309 and from
+that centroid moved 1e-10 along the triangle's unit normal, with the same mc
+block, and from 5e-8 off that vertex with ``mc {seed 11, samples 2000}``,
+the catenoid ``coarse`` from ``[0.98, 0, 0]`` and ``complex_parabola_r4``
+``coarse`` from ``[0.5, 0, 0.27, 0]`` and from 1e-10 off the midpoint of its
+interior edge 5639, all three with ``mc {seed 11}``, the one-sided catenoid
+(``u_min: -2``), the catenoid ``coarse`` with ``mc {seed 11, samples 2000,
+radii [5.0, 20.0]}``, and crofton on the full sphere, the hemisphere and the
+cap of angle 1.2 at 50,000 lines, seed 0.  ``--work DIR`` is made if it is
+missing.
 
 Not a test module: pytest collects ``test_*.py`` only.
 """
@@ -59,6 +61,17 @@ REPORTS = [
         "surface": {"name": "catenoid", "resolution": "coarse"},
         "base_point": [9.040021026087006, 3.272493750788428,
                        -2.953900486594732], "mc": MC}),
+    # bases within the on-surface tolerance of the mesh: the centroid above
+    # moved 1e-10 along the triangle's unit normal, and the midpoint of
+    # interior edge 5639 moved 1e-10 along a unit normal of its triangle 3652
+    ("catenoid-triangle-1e-10", {
+        "surface": {"name": "catenoid", "resolution": "coarse"},
+        "base_point": [9.040021026076937, 3.2724937507850105,
+                       -2.9539004866941654], "mc": MC}),
+    ("parabola-edge-1e-10", {
+        "surface": {"name": "complex_parabola_r4", "resolution": "coarse"},
+        "base_point": [0.7639324785087028, 0.19135512437684618,
+                       0.5456559503774957, 0.29165918184400347], "mc": MC}),
     # bases near the surface, as tests/test_intgeom.py _NEAR_SURFACE: corner
     # caps tested against every line, and triangle groups passing every 2-plane
     ("catenoid-coarse-near-surface", {
@@ -137,6 +150,8 @@ def main() -> int:
                              "temporary one, removed afterwards)")
     args = parser.parse_args()
     trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
+    if args.work is not None:
+        args.work.mkdir(parents=True, exist_ok=True)
     differ = 0
     with tempfile.TemporaryDirectory(dir=args.work) as work:
         for run in REPORTS + CROFTON:

@@ -17,8 +17,8 @@ made anew for any selection must match them byte for byte.
 """
 import numpy as np
 
-from mingauge.geometry import triangle_areas
-from mingauge.geometry.quadrature import _GL_U, _GL_W, _FLAT, _cross, _dot
+from mingauge.geometry import on_surface_tolerance, triangle_areas
+from mingauge.geometry.quadrature import _GL_U, _GL_W, _cross, _dot
 from levels_oracle import decompose_radial
 from meshing_oracle import whole_corners, whole_frames
 
@@ -192,14 +192,14 @@ def in_plane_one_pass(mesh, center):
     h2 = _dot(normal, normal)
     d2 = _dot(x, x)
     far2 = np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2])
-    flat2 = _FLAT * _FLAT * far2
-    h2[h2 <= flat2] = 0.0
+    tol2 = on_surface_tolerance(center) ** 2
+    h2[h2 <= tol2] = 0.0
     D = Y - X
     near = X + np.clip(-_dot(X, D) / _dot(D, D), 0.0, 1.0)[..., None] * D
     e2 = _dot(near, near)
     foot2 = np.minimum(np.minimum(e2[:, 0], e2[:, 1]), e2[:, 2])
     inside = _cross(X, Y) >= 0.0
-    foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= flat2)] = 0.0
+    foot2[(inside[:, 0] & inside[:, 1] & inside[:, 2]) | (foot2 <= tol2)] = 0.0
     return P, h2, h2 + foot2, far2
 
 

@@ -32,12 +32,12 @@ from mingauge.intgeom import (
 from mingauge.invariants import (
     boundary_constant,
     check_band_area_bound,
+    check_defect_volume_identity,
     check_density_identity,
     check_monotonicity,
     flux_profile,
     level_grid,
     max_safe_radius,
-    preimage_count_residual,
     projective_volume,
     radial_defect,
     sphere_area,
@@ -123,13 +123,16 @@ def test_criterion_03_plane_closed_form(default):
     v_rel = abs(vol["value"] - 2 * np.pi) / (2 * np.pi)
     q_rel = abs(q["value"] - np.pi) / np.pi
     # on-surface base point: volume = 2 x defect + (preimages) x circle
-    # length, all known exactly for a plane through the base point
-    residual = preimage_count_residual(2 * np.pi, 0.0, 1)
-    ok = v_rel <= 1e-3 and q_rel <= 1e-3 and residual <= 1e-10
+    # length, all known exactly for a plane through the base point; the
+    # defect identity with no boundary and the volume as the flux
+    gap = check_defect_volume_identity({"value": 0.0, "radius": np.inf},
+                                       2 * np.pi, {"value": 0.0},
+                                       1)["detail"]["rel_gap"]
+    ok = v_rel <= 1e-3 and q_rel <= 1e-3 and gap <= 1e-10
     assert verdict(3, ok,
                    f"plane V rel err {v_rel:.2e} <= 1e-3, "
                    f"Q rel err {q_rel:.2e} <= 1e-3, "
-                   f"on-surface closed-form residual {residual:.1e} <= 1e-10")
+                   f"on-surface closed-form rel_gap {gap:.1e} <= 1e-10")
 
 
 # --------------------------------------------------------------------------

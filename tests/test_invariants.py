@@ -285,12 +285,20 @@ def test_boundary_constant_flat_annulus_sign():
 
 
 def test_preimage_relation_closed_forms():
+    # the defect identity on closed forms, with no boundary and the volume
+    # (the flux at infinite radius) as the flux: volume = 2 * defect +
+    # preimages * 2 pi
+    def rel_gap(volume, defect, preimages):
+        return inv.check_defect_volume_identity(
+            {"value": defect, "radius": np.inf}, volume, {"value": 0.0},
+            preimages)["detail"]["rel_gap"]
+
     # plane through the base point: volume 2*pi, defect 0, one preimage
-    assert inv.preimage_count_residual(2 * np.pi, 0.0, 1) <= 1e-10
+    assert rel_gap(2 * np.pi, 0.0, 1) <= 1e-10
     # two transverse planes through it
-    assert inv.preimage_count_residual(4 * np.pi, 0.0, 2) <= 1e-10
+    assert rel_gap(4 * np.pi, 0.0, 2) <= 1e-10
     # plane not through it: volume 2*pi, defect pi, zero preimages
-    assert inv.preimage_count_residual(2 * np.pi, np.pi, 0) <= 1e-10
+    assert rel_gap(2 * np.pi, np.pi, 0) <= 1e-10
 
 
 def test_density_identity_grid(catenoid_coarse, plane_coarse):

@@ -28,6 +28,7 @@ from mingauge.catalog import build_surface, catalog_names
 from mingauge.ends import ends_estimate
 from mingauge.errors import ConfigError
 from mingauge.geometry import on_mesh
+from mingauge.geometry.types import triangle_frames
 from mingauge.invariants import level_grid
 from mingauge.report import (
     _conforms,
@@ -465,6 +466,59 @@ def test_base_inside_a_triangle_or_on_an_edge_counts_its_sheet(tmp_path,
         assert report["exit_code"] == 0
 
 
+@pytest.fixture(scope="module")
+def identity_run(tmp_path_factory):
+    """``run(name, base)``: the exit code, sheets and defect identity
+    ``rel_gap`` of a ``coarse`` report from ``base`` with no mc block; each
+    base runs once."""
+    runs = {}
+
+    def run(name, base):
+        key = (name, tuple(base))
+        if key not in runs:
+            config = parse_config({
+                "surface": {"name": name, "resolution": "coarse"},
+                "base_point": list(base)})
+            report = run_report(config, tmp_path_factory.mktemp("near"))
+            ident = {c["name"]: c for c in report["checks"]}[
+                "defect_volume_identity"]
+            runs[key] = (report["exit_code"],
+                         ident["detail"]["on_surface_multiplicity"],
+                         ident["detail"]["rel_gap"])
+        return runs[key]
+
+    return run
+
+
+@pytest.mark.parametrize("name, where, index, offset", [
+    ("catenoid", "triangle", 2309, 1e-12),
+    ("catenoid", "triangle", 2309, 1e-10),
+    ("catenoid", "triangle", 2309, 1e-9),
+    ("catenoid", "edge", 10000, 1e-10),
+    ("complex_parabola_r4", "edge", 5639, 1e-10),
+])
+def test_base_within_the_tolerance_reads_as_on_the_mesh(
+        coarse, identity_run, name, where, index, offset):
+    # a base this far off a triangle's centroid or an interior edge's
+    # midpoint, along a unit normal of that triangle (of the edge's first
+    # one), lies within the on-surface tolerance 1e-9 (1 + |a|): its sheet
+    # is counted and the quadrature reads its height as 0, so the defect
+    # near the base is not counted a second time (the identity missed by
+    # rel_gap 0.50 when it was)
+    mesh = coarse(name).mesh
+    tri = index
+    if where == "edge":
+        ends = mesh.interior_edges[index]
+        tri = np.flatnonzero(np.isin(mesh.triangles, ends).sum(axis=1) == 2)[0]
+    base = (mesh.corners(index).mean(axis=0) if where == "triangle"
+            else mesh.vertices[ends].mean(axis=0))
+    normal = np.linalg.svd(triangle_frames(mesh.corners([tri]))[0])[2][2]
+    exit_code, sheets, gap = identity_run(
+        name, (base + offset * normal).tolist())
+    assert (exit_code, sheets) == (0, 1)
+    assert gap == pytest.approx(identity_run(name, base.tolist())[2], abs=1e-6)
+
+
 def test_base_on_the_mesh_boundary_counts_no_whole_sheet(tmp_path):
     # a vertex of the one-sided catenoid's inner rim (u_min -2): the angles
     # of its triangles there sum to 0.48 of 2 pi, which rounds to 0 sheets
@@ -848,6 +902,11 @@ def test_cli_crofton_usage_errors():
     (["--set", "hemisphere", "--sectors", "2"], "sectors"),
     (["--set", "hemisphere", "--sectors", "-4"], "sectors"),
     (["--set", "hemisphere", "--sectors", "100000"], "sectors"),  # budget
+    # an angle the region does not take, and too few sectors for any
+    # region, are refused, not ignored
+    (["--set", "full", "--angle", "5"], "angle"),
+    (["--set", "hemisphere", "--angle", "0.3"], "angle"),
+    (["--set", "full", "--sectors", "1"], "sectors"),
     (["--set", "full", "--samples", "99"], "samples"),
     (["--set", "full", "--samples", "1000001"], "samples"),
     (["--set", "full", "--seed", "-1"], "seed"),
