@@ -902,14 +902,14 @@ def test_cli_crofton_usage_errors():
     (["--set", "hemisphere", "--sectors", "2"], "sectors"),
     (["--set", "hemisphere", "--sectors", "-4"], "sectors"),
     (["--set", "hemisphere", "--sectors", "100000"], "sectors"),  # budget
+    (["--set", "full", "--samples", "99"], "samples"),
+    (["--set", "full", "--samples", "1000001"], "samples"),
+    (["--set", "full", "--seed", "-1"], "seed"),
     # an angle the region does not take, and too few sectors for any
     # region, are refused, not ignored
     (["--set", "full", "--angle", "5"], "angle"),
     (["--set", "hemisphere", "--angle", "0.3"], "angle"),
     (["--set", "full", "--sectors", "1"], "sectors"),
-    (["--set", "full", "--samples", "99"], "samples"),
-    (["--set", "full", "--samples", "1000001"], "samples"),
-    (["--set", "full", "--seed", "-1"], "seed"),
 ])
 def test_cli_crofton_flags_exit_2(args, flag):
     # each of these ended in a traceback, with exit 1
