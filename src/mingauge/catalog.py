@@ -614,18 +614,24 @@ def build_surface(name: str, params: dict | None = None,
 
 
 def spherical_region(kind: str, angle: float | None = None,
-                     sectors: int = 256) -> SimplicialSurface:
+                     sectors: int | None = None) -> SimplicialSurface:
     """Subsets of the unit sphere used by the line-counting identities: the
-    icosphere of 3 subdivisions, or a cap meshed with 36 rings.
+    icosphere of 3 subdivisions, or a hemisphere or cap meshed with 36 rings
+    of ``sectors`` cells (96 when not given).
 
     A ``ConfigError`` names the ``mingauge crofton`` flag at fault.
     """
     if angle is not None and kind in ("full", "hemisphere"):
         raise ConfigError("angle", f"only a cap takes an angle, not {kind}")
-    if sectors < 3:
+    if sectors is not None and sectors < 3:
         raise ConfigError("sectors", "must be at least 3")
     if kind == "full":
+        if sectors is not None:
+            raise ConfigError("sectors", "only a hemisphere or a cap takes "
+                              "sectors, not full")
         return icosphere(3, 1.0, (0.0, 0.0, 0.0), name="sphere_full")
+    if sectors is None:
+        sectors = 96
     if kind == "hemisphere":
         angle = np.pi / 2
     elif kind != "cap":

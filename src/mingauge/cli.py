@@ -13,6 +13,8 @@ pool spins a core.  A second thread costs wall time too: n = 4 counting at
 50,000 samples took 1.73 s with ``MINGAUGE_THREADS=2`` against 1.44 s at one
 thread (BENCH_16.json), and the helicoid benchmark report 0.70 s against
 0.58 s (BENCH_18.json), on a 2-core x86-64 host.
+The cap no longer reaches the section frames: their QR is elementwise numpy
+(``intgeom._signed_qr_frames``), with no BLAS or LAPACK call.
 The cap must land in the environment before numpy is first imported, which
 is why this module and the package root import nothing numerical at module
 scope.
@@ -77,9 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of random lines (default 100000)")
     cro.add_argument("--seed", type=int, required=True,
                      help="random seed (runs are reproducible)")
-    cro.add_argument("--sectors", type=int, default=96,
+    cro.add_argument("--sectors", type=int, default=None,
                      help="azimuthal sectors of the hemisphere and cap "
-                          "meshes, whose 36 rings are fixed (default 96)")
+                          "meshes, whose 36 rings are fixed (default 96; "
+                          "refused for --set full)")
     return parser
 
 

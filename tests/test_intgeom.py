@@ -26,6 +26,7 @@ Deterministic oracles:
   a count settles, gets the hits of a Cramer solve in rationals alone, ties
   broken by the same symbolic shift (counting_oracle.py)
 """
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -137,17 +138,72 @@ def test_grassmann_frames_orthonormal(n, p, rng):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_blockwise_frames_equal_one_qr_call(n):
-    # QR-factoring block by block, across a block edge, gives the frames
-    # one stacked call gives, bit for bit
-    m = 2 * ig._BLOCK_FRAMES + 5
-    draws = np.random.default_rng(n).standard_normal((m, n, n))
-    q, r = np.linalg.qr(draws, mode="complete")
-    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    q *= sign[:, None, :]
-    sec, comp = ig._signed_qr_frames(draws, n - 2)
-    assert sec.tobytes() == np.swapaxes(q[:, :, :n - 2], 1, 2).tobytes()
-    assert comp.tobytes() == np.swapaxes(q[:, :, n - 2:], 1, 2).tobytes()
+def test_blockwise_frames_equal_one_qr_call(n, monkeypatch):
+    # the frames of any split of a stack into blocks, across a
+    # _BLOCK_FRAMES edge, equal those of one whole-stack call bit for bit,
+    # for square draws and for the (m, n, n - 2) stacks of planted
+    # directions; they agree with LAPACK's sign-fixed complete Q, an oracle
+    # that does not share those bits, and are orthonormal
+    m, k = 2 * ig._BLOCK_FRAMES + 5, n - 2
+    rng = np.random.default_rng(n)
+    for c in (n, k):
+        draws = rng.standard_normal((m, n, c))
+        blocked = ig._signed_qr_frames(draws, k)
+        cuts = [0, 7, ig._BLOCK_FRAMES + 3, m]
+        pieces = [ig._signed_qr_frames(draws[a:b], k)
+                  for a, b in zip(cuts, cuts[1:])]
+        with monkeypatch.context() as patch:
+            patch.setattr(ig, "_BLOCK_FRAMES", m)
+            whole = ig._signed_qr_frames(draws, k)
+        for i, frames in enumerate(whole):
+            assert blocked[i].tobytes() == frames.tobytes()
+            assert np.concatenate([f[i] for f in pieces]).tobytes() \
+                == frames.tobytes()
+
+        q, r = np.linalg.qr(draws, mode="complete")
+        sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        q[:, :, :c] *= np.where(sign == 0, 1.0, sign)[:, None, :]
+        sec, comp = whole
+        assert np.abs(sec - np.swapaxes(q[:, :, :k], 1, 2)).max() <= 1e-12
+        assert np.abs(comp - np.swapaxes(q[:, :, k:], 1, 2)).max() <= 1e-12
+        frame = np.concatenate([sec, comp], axis=1)
+        gram = np.einsum("mkn,mjn->mkj", frame, frame)
+        assert np.abs(gram - np.eye(n)).max() <= 1e-14
+
+
+def _openblas():
+    """Whether numpy's BLAS is OpenBLAS, whose kernel OPENBLAS_CORETYPE
+    picks."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy before 1.26 lists no dicts
+        return False
+    return "openblas" in deps.get("blas", {}).get("name", "").lower()
+
+
+def test_frames_do_not_depend_on_the_blas_kernel():
+    # the same draws hash alike under OpenBLAS's default kernel and the
+    # Prescott one forced by OPENBLAS_CORETYPE, which is read at load time
+    if not _openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS: OPENBLAS_CORETYPE does "
+                    "not pick its kernel")
+    code = ("import hashlib, numpy as np; from mingauge import intgeom as ig\n"
+            "h = hashlib.sha256()\n"
+            "for n in (3, 4):\n"
+            "    for f in ig.sample_grassmann(n, 2, 4096, "
+            "np.random.default_rng(11)):\n"
+            "        h.update(f.tobytes())\n"
+            "print(h.hexdigest())")
+    hashes = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        hashes.append(out.stdout)
+    assert hashes[0] == hashes[1]
 
 
 def test_grassmann_moments(rng):

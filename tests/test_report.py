@@ -905,11 +905,12 @@ def test_cli_crofton_usage_errors():
     (["--set", "full", "--samples", "99"], "samples"),
     (["--set", "full", "--samples", "1000001"], "samples"),
     (["--set", "full", "--seed", "-1"], "seed"),
-    # an angle the region does not take, and too few sectors for any
-    # region, are refused, not ignored
+    # an angle or a sector count the region does not take, and too few
+    # sectors for any region, are refused, not ignored
     (["--set", "full", "--angle", "5"], "angle"),
     (["--set", "hemisphere", "--angle", "0.3"], "angle"),
     (["--set", "full", "--sectors", "1"], "sectors"),
+    (["--set", "full", "--sectors", "50"], "sectors"),
 ])
 def test_cli_crofton_flags_exit_2(args, flag):
     # each of these ended in a traceback, with exit 1
