@@ -9,12 +9,14 @@ Exit codes:
 ``MINGAUGE_THREADS=k`` caps the BLAS/OpenMP thread pools at k.  Unset, each
 pool defaults to 1 thread unless its own variable (``OPENBLAS_NUM_THREADS``
 and so on) is set: at the usual sizes no stage gains from more, and an idle
-pool spins a core.  A second thread costs wall time too: n = 4 counting at
-50,000 samples took 1.73 s with ``MINGAUGE_THREADS=2`` against 1.44 s at one
-thread (BENCH_16.json), and the helicoid benchmark report 0.70 s against
-0.58 s (BENCH_18.json), on a 2-core x86-64 host.
-The cap no longer reaches the section frames: their QR is elementwise numpy
-(``intgeom._signed_qr_frames``), with no BLAS or LAPACK call.
+pool spins a core.  Counting at 50,000 samples (``tests/time_counting.py``,
+5 pairs, a 2-core x86-64 host) took a median 0.38 s at one thread and at
+OpenBLAS's default of two on the catenoid, 1.89 against 1.95 s on the
+helicoid and 1.33 against 1.34 s on complex_parabola_r4, each within the
+other's quartiles: a second thread buys no wall time.
+The cap does not reach the section frames: their Gram-Schmidt QR is
+elementwise numpy (``intgeom._signed_qr_frames``), with no BLAS or LAPACK
+call.
 The cap must land in the environment before numpy is first imported, which
 is why this module and the package root import nothing numerical at module
 scope.
@@ -170,28 +172,21 @@ def _cmd_crofton(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        _pin_threads()
-    except ConfigError as exc:
-        print(f"config error at {exc.field}: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "report": _cmd_report,
         "catalog": _cmd_catalog,
         "crofton": _cmd_crofton,
     }
     try:
+        _pin_threads()
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"config error at {exc.field}: "
-              f"{str(exc).removeprefix(exc.field + ': ')}", file=sys.stderr)
+        print(f"config error at {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # no input may end in a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -28,7 +28,7 @@ index, the hit test's Plucker vectors and largest corner distance, its corner
 cap), the cull's rims and index or groups, and the (radii, sections) counts.
 All else lives for one block: corner gathers for _BLOCK_TRIANGLES triangles,
 cap tests for _BLOCK_GATHER candidate pairs, and a block of sections with its
-frames, drawn and factored by an elementwise Householder QR as the count
+frames, drawn and factored by an elementwise Gram-Schmidt QR as the count
 reaches them (their bits depend on neither the block nor the BLAS kernel), and
 its candidates.
 """
@@ -43,7 +43,7 @@ from .geometry import (distance_index, on_mesh, on_surface_tolerance,
 from .geometry.types import _BLOCK_TRIANGLES
 
 MAX_MC_SAMPLES = 1_000_000  # random sections one count may draw
-# section frames Householder-factored at a time, which bounds the QR's arrays
+# section frames factored at a time, which bounds the Gram-Schmidt arrays
 _BLOCK_FRAMES = 8192
 _BLOCK_CANDIDATES = 100_000  # ~ culling candidates handled per block
 _BLOCK_GATHER = 8192  # candidate pairs whose coordinates are gathered at once
@@ -100,11 +100,10 @@ def sample_grassmann(n: int, p: int, count: int, rng):
     """Haar-random orthonormal section frames through the origin.
 
     Returns (sections, complements): (count, n-p, n) rows spanning each
-    section plane and (count, p, n) rows spanning its orthogonal complement:
-    the columns of the Q factor of a Gaussian (n, n) matrix, each taking the
-    sign of its R-diagonal entry.  With that sign fix Q is exactly Haar on
-    O(n) (Mezzadri, Notices AMS 54, 2007), so the frame is rotation-invariant.
-    The QR is ``_signed_qr_frames``' elementwise Householder factorization.
+    section plane and (count, p, n) rows spanning its orthogonal complement,
+    the columns of a Gaussian (n, n) matrix's Q factor with R's diagonal
+    positive (``_signed_qr_frames``).  That Q is exactly Haar on O(n)
+    (Mezzadri, Notices AMS 54, 2007), so the frame is rotation-invariant.
     """
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
@@ -112,82 +111,52 @@ def sample_grassmann(n: int, p: int, count: int, rng):
 
 
 def _signed_qr_frames(columns, k):
-    """Complete QR of (m, n, c) column matrices, c <= n, with the R-diagonal
-    sign fix.
+    """The Q, with R's diagonal positive, of square (m, n, n) matrices: the
+    first ``k`` columns of each as (m, k, n) rows, the rest as (m, n - k, n).
 
-    Householder QR (Golub and Van Loan, *Matrix Computations*, 5.1-5.2):
-    reflector ``H_j = I - tau v v^T`` maps column j from row j down to
-    ``beta e_j``, ``beta = -sign(a_jj) |a_j:,j|``, with ``v = (1, a_j+1:,j /
-    (a_jj - beta))`` and ``tau = (beta - a_jj) / beta``, as LAPACK's dlarfg
-    forms it; a column already 0 below row j gets ``H_j = I``.  Q is the
-    product of the ``min(c, n - 1)`` reflectors, accumulated backward on the
-    identity.  The first ``min(n, c)`` columns of
-    each Q take the signs of R's diagonal (sign 1 where an entry is 0), which
-    frees Q of the factorization's sign choices.  Returns the first ``k``
-    columns of each Q as (m, k, n) rows and the remaining ones as (m, n - k,
-    n) rows.
+    Modified Gram-Schmidt run twice (``_gram_schmidt_q``): each column, less
+    its projections on the columns before it, is divided by its norm, which
+    is R's diagonal entry, so it comes out positive with no sign pass.  The
+    second pass keeps the columns orthonormal to working precision (Giraud,
+    Langou, Rozloznik and van den Eshof, Numer. Math. 101, 2005: twice is
+    enough).  A column exactly in the span of the earlier ones would divide
+    by 0; a Gaussian draw is one with probability 0, and planted directions
+    are padded to square with a generic block.
 
     Every entry is formed by elementwise numpy over the stack, each sum added
     term by term in a fixed order, so a frame's bits depend on its own matrix
     alone: not on the block that holds it, nor on the BLAS kernel.  Working
     ``_BLOCK_FRAMES`` matrices at a time bounds the working arrays.
     """
-    m, n, c = columns.shape
+    m, n, _ = columns.shape
     sections, complements = np.empty((m, k, n)), np.empty((m, n - k, n))
     for lo in range(0, m, _BLOCK_FRAMES):
         sl = slice(lo, lo + _BLOCK_FRAMES)
         # entry (i, j) of the block's matrices is the contiguous q[i, j]
-        q = _signed_householder_q(np.ascontiguousarray(
+        q = _gram_schmidt_q(np.ascontiguousarray(
             np.transpose(columns[sl], (1, 2, 0))))
         sections[sl] = np.transpose(q[:, :k], (2, 1, 0))
         complements[sl] = np.transpose(q[:, k:], (2, 1, 0))
     return sections, complements
 
 
-def _signed_householder_q(a):
-    """The sign-fixed complete Q, (n, n, b), of the (n, c, b) matrices ``a``
-    (entry-major, overwritten with what the reflectors leave of R)."""
-    n, c, b = a.shape
-    p = min(c, n - 1)
-    v, tau, r = [], np.zeros((p, b)), np.empty((min(n, c), b))
-    for j in range(p):
-        alpha, below = a[j, j], a[j + 1:, j]
-        sq = below * below
-        s = sq[0]
-        for term in sq[1:]:
-            s = s + term
-        flat = s == 0.0  # nothing to zero: H_j = I
-        r[j] = beta = np.where(
-            flat, alpha, -np.copysign(np.sqrt(alpha * alpha + s), alpha))
-        u0 = np.where(flat, 1.0, alpha - beta)
-        np.divide(u0, -beta, out=tau[j], where=~flat)
-        v.append(vj := below / u0)
-        if j + 1 < c:  # apply H_j to the columns right of j
-            rest = a[j:, j + 1:]
-            w = rest[0] + vj[0] * rest[1]
-            for i in range(2, n - j):
-                w += vj[i - 1] * rest[i]
-            w *= tau[j]
-            rest[0] -= w
-            rest[1:] -= vj[:, None] * w
-    if c == n:
-        r[n - 1] = a[n - 1, n - 1]
-    # Q = H_0 ... H_(p-1) I: before H_j acts, rows and columns up to j hold I
-    q = np.zeros((n, n, b))
-    for i in range(p, n):
-        q[i, i] = 1.0
-    for j in range(p - 1, -1, -1):
-        vj, rest = v[j], q[j + 1:, j + 1:]
-        w = vj[0] * rest[0]
-        for i in range(1, n - j - 1):
-            w += vj[i] * rest[i]
-        w *= tau[j]
-        np.negative(w, out=q[j, j + 1:])
-        rest -= vj[:, None] * w
-        q[j, j] = 1.0 - tau[j]
-        np.multiply(vj, -tau[j], out=q[j + 1:, j])
-    q[:, :len(r)] *= np.where(r < 0.0, -1.0, 1.0)
-    return q
+def _gram_schmidt_q(a):
+    """The Q, (n, n, b), of the (n, n, b) entry-major matrices ``a``, formed
+    in place column by column (``_signed_qr_frames``)."""
+    n = len(a)
+    for j in range(n):
+        v = a[:, j]
+        for _ in range(2):
+            for k in range(j):
+                dot = a[0, k] * v[0]
+                for i in range(1, n):
+                    dot += a[i, k] * v[i]
+                v -= a[:, k] * dot
+        norm = v[0] * v[0]
+        for i in range(1, n):
+            norm += v[i] * v[i]
+        v /= np.sqrt(norm)
+    return a
 
 
 class _SectionDraws:

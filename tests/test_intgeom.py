@@ -47,11 +47,20 @@ from quadrature_oracle import (cut_cell_shells, defect_integrand,
                                in_plane_one_pass)
 
 
+def _square(columns):
+    """The (m, n, c) column matrices padded to square with one fixed
+    Gaussian (n, n - c) block, as ``_signed_qr_frames`` takes them."""
+    m, n, c = columns.shape
+    pad = np.random.default_rng(0).standard_normal((n, n - c))
+    return np.concatenate([columns, np.broadcast_to(pad, (m, n, n - c))],
+                          axis=2)
+
+
 def _frames(directions):
     """(sections, complements) along (S, k, n) direction rows: each section's
-    rows orthonormalized with the R-diagonal sign fix, then completed."""
+    rows orthonormalized in order, each keeping its sign, then completed."""
     d = np.asarray(directions, dtype=float)
-    return ig._signed_qr_frames(np.swapaxes(d, 1, 2), d.shape[1])
+    return ig._signed_qr_frames(_square(np.swapaxes(d, 1, 2)), d.shape[1])
 
 
 class _GivenSections:
@@ -141,13 +150,14 @@ def test_grassmann_frames_orthonormal(n, p, rng):
 def test_blockwise_frames_equal_one_qr_call(n, monkeypatch):
     # the frames of any split of a stack into blocks, across a
     # _BLOCK_FRAMES edge, equal those of one whole-stack call bit for bit,
-    # for square draws and for the (m, n, n - 2) stacks of planted
-    # directions; they agree with LAPACK's sign-fixed complete Q, an oracle
-    # that does not share those bits, and are orthonormal
+    # for square draws and for (m, n, n - 2) stacks of planted directions
+    # padded to square as _frames pads them; they agree with LAPACK's
+    # sign-fixed Q, an oracle that does not share those bits, and are
+    # orthonormal
     m, k = 2 * ig._BLOCK_FRAMES + 5, n - 2
     rng = np.random.default_rng(n)
     for c in (n, k):
-        draws = rng.standard_normal((m, n, c))
+        draws = _square(rng.standard_normal((m, n, c)))
         blocked = ig._signed_qr_frames(draws, k)
         cuts = [0, 7, ig._BLOCK_FRAMES + 3, m]
         pieces = [ig._signed_qr_frames(draws[a:b], k)
@@ -160,9 +170,8 @@ def test_blockwise_frames_equal_one_qr_call(n, monkeypatch):
             assert np.concatenate([f[i] for f in pieces]).tobytes() \
                 == frames.tobytes()
 
-        q, r = np.linalg.qr(draws, mode="complete")
-        sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
-        q[:, :, :c] *= np.where(sign == 0, 1.0, sign)[:, None, :]
+        q, r = np.linalg.qr(draws)
+        q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
         sec, comp = whole
         assert np.abs(sec - np.swapaxes(q[:, :, :k], 1, 2)).max() <= 1e-12
         assert np.abs(comp - np.swapaxes(q[:, :, k:], 1, 2)).max() <= 1e-12
@@ -229,6 +238,24 @@ def test_explicit_frames_are_completed():
     frame = np.concatenate([sec[0], comp[0]])
     np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
     assert abs(sec[0, 0] @ [0.6, 0.8, 0.0]) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12, 1e16])
+@pytest.mark.parametrize("n", [3, 4])
+def test_frames_of_ill_conditioned_stacks(n, kappa):
+    # U diag(1 ... 1/kappa) V^T, up to a condition number of 1 / eps: the
+    # second Gram-Schmidt pass keeps the frames orthonormal, and the first
+    # section row is the first column normalized, with its own sign
+    rng = np.random.default_rng(n)
+    u, v = np.linalg.qr(rng.standard_normal((2, 500, n, n)))[0]
+    columns = u * np.geomspace(1.0, 1.0 / kappa, n) @ np.swapaxes(v, 1, 2)
+    sec, comp = ig._signed_qr_frames(columns, n - 2)
+    frame = np.concatenate([sec, comp], axis=1)
+    gram = np.einsum("mkn,mjn->mkj", frame, frame)
+    assert np.abs(gram - np.eye(n)).max() <= 1e-14
+    first = columns[:, :, 0]
+    first = first / np.sqrt(np.einsum("mn,mn->m", first, first))[:, None]
+    assert np.abs(sec[:, 0] - first).max() <= 1e-15
 
 
 # --------------------------------------------------------------------------

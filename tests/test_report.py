@@ -806,6 +806,27 @@ def test_cli_rejects_malformed_json(tmp_path):
     assert "config" in proc.stderr
 
 
+def test_cli_rejects_a_missing_config_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    proc = run_cli(["report", "--config", str(missing), "--out",
+                    str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error at config: cannot read "
+                                  f"{missing}")
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "abc"])
+def test_cli_rejects_a_bad_thread_cap(threads):
+    # the field is named once, as for every other config error
+    env = dict(os.environ, MINGAUGE_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-m", "mingauge.cli", "catalog"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error at MINGAUGE_THREADS: must be a "
+                           "positive integer\n")
+
+
 def test_cli_reports_field_path_for_missing_seed(tmp_path):
     cfg = tmp_path / "no_seed.json"
     cfg.write_text(json.dumps({"surface": {"name": "plane"},
@@ -1013,6 +1034,20 @@ def test_cli_strict_flag_fails_flagged_estimates(tmp_path):
     # is the on-surface tolerance
     ({"surface": {"name": "catenoid", "resolution": "coarse"},
       "base_point": [1, 0, 0], "mc": {"seed": 1, "radii": [1e-170]}},
+     "mc.radii"),
+    # checks that no other case reaches: a disk inside the plane's offset,
+    # a catenoid cut inside its neck, a negative size, no surface name and
+    # no counting radius
+    ({"surface": {"name": "plane", "params": {"offset": 5, "r_max": 4}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "catenoid", "params": {"c": 3, "r_max": 5}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "enneper", "params": {"r_max": -1}}},
+     "surface.params.r_max"),
+    ({"surface": {"name": "helicoid", "params": {"pitch": -1}}},
+     "surface.params.pitch"),
+    ({"surface": {}}, "surface.name"),
+    ({"surface": {"name": "plane"}, "mc": {"seed": 1, "radii": []}},
      "mc.radii"),
 ])
 def test_cli_build_probes_exit_2(tmp_path, config, field):

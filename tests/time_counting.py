@@ -4,10 +4,12 @@ subprocesses.
     python tests/time_counting.py OLD_SRC NEW_SRC [--pairs N] [--json PATH]
 
 Cases: ``crofton_verify`` on the hemisphere (96 sectors, the command line's
-default) at 50,000 lines, seed 0, and ``counting_sweep`` at 1,000 and 50,000
+default) at 50,000 lines, seed 0, ``counting_sweep`` at 1,000 and 50,000
 samples, seed 11, on the ``default`` catenoid and helicoid (n = 3) and
 ``complex_parabola_r4`` (n = 4), from the suggested base, radii
-``geomspace(0.3 r, r, 5)`` with ``r = max_safe_radius``.
+``geomspace(0.3 r, r, 5)`` with ``r = max_safe_radius``, and the section
+frames alone: ``sample_grassmann(n, 2, 50000, default_rng(11))`` for n = 3
+and 4 (``frames-3``, ``frames-4``).
 
 Each case runs in a fresh process per tree, with ``PYTHONPATH`` set to that
 tree.  The process builds the input, makes the call twice and reports the
@@ -31,7 +33,8 @@ from pathlib import Path
 
 SURFACES = ("catenoid", "helicoid", "complex_parabola_r4")
 CASES = ["crofton-hemisphere", *(f"{name}-{samples}" for samples in
-                                 (1000, 50000) for name in SURFACES)]
+                                 (1000, 50000) for name in SURFACES),
+         "frames-3", "frames-4"]
 THREADS = ("1", "default")
 _THREAD_VARS = ("MINGAUGE_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -55,6 +58,11 @@ def _child(case: str) -> None:
 
         def call():
             intgeom.crofton_verify(region, samples=50000, seed=0)
+    elif case.startswith("frames-"):
+        n = int(case.removeprefix("frames-"))
+
+        def call():
+            intgeom.sample_grassmann(n, 2, 50000, np.random.default_rng(11))
     else:
         name, samples = case.rsplit("-", 1)
         spec = build_surface(name)
